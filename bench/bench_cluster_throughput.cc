@@ -44,6 +44,17 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 }
 
 /** The shard-scaling workload: K distinct (A, B) mat-mul pairs. */
+/** The cluster-wide plan-cache hit rate, read from its registry. */
+double
+hitRate(const Cluster &cluster)
+{
+    MetricsSnapshot snap = cluster.metricsSnapshot();
+    PlanCacheStats cache;
+    cache.hits = snap.counters["plan_cache_hits_total"];
+    cache.misses = snap.counters["plan_cache_misses_total"];
+    return cache.hitRate();
+}
+
 struct HexWorkload
 {
     Index s = 12;
@@ -157,7 +168,7 @@ printShardScaling(std::vector<BenchJsonEntry> *json)
 
         double wall =
             hammer(cluster, wl, kClients, kRequestsPerClient);
-        ClusterStats stats = cluster.stats();
+        const double hit_rate = hitRate(cluster);
         double total =
             static_cast<double>(kClients * kRequestsPerClient);
         double req_per_s = total / wall;
@@ -173,7 +184,7 @@ printShardScaling(std::vector<BenchJsonEntry> *json)
                       c.threads_per_shard);
         std::printf("%-8s %10.0f %10.2fms %10.0f %9.0f%% %8.2fx\n",
                     label, total, wall * 1e3, req_per_s,
-                    stats.planCache.hitRate() * 100.0, speedup);
+                    hit_rate * 100.0, speedup);
         json->push_back(
             {"shard_scaling",
              {{"shards", std::to_string(c.shards)},
@@ -184,7 +195,7 @@ printShardScaling(std::vector<BenchJsonEntry> *json)
               {"cache_per_shard", std::to_string(kCachePerShard)},
               {"engine", "hex"}},
              {{"req_per_s", req_per_s},
-              {"hit_rate", stats.planCache.hitRate()},
+              {"hit_rate", hit_rate},
               {"speedup_vs_1x2", speedup}}});
     }
     std::printf("4 shards vs 1 shard: %.2fx\n", speedup_4v1);
@@ -238,20 +249,20 @@ printModeAxis(std::vector<BenchJsonEntry> *json)
         double wall =
             hammer(cluster, wl, kClients, kRequestsPerClient, mode);
         wall_by_mode[m] = wall;
-        ClusterStats stats = cluster.stats();
+        const double hit_rate = hitRate(cluster);
         double total =
             static_cast<double>(kClients * kRequestsPerClient);
         double req_per_s = total / wall;
         std::printf("%-10s %10.2fms %10.0f %8.0f%%\n",
                     execModeName(mode).c_str(), wall * 1e3, req_per_s,
-                    stats.planCache.hitRate() * 100.0);
+                    hit_rate * 100.0);
         json->push_back({"mode_axis",
                          {{"mode", execModeName(mode)},
                           {"engine", "hex"},
                           {"clients", std::to_string(kClients)},
                           {"matrices", std::to_string(kMatrices)}},
                          {{"req_per_s", req_per_s},
-                          {"hit_rate", stats.planCache.hitRate()}}});
+                          {"hit_rate", hit_rate}}});
     }
     std::printf("fast vs simulate: %.2fx\n",
                 wall_by_mode[0] / wall_by_mode[1]);

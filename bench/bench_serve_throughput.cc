@@ -9,7 +9,7 @@
  *     runMany() beats per-request SystolicEngine::run() (which
  *     rebuilds the DBT transform every time) — the software form of
  *     the hyper-systolic setup-cost amortization.
- *  2. Scaling: a mixed-topology request stream through the Server
+ *  2. Scaling: a mixed-topology request stream through one Shard
  *     speeds up with worker threads (engines are stateless, so
  *     requests parallelize; scaling flattens at the host's core
  *     count).
@@ -24,7 +24,7 @@
 
 #include "mat/generate.hh"
 #include "serve/batch.hh"
-#include "serve/server.hh"
+#include "serve/shard.hh"
 
 namespace sap {
 namespace {
@@ -238,7 +238,7 @@ printModeComparison(std::vector<BenchJsonEntry> *json)
     }
 }
 
-/** Mixed-topology request stream through the Server, 1..4 workers. */
+/** Mixed-topology request stream through one Shard, 1..4 workers. */
 void
 printThreadScaling(std::vector<BenchJsonEntry> *json)
 {
@@ -263,9 +263,9 @@ printThreadScaling(std::vector<BenchJsonEntry> *json)
         kinds.emplace_back(name, requireEngine(name)->kind());
 
     for (std::size_t threads : {1u, 2u, 4u}) {
-        Server::Options opts;
+        Shard::Options opts;
         opts.threads = threads;
-        Server server(opts);
+        Shard shard(opts);
 
         std::vector<std::future<ServeResponse>> futures;
         auto t0 = std::chrono::steady_clock::now();
@@ -284,7 +284,7 @@ printThreadScaling(std::vector<BenchJsonEntry> *json)
                               w)
                         : EnginePlan::triSolve(
                               lt, randomIntVec(s, seed + 3), w);
-                futures.push_back(server.submit(std::move(req)));
+                futures.push_back(shard.submit(std::move(req)));
             }
         }
         std::size_t ok = 0;
@@ -362,9 +362,9 @@ BM_ServerMixedStream(benchmark::State &state)
     Dense<Scalar> e = randomIntDense(s, s, 5);
     Dense<Scalar> lt = randomUnitLowerTriangular(s, 6);
 
-    Server::Options opts;
+    Shard::Options opts;
     opts.threads = threads;
-    Server server(opts);
+    Shard shard(opts);
     std::vector<std::pair<std::string, ProblemKind>> kinds;
     for (const std::string &name : engineNames())
         kinds.emplace_back(name, requireEngine(name)->kind());
@@ -380,7 +380,7 @@ BM_ServerMixedStream(benchmark::State &state)
                 : kind == ProblemKind::MatMul
                     ? EnginePlan::matMul(a, bm, e, w)
                     : EnginePlan::triSolve(lt, b, w);
-            futures.push_back(server.submit(std::move(req)));
+            futures.push_back(shard.submit(std::move(req)));
         }
         for (auto &f : futures)
             served += f.get().ok ? 1 : 0;

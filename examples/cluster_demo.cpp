@@ -16,7 +16,7 @@
  * exits nonzero on any mismatch, serving failure, or lost
  * completion. The report prints the per-shard request counts and
  * cache behavior — the pinning is visible as disjoint per-shard
- * plan caches.
+ * plan caches — and the per-engine breakdown of the merged metrics.
  *
  * Set SAP_EXAMPLE_TINY=1 to shrink the workload (used by the ctest
  * smoke target).
@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "cluster/cluster.hh"
+#include "engine_breakdown.hh"
 #include "mat/generate.hh"
 
 using namespace sap;
@@ -126,34 +127,41 @@ main()
     for (auto &f : cluster.submitBatch(std::move(batch)))
         batch_ok += f.get().ok ? 1 : 0;
 
-    ClusterStats stats = cluster.stats();
-    std::printf("\nper-shard serving stats:\n");
+    std::printf("\nper-shard serving metrics:\n");
     std::printf("%-6s %8s %8s %8s %10s %10s\n", "shard", "reqs",
                 "hits", "misses", "plans", "p99(us)");
-    for (std::size_t sh = 0; sh < stats.shards.size(); ++sh) {
-        const ServerStats &g = stats.shards[sh];
-        std::printf("%-6zu %8llu %8llu %8llu %10zu %10.1f\n", sh,
-                    (unsigned long long)g.requests,
-                    (unsigned long long)g.planCache.hits,
-                    (unsigned long long)g.planCache.misses,
-                    cluster.shard(sh).planCache().size(),
-                    g.latency.p99);
+    for (std::size_t sh = 0; sh < cluster.shardCount(); ++sh) {
+        MetricsSnapshot g = cluster.shard(sh).metricsSnapshot();
+        std::printf(
+            "%-6zu %8llu %8llu %8llu %10zu %10.1f\n", sh,
+            (unsigned long long)g.counters["serve_requests_total"],
+            (unsigned long long)g.counters["plan_cache_hits_total"],
+            (unsigned long long)g.counters["plan_cache_misses_total"],
+            cluster.shard(sh).planCache().size(),
+            g.histograms["serve_latency_micros"].quantile(0.99));
     }
+
+    MetricsSnapshot snap = cluster.metricsSnapshot();
+    std::printf("\nper-(engine, kind, mode) serving metrics:\n");
+    printEngineBreakdown(snap);
+    const std::uint64_t failures = snap.counters["serve_failures_total"];
+    const std::uint64_t cross_check_failures =
+        snap.counters["serve_cross_check_failures_total"];
+    const std::uint64_t hits = snap.counters["plan_cache_hits_total"];
+    const std::uint64_t misses = snap.counters["plan_cache_misses_total"];
     std::printf("\ntotal: %llu async + %zu batched requests, %llu "
                 "failures, %llu cross-check failures\n",
                 (unsigned long long)received.load(), batch_ok,
-                (unsigned long long)stats.failures,
-                (unsigned long long)stats.crossCheckFailures);
+                (unsigned long long)failures,
+                (unsigned long long)cross_check_failures);
     std::printf("aggregate plan cache: %llu hits / %llu misses "
                 "(%.0f%% hit rate)\n",
-                (unsigned long long)stats.planCache.hits,
-                (unsigned long long)stats.planCache.misses,
-                stats.planCache.hitRate() * 100.0);
+                (unsigned long long)hits, (unsigned long long)misses,
+                hits + misses ? 100.0 * hits / (hits + misses) : 0.0);
 
     bool ok = received.load() == total && bad.load() == 0 &&
               batch_ok == static_cast<std::size_t>(kMatrices * 3) &&
-              stats.failures == 0 && stats.crossCheckFailures == 0 &&
-              stats.planCache.hits > 0;
+              failures == 0 && cross_check_failures == 0 && hits > 0;
     std::printf("%s\n", ok ? "all requests served and verified"
                            : "FAILURES detected");
     return ok ? 0 : 1;

@@ -10,8 +10,8 @@
  * against the host oracle — the wire carries IEEE-754 bit patterns,
  * so integer workloads must come back bit-identical. The report
  * prints per-kind wire throughput, a PING round-trip, and the
- * aggregated server statistics fetched with a STATS frame
- * (Cluster::statsSnapshot() over the wire).
+ * per-(engine, kind, mode) breakdown fetched with a METRICS frame
+ * (NetServer::metricsSnapshot() over the wire).
  *
  * The demo exits nonzero on any transport failure, serving failure,
  * or oracle mismatch. Set SAP_EXAMPLE_TINY=1 to shrink the workload
@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine_breakdown.hh"
 #include "mat/generate.hh"
 #include "net/client.hh"
 #include "net/server.hh"
@@ -156,35 +157,33 @@ main()
                     secs > 0 ? static_cast<double>(n) / secs : 0.0);
     }
 
-    // STATS round-trip: the aggregated per-(engine, shape) snapshot.
+    // METRICS round-trip: the merged snapshot, per-engine breakdown
+    // included.
     NetClient monitor;
-    ServerStats stats;
-    bool stats_ok = monitor.connect("127.0.0.1", server.port()) &&
-                    monitor.stats(&stats);
-    if (!stats_ok) {
-        std::printf("stats fetch failed: %s\n",
+    MetricsSnapshot snap;
+    bool metrics_ok = monitor.connect("127.0.0.1", server.port()) &&
+                      monitor.metrics(&snap);
+    if (!metrics_ok) {
+        std::printf("metrics fetch failed: %s\n",
                     monitor.lastError().c_str());
         bad.fetch_add(1);
     } else {
-        std::printf("\naggregated server stats (%llu requests, "
+        std::printf("\naggregated server metrics (%llu requests, "
                     "cache %llu hits / %llu misses):\n",
-                    (unsigned long long)stats.requests,
-                    (unsigned long long)stats.planCache.hits,
-                    (unsigned long long)stats.planCache.misses);
-        std::printf("  %-24s %8s %8s %10s %10s\n", "group", "reqs",
-                    "hits", "p50(us)", "p99(us)");
-        for (const GroupStats &g : stats.groups)
-            std::printf("  %-24s %8llu %8llu %10.1f %10.1f\n",
-                        g.key.label().c_str(),
-                        (unsigned long long)g.requests,
-                        (unsigned long long)g.cacheHits,
-                        g.latency.p50, g.latency.p99);
+                    (unsigned long long)
+                        snap.counters["serve_requests_total"],
+                    (unsigned long long)
+                        snap.counters["plan_cache_hits_total"],
+                    (unsigned long long)
+                        snap.counters["plan_cache_misses_total"]);
+        printEngineBreakdown(snap);
     }
 
     const std::uint64_t expected = static_cast<std::uint64_t>(
         kClients * kRounds * 3);
-    bool ok = bad.load() == 0 && total == expected && stats_ok &&
-              stats.requests == expected && stats.failures == 0;
+    bool ok = bad.load() == 0 && total == expected && metrics_ok &&
+              snap.counters["serve_requests_total"] == expected &&
+              snap.counters["serve_failures_total"] == 0;
     std::printf("\n%s: %llu/%llu responses verified bit-identical to "
                 "the host oracle over TCP\n",
                 ok ? "all good" : "FAILURES detected",

@@ -4,7 +4,7 @@
  * registered topology (all three problem kinds) through the serve/
  * layer.
  *
- * Several client threads fire bursts of requests at one Server.
+ * Several client threads fire bursts of requests at one Shard.
  * Within a burst a client reuses its own matrix (the realistic
  * serving pattern: a client's model/filter matrix is fixed while
  * its inputs stream), so after the first request of a burst every
@@ -13,8 +13,8 @@
  *
  * Every request is cross-checked against the host oracle; the demo
  * exits nonzero on any mismatch or serving failure. The final
- * report prints the per-(engine, shape) request counts, cache hit
- * rates, and latency percentiles from ServerStats.
+ * report prints the per-(engine, kind, mode) request counts, cache
+ * hits, and latency percentiles from the shard's metrics registry.
  *
  * Set SAP_EXAMPLE_TINY=1 to shrink the workload (used by the ctest
  * smoke target).
@@ -26,8 +26,9 @@
 #include <vector>
 
 #include "engine/registry.hh"
+#include "engine_breakdown.hh"
 #include "mat/generate.hh"
-#include "serve/server.hh"
+#include "serve/shard.hh"
 
 using namespace sap;
 
@@ -44,11 +45,11 @@ main()
     const Index s = tiny ? 8 : 16; // problem size (s×s matrices)
     const Index w = 4;             // array size
 
-    Server::Options opts;
+    Shard::Options opts;
     opts.threads = 4;
     opts.planCacheCapacity = 16;
     opts.crossCheckAll = true; // golden-model check on every request
-    Server server(opts);
+    Shard shard(opts);
 
     // Engine name -> problem kind, resolved once; requests only
     // need the kind to pick their operand shape.
@@ -100,7 +101,7 @@ main()
                                       lt, randomIntVec(s, seed + 3),
                                       w);
                     burst_futures.push_back(
-                        server.submit(std::move(req)));
+                        shard.submit(std::move(req)));
                 }
                 for (auto &f : burst_futures) {
                     ServeResponse resp = f.get();
@@ -117,35 +118,34 @@ main()
     for (int c = 0; c < kClients; ++c)
         failures += client_failures[c];
 
-    ServerStats stats = server.stats();
-    std::printf("\nper-(engine, shape) serving stats:\n");
-    std::printf("%-24s %8s %8s %10s %10s %10s\n", "group", "reqs",
-                "hits", "p50(us)", "p99(us)", "cycles");
-    for (const GroupStats &g : stats.groups)
-        std::printf("%-24s %8llu %8llu %10.1f %10.1f %10lld\n",
-                    g.key.label().c_str(),
-                    (unsigned long long)g.requests,
-                    (unsigned long long)g.cacheHits, g.latency.p50,
-                    g.latency.p99, (long long)g.simCycles);
+    MetricsSnapshot snap = shard.metricsSnapshot();
+    std::printf("\nper-(engine, kind, mode) serving metrics:\n");
+    printEngineBreakdown(snap);
 
+    const std::uint64_t requests = snap.counters["serve_requests_total"];
+    const std::uint64_t served_failures =
+        snap.counters["serve_failures_total"];
+    const std::uint64_t cross_check_failures =
+        snap.counters["serve_cross_check_failures_total"];
+    const std::uint64_t hits = snap.counters["plan_cache_hits_total"];
+    const std::uint64_t misses = snap.counters["plan_cache_misses_total"];
     std::printf("\ntotal: %llu requests, %llu failures, %llu "
                 "cross-check failures\n",
-                (unsigned long long)stats.requests,
-                (unsigned long long)stats.failures,
-                (unsigned long long)stats.crossCheckFailures);
+                (unsigned long long)requests,
+                (unsigned long long)served_failures,
+                (unsigned long long)cross_check_failures);
     std::printf("plan cache: %llu hits / %llu misses (%.0f%% hit "
                 "rate), %llu evictions\n",
-                (unsigned long long)stats.planCache.hits,
-                (unsigned long long)stats.planCache.misses,
-                stats.planCache.hitRate() * 100.0,
-                (unsigned long long)stats.planCache.evictions);
+                (unsigned long long)hits, (unsigned long long)misses,
+                hits + misses ? 100.0 * hits / (hits + misses) : 0.0,
+                (unsigned long long)
+                    snap.counters["plan_cache_evictions_total"]);
+    const HistogramSnapshot &lat = snap.histograms["serve_latency_micros"];
     std::printf("latency: p50 %.1fus p99 %.1fus max %.1fus\n",
-                stats.latency.p50, stats.latency.p99,
-                stats.latency.max);
+                lat.quantile(0.5), lat.quantile(0.99), lat.max);
 
-    bool ok = failures == 0 && stats.failures == 0 &&
-              stats.crossCheckFailures == 0 &&
-              stats.planCache.hits > 0;
+    bool ok = failures == 0 && served_failures == 0 &&
+              cross_check_failures == 0 && hits > 0;
     std::printf("%s\n", ok ? "all requests served and verified"
                            : "FAILURES detected");
     return ok ? 0 : 1;

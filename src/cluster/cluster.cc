@@ -13,7 +13,6 @@ shardOptions(const Cluster::Options &opts)
     shard.threads = opts.threadsPerShard;
     shard.planCacheCapacity = opts.planCacheCapacityPerShard;
     shard.crossCheckAll = opts.crossCheckAll;
-    shard.metrics = opts.metrics;
     return shard;
 }
 
@@ -32,8 +31,7 @@ Cluster::Cluster(const Options &opts)
             std::make_unique<Shard>(shardOptions(opts_)));
     SAP_LOG_DEBUG("cluster up: ", opts_.shards, " shards x ",
                   opts_.threadsPerShard, " threads, plan cache ",
-                  opts_.planCacheCapacityPerShard, "/shard, metrics ",
-                  opts_.metrics ? "on" : "off");
+                  opts_.planCacheCapacityPerShard, "/shard");
 }
 
 Digest
@@ -123,25 +121,6 @@ Cluster::submitBatch(std::vector<ServeRequest> reqs)
     return futures;
 }
 
-ClusterStats
-Cluster::stats() const
-{
-    ClusterStats out;
-    out.shards.reserve(shards_.size());
-    for (const std::unique_ptr<Shard> &shard : shards_) {
-        ServerStats s = shard->stats();
-        out.requests += s.requests;
-        out.failures += s.failures;
-        out.crossCheckFailures += s.crossCheckFailures;
-        out.planCache.hits += s.planCache.hits;
-        out.planCache.misses += s.planCache.misses;
-        out.planCache.evictions += s.planCache.evictions;
-        out.planCache.collisions += s.planCache.collisions;
-        out.shards.push_back(std::move(s));
-    }
-    return out;
-}
-
 MetricsSnapshot
 Cluster::metricsSnapshot() const
 {
@@ -158,16 +137,6 @@ Cluster::queueDepth() const
     for (const std::unique_ptr<Shard> &shard : shards_)
         depth += shard->queueDepth();
     return depth;
-}
-
-ServerStats
-Cluster::statsSnapshot() const
-{
-    std::vector<ServerStats> parts;
-    parts.reserve(shards_.size());
-    for (const std::unique_ptr<Shard> &shard : shards_)
-        parts.push_back(shard->stats(/*include_samples=*/true));
-    return mergeServerStats(parts);
 }
 
 const Shard &

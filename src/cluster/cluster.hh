@@ -13,7 +13,7 @@
  *  - a given matrix's prepared plan is built and cached on exactly
  *    one shard — aggregate plan-cache capacity scales with the shard
  *    count and no plan is duplicated;
- *  - plan-cache and stats lock contention stays bounded by one
+ *  - plan-cache and metrics lock contention stays bounded by one
  *    shard's thread count, not the installation's;
  *  - growing the installation re-homes only ~1/N of the matrices
  *    (cluster/router.hh).
@@ -39,26 +39,14 @@
 
 namespace sap {
 
-/** Whole-cluster statistics: summed counters plus per-shard detail. */
-struct ClusterStats
-{
-    std::uint64_t requests = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t crossCheckFailures = 0;
-    /** Counters summed over every shard's plan cache. */
-    PlanCacheStats planCache;
-    /** Full per-shard snapshots; index = shard id. */
-    std::vector<ServerStats> shards;
-};
-
 /**
  * Sharded serving front end: routes each request to the shard that
  * owns its plan digest, so one matrix's prepared plan lives on
  * exactly one shard (see file comment).
  *
- * Thread-safety: all submission surfaces and stats() may be called
- * from any number of client threads; completion callbacks run on
- * the serving shard's worker thread.
+ * Thread-safety: all submission surfaces and metricsSnapshot() may
+ * be called from any number of client threads; completion callbacks
+ * run on the serving shard's worker thread.
  *
  * Ownership: the cluster owns its shards (and through them all
  * worker threads and plan caches); it does NOT own CompletionQueues
@@ -86,8 +74,6 @@ class Cluster
             ConsistentHashRouter::kDefaultVirtualNodes;
         /** Cross-check every request (overrides per-request flag). */
         bool crossCheckAll = false;
-        /** Per-shard obs/ metrics registries (see Shard::Options). */
-        bool metrics = true;
     };
 
     /** Cluster with default options. */
@@ -152,33 +138,22 @@ class Cluster
     std::vector<std::future<ServeResponse>>
     submitBatch(std::vector<ServeRequest> reqs);
 
-    /** Summed counters plus per-shard snapshots. */
-    ClusterStats stats() const;
-
-    /**
-     * Whole-installation snapshot with the per-shard StatsRecorder
-     * data *merged*: one ServerStats whose per-(engine, shape)
-     * groups combine every shard's counts, and whose p50/p99 come
-     * from the shards' concatenated latency reservoirs (exact, not
-     * percentile-of-percentiles). This is what the network layer's
-     * STATS frame serves; stats() keeps the per-shard detail.
-     */
-    ServerStats statsSnapshot() const;
-
     /**
      * Whole-installation obs/ metrics: every shard's registry
      * snapshot merged *exactly* — counters and histogram buckets
      * add, gauges follow their GaugeAgg — so cluster p50/p99 equal
-     * what one process observing every request would report. Empty
-     * when Options::metrics is off. The network layer's METRICS
-     * frame serves this (plus its own wire-level registry).
+     * what one process observing every request would report, for
+     * the unlabelled totals and for each labelled (engine, kind,
+     * mode) series alike. The network layer's METRICS frame serves
+     * this (plus its own wire-level registry); the per-shard detail
+     * stays on each shard's own metricsSnapshot().
      */
     MetricsSnapshot metricsSnapshot() const;
 
     /**
      * Requests enqueued but not yet picked up, summed across shards
-     * (0 when Options::metrics is off) — the health model's
-     * saturation input, cheaper than a metrics snapshot.
+     * — the health model's saturation input, cheaper than a metrics
+     * snapshot.
      */
     double queueDepth() const;
 

@@ -320,26 +320,6 @@ NetClient::submitBatch(const std::vector<ServeRequest> &reqs)
 }
 
 bool
-NetClient::stats(ServerStats *out)
-{
-    std::uint64_t tag = next_tag_++;
-    if (!sendAll(buildStatsRequestFrame(tag)))
-        return false;
-    Frame frame;
-    if (!readFrame(&frame))
-        return false;
-    if (frame.header.type !=
-            static_cast<std::uint16_t>(FrameType::Stats) ||
-        frame.header.tag != tag)
-        return fail("unexpected " + frameTypeName(frame.header.type) +
-                    " frame in reply to STATS");
-    std::string err;
-    if (!decodeStats(frame.payload, out, &err))
-        return fail("undecodable STATS: " + err);
-    return true;
-}
-
-bool
 NetClient::metrics(MetricsSnapshot *out)
 {
     std::uint64_t tag = next_tag_++;

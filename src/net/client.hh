@@ -7,8 +7,9 @@
  * discipline: submit() sends one SUBMIT and waits for its response;
  * submitBatch() pipelines N SUBMITs before reading (responses come
  * back in completion order — the cluster serves shards
- * independently — and are matched to requests by tag); stats() and
- * ping() round-trip the STATS and PING frames.
+ * independently — and are matched to requests by tag); metrics(),
+ * traces() and ping() round-trip the METRICS, TRACES and PING
+ * frames.
  *
  * Internally the socket is non-blocking and every wait goes through
  * poll(). That matters for submitBatch(): a blocking send() can
@@ -114,12 +115,6 @@ class NetClient
      */
     std::vector<Result> submitBatch(const std::vector<ServeRequest>
                                         &reqs);
-
-    /**
-     * Request the server's aggregated statistics snapshot
-     * (Cluster::statsSnapshot() over the wire).
-     */
-    bool stats(ServerStats *out);
 
     /**
      * Request the server's merged obs/ metrics snapshot

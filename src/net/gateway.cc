@@ -17,7 +17,6 @@
 #include "net/client.hh"
 #include "obs/trace_export.hh"
 #include "serve/plan_cache.hh"
-#include "serve/server_stats.hh"
 
 namespace sap {
 
@@ -60,37 +59,29 @@ traceSuffix(const TraceContext &ctx)
 //----------------------------------------------------------------------
 
 Gateway::Gateway(const Options &opts)
-    : opts_(opts),
-      metrics_(opts.metrics ? std::make_unique<MetricsRegistry>()
-                            : nullptr),
-      collector_(opts.trace, metrics_.get())
+    : opts_(opts), collector_(opts.trace, &metrics_)
 {
     SAP_ASSERT(!opts_.backends.empty(),
                "gateway needs at least one backend");
-    if (metrics_) {
-        inst_.requests = &metrics_->counter("gateway_requests_total");
-        inst_.relayed =
-            &metrics_->counter("gateway_responses_relayed_total");
-        inst_.failovers =
-            &metrics_->counter("gateway_failovers_total");
-        inst_.resubmits =
-            &metrics_->counter("gateway_resubmits_total");
-        inst_.errors = &metrics_->counter("gateway_errors_total");
-        inst_.backendsRoutable = &metrics_->gauge(
-            "gateway_backends_routable", GaugeAgg::Sum);
-        inst_.clientsLive =
-            &metrics_->gauge("gateway_clients_live", GaugeAgg::Sum);
-        inst_.routeMicros =
-            &metrics_->histogram("gateway_route_micros");
-    }
+    inst_.requests = &metrics_.counter("gateway_requests_total");
+    inst_.relayed =
+        &metrics_.counter("gateway_responses_relayed_total");
+    inst_.failovers = &metrics_.counter("gateway_failovers_total");
+    inst_.resubmits = &metrics_.counter("gateway_resubmits_total");
+    inst_.errors = &metrics_.counter("gateway_errors_total");
+    inst_.backendsRoutable =
+        &metrics_.gauge("gateway_backends_routable", GaugeAgg::Sum);
+    inst_.clientsLive =
+        &metrics_.gauge("gateway_clients_live", GaugeAgg::Sum);
+    inst_.routeMicros = &metrics_.histogram("gateway_route_micros");
     backends_.reserve(opts_.backends.size());
     for (std::size_t i = 0; i < opts_.backends.size(); ++i) {
         backends_.push_back(std::make_unique<Backend>(
             opts_.backends[i], opts_.maxPayloadBytes));
-        if (metrics_)
-            backends_.back()->inflightGauge = &metrics_->gauge(
-                "gateway_backend_inflight_" + std::to_string(i),
-                GaugeAgg::Sum);
+        backends_.back()->inflightGauge = &metrics_.gauge(
+            seriesKey("gateway_backend_inflight",
+                      {{"backend", std::to_string(i)}}),
+            GaugeAgg::Sum);
     }
 }
 
@@ -250,17 +241,10 @@ Gateway::wakeIoThread()
     }
 }
 
-GatewayStats
-Gateway::stats() const
-{
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    return stats_;
-}
-
 MetricsSnapshot
 Gateway::metricsSnapshot() const
 {
-    return metrics_ ? metrics_->snapshot() : MetricsSnapshot{};
+    return metrics_.snapshot();
 }
 
 //----------------------------------------------------------------------
@@ -279,9 +263,7 @@ Gateway::rebuildRing()
                 : std::make_unique<ConsistentHashRouter>(
                       ring_map_.size(), opts_.virtualNodesPerBackend);
     routable_count_.store(ring_map_.size());
-    if (inst_.backendsRoutable)
-        inst_.backendsRoutable->set(
-            static_cast<double>(ring_map_.size()));
+    inst_.backendsRoutable->set(static_cast<double>(ring_map_.size()));
 }
 
 void
@@ -346,18 +328,12 @@ Gateway::backendDown(std::size_t idx, const std::string &reason)
     b.missedPings = 0;
     b.reconnectWaitMs = opts_.reconnectIntervalMs;
     b.inflight = 0;
-    if (b.inflightGauge)
-        b.inflightGauge->set(0);
+    b.inflightGauge->set(0);
 
     if (was_routable) {
         SAP_LOG_WARN("gateway: backend ", idx, " down (", reason,
                      "); failing over");
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++stats_.failovers;
-        }
-        if (inst_.failovers)
-            inst_.failovers->add();
+        inst_.failovers->add();
         rebuildRing();
     }
 
@@ -404,19 +380,12 @@ Gateway::backendDown(std::size_t idx, const std::string &reason)
                 gwtag, fl.digest, fl.submitPayload,
                 fl.ctx.valid() ? &fl.ctx : nullptr));
             ++nb.inflight;
-            if (nb.inflightGauge)
-                nb.inflightGauge->set(
-                    static_cast<double>(nb.inflight));
+            nb.inflightGauge->set(static_cast<double>(nb.inflight));
             updateBackendInterest(fl.backendIdx);
             SAP_LOG_WARN("gateway: resubmitting request to backend ",
                          fl.backendIdx, " attempt ", fl.resubmits,
                          traceSuffix(fl.ctx));
-            {
-                std::lock_guard<std::mutex> lock(stats_mutex_);
-                ++stats_.resubmits;
-            }
-            if (inst_.resubmits)
-                inst_.resubmits->add();
+            inst_.resubmits->add();
         } else {
             Inflight fl_copy = std::move(fl);
             inflight_.erase(gwtag);
@@ -499,12 +468,7 @@ Gateway::acceptReady()
             conn_id,
             std::make_unique<ClientConn>(fd, opts_.maxPayloadBytes));
         updateClientInterest(conn_id, *it->second);
-        if (inst_.clientsLive)
-            inst_.clientsLive->add(1);
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++stats_.connectionsAccepted;
-        }
+        inst_.clientsLive->add(1);
         SAP_LOG_DEBUG("gateway: conn ", conn_id, " accepted");
     }
 }
@@ -534,8 +498,7 @@ Gateway::closeClientConn(std::uint64_t conn_id)
     ::close(it->second->fd);
     conns_.erase(it);
     closing_conns_.erase(conn_id);
-    if (inst_.clientsLive)
-        inst_.clientsLive->add(-1);
+    inst_.clientsLive->add(-1);
     SAP_LOG_DEBUG("gateway: conn ", conn_id, " closed");
 }
 
@@ -573,12 +536,7 @@ void
 Gateway::sendClientError(std::uint64_t conn_id, std::uint64_t tag,
                          const std::string &message)
 {
-    {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.errorsReturned;
-    }
-    if (inst_.errors)
-        inst_.errors->add();
+    inst_.errors->add();
     sendToClient(conn_id, buildErrorFrame(tag, message));
 }
 
@@ -659,12 +617,7 @@ Gateway::routeSubmit(std::uint64_t conn_id, std::uint64_t client_tag,
                      const TraceContext &ctx,
                      std::shared_ptr<RequestTrace> trace)
 {
-    if (inst_.requests)
-        inst_.requests->add();
-    {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.requestsRouted;
-    }
+    inst_.requests->add();
     if (ring_ == nullptr) {
         sendClientError(conn_id, client_tag, "no routable backend");
         if (trace) {
@@ -681,8 +634,7 @@ Gateway::routeSubmit(std::uint64_t conn_id, std::uint64_t client_tag,
                                   ctx.valid() ? &ctx : nullptr));
     traceStamp(trace, TraceStage::Dequeue); // "gw_forward"
     ++b.inflight;
-    if (b.inflightGauge)
-        b.inflightGauge->set(static_cast<double>(b.inflight));
+    b.inflightGauge->set(static_cast<double>(b.inflight));
     updateBackendInterest(idx);
     Inflight fl;
     fl.clientConnId = conn_id;
@@ -720,9 +672,7 @@ Gateway::startGather(std::uint64_t conn_id, std::uint64_t client_tag,
         gather_tags_[gwtag] = {gather_id, i};
         b.conn.send(kind == Gather::Kind::Metrics
                         ? buildMetricsRequestFrame(gwtag)
-                    : kind == Gather::Kind::Traces
-                        ? buildTracesRequestFrame(gwtag)
-                        : buildStatsRequestFrame(gwtag));
+                        : buildTracesRequestFrame(gwtag));
         updateBackendInterest(i);
         ++g.awaiting;
     }
@@ -738,21 +688,11 @@ Gateway::finishGatherIfDone(std::uint64_t gather_id)
         return;
     Gather g = std::move(it->second);
     gathers_.erase(it);
-    std::vector<std::uint8_t> reply;
-    switch (g.kind) {
-    case Gather::Kind::Metrics:
-        reply = buildMetricsFrame(g.clientTag, g.metricsMerged);
-        break;
-    case Gather::Kind::Traces:
-        reply = buildTracesFrame(g.clientTag, g.tracesMerged,
-                                 g.tracesTotal);
-        break;
-    case Gather::Kind::Stats:
-        reply = buildStatsFrame(g.clientTag,
-                                mergeServerStats(g.statsParts));
-        break;
-    }
-    sendToClient(g.clientConnId, std::move(reply));
+    sendToClient(g.clientConnId,
+                 g.kind == Gather::Kind::Metrics
+                     ? buildMetricsFrame(g.clientTag, g.metricsMerged)
+                     : buildTracesFrame(g.clientTag, g.tracesMerged,
+                                        g.tracesTotal));
 }
 
 std::shared_ptr<RequestTrace>
@@ -830,9 +770,6 @@ Gateway::handleClientFrame(std::uint64_t conn_id, ClientConn &conn,
                      buildFrame(FrameType::Ping, tag, frame.payload));
         return;
     }
-    case static_cast<std::uint16_t>(FrameType::Stats):
-        startGather(conn_id, tag, Gather::Kind::Stats);
-        return;
     case static_cast<std::uint16_t>(FrameType::Metrics):
         startGather(conn_id, tag, Gather::Kind::Metrics);
         return;
@@ -868,8 +805,7 @@ Gateway::handleBackendFrame(std::size_t idx, Frame &&frame)
         inflight_.erase(it);
         if (b.inflight > 0)
             --b.inflight;
-        if (b.inflightGauge)
-            b.inflightGauge->set(static_cast<double>(b.inflight));
+        b.inflightGauge->set(static_cast<double>(b.inflight));
         if (fl.trace) {
             fl.trace->stamp(TraceStage::WriterPop); // "gw_relay_pop"
             fl.trace->ok =
@@ -885,15 +821,11 @@ Gateway::handleBackendFrame(std::size_t idx, Frame &&frame)
             fl.trace->stamp(TraceStage::Flush); // "gw_flush"
             collector_.finish(fl.trace);
         }
-        if (inst_.routeMicros)
-            inst_.routeMicros->record(
-                std::chrono::duration<double, std::micro>(
-                    std::chrono::steady_clock::now() - fl.start)
-                    .count());
-        if (inst_.relayed)
-            inst_.relayed->add();
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.responsesRelayed;
+        inst_.routeMicros->record(
+            std::chrono::duration<double, std::micro>(
+                std::chrono::steady_clock::now() - fl.start)
+                .count());
+        inst_.relayed->add();
         return;
     }
     case static_cast<std::uint16_t>(FrameType::Ping): {
@@ -905,7 +837,6 @@ Gateway::handleBackendFrame(std::size_t idx, Frame &&frame)
         }
         return;
     }
-    case static_cast<std::uint16_t>(FrameType::Stats):
     case static_cast<std::uint16_t>(FrameType::Metrics):
     case static_cast<std::uint16_t>(FrameType::Traces): {
         auto it = gather_tags_.find(tag);
@@ -922,7 +853,7 @@ Gateway::handleBackendFrame(std::size_t idx, Frame &&frame)
             MetricsSnapshot part;
             if (decodeMetrics(frame.payload, &part, &err))
                 g.metricsMerged.merge(part);
-        } else if (g.kind == Gather::Kind::Traces) {
+        } else {
             std::vector<RequestTrace> part;
             std::uint64_t part_total = 0;
             if (decodeTraces(frame.payload, &part, &part_total,
@@ -931,10 +862,6 @@ Gateway::handleBackendFrame(std::size_t idx, Frame &&frame)
                 for (RequestTrace &t : part)
                     g.tracesMerged.push_back(std::move(t));
             }
-        } else {
-            ServerStats part;
-            if (decodeStats(frame.payload, &part, &err))
-                g.statsParts.push_back(std::move(part));
         }
         if (g.awaiting > 0)
             --g.awaiting;
@@ -1097,10 +1024,7 @@ Gateway::evaluateHealth() const
     // "Serving" for a gateway means the front door is open AND at
     // least one backend can take traffic.
     in.serving = running_.load() && routable_count_.load() > 0;
-    {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        in.protocolErrors = stats_.errorsReturned;
-    }
+    in.protocolErrors = inst_.errors->value();
     if (recorder_)
         in.p99Micros =
             recorder_->latestValue("gateway_route_micros:p99");

@@ -34,14 +34,14 @@
  * runs out, or that arrives with no routable backend, earns a clean
  * ERROR frame — a client never hangs on a dead backend.
  *
- * Snapshot frames scatter-gather: STATS, METRICS, and TRACES
- * requests fan out to every routable backend and the replies merge
- * exactly (serve/server_stats.hh mergeServerStats,
- * MetricsSnapshot::merge; TRACES concatenates — the export layer
- * stitches by trace id) before one frame goes back to the client;
- * backends that die mid-gather simply drop out of the merge. PING is
- * answered at the gateway itself — it measures the front door, not a
- * backend.
+ * Snapshot frames scatter-gather: METRICS and TRACES requests fan
+ * out to every routable backend and the replies merge exactly
+ * (MetricsSnapshot::merge, labelled series included; TRACES
+ * concatenates — the export layer stitches by trace id) before one
+ * frame goes back to the client; backends that die mid-gather simply
+ * drop out of the merge. PING is answered at the gateway itself — it
+ * measures the front door, not a backend. Frame type 3 (the retired
+ * STATS) is an unexpected frame like any other: an ERROR.
  *
  * Tracing: the gateway is the *edge* of the cross-tier trace path.
  * With Options::trace enabled it head-samples once per request,
@@ -56,8 +56,8 @@
  * one request renders as two process lanes in Perfetto.
  *
  * Thread-safety: start()/stop() serialize on a lifecycle mutex; the
- * stats/metrics accessors are safe from any thread. Everything else
- * lives on the gateway's one IO thread (net/event_loop.hh).
+ * metrics and health accessors are safe from any thread. Everything
+ * else lives on the gateway's one IO thread (net/event_loop.hh).
  */
 
 #ifndef SAP_NET_GATEWAY_HH
@@ -85,20 +85,6 @@
 #include "obs/trace_ring.hh"
 
 namespace sap {
-
-/** Monotonic gateway counters (read with Gateway::stats()). */
-struct GatewayStats
-{
-    std::uint64_t connectionsAccepted = 0;
-    std::uint64_t requestsRouted = 0;
-    std::uint64_t responsesRelayed = 0;
-    /** Backend transitions routable → down (any cause). */
-    std::uint64_t failovers = 0;
-    /** In-flight requests re-sent to a surviving backend. */
-    std::uint64_t resubmits = 0;
-    /** ERROR frames sent to clients (protocol + routing failures). */
-    std::uint64_t errorsReturned = 0;
-};
 
 /**
  * TCP routing tier over several NetServer backends (see file
@@ -148,9 +134,6 @@ class Gateway
         /** Ring points per backend (cluster/router.hh). */
         std::size_t virtualNodesPerBackend =
             ConsistentHashRouter::kDefaultVirtualNodes;
-        /** Gateway obs/ registry (per-backend inflight gauges,
-         *  failover counters, route latency histogram). */
-        bool metrics = true;
         /**
          * Gateway tracing (obs/trace_ring.hh). The gateway is the
          * edge tier: when enabled it makes the head-sampling decision
@@ -208,18 +191,22 @@ class Gateway
     /** Why start() failed (empty otherwise). */
     const std::string &error() const { return error_; }
 
-    /** Monotonic counters. */
-    GatewayStats stats() const;
-
     /** Backends currently in the routable set. */
     std::size_t routableBackends() const
     {
         return routable_count_.load();
     }
 
-    /** The gateway's own obs/ registry snapshot (empty when
-     *  Options::metrics is off). Backend registries are NOT merged
-     *  in — the METRICS frame does that per request. */
+    /**
+     * The gateway's own obs/ registry snapshot: gateway_requests_total,
+     * gateway_responses_relayed_total, gateway_failovers_total (backend
+     * transitions routable → down), gateway_resubmits_total,
+     * gateway_errors_total (ERROR frames sent to clients), the
+     * gateway_route_micros histogram, and the gateway_backends_routable,
+     * gateway_clients_live and gateway_backend_inflight{backend="i"}
+     * gauges. Backend registries are NOT merged in — the METRICS frame
+     * does that per request.
+     */
     MetricsSnapshot metricsSnapshot() const;
 
     /** The admin plane's bound TCP port (0 unless adminEnabled and
@@ -303,21 +290,19 @@ class Gateway
         std::shared_ptr<RequestTrace> trace;
     };
 
-    /** One scatter-gather STATS/METRICS/TRACES in progress. */
+    /** One scatter-gather METRICS/TRACES in progress. */
     struct Gather
     {
         enum class Kind : std::uint8_t
         {
-            Stats,
             Metrics,
             Traces,
         };
 
         std::uint64_t clientConnId = 0;
         std::uint64_t clientTag = 0;
-        Kind kind = Kind::Stats;
+        Kind kind = Kind::Metrics;
         std::size_t awaiting = 0;
-        std::vector<ServerStats> statsParts;
         MetricsSnapshot metricsMerged;
         /** Traces gathered so far (seeded with the gateway's own). */
         std::vector<RequestTrace> tracesMerged;
@@ -342,8 +327,7 @@ class Gateway
                      std::vector<std::uint8_t> submit_payload,
                      const TraceContext &ctx,
                      std::shared_ptr<RequestTrace> trace);
-    /** Fan a STATS/METRICS/TRACES request out to every routable
-     *  backend. */
+    /** Fan a METRICS/TRACES request out to every routable backend. */
     void startGather(std::uint64_t conn_id, std::uint64_t client_tag,
                      Gather::Kind kind);
     void finishGatherIfDone(std::uint64_t gather_id);
@@ -428,7 +412,7 @@ class Gateway
         std::uint64_t gatherId = 0;
         std::size_t backendIdx = 0;
     };
-    /** Backend tag → leg, for STATS/METRICS fan-out. */
+    /** Backend tag → leg, for METRICS/TRACES fan-out. */
     std::map<std::uint64_t, GatherLeg> gather_tags_;
     std::uint64_t next_gather_id_ = 1;
     std::map<std::uint64_t, Gather> gathers_;
@@ -436,10 +420,7 @@ class Gateway
     std::thread io_thread_;
     std::thread prober_thread_;
 
-    mutable std::mutex stats_mutex_;
-    GatewayStats stats_;
-
-    std::unique_ptr<MetricsRegistry> metrics_;
+    MetricsRegistry metrics_;
     struct Instruments
     {
         Counter *requests = nullptr;

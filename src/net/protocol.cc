@@ -29,8 +29,6 @@ frameTypeName(std::uint16_t type)
         return "SUBMIT";
     case FrameType::Response:
         return "RESPONSE";
-    case FrameType::Stats:
-        return "STATS";
     case FrameType::Ping:
         return "PING";
     case FrameType::Error:
@@ -325,18 +323,6 @@ std::vector<std::uint8_t>
 buildResponseFrame(std::uint64_t tag, const WireResponse &resp)
 {
     return buildFrame(FrameType::Response, tag, encodeResponse(resp));
-}
-
-std::vector<std::uint8_t>
-buildStatsRequestFrame(std::uint64_t tag)
-{
-    return buildFrame(FrameType::Stats, tag, {});
-}
-
-std::vector<std::uint8_t>
-buildStatsFrame(std::uint64_t tag, const ServerStats &stats)
-{
-    return buildFrame(FrameType::Stats, tag, encodeStats(stats));
 }
 
 std::vector<std::uint8_t>
@@ -766,117 +752,6 @@ decodeResponse(const std::vector<std::uint8_t> &payload,
     resp.cacheHit = hit != 0;
     resp.crossCheckOk = cross != 0;
     *out = std::move(resp);
-    return true;
-}
-
-//----------------------------------------------------------------------
-// STATS payload
-//----------------------------------------------------------------------
-
-namespace {
-
-void
-encodeLatency(WireWriter &w, const LatencySummary &l)
-{
-    w.u64(l.samples);
-    w.f64(l.mean);
-    w.f64(l.p50);
-    w.f64(l.p99);
-    w.f64(l.max);
-}
-
-bool
-decodeLatency(WireReader &r, LatencySummary *l)
-{
-    return r.u64(&l->samples) && r.f64(&l->mean) && r.f64(&l->p50) &&
-           r.f64(&l->p99) && r.f64(&l->max);
-}
-
-} // namespace
-
-std::vector<std::uint8_t>
-encodeStats(const ServerStats &stats)
-{
-    WireWriter w;
-    w.u64(stats.requests);
-    w.u64(stats.failures);
-    w.u64(stats.crossCheckFailures);
-    w.u64(stats.planCache.hits);
-    w.u64(stats.planCache.misses);
-    w.u64(stats.planCache.evictions);
-    w.u64(stats.planCache.collisions);
-    encodeLatency(w, stats.latency);
-    w.u8(stats.approximatePercentiles ? 1 : 0);
-    w.u32(static_cast<std::uint32_t>(stats.groups.size()));
-    for (const GroupStats &g : stats.groups) {
-        w.str(g.key.engine);
-        w.u8(static_cast<std::uint8_t>(g.key.kind));
-        w.u8(static_cast<std::uint8_t>(g.key.mode));
-        w.i64(g.key.rows);
-        w.i64(g.key.cols);
-        w.i64(g.key.outCols);
-        w.i64(g.key.w);
-        w.u64(g.requests);
-        w.u64(g.cacheHits);
-        w.i64(g.simCycles);
-        encodeLatency(w, g.latency);
-    }
-    return w.take();
-}
-
-bool
-decodeStats(const std::vector<std::uint8_t> &payload, ServerStats *out,
-            std::string *error)
-{
-    WireReader r(payload);
-    ServerStats stats;
-    std::uint32_t group_count;
-    std::uint8_t approx_byte;
-    if (!r.u64(&stats.requests) || !r.u64(&stats.failures) ||
-        !r.u64(&stats.crossCheckFailures) ||
-        !r.u64(&stats.planCache.hits) ||
-        !r.u64(&stats.planCache.misses) ||
-        !r.u64(&stats.planCache.evictions) ||
-        !r.u64(&stats.planCache.collisions) ||
-        !decodeLatency(r, &stats.latency) || !r.u8(&approx_byte) ||
-        !r.u32(&group_count))
-        return failDecode(error, "truncated STATS payload");
-    stats.approximatePercentiles = approx_byte != 0;
-    // Each group is at least 51 bytes (the /50 bound stays
-    // conservative); reject counts the payload cannot possibly back
-    // before reserving anything.
-    if (group_count > r.remaining() / 50)
-        return failDecode(error, "STATS group count " +
-                                     std::to_string(group_count) +
-                                     " exceeds payload");
-    stats.groups.reserve(group_count);
-    for (std::uint32_t i = 0; i < group_count; ++i) {
-        GroupStats g;
-        std::uint8_t kind_byte, mode_byte;
-        if (!r.str(&g.key.engine) || !r.u8(&kind_byte) ||
-            !r.u8(&mode_byte) || !r.i64(&g.key.rows) ||
-            !r.i64(&g.key.cols) || !r.i64(&g.key.outCols) ||
-            !r.i64(&g.key.w) || !r.u64(&g.requests) ||
-            !r.u64(&g.cacheHits) || !r.i64(&g.simCycles) ||
-            !decodeLatency(r, &g.latency))
-            return failDecode(error, "truncated STATS group " +
-                                         std::to_string(i));
-        if (kind_byte >
-            static_cast<std::uint8_t>(ProblemKind::TriSolve))
-            return failDecode(error, "unknown problem kind " +
-                                         std::to_string(kind_byte) +
-                                         " in STATS group");
-        g.key.kind = static_cast<ProblemKind>(kind_byte);
-        if (mode_byte > static_cast<std::uint8_t>(ExecMode::Validate))
-            return failDecode(error, "unknown execution mode " +
-                                         std::to_string(mode_byte) +
-                                         " in STATS group");
-        g.key.mode = static_cast<ExecMode>(mode_byte);
-        stats.groups.push_back(std::move(g));
-    }
-    if (r.remaining() != 0)
-        return failDecode(error, "trailing bytes after STATS payload");
-    *out = std::move(stats);
     return true;
 }
 

@@ -18,22 +18,16 @@
  * and results can be cross-checked against the host oracle.
  *
  * Frame types: SUBMIT (a full ServeRequest: engine name, problem
- * kind, flags, matrices), RESPONSE (the served result), STATS (empty
- * payload = request; non-empty = an aggregated ServerStats
- * snapshot), PING (echoed verbatim), ERROR (a human-readable
- * message).
+ * kind, flags, matrices), RESPONSE (the served result), PING (echoed
+ * verbatim), ERROR (a human-readable message), and the METRICS,
+ * FORWARD and TRACES frames described below. Type 3 is reserved.
  *
  * Still version 1, with in-place evolutions: SUBMIT's crossCheck
  * byte is now a flags byte (bit 0 keeps its old meaning, so old
- * encoders interoperate — see kSubmitFlag*); each STATS group record
- * carries an execution-mode byte after the problem kind, and the
- * STATS prelude now ends with an approximate-percentiles flag byte
- * (ServerStats::approximatePercentiles). Old STATS *decoders* do not
- * understand either; the snapshot is a monitoring artifact, not a
- * stored format, so the breaks are accepted and documented here. The
- * METRICS frame (obs/metrics.hh snapshots: counters, gauges with an
- * aggregation byte, sparse log-bucketed histograms) is new in this
- * revision and versioned the same way. FORWARD (the gateway tier's
+ * encoders interoperate — see kSubmitFlag*). The METRICS frame
+ * (obs/metrics.hh snapshots: counters, gauges with an aggregation
+ * byte, sparse log-bucketed histograms) is new in this revision and
+ * versioned the same way. FORWARD (the gateway tier's
  * backend hop: a u64 plan digest, a trace-context presence byte plus
  * optional context block, then a complete SUBMIT payload, so a
  * backend reuses the routing digest the gateway already computed
@@ -47,6 +41,15 @@
  * edge-origin monotonic nanos, attempt counter — see
  * encodeTraceContext) carried on FORWARD and, behind SUBMIT flag
  * bit 4, on direct client submissions.
+ *
+ * Type 3 was STATS, a per-(engine, shape) snapshot with reservoir
+ * percentiles; it is retired and the number stays reserved. Its
+ * per-(engine, kind, mode) breakdown travels in METRICS as labelled
+ * series (obs/metrics.hh seriesKey), and the shape stays on each
+ * request's trace label. A type-3 frame is now an unknown frame
+ * type: a payload-level ERROR on its tag, after which the connection
+ * keeps serving, so an old monitoring client fails cleanly instead
+ * of desyncing.
  *
  * Robustness contract: decoding is strictly bounds-checked and never
  * trusts a length against fewer bytes than it promises. Errors split
@@ -72,7 +75,6 @@
 #include <vector>
 
 #include "obs/metrics.hh"
-#include "serve/server_stats.hh"
 #include "serve/shard.hh"
 
 namespace sap {
@@ -123,7 +125,7 @@ enum class FrameType : std::uint16_t
 {
     Submit = 1,   ///< client → server: one ServeRequest
     Response = 2, ///< server → client: the served result
-    Stats = 3,    ///< empty = stats request; else a stats snapshot
+    // 3 is reserved: the retired STATS frame (see file comment).
     Ping = 4,     ///< liveness check, echoed verbatim
     Error = 5,    ///< malformed input or unexpected frame
     Metrics = 6,  ///< empty = metrics request; else a merged snapshot
@@ -321,13 +323,6 @@ std::vector<std::uint8_t> buildSubmitFrame(std::uint64_t tag,
 std::vector<std::uint8_t> buildResponseFrame(std::uint64_t tag,
                                              const WireResponse &resp);
 
-/** Empty-payload STATS: "send me a snapshot". */
-std::vector<std::uint8_t> buildStatsRequestFrame(std::uint64_t tag);
-
-/** STATS carrying an aggregated snapshot. */
-std::vector<std::uint8_t> buildStatsFrame(std::uint64_t tag,
-                                          const ServerStats &stats);
-
 /** Empty-payload METRICS: "send me a merged metrics snapshot". */
 std::vector<std::uint8_t> buildMetricsRequestFrame(std::uint64_t tag);
 
@@ -433,13 +428,6 @@ std::vector<std::uint8_t> encodeResponse(const WireResponse &resp);
 /** @copydoc decodeSubmit() */
 bool decodeResponse(const std::vector<std::uint8_t> &payload,
                     WireResponse *out, std::string *error);
-
-/** STATS payload (whole-installation snapshot incl. groups). */
-std::vector<std::uint8_t> encodeStats(const ServerStats &stats);
-
-/** @copydoc decodeSubmit() */
-bool decodeStats(const std::vector<std::uint8_t> &payload,
-                 ServerStats *out, std::string *error);
 
 /**
  * METRICS payload: u32 counter count, then (name, u64) records; u32

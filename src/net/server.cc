@@ -46,28 +46,20 @@ errnoString(const char *what)
 } // namespace
 
 NetServer::NetServer(const Options &opts)
-    : opts_(opts),
-      net_metrics_(opts.metrics ? std::make_unique<MetricsRegistry>()
-                                : nullptr),
-      collector_(opts.trace, net_metrics_.get())
+    : opts_(opts), collector_(opts.trace, &net_metrics_)
 {
-    if (net_metrics_) {
-        inst_.bytesIn =
-            &net_metrics_->counter("net_bytes_received_total");
-        inst_.bytesOut =
-            &net_metrics_->counter("net_bytes_sent_total");
-        inst_.framesReceived =
-            &net_metrics_->counter("net_frames_received_total");
-        inst_.responsesSent =
-            &net_metrics_->counter("net_responses_sent_total");
-        inst_.protocolErrors =
-            &net_metrics_->counter("net_protocol_errors_total");
-        inst_.connectionsAccepted =
-            &net_metrics_->counter("net_connections_accepted_total");
-        inst_.connectionsLive =
-            &net_metrics_->gauge("net_connections_live",
-                                 GaugeAgg::Sum);
-    }
+    inst_.bytesIn = &net_metrics_.counter("net_bytes_received_total");
+    inst_.bytesOut = &net_metrics_.counter("net_bytes_sent_total");
+    inst_.framesReceived =
+        &net_metrics_.counter("net_frames_received_total");
+    inst_.responsesSent =
+        &net_metrics_.counter("net_responses_sent_total");
+    inst_.protocolErrors =
+        &net_metrics_.counter("net_protocol_errors_total");
+    inst_.connectionsAccepted =
+        &net_metrics_.counter("net_connections_accepted_total");
+    inst_.connectionsLive =
+        &net_metrics_.gauge("net_connections_live", GaugeAgg::Sum);
 }
 
 NetServer::~NetServer()
@@ -207,7 +199,7 @@ NetServer::stop()
 
     // 2. Drain the cluster: every accepted request completes and its
     //    completion lands in queue_ (shards drain on destruction).
-    //    Under cluster_mutex_, so a STATS snapshot the writer is
+    //    Under cluster_mutex_, so a METRICS snapshot the writer is
     //    taking right now finishes first.
     {
         std::lock_guard<std::mutex> lock(cluster_mutex_);
@@ -233,19 +225,10 @@ NetServer::stop()
     SAP_LOG_INFO("net server on port ", port_, " stopped");
 }
 
-NetServerStats
-NetServer::netStats() const
-{
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    return net_stats_;
-}
-
 MetricsSnapshot
 NetServer::metricsSnapshot() const
 {
-    MetricsSnapshot snap;
-    if (net_metrics_)
-        snap = net_metrics_->snapshot();
+    MetricsSnapshot snap = net_metrics_.snapshot();
     std::lock_guard<std::mutex> lock(cluster_mutex_);
     if (cluster_)
         snap.merge(cluster_->metricsSnapshot());
@@ -263,10 +246,7 @@ NetServer::evaluateHealth() const
         if (cluster_)
             in.queueDepth += cluster_->queueDepth();
     }
-    {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        in.protocolErrors = net_stats_.protocolErrors;
-    }
+    in.protocolErrors = inst_.protocolErrors->value();
     if (recorder_)
         in.p99Micros =
             recorder_->latestValue("serve_latency_micros:p99");
@@ -411,8 +391,8 @@ NetServer::hasPendingTags(std::uint64_t conn_id)
             if (entry.second.connId == conn_id)
                 return true;
     }
-    std::lock_guard<std::mutex> lock(stats_requests_mutex_);
-    for (const PendingTag &req : stats_requests_)
+    std::lock_guard<std::mutex> lock(snapshot_requests_mutex_);
+    for (const PendingTag &req : snapshot_requests_)
         if (req.connId == conn_id)
             return true;
     return false;
@@ -428,8 +408,7 @@ NetServer::closeConnLocked(std::uint64_t conn_id)
     closing_conns_.erase(conn_id);
     ::close(it->second->fd);
     conns_.erase(it);
-    if (inst_.connectionsLive)
-        inst_.connectionsLive->add(-1);
+    inst_.connectionsLive->add(-1);
     SAP_LOG_DEBUG("conn ", conn_id, " closed");
     // Completions still in flight for this connection are dropped
     // when the writer fails to find their tag mapping.
@@ -497,8 +476,7 @@ NetServer::flushLocked(Connection &conn)
                            MSG_NOSIGNAL);
         if (n > 0) {
             conn.outoff += static_cast<std::size_t>(n);
-            if (inst_.bytesOut)
-                inst_.bytesOut->add(static_cast<std::uint64_t>(n));
+            inst_.bytesOut->add(static_cast<std::uint64_t>(n));
             continue;
         }
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
@@ -546,13 +524,9 @@ NetServer::acceptReady()
             ++next_conn_id_;
             updateInterestLocked(conn_id, *it->second);
         }
-        if (inst_.connectionsAccepted) {
-            inst_.connectionsAccepted->add();
-            inst_.connectionsLive->add(1);
-        }
+        inst_.connectionsAccepted->add();
+        inst_.connectionsLive->add(1);
         SAP_LOG_DEBUG("conn ", conn_id, " accepted");
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++net_stats_.connectionsAccepted;
     }
 }
 
@@ -568,8 +542,7 @@ NetServer::readReady(std::uint64_t conn_id, Connection &conn)
         }
         ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
         if (n > 0) {
-            if (inst_.bytesIn)
-                inst_.bytesIn->add(static_cast<std::uint64_t>(n));
+            inst_.bytesIn->add(static_cast<std::uint64_t>(n));
             conn.decoder.feed(buf, static_cast<std::size_t>(n));
             Frame frame;
             std::string err;
@@ -584,12 +557,7 @@ NetServer::readReady(std::uint64_t conn_id, Connection &conn)
                 }
                 // Frame-level violation: the stream cannot recover.
                 // One ERROR frame, then close after the flush.
-                {
-                    std::lock_guard<std::mutex> lock(stats_mutex_);
-                    ++net_stats_.protocolErrors;
-                }
-                if (inst_.protocolErrors)
-                    inst_.protocolErrors->add();
+                inst_.protocolErrors->add();
                 SAP_LOG_WARN("conn ", conn_id,
                              ": unrecoverable frame error: ", err);
                 std::lock_guard<std::mutex> lock(conns_mutex_);
@@ -617,21 +585,11 @@ void
 NetServer::handleFrame(std::uint64_t conn_id, Connection &conn,
                        const Frame &frame)
 {
-    {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++net_stats_.framesReceived;
-    }
-    if (inst_.framesReceived)
-        inst_.framesReceived->add();
+    inst_.framesReceived->add();
     const std::uint64_t tag = frame.header.tag;
 
     auto send_error = [&](const std::string &message) {
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++net_stats_.protocolErrors;
-        }
-        if (inst_.protocolErrors)
-            inst_.protocolErrors->add();
+        inst_.protocolErrors->add();
         SAP_LOG_DEBUG("conn ", conn_id, ": protocol error: ", message);
         std::lock_guard<std::mutex> lock(conns_mutex_);
         enqueueOutputLocked(conn, buildErrorFrame(tag, message));
@@ -695,37 +653,27 @@ NetServer::handleFrame(std::uint64_t conn_id, Connection &conn,
         enqueueOutputLocked(conn, echo);
         return;
     }
-    case static_cast<std::uint16_t>(FrameType::Stats): {
+    case static_cast<std::uint16_t>(FrameType::Metrics): {
         // Empty payload = request (a snapshot in either direction is
-        // harmless to serve again, so no payload check). The
+        // harmless to serve again, so no payload check). The merged
         // snapshot + encode work is milliseconds on a loaded
         // installation, so it runs on the writer thread — the IO
         // thread only hands the request over via the tag-0 marker.
         {
-            std::lock_guard<std::mutex> lock(stats_requests_mutex_);
-            stats_requests_.push_back({conn_id, tag, SnapKind::Stats});
-        }
-        queue_.push({0, {}});
-        return;
-    }
-    case static_cast<std::uint16_t>(FrameType::Metrics): {
-        // Same hand-off discipline as STATS: the merged registry
-        // snapshot is the writer thread's job.
-        {
-            std::lock_guard<std::mutex> lock(stats_requests_mutex_);
-            stats_requests_.push_back(
+            std::lock_guard<std::mutex> lock(snapshot_requests_mutex_);
+            snapshot_requests_.push_back(
                 {conn_id, tag, SnapKind::Metrics});
         }
         queue_.push({0, {}});
         return;
     }
     case static_cast<std::uint16_t>(FrameType::Traces): {
-        // Ring snapshots follow the STATS/METRICS hand-off: the
-        // writer serializes them, the IO thread never stalls. This
-        // is the scatter leg of the gateway's stitched /tracez.
+        // Ring snapshots follow the METRICS hand-off: the writer
+        // serializes them, the IO thread never stalls. This is the
+        // scatter leg of the gateway's stitched /tracez.
         {
-            std::lock_guard<std::mutex> lock(stats_requests_mutex_);
-            stats_requests_.push_back(
+            std::lock_guard<std::mutex> lock(snapshot_requests_mutex_);
+            snapshot_requests_.push_back(
                 {conn_id, tag, SnapKind::Traces});
         }
         queue_.push({0, {}});
@@ -903,49 +851,35 @@ NetServer::writerLoop()
     Completion c;
     while (queue_.next(&c)) {
         if (c.tag == 0) {
-            // STATS/METRICS marker from the IO thread: snapshot,
+            // METRICS/TRACES marker from the IO thread: snapshot,
             // encode, and deliver here so the poll loop never stalls
             // on it. The request is peeked, not popped, until the
             // frame is buffered — its deque entry is what keeps a
             // half-closed requester open (hasPendingTags).
-            PendingTag stats_req;
+            PendingTag snap_req;
             {
                 std::lock_guard<std::mutex> lock(
-                    stats_requests_mutex_);
-                if (stats_requests_.empty())
+                    snapshot_requests_mutex_);
+                if (snapshot_requests_.empty())
                     continue;
-                stats_req = stats_requests_.front();
+                snap_req = snapshot_requests_.front();
             }
-            if (stats_req.kind == SnapKind::Metrics) {
+            if (snap_req.kind == SnapKind::Metrics) {
                 // metricsSnapshot() takes cluster_mutex_ itself and
                 // degrades to the wire-level half during shutdown —
                 // still a well-formed frame, so always deliver.
-                enqueueOutput(stats_req.connId,
-                              buildMetricsFrame(stats_req.clientTag,
+                enqueueOutput(snap_req.connId,
+                              buildMetricsFrame(snap_req.clientTag,
                                                 metricsSnapshot()));
-            } else if (stats_req.kind == SnapKind::Traces) {
+            } else {
                 enqueueOutput(
-                    stats_req.connId,
-                    buildTracesFrame(stats_req.clientTag,
+                    snap_req.connId,
+                    buildTracesFrame(snap_req.clientTag,
                                      collector_.snapshot(),
                                      collector_.totalCommitted()));
-            } else {
-                ServerStats stats;
-                bool have = false;
-                {
-                    std::lock_guard<std::mutex> lock(cluster_mutex_);
-                    if (cluster_) { // else: shutting down, drop it
-                        stats = cluster_->statsSnapshot();
-                        have = true;
-                    }
-                }
-                if (have)
-                    enqueueOutput(stats_req.connId,
-                                  buildStatsFrame(stats_req.clientTag,
-                                                  stats));
             }
-            std::lock_guard<std::mutex> lock(stats_requests_mutex_);
-            stats_requests_.pop_front();
+            std::lock_guard<std::mutex> lock(snapshot_requests_mutex_);
+            snapshot_requests_.pop_front();
             continue;
         }
         PendingTag pending;
@@ -975,12 +909,8 @@ NetServer::writerLoop()
             std::lock_guard<std::mutex> lock(tags_mutex_);
             tags_.erase(c.tag);
         }
-        if (delivered) {
-            if (inst_.responsesSent)
-                inst_.responsesSent->add();
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++net_stats_.responsesSent;
-        }
+        if (delivered)
+            inst_.responsesSent->add();
         // Flush = response bytes handed to the socket layer; the
         // commit decides sampled-or-slow and records stage spans.
         traceStamp(trace, TraceStage::Flush);

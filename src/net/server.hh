@@ -62,16 +62,6 @@
 
 namespace sap {
 
-/** Monotonic wire-level counters (read with NetServer::netStats). */
-struct NetServerStats
-{
-    std::uint64_t connectionsAccepted = 0;
-    std::uint64_t framesReceived = 0;
-    std::uint64_t responsesSent = 0;
-    /** ERROR frames sent (payload- plus frame-level). */
-    std::uint64_t protocolErrors = 0;
-};
-
 /**
  * TCP server owning an array cluster (see file comment).
  *
@@ -109,18 +99,11 @@ class NetServer
          */
         TraceConfig trace;
         /**
-         * Wire-level obs/ metrics (bytes in/out, live connections,
-         * frames) and the trace stage histograms. Off = the
-         * pre-observability hot path; pair with cluster.metrics for
-         * a fully uninstrumented baseline.
-         */
-        bool metrics = true;
-        /**
          * Admin HTTP plane (obs/http_admin.hh): when enabled, a
          * second loopback port serves /metrics, /healthz, /readyz,
          * /tracez, /varz, and /timeseriesz for curl, Prometheus
          * scrapers, and load-balancer health checks. The binary
-         * METRICS/STATS frames remain the data-plane path.
+         * METRICS/TRACES frames remain the data-plane path.
          */
         bool adminEnabled = false;
         /** Admin TCP port; 0 binds an ephemeral port (adminPort()). */
@@ -163,12 +146,11 @@ class NetServer
     /** Why start() failed (empty otherwise). */
     const std::string &error() const { return error_; }
 
-    /** Wire-level counters. */
-    NetServerStats netStats() const;
-
     /**
      * Whole-installation obs/ metrics: the server's wire-level
-     * registry (plus trace stage histograms) merged with every
+     * registry (net_bytes_*, net_frames_received_total,
+     * net_responses_sent_total, net_protocol_errors_total,
+     * net_connections_*, trace stage histograms) merged with every
      * shard's registry — the same snapshot the METRICS frame serves.
      * Safe to call until stop(); after the cluster is torn down only
      * the wire-level half is returned.
@@ -234,7 +216,6 @@ class NetServer
     /** Which snapshot a tag-0 marker requests (see writerLoop()). */
     enum class SnapKind : std::uint8_t
     {
-        Stats,
         Metrics,
         Traces,
     };
@@ -245,7 +226,7 @@ class NetServer
         std::uint64_t connId;
         std::uint64_t clientTag;
         /** Snapshot requests only: which snapshot frame to serve. */
-        SnapKind kind = SnapKind::Stats;
+        SnapKind kind = SnapKind::Metrics;
     };
 
     void ioLoop();
@@ -293,8 +274,8 @@ class NetServer
      * queue while the cluster drains.
      */
     CompletionQueue queue_;
-    /** Serializes the writer thread's cluster use (STATS/METRICS
-     *  snapshots, including const metricsSnapshot()) against stop()'s
+    /** Serializes cluster snapshots (const metricsSnapshot(), from
+     *  the writer thread or the admin plane) against stop()'s
      *  cluster teardown. The IO thread needs no lock: its cluster
      *  calls stop at the quiesce handshake, before stop() resets the
      *  pointer. */
@@ -345,24 +326,21 @@ class NetServer
     std::map<std::uint64_t, std::unique_ptr<Connection>> conns_;
 
     std::mutex tags_mutex_;
-    /** Starts at 1: server tag 0 is the STATS marker (see
+    /** Starts at 1: server tag 0 is the snapshot marker (see
      *  writerLoop()). */
     std::uint64_t next_tag_ = 1;
     std::map<std::uint64_t, PendingTag> tags_;
 
-    /** STATS/METRICS requests handed from the IO thread to the
+    /** METRICS/TRACES requests handed from the IO thread to the
      *  writer, so the snapshot+encode work never stalls the poll
      *  loop. */
-    std::mutex stats_requests_mutex_;
-    std::deque<PendingTag> stats_requests_;
+    std::mutex snapshot_requests_mutex_;
+    std::deque<PendingTag> snapshot_requests_;
 
-    mutable std::mutex stats_mutex_;
-    NetServerStats net_stats_;
-
-    /** Wire-level obs/ registry; null when Options::metrics is off.
-     *  Also receives the collector's trace stage histograms. */
-    std::unique_ptr<MetricsRegistry> net_metrics_;
-    /** Cached hot-path instruments (null when metrics are off). */
+    /** Wire-level obs/ registry; also receives the collector's
+     *  trace stage histograms. */
+    MetricsRegistry net_metrics_;
+    /** Cached hot-path instruments. */
     struct NetInstruments
     {
         Counter *bytesIn = nullptr;

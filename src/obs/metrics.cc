@@ -334,7 +334,7 @@ promLabelEscape(const std::string &s)
 
 /** Pre-rendered `key="value"` pairs, comma-joined (no braces). */
 std::string
-renderLabelPairs(const std::map<std::string, std::string> &labels)
+renderLabelPairs(const MetricLabels &labels)
 {
     std::string out;
     for (const auto &[k, v] : labels) {
@@ -345,44 +345,98 @@ renderLabelPairs(const std::map<std::string, std::string> &labels)
     return out;
 }
 
+/**
+ * The entries of @p series grouped by family, each with its label
+ * pairs (the series key's block without braces). Map order alone
+ * does not keep a family together: `a_total{…}` sorts after
+ * `a_total_x`.
+ */
+template <typename V>
+std::map<std::string, std::vector<std::pair<std::string, const V *>>>
+byFamily(const std::map<std::string, V> &series)
+{
+    std::map<std::string,
+             std::vector<std::pair<std::string, const V *>>>
+        out;
+    for (const auto &[key, v] : series) {
+        auto [family, block] = splitSeriesKey(key);
+        out[family].emplace_back(
+            block.empty() ? "" : block.substr(1, block.size() - 2), &v);
+    }
+    return out;
+}
+
+/** Comma-join two label-pair lists, either possibly empty. */
+std::string
+joinPairs(const std::string &a, const std::string &b)
+{
+    return a.empty() || b.empty() ? a + b : a + "," + b;
+}
+
 } // namespace
 
 std::string
-renderPrometheus(const MetricsSnapshot &snap,
-                 const std::map<std::string, std::string> &labels)
+seriesKey(const std::string &family, const MetricLabels &labels)
 {
-    // "{a="1"}" when labels exist, "" when not — appended to every
-    // non-bucket sample name.
-    const std::string pairs = renderLabelPairs(labels);
-    const std::string plain = pairs.empty() ? "" : "{" + pairs + "}";
-    // Bucket lines already carry `le`; prefix the shared labels.
-    const std::string bucketPrefix =
-        pairs.empty() ? "_bucket{le=\"" : "_bucket{" + pairs + ",le=\"";
+    if (labels.empty())
+        return family;
+    return family + "{" + renderLabelPairs(labels) + "}";
+}
+
+std::pair<std::string, std::string>
+splitSeriesKey(const std::string &key)
+{
+    const std::size_t brace = key.find('{');
+    if (brace == std::string::npos)
+        return {key, ""};
+    return {key.substr(0, brace), key.substr(brace)};
+}
+
+std::string
+renderPrometheus(const MetricsSnapshot &snap, const MetricLabels &labels)
+{
+    const std::string shared = renderLabelPairs(labels);
+    // "{pairs}" when the sample has labels, "" when not.
+    auto braced = [](const std::string &pairs) {
+        return pairs.empty() ? pairs : "{" + pairs + "}";
+    };
 
     std::string out;
     out.reserve(4096);
-    for (const auto &[name, v] : snap.counters) {
-        out += "# TYPE " + name + " counter\n";
-        out += name + plain + " " + std::to_string(v) + "\n";
+    for (const auto &[family, series] : byFamily(snap.counters)) {
+        out += "# TYPE " + family + " counter\n";
+        for (const auto &[own, v] : series)
+            out += family + braced(joinPairs(shared, own)) + " " +
+                   std::to_string(*v) + "\n";
     }
-    for (const auto &[name, gv] : snap.gauges) {
-        out += "# TYPE " + name + " gauge\n";
-        out += name + plain + " " + fmtDouble(gv.value) + "\n";
+    for (const auto &[family, series] : byFamily(snap.gauges)) {
+        out += "# TYPE " + family + " gauge\n";
+        for (const auto &[own, gv] : series)
+            out += family + braced(joinPairs(shared, own)) + " " +
+                   fmtDouble(gv->value) + "\n";
     }
-    for (const auto &[name, h] : snap.histograms) {
-        out += "# TYPE " + name + " histogram\n";
-        std::uint64_t cum = 0;
-        for (std::size_t k = 0; k < h.bucketIndex.size(); ++k) {
-            cum += h.bucketCount[k];
-            out += name + bucketPrefix +
-                   fmtDouble(histBucketUpper(h.bucketIndex[k])) + "\"} " +
-                   std::to_string(cum) + "\n";
+    for (const auto &[family, series] : byFamily(snap.histograms)) {
+        out += "# TYPE " + family + " histogram\n";
+        for (const auto &[own, h] : series) {
+            const std::string pairs = joinPairs(shared, own);
+            const std::string plain = braced(pairs);
+            // Bucket lines carry `le` after the other labels.
+            const std::string bucketPrefix =
+                family + "_bucket{" + joinPairs(pairs, "le=\"");
+            std::uint64_t cum = 0;
+            for (std::size_t k = 0; k < h->bucketIndex.size(); ++k) {
+                cum += h->bucketCount[k];
+                out += bucketPrefix +
+                       fmtDouble(histBucketUpper(h->bucketIndex[k])) +
+                       "\"} " + std::to_string(cum) + "\n";
+            }
+            out += bucketPrefix + "+Inf\"} " + std::to_string(h->count) +
+                   "\n";
+            out += family + "_sum" + plain + " " + fmtDouble(h->sum) +
+                   "\n";
+            out += family + "_count" + plain + " " +
+                   std::to_string(h->count) + "\n";
         }
-        out += name + bucketPrefix + "+Inf\"} " +
-               std::to_string(h.count) + "\n";
-        out += name + "_sum" + plain + " " + fmtDouble(h.sum) + "\n";
-        out += name + "_count" + plain + " " + std::to_string(h.count) +
-               "\n";
     }
     return out;
 }

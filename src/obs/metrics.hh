@@ -19,10 +19,16 @@
  *               bucket counts, so cluster-level p50/p99 computed from
  *               the merged histogram equals what a single process
  *               observing every sample would report, to within one
- *               bucket's resolution. This replaces the reservoir
- *               percentiles in serve/server_stats (whose merge is
- *               approximate by construction) as the primary latency
- *               source.
+ *               bucket's resolution.
+ *
+ * Any instrument can be one series of a labelled family: its registry
+ * name is the series key `family{k="v",…}` built by seriesKey(), so
+ * labelled series travel, merge and delta exactly like unlabelled
+ * ones, and renderPrometheus() groups them under one # TYPE per
+ * family. Labels must come from a small closed set (engine, problem
+ * kind, execution mode, backend index) — never from client-chosen
+ * values such as problem shapes, which would grow the registry
+ * without bound.
  *
  * Bucket scheme: bucket 0 catches values below kHistMinValue
  * (including zero/negative/NaN), then geometric buckets with growth
@@ -47,6 +53,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sap {
@@ -240,6 +247,26 @@ class MetricsRegistry
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
+/** Label set of one series; ordered by key, so one set is one key. */
+using MetricLabels = std::map<std::string, std::string>;
+
+/**
+ * The registry name of the series of @p family with @p labels:
+ * `family{k1="v1",k2="v2"}` with keys in sorted order and values
+ * escaped per the exposition format (`\` → `\\`, `"` → `\"`,
+ * newline → `\n`); just @p family when @p labels is empty.
+ */
+std::string seriesKey(const std::string &family,
+                      const MetricLabels &labels);
+
+/**
+ * Split a series key into its family and its label block, braces
+ * included: `f{a="1"}` → {"f", `{a="1"}`}; an unlabelled name
+ * yields an empty block.
+ */
+std::pair<std::string, std::string>
+splitSeriesKey(const std::string &key);
+
 /** Merge @p parts into one snapshot (exact; see MetricsSnapshot). */
 MetricsSnapshot mergeMetrics(const std::vector<MetricsSnapshot> &parts);
 
@@ -266,19 +293,20 @@ MetricsSnapshot metricsDelta(const MetricsSnapshot &now,
                              const MetricsSnapshot &prev);
 
 /**
- * Render a snapshot as Prometheus text exposition (# TYPE comments,
- * cumulative _bucket{le="..."} lines, _sum and _count).
+ * Render a snapshot as Prometheus text exposition: one # TYPE comment
+ * per family, then each of its series (cumulative _bucket{le="..."}
+ * lines, _sum and _count for histograms).
  */
 std::string renderPrometheus(const MetricsSnapshot &snap);
 
 /**
- * Same, with @p labels attached to every sample line (merged with the
- * histogram `le` label). Label values are escaped per the exposition
- * format: `\` → `\\`, `"` → `\"`, newline → `\n`.
+ * Same, with @p labels attached to every sample line ahead of the
+ * series' own labels (and the histogram `le` label); they must not
+ * reuse a series label name. Label values are escaped as in
+ * seriesKey().
  */
-std::string renderPrometheus(
-    const MetricsSnapshot &snap,
-    const std::map<std::string, std::string> &labels);
+std::string renderPrometheus(const MetricsSnapshot &snap,
+                             const MetricLabels &labels);
 
 /**
  * Render a snapshot as a JSON object (strict RFC 8259): top-level

@@ -40,19 +40,20 @@ validateRequest(const SystolicEngine &engine, const EnginePlan &plan)
     return plan.check();
 }
 
-ShapeKey
-shapeKeyOf(const std::string &engine_name, const EnginePlan &plan)
+/**
+ * "engine n×m[×p] w=.. mode": the trace label of one request. The
+ * shape lives here rather than in a metric label because clients
+ * choose it, so it would make the number of series unbounded.
+ */
+std::string
+shapeLabel(const std::string &engine_name, const EnginePlan &plan)
 {
-    ShapeKey key;
-    key.engine = engine_name;
-    key.kind = plan.kind;
-    key.rows = plan.a.rows();
-    key.cols = plan.a.cols();
-    key.outCols =
-        plan.kind == ProblemKind::MatMul ? plan.bmat.cols() : 0;
-    key.w = plan.w;
-    key.mode = plan.mode;
-    return key;
+    std::string s = engine_name + " " + std::to_string(plan.a.rows()) +
+                    "x" + std::to_string(plan.a.cols());
+    if (plan.kind == ProblemKind::MatMul)
+        s += "x" + std::to_string(plan.bmat.cols());
+    return s + " w=" + std::to_string(plan.w) + " " +
+           execModeName(plan.mode);
 }
 
 /**
@@ -123,36 +124,54 @@ formulaCycles(const std::string &engine_name, const EnginePlan &plan)
 
 } // namespace
 
+MetricLabels
+engineLabels(const std::string &engine, ProblemKind kind, ExecMode mode)
+{
+    return {{"engine", engine},
+            {"kind", problemKindName(kind)},
+            {"mode", execModeName(mode)}};
+}
+
 Shard::Shard(const Options &opts)
     : opts_(opts), cache_(opts.planCacheCapacity), pool_(opts.threads)
 {
-    if (opts_.metrics) {
-        metrics_ = std::make_unique<MetricsRegistry>();
-        inst_.requests = &metrics_->counter("serve_requests_total");
-        inst_.failures = &metrics_->counter("serve_failures_total");
-        inst_.crossCheckFailures =
-            &metrics_->counter("serve_cross_check_failures_total");
-        inst_.modeCounts[0] =
-            &metrics_->counter("serve_mode_simulate_total");
-        inst_.modeCounts[1] =
-            &metrics_->counter("serve_mode_fast_total");
-        inst_.modeCounts[2] =
-            &metrics_->counter("serve_mode_validate_total");
-        inst_.queueDepth =
-            &metrics_->gauge("serve_queue_depth", GaugeAgg::Sum);
-        inst_.cyclesDrift = &metrics_->gauge(
-            "serve_cycles_formula_drift", GaugeAgg::Max);
-        inst_.queueWait =
-            &metrics_->histogram("serve_queue_wait_micros");
-        inst_.latency = &metrics_->histogram("serve_latency_micros");
+    inst_.requests = &metrics_.counter("serve_requests_total");
+    inst_.failures = &metrics_.counter("serve_failures_total");
+    inst_.crossCheckFailures =
+        &metrics_.counter("serve_cross_check_failures_total");
+    inst_.queueDepth =
+        &metrics_.gauge("serve_queue_depth", GaugeAgg::Sum);
+    inst_.cyclesDrift =
+        &metrics_.gauge("serve_cycles_formula_drift", GaugeAgg::Max);
+    inst_.queueWait = &metrics_.histogram("serve_queue_wait_micros");
+    inst_.latency = &metrics_.histogram("serve_latency_micros");
+}
+
+const Shard::EngineSeries &
+Shard::seriesFor(const std::string &engine, ProblemKind kind,
+                 ExecMode mode)
+{
+    std::lock_guard<std::mutex> lock(series_mutex_);
+    auto [it, inserted] = series_.try_emplace({engine, mode});
+    EngineSeries &series = it->second;
+    if (inserted) {
+        const MetricLabels labels = engineLabels(engine, kind, mode);
+        series.requests = &metrics_.counter(
+            seriesKey("serve_engine_requests_total", labels));
+        series.cacheHits = &metrics_.counter(
+            seriesKey("serve_engine_cache_hits_total", labels));
+        series.simCycles = &metrics_.counter(
+            seriesKey("serve_engine_sim_cycles_total", labels));
+        series.latency = &metrics_.histogram(
+            seriesKey("serve_engine_latency_micros", labels));
     }
+    return series;
 }
 
 void
 Shard::noteEnqueued(std::size_t n)
 {
-    if (inst_.queueDepth)
-        inst_.queueDepth->add(static_cast<double>(n));
+    inst_.queueDepth->add(static_cast<double>(n));
 }
 
 void
@@ -161,10 +180,8 @@ Shard::noteDequeued(Clock::time_point enqueuedAt,
                     std::size_t n)
 {
     traceStamp(trace, TraceStage::Dequeue);
-    if (inst_.queueDepth)
-        inst_.queueDepth->add(-static_cast<double>(n));
-    if (inst_.queueWait)
-        inst_.queueWait->record(elapsedMicros(enqueuedAt));
+    inst_.queueDepth->add(-static_cast<double>(n));
+    inst_.queueWait->record(elapsedMicros(enqueuedAt));
 }
 
 std::future<ServeResponse>
@@ -346,9 +363,7 @@ Shard::fail(std::string error, Clock::time_point t0)
 {
     ServeResponse resp;
     resp.error = std::move(error);
-    stats_.recordFailure();
-    if (inst_.failures)
-        inst_.failures->add();
+    inst_.failures->add();
     resp.latencyMicros = elapsedMicros(t0);
     return resp;
 }
@@ -367,34 +382,30 @@ Shard::finish(const ServeRequest &req, const SystolicEngine &engine,
 
     if (req.crossCheck || opts_.crossCheckAll) {
         resp.crossCheckOk = matchesOracle(req.plan, resp.result);
-        if (!resp.crossCheckOk) {
-            stats_.recordCrossCheckFailure();
-            if (inst_.crossCheckFailures)
-                inst_.crossCheckFailures->add();
-        }
+        if (!resp.crossCheckOk)
+            inst_.crossCheckFailures->add();
     }
 
     resp.latencyMicros = elapsedMicros(t0);
-    const ShapeKey shape = shapeKeyOf(req.engine, req.plan);
-    stats_.record(shape, cacheHit, resp.result.stats.cycles,
-                  resp.latencyMicros);
-    if (metrics_) {
-        inst_.requests->add();
-        inst_.latency->record(resp.latencyMicros);
-        const auto mode = static_cast<std::size_t>(req.plan.mode);
-        if (mode < 3)
-            inst_.modeCounts[mode]->add();
-        // Measured-vs-analytic drift: how far the served cycle count
-        // strayed from the paper's closed form for this engine/shape
-        // (Max-aggregated — the gauge reports the worst case seen).
-        const Cycle predicted = formulaCycles(req.engine, req.plan);
-        if (predicted > 0)
-            inst_.cyclesDrift->setMax(relDiff(
-                static_cast<double>(resp.result.stats.cycles),
-                static_cast<double>(predicted)));
-    }
+    const Cycle cycles = resp.result.stats.cycles;
+    inst_.requests->add();
+    inst_.latency->record(resp.latencyMicros);
+    const EngineSeries &series =
+        seriesFor(req.engine, req.plan.kind, req.plan.mode);
+    series.requests->add();
+    if (cacheHit)
+        series.cacheHits->add();
+    series.simCycles->add(static_cast<std::uint64_t>(cycles));
+    series.latency->record(resp.latencyMicros);
+    // Measured-vs-analytic drift: how far the served cycle count
+    // strayed from the paper's closed form for this engine/shape
+    // (Max-aggregated — the gauge reports the worst case seen).
+    const Cycle predicted = formulaCycles(req.engine, req.plan);
+    if (predicted > 0)
+        inst_.cyclesDrift->setMax(relDiff(static_cast<double>(cycles),
+                                          static_cast<double>(predicted)));
     if (req.trace) {
-        req.trace->label = shape.label();
+        req.trace->label = shapeLabel(req.engine, req.plan);
         req.trace->kind = problemKindName(req.plan.kind);
         req.trace->cacheHit = cacheHit;
     }
@@ -468,25 +479,10 @@ Shard::serveGroup(Digest digest, std::vector<Job> &jobs)
     }
 }
 
-ServerStats
-Shard::stats() const
-{
-    return stats(/*include_samples=*/false);
-}
-
-ServerStats
-Shard::stats(bool include_samples) const
-{
-    PlanCacheStats cache_stats = cache_.stats();
-    return stats_.snapshot(&cache_stats, include_samples);
-}
-
 MetricsSnapshot
 Shard::metricsSnapshot() const
 {
-    if (!metrics_)
-        return {};
-    MetricsSnapshot snap = metrics_->snapshot();
+    MetricsSnapshot snap = metrics_.snapshot();
     // The plan cache keeps its own counters; inject them here rather
     // than double-count on the request path.
     const PlanCacheStats cache_stats = cache_.stats();
@@ -502,7 +498,7 @@ Shard::metricsSnapshot() const
 double
 Shard::queueDepth() const
 {
-    return inst_.queueDepth ? inst_.queueDepth->value() : 0;
+    return inst_.queueDepth->value();
 }
 
 } // namespace sap

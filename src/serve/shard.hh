@@ -1,15 +1,14 @@
 /**
  * @file
  * One serving shard: a self-contained array installation with its
- * own worker pool, plan cache, and statistics.
+ * own worker pool, plan cache, and metrics registry.
  *
- * This is the unit the serving layer composes. The single-pool
- * Server (serve/server.hh) is exactly one shard behind a compatible
- * facade; the cluster front end (cluster/cluster.hh) owns N of them
- * and routes requests by consistent hashing on the matrix
- * fingerprint, so a given matrix's prepared plan lives on exactly
- * one shard and plan-cache lock contention stays bounded by a
- * shard's own thread count instead of the whole installation's.
+ * This is the unit the serving layer composes: one shard is the
+ * single-pool server, and the cluster front end (cluster/cluster.hh)
+ * owns N of them and routes requests by consistent hashing on the
+ * matrix fingerprint, so a given matrix's prepared plan lives on
+ * exactly one shard and plan-cache lock contention stays bounded by
+ * a shard's own thread count instead of the whole installation's.
  *
  * Three submission surfaces:
  *  - submit()       future-based, for clients that can block;
@@ -38,7 +37,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace_ring.hh"
 #include "serve/plan_cache.hh"
-#include "serve/server_stats.hh"
 #include "serve/thread_pool.hh"
 
 namespace sap {
@@ -90,12 +88,20 @@ struct ServeResponse
 using CompletionFn = std::function<void(ServeResponse)>;
 
 /**
+ * Labels of the per-(engine, kind, mode) serving series a Shard
+ * records (see Shard::metricsSnapshot()): seriesKey() of a
+ * serve_engine_* family with these labels names one of them.
+ */
+MetricLabels engineLabels(const std::string &engine, ProblemKind kind,
+                          ExecMode mode);
+
+/**
  * One shard of a serving installation.
  *
- * Thread-safety: all submission surfaces and stats() may be called
- * from any number of client threads. Destruction drains queued
- * requests first, so every returned future becomes ready and every
- * accepted callback fires.
+ * Thread-safety: all submission surfaces and metricsSnapshot() may
+ * be called from any number of client threads. Destruction drains
+ * queued requests first, so every returned future becomes ready and
+ * every accepted callback fires.
  */
 class Shard
 {
@@ -108,13 +114,6 @@ class Shard
         std::size_t planCacheCapacity = PlanCache::kDefaultCapacity;
         /** Cross-check every request (overrides per-request flag). */
         bool crossCheckAll = false;
-        /**
-         * Maintain the obs/ metrics registry (queue depth and wait,
-         * latency and mode histograms, cycle-drift gauge). Off =
-         * the pre-observability hot path, the baseline
-         * bench_obs_overhead compares against.
-         */
-        bool metrics = true;
     };
 
     explicit Shard(const Options &opts);
@@ -162,16 +161,6 @@ class Shard
     std::vector<std::future<ServeResponse>>
     submitBatch(std::vector<std::pair<ServeRequest, Digest>> reqs);
 
-    /** Consistent statistics snapshot (includes plan-cache stats). */
-    ServerStats stats() const;
-
-    /**
-     * As stats(); @p include_samples additionally exports each
-     * group's latency reservoir so an aggregator
-     * (Cluster::statsSnapshot) can merge percentiles exactly.
-     */
-    ServerStats stats(bool include_samples) const;
-
     /** Worker count. */
     std::size_t threadCount() const { return pool_.threadCount(); }
 
@@ -181,15 +170,19 @@ class Shard
     /**
      * Point-in-time copy of this shard's obs/ metrics (plan-cache
      * counters injected from the cache, queue depth from the live
-     * gauge). Empty when Options::metrics is off. Cluster snapshots
+     * gauge). Besides the unlabelled totals (serve_requests_total,
+     * serve_latency_micros, ...) it carries the per-(engine, kind,
+     * mode) breakdown as labelled series: serve_engine_requests_total,
+     * serve_engine_cache_hits_total, serve_engine_sim_cycles_total and
+     * the serve_engine_latency_micros histogram. Cluster snapshots
      * merge these exactly — counters and histogram buckets add.
      */
     MetricsSnapshot metricsSnapshot() const;
 
     /**
      * Requests enqueued but not yet picked up by a worker, from the
-     * live queue-depth gauge (0 when Options::metrics is off) — the
-     * health model's saturation input, cheaper than a full snapshot.
+     * live queue-depth gauge — the health model's saturation input,
+     * cheaper than a full snapshot.
      */
     double queueDepth() const;
 
@@ -224,28 +217,38 @@ class Shard
     const SystolicEngine *engineFor(const std::string &name);
 
     /** Hot-path instruments resolved once at construction, so
-     *  recording never pays the registry's name lookup. All null
-     *  when Options::metrics is off. */
+     *  recording never pays the registry's name lookup. */
     struct Instruments
     {
         Counter *requests = nullptr;
         Counter *failures = nullptr;
         Counter *crossCheckFailures = nullptr;
-        /** Indexed by ExecMode value. */
-        Counter *modeCounts[3] = {};
         Gauge *queueDepth = nullptr;
         Gauge *cyclesDrift = nullptr;
         Histogram *queueWait = nullptr;
         Histogram *latency = nullptr;
     };
 
+    /** The labelled series one served request feeds, per (engine,
+     *  mode); the engine fixes the problem kind. */
+    struct EngineSeries
+    {
+        Counter *requests = nullptr;
+        Counter *cacheHits = nullptr;
+        Counter *simCycles = nullptr;
+        Histogram *latency = nullptr;
+    };
+    /** @p engine's series for @p mode, registered on first use. */
+    const EngineSeries &seriesFor(const std::string &engine,
+                                  ProblemKind kind, ExecMode mode);
+
     Options opts_;
     PlanCache cache_;
-    StatsRecorder stats_;
-    /** Created iff Options::metrics; null keeps the hot path at one
-     *  pointer test per hook. */
-    std::unique_ptr<MetricsRegistry> metrics_;
+    MetricsRegistry metrics_;
     Instruments inst_;
+
+    std::mutex series_mutex_;
+    std::map<std::pair<std::string, ExecMode>, EngineSeries> series_;
 
     std::mutex engines_mutex_;
     std::map<std::string, std::unique_ptr<SystolicEngine>> engines_;

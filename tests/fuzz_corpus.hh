@@ -123,6 +123,18 @@ parseHexDump(const std::string &text, const std::string &what)
     return bytes;
 }
 
+/** The bytes of the corpus seed @p name under @p dir. */
+inline std::vector<std::uint8_t>
+loadHexSeed(const std::string &dir, const std::string &name)
+{
+    std::ifstream is(dir + "/" + name);
+    if (!is)
+        throw std::runtime_error("cannot open corpus seed " + name);
+    std::ostringstream text;
+    text << is.rdbuf();
+    return parseHexDump(text.str(), name);
+}
+
 /**
  * Load every *.hex file under @p dir, sorted by name so corpus order
  * (and therefore every derived mutation) is stable across platforms.
@@ -147,12 +159,8 @@ loadHexCorpus(const std::string &dir)
     std::sort(names.begin(), names.end());
 
     std::vector<CorpusEntry> corpus;
-    for (const std::string &name : names) {
-        std::ifstream is(dir + "/" + name);
-        std::ostringstream text;
-        text << is.rdbuf();
-        corpus.push_back({name, parseHexDump(text.str(), name)});
-    }
+    for (const std::string &name : names)
+        corpus.push_back({name, loadHexSeed(dir, name)});
     if (corpus.empty())
         throw std::runtime_error("empty corpus dir " + dir);
     return corpus;

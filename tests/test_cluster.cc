@@ -3,13 +3,15 @@
  * Tests of the cluster layer: consistent-hash routing (determinism,
  * coverage, rebalance behavior), shard pinning of plan caches, the
  * async completion-queue and callback surfaces, server-side batch
- * grouping, and malformed-request error paths exercised through the
- * cluster router.
+ * grouping, malformed-request error paths exercised through the
+ * cluster router, and the exact merge of the shards' labelled
+ * per-engine metrics.
  */
 
 #include <gtest/gtest.h>
 
 #include <future>
+#include <map>
 #include <set>
 #include <string>
 
@@ -119,23 +121,22 @@ TEST(Cluster, MatrixPlanLivesOnExactlyOneShard)
     // never saw the matrix.
     for (std::size_t s = 0; s < cluster.shardCount(); ++s) {
         SCOPED_TRACE("shard " + std::to_string(s));
+        MetricsSnapshot snap = cluster.shard(s).metricsSnapshot();
         if (s == home) {
             EXPECT_EQ(cluster.shard(s).planCache().size(), 1u);
-            ServerStats stats = cluster.shard(s).stats();
-            EXPECT_EQ(stats.requests, 6u);
-            EXPECT_EQ(stats.planCache.misses, 1u);
-            EXPECT_EQ(stats.planCache.hits, 5u);
+            EXPECT_EQ(snap.counters["serve_requests_total"], 6u);
+            EXPECT_EQ(snap.counters["plan_cache_misses_total"], 1u);
+            EXPECT_EQ(snap.counters["plan_cache_hits_total"], 5u);
         } else {
             EXPECT_EQ(cluster.shard(s).planCache().size(), 0u);
-            EXPECT_EQ(cluster.shard(s).stats().requests, 0u);
+            EXPECT_EQ(snap.counters["serve_requests_total"], 0u);
         }
     }
 
-    ClusterStats total = cluster.stats();
-    EXPECT_EQ(total.requests, 6u);
-    EXPECT_EQ(total.planCache.hits, 5u);
-    EXPECT_EQ(total.planCache.misses, 1u);
-    ASSERT_EQ(total.shards.size(), 4u);
+    MetricsSnapshot total = cluster.metricsSnapshot();
+    EXPECT_EQ(total.counters["serve_requests_total"], 6u);
+    EXPECT_EQ(total.counters["plan_cache_hits_total"], 5u);
+    EXPECT_EQ(total.counters["plan_cache_misses_total"], 1u);
 }
 
 TEST(Cluster, DistinctMatricesSpreadAcrossShards)
@@ -179,7 +180,9 @@ TEST(Cluster, ServesCorrectResultsAcrossShards)
             matVec(reqs[i].plan.a, reqs[i].plan.x, reqs[i].plan.b);
         EXPECT_EQ(maxAbsDiff(resp.result.y, gold), 0.0) << i;
     }
-    EXPECT_EQ(cluster.stats().crossCheckFailures, 0u);
+    EXPECT_EQ(cluster.metricsSnapshot()
+                  .counters["serve_cross_check_failures_total"],
+              0u);
 }
 
 TEST(Cluster, TriSolveRequestsRouteBatchAndCrossCheck)
@@ -221,11 +224,11 @@ TEST(Cluster, TriSolveRequestsRouteBatchAndCrossCheck)
                                         reqs[i].plan.b);
         EXPECT_EQ(maxAbsDiff(resp.result.y, gold), 0.0) << i;
     }
-    ClusterStats stats = cluster.stats();
-    EXPECT_EQ(stats.crossCheckFailures, 0u);
+    MetricsSnapshot snap = cluster.metricsSnapshot();
+    EXPECT_EQ(snap.counters["serve_cross_check_failures_total"], 0u);
     // Four distinct systems: four group leaders build, and each
     // group's followers ride the leader's prepared plan.
-    EXPECT_EQ(stats.planCache.misses, 4u);
+    EXPECT_EQ(snap.counters["plan_cache_misses_total"], 4u);
     EXPECT_EQ(rode_shared_plan, 8u);
 }
 
@@ -347,11 +350,11 @@ TEST(Cluster, BatchGroupsSameMatrixIntoOneBuild)
         reported_hits += resp.cacheHit ? 1 : 0;
     }
 
-    ClusterStats stats = cluster.stats();
-    EXPECT_EQ(stats.requests, 9u);
+    MetricsSnapshot snap = cluster.metricsSnapshot();
+    EXPECT_EQ(snap.counters["serve_requests_total"], 9u);
     // One dense→band build per distinct matrix; every follower rode
     // the group's shared plan (reported as a cache hit).
-    EXPECT_EQ(stats.planCache.misses, 2u);
+    EXPECT_EQ(snap.counters["plan_cache_misses_total"], 2u);
     EXPECT_EQ(reported_hits, 7u);
 }
 
@@ -386,8 +389,9 @@ TEST(Cluster, BatchMalformedRequestDoesNotBlockItsGroup)
         ServeResponse resp = futures[i].get();
         EXPECT_TRUE(resp.ok) << resp.error;
     }
-    EXPECT_EQ(cluster.stats().failures, 1u);
-    EXPECT_EQ(cluster.stats().requests, 4u);
+    MetricsSnapshot snap = cluster.metricsSnapshot();
+    EXPECT_EQ(snap.counters["serve_failures_total"], 1u);
+    EXPECT_EQ(snap.counters["serve_requests_total"], 4u);
 }
 
 TEST(Cluster, BatchMalformedFollowerGetsErrorResponseNotAbort)
@@ -420,15 +424,17 @@ TEST(Cluster, BatchMalformedFollowerGetsErrorResponseNotAbort)
     EXPECT_FALSE(follower.ok);
     EXPECT_FALSE(follower.error.empty());
     EXPECT_TRUE(futures[2].get().ok);
-    EXPECT_EQ(cluster.stats().failures, 1u);
-    EXPECT_EQ(cluster.stats().requests, 2u);
+    MetricsSnapshot snap = cluster.metricsSnapshot();
+    EXPECT_EQ(snap.counters["serve_failures_total"], 1u);
+    EXPECT_EQ(snap.counters["serve_requests_total"], 2u);
 }
 
 TEST(Cluster, EmptyBatchIsANoop)
 {
     Cluster cluster;
     EXPECT_TRUE(cluster.submitBatch({}).empty());
-    EXPECT_EQ(cluster.stats().requests, 0u);
+    EXPECT_EQ(cluster.metricsSnapshot().counters["serve_requests_total"],
+              0u);
 }
 
 //---------------------------------------------------------------------
@@ -470,9 +476,9 @@ TEST(Cluster, MalformedRequestsResolveToErrorsThroughTheRouter)
     EXPECT_FALSE(r3.ok);
     EXPECT_FALSE(r3.error.empty());
 
-    ClusterStats stats = cluster.stats();
-    EXPECT_EQ(stats.failures, 3u);
-    EXPECT_EQ(stats.requests, 0u);
+    MetricsSnapshot snap = cluster.metricsSnapshot();
+    EXPECT_EQ(snap.counters["serve_failures_total"], 3u);
+    EXPECT_EQ(snap.counters["serve_requests_total"], 0u);
     // No plan was ever cached for a malformed request.
     for (std::size_t s = 0; s < cluster.shardCount(); ++s)
         EXPECT_EQ(cluster.shard(s).planCache().size(), 0u);
@@ -481,135 +487,108 @@ TEST(Cluster, MalformedRequestsResolveToErrorsThroughTheRouter)
 TEST(Cluster, StatsSnapshotMergesShardsExactly)
 {
     Cluster::Options opts;
-    opts.shards = 3;
-    Cluster cluster(opts);
-
-    // Several distinct matrices of one shape (spread over shards by
-    // digest routing) plus one of another shape.
-    const int kSameShape = 8;
-    for (int i = 0; i < kSameShape; ++i) {
-        ServeRequest req = matVecRequest(
-            "linear", randomIntDense(6, 6, 2000 + i), 2100 + i, 3);
-        ASSERT_TRUE(cluster.submit(std::move(req)).get().ok);
-    }
-    ServeRequest other = matVecRequest(
-        "linear", randomIntDense(9, 4, 2300), 2301, 3);
-    ASSERT_TRUE(cluster.submit(std::move(other)).get().ok);
-
-    ServerStats merged = cluster.statsSnapshot();
-    ClusterStats per_shard = cluster.stats();
-
-    // Counters agree with the per-shard view.
-    EXPECT_EQ(merged.requests, per_shard.requests);
-    EXPECT_EQ(merged.requests,
-              static_cast<std::uint64_t>(kSameShape + 1));
-    EXPECT_EQ(merged.failures, 0u);
-    EXPECT_EQ(merged.planCache.misses, per_shard.planCache.misses);
-
-    // One merged group per (engine, shape), combining every shard's
-    // requests for that shape.
-    ASSERT_EQ(merged.groups.size(), 2u);
-    EXPECT_EQ(merged.groups[0].key.rows, 6);
-    EXPECT_EQ(merged.groups[0].requests,
-              static_cast<std::uint64_t>(kSameShape));
-    EXPECT_EQ(merged.groups[1].key.rows, 9);
-    EXPECT_EQ(merged.groups[1].requests, 1u);
-
-    // The 6x6 shape really did land on more than one shard, so the
-    // merge combined distinct recorders (not a trivial copy)...
-    std::size_t shards_with_6x6 = 0;
-    std::uint64_t group_requests_summed = 0;
-    for (const ServerStats &s : per_shard.shards) {
-        for (const GroupStats &g : s.groups) {
-            if (g.key.rows == 6) {
-                ++shards_with_6x6;
-                group_requests_summed += g.requests;
-            }
-        }
-    }
-    EXPECT_GT(shards_with_6x6, 1u);
-    EXPECT_EQ(group_requests_summed, merged.groups[0].requests);
-
-    // ...and the merged percentiles come from merged samples: every
-    // shard recorded latencies, so the merged p50/p99 are positive
-    // and ordered, and samples cover every request.
-    EXPECT_EQ(merged.groups[0].latency.samples,
-              static_cast<std::uint64_t>(kSameShape));
-    EXPECT_GT(merged.groups[0].latency.p50, 0.0);
-    EXPECT_LE(merged.groups[0].latency.p50,
-              merged.groups[0].latency.p99);
-    EXPECT_LE(merged.groups[0].latency.p99,
-              merged.groups[0].latency.max);
-    // The merged view is a reporting artifact: samples are dropped.
-    EXPECT_TRUE(merged.groups[0].latencySamples.empty());
-}
-
-namespace {
-
-/** One-group ServerStats part for the merge-flagging tests. */
-ServerStats
-statsPart(std::uint64_t requests, std::vector<double> samples)
-{
-    ServerStats part;
-    part.requests = requests;
-    GroupStats g;
-    g.key.engine = "linear";
-    g.key.rows = 6;
-    g.key.cols = 6;
-    g.key.w = 3;
-    g.latency.samples = requests;
-    g.latency.mean = 10.0;
-    g.latencySamples = std::move(samples);
-    part.groups.push_back(std::move(g));
-    return part;
-}
-
-} // namespace
-
-TEST(MergeServerStats, FlagsApproximateWhenAnyInputLacksSamples)
-{
-    // One part exported its reservoir, the other only summary
-    // numbers: the merged percentiles cannot cover every sample, so
-    // the merge must say so instead of passing as exact.
-    ServerStats with_samples = statsPart(3, {5.0, 10.0, 15.0});
-    ServerStats summary_only = statsPart(2, {});
-
-    ServerStats merged =
-        mergeServerStats({with_samples, summary_only});
-    EXPECT_TRUE(merged.approximatePercentiles);
-    EXPECT_EQ(merged.requests, 5u);
-    ASSERT_EQ(merged.groups.size(), 1u);
-    EXPECT_EQ(merged.groups[0].latency.samples, 5u);
-}
-
-TEST(MergeServerStats, ExactWhenEveryInputCarriesSamples)
-{
-    ServerStats a = statsPart(2, {5.0, 10.0});
-    ServerStats b = statsPart(3, {1.0, 2.0, 3.0});
-    ServerStats merged = mergeServerStats({a, b});
-    EXPECT_FALSE(merged.approximatePercentiles);
-
-    // Zero-sample groups carry no latency evidence and must not
-    // trip the flag either.
-    ServerStats idle = statsPart(0, {});
-    idle.groups[0].latency.samples = 0;
-    EXPECT_FALSE(
-        mergeServerStats({a, idle}).approximatePercentiles);
-}
-
-TEST(MergeServerStats, ClusterSnapshotIsExact)
-{
-    // The cluster's own snapshot path always exports reservoirs, so
-    // its merge must never be flagged.
-    Cluster::Options opts;
     opts.shards = 2;
     Cluster cluster(opts);
-    for (int i = 0; i < 4; ++i) {
-        ServeRequest req = matVecRequest(
-            "linear", randomIntDense(6, 6, 2600 + i), 2700 + i, 3);
-        ASSERT_TRUE(cluster.submit(std::move(req)).get().ok);
+
+    // What was served, per (engine, kind, mode) label set.
+    struct Served
+    {
+        std::uint64_t requests = 0;
+        std::uint64_t cacheHits = 0;
+        std::uint64_t simCycles = 0;
+    };
+    std::map<MetricLabels, Served> served;
+    auto serve = [&](ServeRequest req) {
+        const MetricLabels labels =
+            engineLabels(req.engine, req.plan.kind, req.plan.mode);
+        ServeResponse resp = cluster.submit(std::move(req)).get();
+        ASSERT_TRUE(resp.ok) << resp.error;
+        Served &s = served[labels];
+        ++s.requests;
+        s.cacheHits += resp.cacheHit ? 1 : 0;
+        s.simCycles += static_cast<std::uint64_t>(resp.result.stats.cycles);
+    };
+
+    // Linear fast: eight distinct matrices (spread over both shards
+    // by digest routing), each served twice so the repeat hits.
+    for (int i = 0; i < 8; ++i) {
+        Dense<Scalar> a = randomIntDense(6, 6, 2000 + i);
+        for (int rep = 0; rep < 2; ++rep) {
+            ServeRequest req =
+                matVecRequest("linear", a, 2100 + 2 * i + rep, 3);
+            req.plan.mode = ExecMode::Fast;
+            serve(std::move(req));
+        }
     }
-    EXPECT_FALSE(cluster.statsSnapshot().approximatePercentiles);
+    // Linear simulate: one matrix of another shape.
+    Dense<Scalar> tall = randomIntDense(9, 4, 2300);
+    for (int i = 0; i < 3; ++i)
+        serve(matVecRequest("linear", tall, 2301 + 2 * i, 3));
+    // Hex simulate: one matrix pair.
+    for (int i = 0; i < 2; ++i) {
+        ServeRequest req;
+        req.engine = "hex";
+        req.plan = EnginePlan::matMul(
+            randomIntDense(4, 4, 2400), randomIntDense(4, 3, 2401),
+            randomIntDense(4, 3, 2402 + i), 2);
+        serve(std::move(req));
+    }
+    ASSERT_EQ(served.size(), 3u);
+
+    MetricsSnapshot merged = cluster.metricsSnapshot();
+    std::vector<MetricsSnapshot> parts;
+    for (std::size_t s = 0; s < cluster.shardCount(); ++s)
+        parts.push_back(cluster.shard(s).metricsSnapshot());
+
+    std::uint64_t labelled_requests = 0;
+    for (const auto &[labels, want] : served) {
+        SCOPED_TRACE(seriesKey("series", labels));
+        const std::string requests =
+            seriesKey("serve_engine_requests_total", labels);
+        const std::string hits =
+            seriesKey("serve_engine_cache_hits_total", labels);
+        const std::string cycles =
+            seriesKey("serve_engine_sim_cycles_total", labels);
+        const std::string latency =
+            seriesKey("serve_engine_latency_micros", labels);
+
+        // The merged series match what was served...
+        EXPECT_EQ(merged.counters[requests], want.requests);
+        EXPECT_EQ(merged.counters[hits], want.cacheHits);
+        EXPECT_EQ(merged.counters[cycles], want.simCycles);
+        EXPECT_GT(want.simCycles, 0u);
+        const HistogramSnapshot &lat = merged.histograms[latency];
+        EXPECT_EQ(lat.count, want.requests);
+        EXPECT_GT(lat.quantile(0.5), 0.0);
+        EXPECT_LE(lat.quantile(0.5), lat.quantile(0.99));
+
+        // ...and each is the exact sum of the shard snapshots, down
+        // to the histogram buckets.
+        std::uint64_t requests_summed = 0, hits_summed = 0;
+        HistogramSnapshot lat_summed;
+        for (MetricsSnapshot &part : parts) {
+            requests_summed += part.counters[requests];
+            hits_summed += part.counters[hits];
+            lat_summed.merge(part.histograms[latency]);
+        }
+        EXPECT_EQ(requests_summed, want.requests);
+        EXPECT_EQ(hits_summed, want.cacheHits);
+        EXPECT_EQ(lat.bucketIndex, lat_summed.bucketIndex);
+        EXPECT_EQ(lat.bucketCount, lat_summed.bucketCount);
+        labelled_requests += want.requests;
+    }
+    // The breakdown adds up to the unlabelled totals.
+    EXPECT_EQ(labelled_requests, merged.counters["serve_requests_total"]);
+    EXPECT_EQ(labelled_requests,
+              merged.histograms["serve_latency_micros"].count);
+
+    // The fast series really did land on both shards, so the merge
+    // combined distinct registries (not a trivial copy).
+    const std::string fast_requests = seriesKey(
+        "serve_engine_requests_total",
+        engineLabels("linear", ProblemKind::MatVec, ExecMode::Fast));
+    for (MetricsSnapshot &part : parts)
+        EXPECT_GT(part.counters[fast_requests], 0u);
 }
 
 TEST(Cluster, ZeroCapacityCachesServeEveryRequestUncached)
@@ -628,9 +607,9 @@ TEST(Cluster, ZeroCapacityCachesServeEveryRequestUncached)
         EXPECT_FALSE(resp.cacheHit);
         EXPECT_EQ(maxAbsDiff(resp.result.y, gold), 0.0);
     }
-    ClusterStats stats = cluster.stats();
-    EXPECT_EQ(stats.planCache.hits, 0u);
-    EXPECT_EQ(stats.planCache.misses, 4u);
+    MetricsSnapshot snap = cluster.metricsSnapshot();
+    EXPECT_EQ(snap.counters["plan_cache_hits_total"], 0u);
+    EXPECT_EQ(snap.counters["plan_cache_misses_total"], 4u);
     for (std::size_t s = 0; s < cluster.shardCount(); ++s)
         EXPECT_EQ(cluster.shard(s).planCache().size(), 0u);
 }

@@ -92,7 +92,8 @@ TEST(ClusterConcurrency, CompletionQueueManyProducersManyPollers)
     EXPECT_EQ(received.load(), kTotal);
     EXPECT_EQ(ok.load(), kTotal);
     EXPECT_EQ(queue.size(), 0u);
-    EXPECT_EQ(cluster.stats().requests, kTotal);
+    EXPECT_EQ(cluster.metricsSnapshot().counters["serve_requests_total"],
+              kTotal);
 }
 
 TEST(ClusterConcurrency, AsyncCallbackStormWithConcurrentStats)
@@ -129,12 +130,18 @@ TEST(ClusterConcurrency, AsyncCallbackStormWithConcurrentStats)
             }
         });
     }
-    // Stats snapshots race against the storm — must stay consistent
-    // and data-race-free.
+    // Metrics snapshots race against the storm — must stay
+    // consistent and data-race-free.
+    const std::string labelled = seriesKey(
+        "serve_engine_requests_total",
+        engineLabels("linear", ProblemKind::MatVec, ExecMode::Simulate));
     std::thread reader([&] {
         for (int i = 0; i < 50; ++i) {
-            ClusterStats s = cluster.stats();
-            EXPECT_LE(s.requests,
+            MetricsSnapshot s = cluster.metricsSnapshot();
+            EXPECT_LE(s.counters["serve_requests_total"],
+                      static_cast<std::uint64_t>(kClients) *
+                          kPerClient);
+            EXPECT_LE(s.counters[labelled],
                       static_cast<std::uint64_t>(kClients) *
                           kPerClient);
         }
@@ -147,7 +154,10 @@ TEST(ClusterConcurrency, AsyncCallbackStormWithConcurrentStats)
         std::this_thread::yield();
 
     EXPECT_EQ(failures.load(), 0);
-    EXPECT_EQ(cluster.stats().requests,
+    MetricsSnapshot snap = cluster.metricsSnapshot();
+    EXPECT_EQ(snap.counters["serve_requests_total"],
+              static_cast<std::uint64_t>(kClients) * kPerClient);
+    EXPECT_EQ(snap.counters[labelled],
               static_cast<std::uint64_t>(kClients) * kPerClient);
 }
 
@@ -182,13 +192,14 @@ TEST(ClusterConcurrency, MixedBatchAndSingleSubmission)
     for (std::thread &t : clients)
         t.join();
     EXPECT_EQ(failures.load(), 0);
-    EXPECT_EQ(cluster.stats().requests, 3u * 4u * 6u);
+    MetricsSnapshot snap = cluster.metricsSnapshot();
+    EXPECT_EQ(snap.counters["serve_requests_total"], 3u * 4u * 6u);
     // One shared matrix: only its home shard ever built the plan.
     // Two cold workers can race the first build (each counts a
     // miss; the first insert wins), so the miss count is bounded by
     // the shard's worker count, not exactly 1.
-    EXPECT_GE(cluster.stats().planCache.misses, 1u);
-    EXPECT_LE(cluster.stats().planCache.misses, 2u);
+    EXPECT_GE(snap.counters["plan_cache_misses_total"], 1u);
+    EXPECT_LE(snap.counters["plan_cache_misses_total"], 2u);
     std::size_t resident = 0;
     for (std::size_t s = 0; s < cluster.shardCount(); ++s)
         resident += cluster.shard(s).planCache().size();

@@ -39,9 +39,17 @@
 #include "net/server.hh"
 
 #include "flaky_backend.hh"
+#include "tests/fuzz_corpus.hh"
 
 namespace sap {
 namespace {
+
+/** One counter of the gateway's own registry (0 until registered). */
+std::uint64_t
+gatewayCounter(const Gateway &gw, const std::string &name)
+{
+    return gw.metricsSnapshot().counters[name];
+}
 
 NetServer::Options
 backendOptions()
@@ -238,23 +246,26 @@ TEST(Gateway, ServesEveryKindThroughTheFrontDoor)
             << i;
     }
 
-    GatewayStats gs = gw.stats();
-    EXPECT_GE(gs.requestsRouted, reqs.size());
-    EXPECT_GE(gs.responsesRelayed, reqs.size());
-    EXPECT_EQ(gs.failovers, 0u);
+    MetricsSnapshot gs = gw.metricsSnapshot();
+    EXPECT_GE(gs.counters["gateway_requests_total"], reqs.size());
+    EXPECT_GE(gs.counters["gateway_responses_relayed_total"],
+              reqs.size());
+    EXPECT_EQ(gs.counters["gateway_failovers_total"], 0u);
 
     // Both backends must actually carry traffic — the ring spreads
     // 12 distinct digests over 2 backends, so a backend with zero
     // requests means routing collapsed to one leg.
-    ServerStats sa, sb;
+    MetricsSnapshot sa, sb;
     NetClient ca, cb;
     ASSERT_TRUE(ca.connect("127.0.0.1", a.port()));
     ASSERT_TRUE(cb.connect("127.0.0.1", b.port()));
-    ASSERT_TRUE(ca.stats(&sa));
-    ASSERT_TRUE(cb.stats(&sb));
-    EXPECT_GT(sa.requests, 0u);
-    EXPECT_GT(sb.requests, 0u);
-    EXPECT_EQ(sa.requests + sb.requests, reqs.size());
+    ASSERT_TRUE(ca.metrics(&sa));
+    ASSERT_TRUE(cb.metrics(&sb));
+    const std::uint64_t served_a = sa.counters["serve_requests_total"];
+    const std::uint64_t served_b = sb.counters["serve_requests_total"];
+    EXPECT_GT(served_a, 0u);
+    EXPECT_GT(served_b, 0u);
+    EXPECT_EQ(served_a + served_b, reqs.size());
 }
 
 TEST(Gateway, StatsAndMetricsScatterGatherAcrossBackends)
@@ -277,15 +288,21 @@ TEST(Gateway, StatsAndMetricsScatterGatherAcrossBackends)
         ASSERT_TRUE(r.response.ok) << r.response.error;
     }
 
-    // STATS through the gateway = the merge of both backends.
-    ServerStats merged;
-    ASSERT_TRUE(client.stats(&merged)) << client.lastError();
-    EXPECT_EQ(merged.requests, reqs.size());
-
-    // METRICS likewise merges the backends' registries; the serving
-    // counter must cover every request exactly once.
+    // METRICS through the gateway = the merge of both backends'
+    // registries: the serving counter and its per-engine breakdown
+    // must each cover every request exactly once.
     MetricsSnapshot snap;
     ASSERT_TRUE(client.metrics(&snap)) << client.lastError();
+    EXPECT_EQ(snap.counters["serve_requests_total"], reqs.size());
+    const MetricLabels labels =
+        engineLabels("linear", ProblemKind::MatVec, ExecMode::Simulate);
+    EXPECT_EQ(snap.counters[seriesKey("serve_engine_requests_total",
+                                      labels)],
+              reqs.size());
+    EXPECT_EQ(snap.histograms[seriesKey("serve_engine_latency_micros",
+                                        labels)]
+                  .count,
+              reqs.size());
     auto it = snap.counters.find("net_frames_received_total");
     ASSERT_NE(it, snap.counters.end())
         << "merged metrics carry no net-layer counters";
@@ -362,6 +379,44 @@ TEST(Gateway, UnexpectedFrameEarnsErrorAndConnectionSurvives)
     EXPECT_EQ(frame.header.tag, 78u);
 }
 
+TEST(Gateway, ReservedStatsFrameTypeEarnsErrorThenServes)
+{
+    NetServer a(backendOptions());
+    ASSERT_TRUE(a.start()) << a.error();
+    Gateway gw(gatewayOptions({{"127.0.0.1", a.port(), 0}}));
+    ASSERT_TRUE(gw.start()) << gw.error();
+    ASSERT_TRUE(waitUntil([&] { return gw.routableBackends() == 1; }));
+
+    // Frame type 3 (the retired STATS request, tag 9), byte for byte
+    // as an old monitoring client sends it: answered at the gateway
+    // with an ERROR, never gathered from the backends.
+    RawGatewayConn raw(gw.port());
+    ASSERT_TRUE(raw.ok());
+    raw.send(fuzz::loadHexSeed(std::string(SAP_TEST_DATA_DIR) + "/fuzz",
+                               "stats_request.hex"));
+    Frame frame;
+    ASSERT_TRUE(raw.readFrame(&frame));
+    EXPECT_EQ(frame.header.type,
+              static_cast<std::uint16_t>(FrameType::Error));
+    EXPECT_EQ(frame.header.tag, 9u);
+    std::string message, err;
+    ASSERT_TRUE(decodeError(frame.payload, &message, &err)) << err;
+    EXPECT_NE(message.find("type 3"), std::string::npos) << message;
+
+    // The same connection routes a SUBMIT next.
+    ServeRequest req = matVecRequest(7100);
+    raw.send(buildSubmitFrame(10, req));
+    ASSERT_TRUE(raw.readFrame(&frame));
+    EXPECT_EQ(frame.header.type,
+              static_cast<std::uint16_t>(FrameType::Response));
+    EXPECT_EQ(frame.header.tag, 10u);
+    WireResponse resp;
+    ASSERT_TRUE(decodeResponse(frame.payload, &resp, &err)) << err;
+    EXPECT_TRUE(resp.ok) << resp.error;
+    EXPECT_TRUE(NetClient::matchesOracle(req, resp));
+    EXPECT_GE(gatewayCounter(gw, "gateway_errors_total"), 1u);
+}
+
 //----------------------------------------------------------------------
 // Fault injection.
 //----------------------------------------------------------------------
@@ -381,7 +436,7 @@ TEST(Gateway, NoRoutableBackendYieldsCleanErrorNotAHang)
     EXPECT_NE(r.response.error.find("no routable backend"),
               std::string::npos)
         << r.response.error;
-    EXPECT_GE(gw.stats().errorsReturned, 1u);
+    EXPECT_GE(gatewayCounter(gw, "gateway_errors_total"), 1u);
 }
 
 TEST(Gateway, FailoverMidStreamLosesNoClientAndNoTag)
@@ -454,7 +509,10 @@ TEST(Gateway, FailoverMidStreamLosesNoClientAndNoTag)
     // over, then a little longer to prove the survivor carries the
     // full stream.
     EXPECT_TRUE(waitUntil(
-        [&] { return gw.stats().failovers >= 1; }, 20000))
+        [&] {
+            return gatewayCounter(gw, "gateway_failovers_total") >= 1;
+        },
+        20000))
         << "flaky backend never died (absorbed "
         << flaky.forwardsAbsorbed() << " forwards)";
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
@@ -469,9 +527,8 @@ TEST(Gateway, FailoverMidStreamLosesNoClientAndNoTag)
     EXPECT_GT(served.load(), 0);
     EXPECT_TRUE(flaky.dead());
 
-    GatewayStats gs = gw.stats();
-    EXPECT_GE(gs.failovers, 1u);
-    EXPECT_GE(gs.resubmits, 1u)
+    EXPECT_GE(gatewayCounter(gw, "gateway_failovers_total"), 1u);
+    EXPECT_GE(gatewayCounter(gw, "gateway_resubmits_total"), 1u)
         << "the absorbed FORWARDs were not migrated";
     EXPECT_EQ(gw.routableBackends(), 1u);
 
@@ -511,9 +568,8 @@ TEST(Gateway, LastBackendDyingFailsInflightCleanly)
         EXPECT_FALSE(results[i].response.error.empty()) << i;
     }
     EXPECT_TRUE(flaky.dead());
-    GatewayStats gs = gw.stats();
-    EXPECT_GE(gs.failovers, 1u);
-    EXPECT_GE(gs.errorsReturned, reqs.size());
+    EXPECT_GE(gatewayCounter(gw, "gateway_failovers_total"), 1u);
+    EXPECT_GE(gatewayCounter(gw, "gateway_errors_total"), reqs.size());
 }
 
 TEST(Gateway, DeadBackendRejoinsTheRingOnRecovery)
@@ -627,7 +683,7 @@ TEST(Gateway, GatewayMetricsExposeRoutingAndFailure)
                  client.submitBatch(reqs)) {
                 EXPECT_TRUE(r.transportOk) << r.transportError;
             }
-            return gw.stats().failovers >= 1;
+            return gatewayCounter(gw, "gateway_failovers_total") >= 1;
         },
         20000));
 
@@ -645,6 +701,12 @@ TEST(Gateway, GatewayMetricsExposeRoutingAndFailure)
     ASSERT_NE(hist, snap.histograms.end())
         << "route latency histogram missing";
     EXPECT_GT(hist->second.count, 0u);
+    // One labelled in-flight gauge per backend.
+    for (const char *backend : {"0", "1"})
+        EXPECT_EQ(snap.gauges.count(seriesKey("gateway_backend_inflight",
+                                              {{"backend", backend}})),
+                  1u)
+            << backend;
 }
 
 } // namespace

@@ -26,6 +26,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "base/string_util.hh"
 #include "checkers.hh"
 #include "mat/generate.hh"
 #include "net/client.hh"
@@ -620,6 +621,15 @@ TEST(HttpAdmin, ServesEveryEndpointStrictly)
     EXPECT_NE(metrics.body.find("serve_requests_total 8"),
               std::string::npos)
         << metrics.body;
+    // The per-engine breakdown scrapes as labelled series.
+    const std::string served = seriesKey(
+        "serve_engine_requests_total",
+        engineLabels("linear", ProblemKind::MatVec, ExecMode::Simulate));
+    EXPECT_NE(metrics.body.find(served + " 8\n"), std::string::npos)
+        << metrics.body;
+    EXPECT_NE(metrics.body.find(
+                  "# TYPE serve_engine_latency_micros histogram\n"),
+              std::string::npos);
 
     // /varz: strict JSON of the same snapshot.
     ParsedResponse varz = httpGet(server.adminPort(), "/varz");
@@ -629,6 +639,9 @@ TEST(HttpAdmin, ServesEveryEndpointStrictly)
     EXPECT_TRUE(JsonChecker(varz.body).valid()) << varz.body;
     EXPECT_NE(varz.body.find("\"serve_requests_total\":8"),
               std::string::npos);
+    EXPECT_NE(varz.body.find("\"" + jsonEscape(served) + "\":8"),
+              std::string::npos)
+        << varz.body;
 
     // /healthz and /readyz: healthy under no load.
     ParsedResponse healthz = httpGet(server.adminPort(), "/healthz");

@@ -85,7 +85,6 @@ exercisePayloadDecoders(const Frame &frame)
     ServeRequest req;
     Digest digest = 0;
     WireResponse resp;
-    ServerStats stats;
     MetricsSnapshot snap;
     std::string message;
 
@@ -98,10 +97,6 @@ exercisePayloadDecoders(const Frame &frame)
     }
     err.clear();
     if (!decodeResponse(p, &resp, &err)) {
-        ASSERT_FALSE(err.empty());
-    }
-    err.clear();
-    if (!p.empty() && !decodeStats(p, &stats, &err)) {
         ASSERT_FALSE(err.empty());
     }
     err.clear();

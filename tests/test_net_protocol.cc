@@ -145,55 +145,6 @@ TEST_P(NetRoundTrip, FrameSurvivesAdversarialChunking)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NetRoundTrip, ::testing::Range(0, 18));
 
-TEST(NetProtocol, StatsEncodeDecodeIsIdentity)
-{
-    ServerStats stats;
-    stats.requests = 1234;
-    stats.failures = 5;
-    stats.crossCheckFailures = 1;
-    stats.planCache = {100, 34, 7, 2};
-    stats.latency = {1234, 55.5, 40.0, 200.0, 400.25};
-    stats.approximatePercentiles = true;
-    for (int g = 0; g < 3; ++g) {
-        GroupStats group;
-        group.key.engine = g == 0 ? "linear" : (g == 1 ? "hex" : "tri");
-        group.key.kind = static_cast<ProblemKind>(g);
-        group.key.rows = 8 + g;
-        group.key.cols = 8;
-        group.key.outCols = g == 1 ? 8 : 0;
-        group.key.w = 4;
-        group.key.mode = static_cast<ExecMode>(g);
-        group.requests = 400 + static_cast<std::uint64_t>(g);
-        group.cacheHits = 300;
-        group.simCycles = 99999;
-        group.latency = {400, 50.0, 45.0, 180.0, 300.0};
-        stats.groups.push_back(group);
-    }
-
-    ServerStats back;
-    std::string err;
-    ASSERT_TRUE(decodeStats(encodeStats(stats), &back, &err)) << err;
-    EXPECT_EQ(back.requests, stats.requests);
-    EXPECT_EQ(back.failures, stats.failures);
-    EXPECT_EQ(back.crossCheckFailures, stats.crossCheckFailures);
-    EXPECT_EQ(back.planCache.hits, stats.planCache.hits);
-    EXPECT_EQ(back.planCache.collisions, stats.planCache.collisions);
-    EXPECT_EQ(back.latency.p99, stats.latency.p99);
-    EXPECT_TRUE(back.approximatePercentiles);
-    ASSERT_EQ(back.groups.size(), stats.groups.size());
-    for (std::size_t i = 0; i < back.groups.size(); ++i) {
-        EXPECT_EQ(back.groups[i].key.engine,
-                  stats.groups[i].key.engine);
-        EXPECT_EQ(back.groups[i].key.kind, stats.groups[i].key.kind);
-        EXPECT_EQ(back.groups[i].key.mode, stats.groups[i].key.mode);
-        EXPECT_EQ(back.groups[i].key.outCols,
-                  stats.groups[i].key.outCols);
-        EXPECT_EQ(back.groups[i].requests, stats.groups[i].requests);
-        EXPECT_EQ(back.groups[i].latency.p50,
-                  stats.groups[i].latency.p50);
-    }
-}
-
 TEST(NetProtocol, ErrorEncodeDecodeIsIdentity)
 {
     std::string back, err;
@@ -236,6 +187,36 @@ TEST(NetProtocol, MetricsEncodeDecodeIsIdentity)
         EXPECT_EQ(b.bucketIndex, hist.bucketIndex) << name;
         EXPECT_EQ(b.bucketCount, hist.bucketCount) << name;
     }
+}
+
+TEST(NetProtocol, LabelledMetricKeysSurviveTheWire)
+{
+    // The per-engine breakdown travels as labelled series inside
+    // METRICS: their keys, escapes included, must come back intact.
+    const MetricLabels labels{{"engine", "lin\"ear\\"},
+                              {"kind", "matvec"},
+                              {"mode", "fast\nx"}};
+    MetricsSnapshot snap;
+    snap.counters[seriesKey("serve_engine_requests_total", labels)] = 3;
+    snap.counters["serve_requests_total"] = 3;
+    snap.gauges[seriesKey("gateway_backend_inflight",
+                          {{"backend", "1"}})] = {2.0, GaugeAgg::Sum};
+    Histogram h;
+    h.record(42.0);
+    snap.histograms[seriesKey("serve_engine_latency_micros", labels)] =
+        h.snapshot();
+
+    MetricsSnapshot back;
+    std::string err;
+    ASSERT_TRUE(decodeMetrics(encodeMetrics(snap), &back, &err))
+        << err;
+    EXPECT_EQ(back.counters, snap.counters);
+    ASSERT_EQ(back.gauges.size(), 1u);
+    EXPECT_EQ(back.gauges.begin()->first, snap.gauges.begin()->first);
+    ASSERT_EQ(back.histograms.size(), 1u);
+    EXPECT_EQ(back.histograms.begin()->first,
+              snap.histograms.begin()->first);
+    EXPECT_EQ(back.histograms.begin()->second.count, 1u);
 }
 
 TEST(NetProtocol, EmptyMetricsSnapshotRoundTrips)
@@ -576,21 +557,34 @@ TEST(NetProtocol, ReservedSubmitFlagBitsRejected)
 
 TEST(NetProtocol, TruncatedStatsAndErrorPayloadsFailCleanly)
 {
-    ServerStats stats;
-    stats.requests = 10;
-    GroupStats g;
-    g.key.engine = "linear";
-    g.requests = 10;
-    stats.groups.push_back(g);
-    std::vector<std::uint8_t> payload = encodeStats(stats);
-    for (std::size_t len = 0; len < payload.size(); len += 3) {
-        std::vector<std::uint8_t> cut(payload.begin(),
-                                      payload.begin() +
-                                          static_cast<std::ptrdiff_t>(
-                                              len));
-        ServerStats out;
+    // The per-engine statistics travel as labelled METRICS series:
+    // every truncation of such a payload must fail cleanly.
+    const MetricLabels labels =
+        engineLabels("linear", ProblemKind::MatVec, ExecMode::Fast);
+    MetricsSnapshot stats;
+    stats.counters[seriesKey("serve_engine_requests_total", labels)] = 10;
+    Histogram h;
+    h.record(12.5);
+    stats.histograms[seriesKey("serve_engine_latency_micros", labels)] =
+        h.snapshot();
+    auto prefix = [](const std::vector<std::uint8_t> &payload,
+                     std::size_t len) {
+        return std::vector<std::uint8_t>(
+            payload.begin(),
+            payload.begin() + static_cast<std::ptrdiff_t>(len));
+    };
+    const std::vector<std::uint8_t> metrics = encodeMetrics(stats);
+    for (std::size_t len = 0; len < metrics.size(); ++len) {
+        MetricsSnapshot out;
         std::string err;
-        EXPECT_FALSE(decodeStats(cut, &out, &err)) << "len=" << len;
+        EXPECT_FALSE(decodeMetrics(prefix(metrics, len), &out, &err))
+            << "len=" << len;
+    }
+    const std::vector<std::uint8_t> error = encodeError("zero diagonal");
+    for (std::size_t len = 0; len < error.size(); ++len) {
+        std::string message, err;
+        EXPECT_FALSE(decodeError(prefix(error, len), &message, &err))
+            << "len=" << len;
     }
     std::string message, err;
     EXPECT_FALSE(decodeError({1, 2}, &message, &err));

@@ -20,6 +20,7 @@
 #include "mat/ops.hh"
 #include "net/client.hh"
 #include "net/server.hh"
+#include "tests/fuzz_corpus.hh"
 
 namespace sap {
 namespace {
@@ -206,19 +207,25 @@ TEST(NetServer, PingAndStatsRoundTrip)
     ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
     EXPECT_TRUE(client.ping()) << client.lastError();
 
-    // Serve a few requests, then check the aggregated snapshot.
+    // Serve a few requests, then check the aggregated per-engine
+    // breakdown, which METRICS carries as labelled series.
     for (int i = 0; i < 3; ++i) {
         NetClient::Result r = client.submit(matVecRequest(500 + i));
         ASSERT_TRUE(r.transportOk && r.response.ok);
     }
-    ServerStats stats;
-    ASSERT_TRUE(client.stats(&stats)) << client.lastError();
-    EXPECT_EQ(stats.requests, 3u);
-    EXPECT_EQ(stats.failures, 0u);
-    ASSERT_FALSE(stats.groups.empty());
-    EXPECT_EQ(stats.groups[0].key.engine, "linear");
-    EXPECT_EQ(stats.groups[0].requests, 3u);
-    EXPECT_GT(stats.groups[0].latency.p50, 0.0);
+    MetricsSnapshot snap;
+    ASSERT_TRUE(client.metrics(&snap)) << client.lastError();
+    EXPECT_EQ(snap.counters["serve_requests_total"], 3u);
+    EXPECT_EQ(snap.counters["serve_failures_total"], 0u);
+    const MetricLabels labels =
+        engineLabels("linear", ProblemKind::MatVec, ExecMode::Simulate);
+    EXPECT_EQ(snap.counters[seriesKey("serve_engine_requests_total",
+                                      labels)],
+              3u);
+    const HistogramSnapshot &lat =
+        snap.histograms[seriesKey("serve_engine_latency_micros", labels)];
+    EXPECT_EQ(lat.count, 3u);
+    EXPECT_GT(lat.quantile(0.5), 0.0);
 }
 
 TEST(NetServer, MetricsFrameMergesEveryLayerOverTheWire)
@@ -264,26 +271,6 @@ TEST(NetServer, MetricsFrameMergesEveryLayerOverTheWire)
     EXPECT_EQ(lat.count, static_cast<std::uint64_t>(kRequests));
     EXPECT_GT(lat.quantile(0.5), 0.0);
     EXPECT_LE(lat.quantile(0.5), lat.max);
-}
-
-TEST(NetServer, MetricsDisabledYieldsEmptySnapshotOverTheWire)
-{
-    NetServer::Options opts = smallServerOptions();
-    opts.metrics = false;
-    opts.cluster.metrics = false;
-    NetServer server(opts);
-    ASSERT_TRUE(server.start()) << server.error();
-
-    NetClient client;
-    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
-    NetClient::Result r = client.submit(matVecRequest(31));
-    ASSERT_TRUE(r.transportOk && r.response.ok);
-
-    MetricsSnapshot snap;
-    ASSERT_TRUE(client.metrics(&snap)) << client.lastError();
-    EXPECT_TRUE(snap.counters.empty());
-    EXPECT_TRUE(snap.gauges.empty());
-    EXPECT_TRUE(snap.histograms.empty());
 }
 
 TEST(NetServer, PingEchoesItsPayloadVerbatim)
@@ -347,15 +334,16 @@ TEST(NetServer, ExecutionModeTravelsTheWire)
     ASSERT_TRUE(val.response.ok) << val.response.error;
     EXPECT_TRUE(val.response.y == sim.response.y);
 
-    // One stats group per execution mode, same engine and shape.
-    ServerStats stats;
-    ASSERT_TRUE(client.stats(&stats)) << client.lastError();
-    ASSERT_EQ(stats.groups.size(), 3u);
-    EXPECT_EQ(stats.groups[0].key.mode, ExecMode::Simulate);
-    EXPECT_EQ(stats.groups[1].key.mode, ExecMode::Fast);
-    EXPECT_EQ(stats.groups[2].key.mode, ExecMode::Validate);
-    for (const GroupStats &g : stats.groups)
-        EXPECT_EQ(g.requests, 1u);
+    // One labelled series per execution mode, same engine.
+    MetricsSnapshot snap;
+    ASSERT_TRUE(client.metrics(&snap)) << client.lastError();
+    for (ExecMode mode :
+         {ExecMode::Simulate, ExecMode::Fast, ExecMode::Validate})
+        EXPECT_EQ(snap.counters[seriesKey(
+                      "serve_engine_requests_total",
+                      engineLabels("linear", ProblemKind::MatVec, mode))],
+                  1u)
+            << execModeName(mode);
 }
 
 TEST(NetServer, ApplicationErrorsComeBackAsFailedResponses)
@@ -430,12 +418,12 @@ TEST(NetServer, ManyClientsManyKindsConcurrently)
         t.join();
     EXPECT_EQ(failures.load(), 0);
 
-    NetServerStats net = server.netStats();
-    EXPECT_EQ(net.connectionsAccepted,
+    MetricsSnapshot net = server.metricsSnapshot();
+    EXPECT_EQ(net.counters["net_connections_accepted_total"],
               static_cast<std::uint64_t>(kClients));
-    EXPECT_EQ(net.responsesSent,
+    EXPECT_EQ(net.counters["net_responses_sent_total"],
               static_cast<std::uint64_t>(kClients * kRounds * 3));
-    EXPECT_EQ(net.protocolErrors, 0u);
+    EXPECT_EQ(net.counters["net_protocol_errors_total"], 0u);
 }
 
 TEST(NetServer, HalfClosedClientStillGetsEveryResponse)
@@ -795,7 +783,9 @@ TEST_F(NetServerMalformed, MidFrameDisconnectLeavesServerHealthy)
         // Destructor closes the socket with a frame half-sent.
     }
     expectServerStillHealthy();
-    EXPECT_EQ(server->netStats().protocolErrors, 0u);
+    EXPECT_EQ(
+        server->metricsSnapshot().counters["net_protocol_errors_total"],
+        0u);
 }
 
 TEST_F(NetServerMalformed, GarbageFloodDoesNotStarveOtherClients)
@@ -811,7 +801,43 @@ TEST_F(NetServerMalformed, GarbageFloodDoesNotStarveOtherClients)
               static_cast<std::uint16_t>(FrameType::Error));
     EXPECT_TRUE(conn.awaitClose());
     expectServerStillHealthy();
-    EXPECT_GE(server->netStats().protocolErrors, 1u);
+    EXPECT_GE(
+        server->metricsSnapshot().counters["net_protocol_errors_total"],
+        1u);
+}
+
+TEST_F(NetServerMalformed, ReservedStatsFrameTypeEarnsErrorThenServes)
+{
+    RawConn conn(server->port());
+    ASSERT_TRUE(conn.ok());
+    // Frame type 3 (the retired STATS request, tag 9), byte for byte
+    // as an old monitoring client sends it.
+    conn.send(fuzz::loadHexSeed(std::string(SAP_TEST_DATA_DIR) + "/fuzz",
+                                "stats_request.hex"));
+
+    Frame frame;
+    ASSERT_TRUE(conn.readFrame(&frame));
+    EXPECT_EQ(frame.header.type,
+              static_cast<std::uint16_t>(FrameType::Error));
+    EXPECT_EQ(frame.header.tag, 9u);
+    std::string message, err;
+    ASSERT_TRUE(decodeError(frame.payload, &message, &err)) << err;
+    EXPECT_NE(message.find("type 3"), std::string::npos) << message;
+
+    // Payload-level: the same connection serves a SUBMIT next.
+    ServeRequest req = matVecRequest(4242);
+    conn.send(buildSubmitFrame(10, req));
+    ASSERT_TRUE(conn.readFrame(&frame));
+    EXPECT_EQ(frame.header.type,
+              static_cast<std::uint16_t>(FrameType::Response));
+    EXPECT_EQ(frame.header.tag, 10u);
+    WireResponse resp;
+    ASSERT_TRUE(decodeResponse(frame.payload, &resp, &err)) << err;
+    EXPECT_TRUE(resp.ok) << resp.error;
+    EXPECT_TRUE(NetClient::matchesOracle(req, resp));
+    EXPECT_GE(
+        server->metricsSnapshot().counters["net_protocol_errors_total"],
+        1u);
 }
 
 } // namespace

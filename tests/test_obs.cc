@@ -3,8 +3,9 @@
  * obs/ metrics tests: histogram bucket geometry, exact cross-shard
  * merge (equals-union and associativity, bucket by bucket), quantile
  * accuracy against exact sample quantiles, gauge aggregation rules,
- * Prometheus rendering, and the live serving instrumentation — every
- * layer's counters plus the measured-vs-formula drift gauge.
+ * labelled series keys, Prometheus and JSON rendering, and the live
+ * serving instrumentation — every layer's counters, the per-engine
+ * breakdown, and the measured-vs-formula drift gauge.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "base/random.hh"
+#include "checkers.hh"
 #include "cluster/cluster.hh"
 #include "mat/generate.hh"
 #include "obs/metrics.hh"
@@ -320,7 +322,11 @@ TEST(ServingMetrics, EveryLayerCountsAndDriftIsBounded)
     MetricsSnapshot snap = cluster.metricsSnapshot();
     EXPECT_EQ(snap.counters["serve_requests_total"],
               static_cast<std::uint64_t>(kRequests));
-    EXPECT_EQ(snap.counters["serve_mode_simulate_total"],
+    // The per-engine breakdown: every request in one labelled series.
+    EXPECT_EQ(snap.counters[seriesKey(
+                  "serve_engine_requests_total",
+                  engineLabels("linear", ProblemKind::MatVec,
+                               ExecMode::Simulate))],
               static_cast<std::uint64_t>(kRequests));
     EXPECT_EQ(snap.counters["serve_failures_total"], 0u);
     // Same matrix every time: 1 miss (first request on the owning
@@ -363,22 +369,6 @@ TEST(ServingMetrics, FailedRequestsCount)
 
     MetricsSnapshot snap = cluster.metricsSnapshot();
     EXPECT_EQ(snap.counters["serve_failures_total"], 1u);
-}
-
-TEST(ServingMetrics, DisabledMetricsYieldEmptySnapshot)
-{
-    Cluster::Options opts;
-    opts.metrics = false;
-    Cluster cluster(opts);
-
-    Dense<Scalar> a = randomIntDense(8, 8, 990);
-    ASSERT_TRUE(
-        cluster.submit(linearRequest(8, 4, 991, a)).get().ok);
-
-    MetricsSnapshot snap = cluster.metricsSnapshot();
-    EXPECT_TRUE(snap.counters.empty());
-    EXPECT_TRUE(snap.gauges.empty());
-    EXPECT_TRUE(snap.histograms.empty());
 }
 
 //---------------------------------------------------------------------
@@ -519,6 +509,141 @@ TEST(Metrics, RenderPrometheusEscapesLabelValues)
     // And the labelless overload still renders the plain form.
     const std::string plain = renderPrometheus(snap);
     EXPECT_NE(plain.find("requests_total 3"), std::string::npos);
+}
+
+//---------------------------------------------------------------------
+// Labelled series: keys, exposition, and JSON.
+//---------------------------------------------------------------------
+
+TEST(Metrics, SeriesKeysAreCanonicalAndEscaped)
+{
+    EXPECT_EQ(seriesKey("reqs_total", {}), "reqs_total");
+    // Keys come out sorted whatever order the labels were built in.
+    MetricLabels labels;
+    labels["mode"] = "fast";
+    labels["engine"] = "linear";
+    EXPECT_EQ(seriesKey("reqs_total", labels),
+              "reqs_total{engine=\"linear\",mode=\"fast\"}");
+    // Values are escaped exactly as renderPrometheus escapes them.
+    EXPECT_EQ(seriesKey("g", {{"path", "C:\\x \"q\"\nz"}}),
+              "g{path=\"C:\\\\x \\\"q\\\"\\nz\"}");
+
+    const auto [family, block] =
+        splitSeriesKey(seriesKey("reqs_total", labels));
+    EXPECT_EQ(family, "reqs_total");
+    EXPECT_EQ(block, "{engine=\"linear\",mode=\"fast\"}");
+    EXPECT_EQ(splitSeriesKey("reqs_total").first, "reqs_total");
+    EXPECT_EQ(splitSeriesKey("reqs_total").second, "");
+}
+
+/** Occurrences of @p needle in @p text. */
+std::size_t
+countOf(const std::string &text, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+        ++n;
+    return n;
+}
+
+/** Two labelled families plus an unlabelled one whose name sorts
+ *  between a family's bare name and its labelled series. */
+MetricsSnapshot
+labelledSnapshot()
+{
+    MetricsSnapshot snap;
+    snap.counters[seriesKey("reqs_total", {{"engine", "linear"}})] = 3;
+    snap.counters[seriesKey("reqs_total", {{"engine", "hex"}})] = 2;
+    snap.counters["reqs_total_x"] = 1;
+    snap.gauges[seriesKey("inflight", {{"backend", "0"}})] =
+        GaugeValue{4, GaugeAgg::Sum};
+    snap.gauges[seriesKey("inflight", {{"backend", "1"}})] =
+        GaugeValue{0, GaugeAgg::Sum};
+    Histogram lin, hex;
+    lin.record(5.0);
+    lin.record(50.0);
+    hex.record(7.0);
+    snap.histograms[seriesKey("lat_micros", {{"engine", "linear"}})] =
+        lin.snapshot();
+    snap.histograms[seriesKey("lat_micros", {{"engine", "hex"}})] =
+        hex.snapshot();
+    return snap;
+}
+
+TEST(Metrics, LabelledSeriesRenderOneTypePerFamily)
+{
+    const MetricsSnapshot snap = labelledSnapshot();
+
+    // Alone.
+    const std::string text = renderPrometheus(snap);
+    PromChecker alone(text);
+    EXPECT_TRUE(alone.valid()) << alone.error() << "\n" << text;
+    EXPECT_EQ(countOf(text, "# TYPE reqs_total counter\n"), 1u);
+    EXPECT_EQ(countOf(text, "# TYPE reqs_total_x counter\n"), 1u);
+    EXPECT_EQ(countOf(text, "# TYPE inflight gauge\n"), 1u);
+    EXPECT_EQ(countOf(text, "# TYPE lat_micros histogram\n"), 1u);
+    EXPECT_NE(text.find("reqs_total{engine=\"linear\"} 3\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("inflight{backend=\"0\"} 4\n"),
+              std::string::npos);
+
+    // Histogram _bucket lines put `le` after the series labels; _sum
+    // and _count carry the series labels alone.
+    EXPECT_NE(text.find("lat_micros_bucket{engine=\"linear\",le=\""),
+              std::string::npos);
+    EXPECT_NE(text.find("lat_micros_bucket{engine=\"hex\",le=\"+Inf\"} 1\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("lat_micros_count{engine=\"linear\"} 2\n"),
+              std::string::npos);
+
+    // With external labels, which go ahead of the series' own.
+    const std::string ext =
+        renderPrometheus(snap, {{"instance", "array \"7\""}});
+    PromChecker external(ext);
+    EXPECT_TRUE(external.valid()) << external.error() << "\n" << ext;
+    EXPECT_EQ(countOf(ext, "# TYPE lat_micros histogram\n"), 1u);
+    EXPECT_NE(ext.find("reqs_total{instance=\"array \\\"7\\\"\","
+                       "engine=\"hex\"} 2\n"),
+              std::string::npos)
+        << ext;
+    EXPECT_NE(ext.find("lat_micros_bucket{instance=\"array \\\"7\\\"\","
+                       "engine=\"linear\",le=\"+Inf\"} 2\n"),
+              std::string::npos)
+        << ext;
+    EXPECT_NE(ext.find("reqs_total_x{instance=\"array \\\"7\\\"\"} 1\n"),
+              std::string::npos)
+        << ext;
+}
+
+/** Decode the JSON string literal starting at @p text[@p at] (the
+ *  opening quote), for the escapes jsonEscape emits. */
+std::string
+jsonUnquote(const std::string &text, std::size_t at)
+{
+    std::string out;
+    for (std::size_t i = at + 1; i < text.size() && text[i] != '"'; ++i) {
+        if (text[i] != '\\') {
+            out += text[i];
+            continue;
+        }
+        const char e = text[++i];
+        out += e == 'n' ? '\n' : e == 't' ? '\t' : e == 'r' ? '\r' : e;
+    }
+    return out;
+}
+
+TEST(Metrics, LabelledKeysSurviveVarzJsonEscaping)
+{
+    MetricsSnapshot snap;
+    const std::string key =
+        seriesKey("reqs_total", {{"engine", "lin\"ear\\\n"}});
+    snap.counters[key] = 9;
+    const std::string json = renderMetricsJson(snap);
+    EXPECT_TRUE(JsonChecker(json).valid()) << json;
+    const std::string prefix = "{\"counters\":{";
+    ASSERT_EQ(json.compare(0, prefix.size(), prefix), 0) << json;
+    EXPECT_EQ(jsonUnquote(json, prefix.size()), key) << json;
 }
 
 } // namespace

@@ -337,8 +337,12 @@ TEST(SemanticsServe, ShardKeysStatsPerModeAndRejectsFastTrace)
     ASSERT_TRUE(sim.ok) << sim.error;
 
     req.plan.mode = ExecMode::Fast;
+    req.trace = std::make_shared<RequestTrace>();
     ServeResponse fast = shard.submit(req).get();
     ASSERT_TRUE(fast.ok) << fast.error;
+    // The trace label carries the shape and the mode served.
+    EXPECT_EQ(fast.trace->label, "linear 6x6 w=2 fast");
+    req.trace = nullptr;
     EXPECT_TRUE(fast.result.y == sim.result.y);
     // Same matrix: the fast request rides the cached plan.
     EXPECT_TRUE(fast.cacheHit);
@@ -350,16 +354,21 @@ TEST(SemanticsServe, ShardKeysStatsPerModeAndRejectsFastTrace)
     ASSERT_TRUE(val.ok) << val.error;
     EXPECT_TRUE(val.result.y == sim.result.y);
 
-    // Three groups: same engine and shape, one per execution mode.
-    ServerStats stats = shard.stats();
-    ASSERT_EQ(stats.groups.size(), 3u);
-    EXPECT_EQ(stats.groups[0].key.mode, ExecMode::Simulate);
-    EXPECT_EQ(stats.groups[1].key.mode, ExecMode::Fast);
-    EXPECT_EQ(stats.groups[2].key.mode, ExecMode::Validate);
-    for (const GroupStats &g : stats.groups)
-        EXPECT_EQ(g.requests, 1u);
-    EXPECT_NE(stats.groups[1].key.label().find("fast"),
-              std::string::npos);
+    // Three series: same engine, one per execution mode.
+    MetricsSnapshot snap = shard.metricsSnapshot();
+    std::size_t series = 0;
+    for (const auto &entry : snap.counters)
+        if (splitSeriesKey(entry.first).first ==
+            "serve_engine_requests_total")
+            ++series;
+    EXPECT_EQ(series, 3u);
+    for (ExecMode mode :
+         {ExecMode::Simulate, ExecMode::Fast, ExecMode::Validate})
+        EXPECT_EQ(snap.counters[seriesKey(
+                      "serve_engine_requests_total",
+                      engineLabels("linear", ProblemKind::MatVec, mode))],
+                  1u)
+            << execModeName(mode);
 
     // Fast + recordTrace is a recoverable request error.
     req.plan.mode = ExecMode::Fast;

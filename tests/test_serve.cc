@@ -3,7 +3,7 @@
  * Tests of the serving layer: matrix fingerprints, the
  * content-addressed plan cache (hit/miss/eviction/collision), the
  * batched runMany() APIs with the golden-model cross-check, and the
- * Server front end's request/response and statistics contract.
+ * Shard front end's request/response and metrics contract.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,7 @@
 #include "serve/batch.hh"
 #include "serve/fingerprint.hh"
 #include "serve/plan_cache.hh"
-#include "serve/server.hh"
+#include "serve/shard.hh"
 
 namespace sap {
 namespace {
@@ -386,7 +386,7 @@ TEST(RunMany, EmptyBatchIsANoop)
 }
 
 //---------------------------------------------------------------------
-// Server.
+// Shard.
 //---------------------------------------------------------------------
 
 ServeRequest
@@ -400,18 +400,18 @@ matVecRequest(const std::string &engine, const Dense<Scalar> &a,
     return req;
 }
 
-TEST(Server, ServesRequestsAndReportsCacheHits)
+TEST(Shard, ServesRequestsAndReportsCacheHits)
 {
-    Server::Options opts;
+    Shard::Options opts;
     opts.threads = 2;
-    Server server(opts);
+    Shard shard(opts);
 
     Dense<Scalar> a = randomIntDense(8, 8, 101);
     ServeRequest r1 = matVecRequest("linear", a, 102, 4);
     ServeRequest r2 = matVecRequest("linear", a, 104, 4);
 
-    ServeResponse resp1 = server.submit(r1).get();
-    ServeResponse resp2 = server.submit(r2).get();
+    ServeResponse resp1 = shard.submit(r1).get();
+    ServeResponse resp2 = shard.submit(r2).get();
     ASSERT_TRUE(resp1.ok) << resp1.error;
     ASSERT_TRUE(resp2.ok) << resp2.error;
     EXPECT_EQ(maxAbsDiff(resp1.result.y,
@@ -423,36 +423,47 @@ TEST(Server, ServesRequestsAndReportsCacheHits)
     // Same matrix: the second request must reuse the cached plan.
     EXPECT_TRUE(resp1.cacheHit || resp2.cacheHit);
 
-    ServerStats stats = server.stats();
-    EXPECT_EQ(stats.requests, 2u);
-    EXPECT_EQ(stats.failures, 0u);
-    EXPECT_EQ(stats.planCache.hits, 1u);
-    ASSERT_EQ(stats.groups.size(), 1u);
-    EXPECT_EQ(stats.groups[0].requests, 2u);
-    EXPECT_EQ(stats.groups[0].cacheHits, 1u);
-    EXPECT_GT(stats.groups[0].simCycles, 0);
-    EXPECT_GE(stats.latency.p99, stats.latency.p50);
+    MetricsSnapshot snap = shard.metricsSnapshot();
+    EXPECT_EQ(snap.counters["serve_requests_total"], 2u);
+    EXPECT_EQ(snap.counters["serve_failures_total"], 0u);
+    EXPECT_EQ(snap.counters["plan_cache_hits_total"], 1u);
+    // One (engine, kind, mode) series carries both requests.
+    const MetricLabels labels =
+        engineLabels("linear", ProblemKind::MatVec, ExecMode::Simulate);
+    EXPECT_EQ(snap.counters[seriesKey("serve_engine_requests_total",
+                                      labels)],
+              2u);
+    EXPECT_EQ(snap.counters[seriesKey("serve_engine_cache_hits_total",
+                                      labels)],
+              1u);
+    EXPECT_GT(snap.counters[seriesKey("serve_engine_sim_cycles_total",
+                                      labels)],
+              0u);
+    const HistogramSnapshot &lat =
+        snap.histograms[seriesKey("serve_engine_latency_micros", labels)];
+    EXPECT_EQ(lat.count, 2u);
+    EXPECT_GE(lat.quantile(0.99), lat.quantile(0.5));
 }
 
-TEST(Server, MalformedRequestsResolveToErrors)
+TEST(Shard, MalformedRequestsResolveToErrors)
 {
-    Server::Options opts;
+    Shard::Options opts;
     opts.threads = 1;
-    Server server(opts);
+    Shard shard(opts);
 
     ServeRequest unknown;
     unknown.engine = "no-such-engine";
     unknown.plan = EnginePlan::matVec(randomIntDense(4, 4, 111),
                                       randomIntVec(4, 112),
                                       randomIntVec(4, 113), 2);
-    ServeResponse r = server.submit(unknown).get();
+    ServeResponse r = shard.submit(unknown).get();
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("unknown engine"), std::string::npos);
 
     // Kind mismatch: a matvec plan sent to the hex engine.
     ServeRequest wrong_kind = unknown;
     wrong_kind.engine = "hex";
-    ServeResponse r2 = server.submit(wrong_kind).get();
+    ServeResponse r2 = shard.submit(wrong_kind).get();
     EXPECT_FALSE(r2.ok);
     EXPECT_FALSE(r2.error.empty());
 
@@ -464,7 +475,7 @@ TEST(Server, MalformedRequestsResolveToErrors)
     bad_shape.plan.x = randomIntVec(3, 115); // wrong length
     bad_shape.plan.b = randomIntVec(4, 116);
     bad_shape.plan.w = 2;
-    ServeResponse r3 = server.submit(bad_shape).get();
+    ServeResponse r3 = shard.submit(bad_shape).get();
     EXPECT_FALSE(r3.ok);
     EXPECT_FALSE(r3.error.empty());
 
@@ -477,19 +488,25 @@ TEST(Server, MalformedRequestsResolveToErrors)
     singular.plan.a(2, 2) = 0;
     singular.plan.b = randomIntVec(4, 118);
     singular.plan.w = 2;
-    ServeResponse r4 = server.submit(singular).get();
+    ServeResponse r4 = shard.submit(singular).get();
     EXPECT_FALSE(r4.ok);
     EXPECT_NE(r4.error.find("zero diagonal"), std::string::npos);
 
     // Non-square L.
     ServeRequest rect = singular;
     rect.plan.a = randomIntDense(4, 3, 119);
-    ServeResponse r5 = server.submit(rect).get();
+    ServeResponse r5 = shard.submit(rect).get();
     EXPECT_FALSE(r5.ok);
     EXPECT_NE(r5.error.find("square"), std::string::npos);
 
-    EXPECT_EQ(server.stats().failures, 5u);
-    EXPECT_EQ(server.stats().requests, 0u);
+    MetricsSnapshot snap = shard.metricsSnapshot();
+    EXPECT_EQ(snap.counters["serve_failures_total"], 5u);
+    EXPECT_EQ(snap.counters["serve_requests_total"], 0u);
+    // Failures stay unlabelled: an unknown engine name is client
+    // input, so no per-engine series may appear for it.
+    for (const auto &entry : snap.counters)
+        EXPECT_EQ(entry.first.find("no-such-engine"), std::string::npos)
+            << entry.first;
 }
 
 TEST(RunMany, TriSolveStreamsRightHandSidesThroughOnePlan)
@@ -514,12 +531,12 @@ TEST(RunMany, TriSolveStreamsRightHandSidesThroughOnePlan)
     }
 }
 
-TEST(Server, CrossCheckModeValidatesEveryTopology)
+TEST(Shard, CrossCheckModeValidatesEveryTopology)
 {
-    Server::Options opts;
+    Shard::Options opts;
     opts.threads = 2;
     opts.crossCheckAll = true;
-    Server server(opts);
+    Shard shard(opts);
 
     const Index n = 6, m = 6, p = 4, w = 2;
     Dense<Scalar> a = randomIntDense(n, m, 121);
@@ -538,29 +555,30 @@ TEST(Server, CrossCheckModeValidatesEveryTopology)
             : engine->kind() == ProblemKind::MatMul
                 ? EnginePlan::matMul(a, bm, e, w)
                 : EnginePlan::triSolve(lt, randomIntVec(n, 127), w);
-        futures.push_back(server.submit(std::move(req)));
+        futures.push_back(shard.submit(std::move(req)));
     }
     for (auto &f : futures) {
         ServeResponse resp = f.get();
         ASSERT_TRUE(resp.ok) << resp.error;
         EXPECT_TRUE(resp.crossCheckOk);
     }
-    EXPECT_EQ(server.stats().crossCheckFailures, 0u);
-    EXPECT_GE(server.stats().requests, 8u);
+    MetricsSnapshot snap = shard.metricsSnapshot();
+    EXPECT_EQ(snap.counters["serve_cross_check_failures_total"], 0u);
+    EXPECT_GE(snap.counters["serve_requests_total"], 8u);
 }
 
-TEST(Server, DestructionDrainsQueuedRequests)
+TEST(Shard, DestructionDrainsQueuedRequests)
 {
     std::vector<std::future<ServeResponse>> futures;
     Dense<Scalar> a = randomIntDense(6, 6, 131);
     {
-        Server::Options opts;
+        Shard::Options opts;
         opts.threads = 1;
-        Server server(opts);
+        Shard shard(opts);
         for (int i = 0; i < 8; ++i)
-            futures.push_back(server.submit(
+            futures.push_back(shard.submit(
                 matVecRequest("linear", a, 200 + 2 * i, 3)));
-        // Server goes out of scope with requests likely queued.
+        // The shard goes out of scope with requests likely queued.
     }
     for (auto &f : futures) {
         ServeResponse resp = f.get();

@@ -4,14 +4,14 @@
  * ThreadSanitizer (the CI tsan job builds exactly this suite plus
  * test_serve/test_engine with -fsanitize=thread):
  *
- *  - many client threads hammering ONE engine through the server,
+ *  - many client threads hammering ONE engine through a shard,
  *    all against the same matrix, so the plan-cache fast path and
  *    the shared PreparedPlan are exercised from every thread at
  *    once;
  *  - a mixed-topology request stream across every registered
  *    engine (all three problem kinds);
  *  - direct concurrent runPrepared() calls on one shared prepared
- *    plan, bypassing the server, to pin the engine-level
+ *    plan, bypassing the shard, to pin the engine-level
  *    thread-safety contract.
  *
  * Every result is asserted against the host golden model.
@@ -28,7 +28,7 @@
 #include "mat/generate.hh"
 #include "mat/ops.hh"
 #include "serve/plan_cache.hh"
-#include "serve/server.hh"
+#include "serve/shard.hh"
 
 namespace sap {
 namespace {
@@ -41,9 +41,9 @@ TEST(ServeConcurrency, ManyClientThreadsOneEngineOneMatrix)
 
     Dense<Scalar> a = randomIntDense(n, m, 7);
 
-    Server::Options opts;
+    Shard::Options opts;
     opts.threads = 4;
-    Server server(opts);
+    Shard shard(opts);
 
     std::atomic<int> mismatches{0};
     std::vector<std::thread> clients;
@@ -59,7 +59,7 @@ TEST(ServeConcurrency, ManyClientThreadsOneEngineOneMatrix)
                     randomIntVec(n, seed + 1), w);
                 Vec<Scalar> gold = matVec(a, req.plan.x, req.plan.b);
                 ServeResponse resp =
-                    server.submit(std::move(req)).get();
+                    shard.submit(std::move(req)).get();
                 if (!resp.ok ||
                     maxAbsDiff(resp.result.y, gold) != 0.0)
                     ++mismatches;
@@ -70,19 +70,19 @@ TEST(ServeConcurrency, ManyClientThreadsOneEngineOneMatrix)
         t.join();
 
     EXPECT_EQ(mismatches.load(), 0);
-    ServerStats stats = server.stats();
-    EXPECT_EQ(stats.requests,
-              static_cast<std::uint64_t>(kClients *
-                                         kRequestsPerClient));
-    EXPECT_EQ(stats.failures, 0u);
+    MetricsSnapshot snap = shard.metricsSnapshot();
+    const std::uint64_t requests = snap.counters["serve_requests_total"];
+    const std::uint64_t misses = snap.counters["plan_cache_misses_total"];
+    EXPECT_EQ(requests, static_cast<std::uint64_t>(kClients *
+                                                   kRequestsPerClient));
+    EXPECT_EQ(snap.counters["serve_failures_total"], 0u);
     // One matrix: one cached plan. Concurrent first requests may
     // each miss before the first insert lands, so the miss count is
     // only bounded by the worker count.
-    EXPECT_EQ(server.planCache().size(), 1u);
-    EXPECT_GE(stats.planCache.misses, 1u);
-    EXPECT_LE(stats.planCache.misses, opts.threads);
-    EXPECT_EQ(stats.planCache.hits + stats.planCache.misses,
-              stats.requests);
+    EXPECT_EQ(shard.planCache().size(), 1u);
+    EXPECT_GE(misses, 1u);
+    EXPECT_LE(misses, opts.threads);
+    EXPECT_EQ(snap.counters["plan_cache_hits_total"] + misses, requests);
 }
 
 TEST(ServeConcurrency, MixedTopologyRequestStream)
@@ -92,10 +92,10 @@ TEST(ServeConcurrency, MixedTopologyRequestStream)
     Dense<Scalar> bm = randomIntDense(m, p, 18);
     Dense<Scalar> lt = randomUnitLowerTriangular(n, 19);
 
-    Server::Options opts;
+    Shard::Options opts;
     opts.threads = 4;
     opts.crossCheckAll = true;
-    Server server(opts);
+    Shard shard(opts);
 
     std::vector<std::string> names = engineNames();
     std::vector<std::future<ServeResponse>> futures;
@@ -113,7 +113,7 @@ TEST(ServeConcurrency, MixedTopologyRequestStream)
                           a, bm, randomIntDense(n, p, seed + 2), w)
                     : EnginePlan::triSolve(
                           lt, randomIntVec(n, seed + 3), w);
-            futures.push_back(server.submit(std::move(req)));
+            futures.push_back(shard.submit(std::move(req)));
         }
     }
     for (auto &f : futures) {
@@ -121,14 +121,14 @@ TEST(ServeConcurrency, MixedTopologyRequestStream)
         ASSERT_TRUE(resp.ok) << resp.error;
         EXPECT_TRUE(resp.crossCheckOk);
     }
-    ServerStats stats = server.stats();
-    EXPECT_EQ(stats.crossCheckFailures, 0u);
-    EXPECT_EQ(stats.requests, futures.size());
+    MetricsSnapshot snap = shard.metricsSnapshot();
+    EXPECT_EQ(snap.counters["serve_cross_check_failures_total"], 0u);
+    EXPECT_EQ(snap.counters["serve_requests_total"], futures.size());
     // One (matrix, w) binding per engine: one cached plan each
     // (concurrent first requests may duplicate a miss, never an
     // entry).
-    EXPECT_EQ(server.planCache().size(), names.size());
-    EXPECT_GE(stats.planCache.misses, names.size());
+    EXPECT_EQ(shard.planCache().size(), names.size());
+    EXPECT_GE(snap.counters["plan_cache_misses_total"], names.size());
 }
 
 TEST(ServeConcurrency, SharedPreparedPlanAcrossRawThreads)

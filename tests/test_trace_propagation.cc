@@ -252,7 +252,8 @@ TEST(TracePropagation, FailoverKeepsOneTraceAcrossAttempts)
                 EXPECT_TRUE(r.transportOk) << r.transportError;
                 EXPECT_TRUE(r.response.ok) << r.response.error;
             }
-            return gw.stats().resubmits >= 1;
+            return gw.metricsSnapshot()
+                       .counters["gateway_resubmits_total"] >= 1;
         },
         20000))
         << "flaky backend never died (absorbed "
@@ -432,8 +433,16 @@ TEST(TraceGatewayAdmin, StitchedTracezServesStrictJsonAndFilters)
     EXPECT_NE(bad_kind.body.find("bad kind value"),
               std::string::npos);
 
-    // The rest of the admin plane serves from the gateway too.
-    EXPECT_EQ(httpGet(gw.adminPort(), "/metrics").status, 200);
+    // The rest of the admin plane serves from the gateway too; its
+    // scrape carries the labelled per-backend in-flight gauge.
+    HttpReply metrics = httpGet(gw.adminPort(), "/metrics");
+    ASSERT_TRUE(metrics.ok);
+    EXPECT_EQ(metrics.status, 200);
+    PromChecker prom(metrics.body);
+    EXPECT_TRUE(prom.valid()) << prom.error();
+    EXPECT_NE(metrics.body.find("gateway_backend_inflight{backend=\"0\"}"),
+              std::string::npos)
+        << metrics.body;
     EXPECT_EQ(httpGet(gw.adminPort(), "/healthz").status, 200);
 
     gw.stop();

@@ -115,15 +115,18 @@ parseBackend(const std::string &spec, Gateway::BackendAddr *out)
 void
 printStats(const Gateway &gw, std::size_t fleet_size)
 {
-    GatewayStats s = gw.stats();
+    MetricsSnapshot s = gw.metricsSnapshot();
+    auto count = [&s](const char *name) {
+        return static_cast<unsigned long long>(s.counters[name]);
+    };
     std::printf("routed %llu  relayed %llu  failovers %llu  "
                 "resubmits %llu  errors %llu  routable %zu/%zu\n",
-                static_cast<unsigned long long>(s.requestsRouted),
-                static_cast<unsigned long long>(s.responsesRelayed),
-                static_cast<unsigned long long>(s.failovers),
-                static_cast<unsigned long long>(s.resubmits),
-                static_cast<unsigned long long>(s.errorsReturned),
-                gw.routableBackends(), fleet_size);
+                count("gateway_requests_total"),
+                count("gateway_responses_relayed_total"),
+                count("gateway_failovers_total"),
+                count("gateway_resubmits_total"),
+                count("gateway_errors_total"), gw.routableBackends(),
+                fleet_size);
     std::fflush(stdout);
 }
 
