@@ -9,31 +9,13 @@ namespace sap {
 
 namespace {
 
-/**
- * splitmix64 finalizer. FNV-1a digests have weak avalanche: inputs
- * differing only in trailing bytes (vnode labels, similar matrices)
- * produce digests clustered in a narrow arc, which would starve
- * shards of ring coverage. Mixing every ring point and lookup key
- * through a full-avalanche finalizer spreads them uniformly without
- * giving up determinism.
- */
-Digest
-mix64(Digest x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 /** Ring point of one (shard, vnode): a string digest, so the ring
  *  depends only on the indices and is reproducible everywhere. */
 Digest
 ringPoint(std::size_t shard, std::size_t vnode)
 {
-    return mix64(fingerprintString(
-        "shard-" + std::to_string(shard) + "/vnode-" +
-        std::to_string(vnode)));
+    return fingerprintString("shard-" + std::to_string(shard) +
+                             "/vnode-" + std::to_string(vnode));
 }
 
 } // namespace
@@ -57,11 +39,10 @@ ConsistentHashRouter::ConsistentHashRouter(
 std::size_t
 ConsistentHashRouter::shardFor(Digest key) const
 {
-    // First ring point at or clockwise-after the (mixed) key; wrap
-    // to the ring's start past the last point.
-    const Digest point = mix64(key);
+    // First ring point at or clockwise-after the key; wrap to the
+    // ring's start past the last point.
     auto it = std::lower_bound(
-        ring_.begin(), ring_.end(), point,
+        ring_.begin(), ring_.end(), key,
         [](const std::pair<Digest, std::size_t> &entry, Digest k) {
             return entry.first < k;
         });

@@ -15,7 +15,10 @@
  * fixed set of virtual nodes to a 64-bit hash ring, and a key is
  * owned by the shard of the first ring point at or clockwise-after
  * it. Ring points depend only on (shard index, vnode index), so the
- * ring is reproducible from the options alone.
+ * ring is reproducible from the options alone. Ring points and keys
+ * are digests (serve/fingerprint.hh), which already end in a
+ * full-avalanche finalizer, so both are placed on the ring as they
+ * are.
  */
 
 #ifndef SAP_CLUSTER_ROUTER_HH

@@ -16,7 +16,6 @@
 #include "engine/engine.hh"
 #include "net/client.hh"
 #include "obs/trace_export.hh"
-#include "serve/plan_cache.hh"
 
 namespace sap {
 
@@ -696,7 +695,7 @@ Gateway::finishGatherIfDone(std::uint64_t gather_id)
 }
 
 std::shared_ptr<RequestTrace>
-Gateway::admitTrace(TraceContext *ctx, const ServeRequest &req)
+Gateway::admitTrace(TraceContext *ctx, const SubmitView &view)
 {
     // The edge owns the head-sampling decision: a request that
     // arrives without a context gets one minted here (sampled 1-in-N
@@ -707,8 +706,8 @@ Gateway::admitTrace(TraceContext *ctx, const ServeRequest &req)
     std::shared_ptr<RequestTrace> trace = collector_.adopt(*ctx);
     if (trace) {
         trace->tier = TraceTier::Gateway;
-        trace->label = req.engine;
-        trace->kind = problemKindName(req.plan.kind);
+        trace->label = view.engine;
+        trace->kind = problemKindName(view.kind);
         trace->stamp(TraceStage::Decode);
     }
     return trace;
@@ -722,44 +721,38 @@ Gateway::handleClientFrame(std::uint64_t conn_id, ClientConn &conn,
     const std::uint64_t tag = frame.header.tag;
     switch (frame.header.type) {
     case static_cast<std::uint16_t>(FrameType::Submit): {
-        // Decode with full wire strictness (bad payloads must not
-        // reach a backend), but only the digest is consumed here;
+        // Validate with full wire strictness (bad payloads must not
+        // reach a backend) but decode nothing: the scan leaves the
+        // operands as byte spans, the digest is taken over them, and
         // the payload bytes relay as-is inside a FORWARD.
-        ServeRequest req;
+        SubmitView view;
         std::string err;
-        if (!decodeSubmit(frame.payload, &req, &err)) {
+        if (!scanSubmit(frame.payload, &view, &err)) {
             sendClientError(conn_id, tag, err);
             return;
         }
-        TraceContext ctx = req.traceContext;
-        std::shared_ptr<RequestTrace> trace = admitTrace(&ctx, req);
-        Digest digest = planDigest(req.engine, req.plan);
+        TraceContext ctx = view.traceContext;
+        std::shared_ptr<RequestTrace> trace = admitTrace(&ctx, view);
+        const Digest digest = planDigest(view);
         routeSubmit(conn_id, tag, digest, std::move(frame.payload),
                     ctx, std::move(trace));
         return;
     }
     case static_cast<std::uint16_t>(FrameType::Forward): {
-        // A gateway one tier up already computed the digest: strip
-        // it, validate the embedded SUBMIT, and route — rings of
-        // rings compose.
+        // A gateway one tier up already computed the digest: validate
+        // the embedded SUBMIT, strip the envelope, and route — rings
+        // of rings compose.
         Digest digest = 0;
-        ServeRequest req;
+        SubmitView view;
         std::string err;
-        if (!decodeForward(frame.payload, &digest, &req, &err)) {
+        if (!scanForward(frame.payload, &digest, &view, &err)) {
             sendClientError(conn_id, tag, err);
             return;
         }
-        // Strip the FORWARD envelope: digest (8) + context marker
-        // (1) + the context block when the marker says so (the
-        // decode above validated both).
-        const std::size_t strip =
-            9 + (frame.payload[8] == 1 ? kTraceContextBytes : 0);
+        TraceContext ctx = view.traceContext;
+        std::shared_ptr<RequestTrace> trace = admitTrace(&ctx, view);
         std::vector<std::uint8_t> submit_payload(
-            frame.payload.begin() +
-                static_cast<std::ptrdiff_t>(strip),
-            frame.payload.end());
-        TraceContext ctx = req.traceContext;
-        std::shared_ptr<RequestTrace> trace = admitTrace(&ctx, req);
+            view.payload.data, view.payload.data + view.payload.size);
         routeSubmit(conn_id, tag, digest, std::move(submit_payload),
                     ctx, std::move(trace));
         return;

@@ -9,11 +9,15 @@
  * matrix should land on the backend whose shards already hold its
  * plan, whatever client opened which connection. Gateway provides
  * that hop. It speaks the ordinary wire protocol to clients (an
- * existing NetClient needs no changes), decodes each SUBMIT just
- * enough to compute its plan digest, and relays the already-encoded
- * payload to the owning backend inside a FORWARD frame — so the
- * digest is computed once at the edge and reused by the backend's
- * shard router and plan cache (net/protocol.hh).
+ * existing NetClient needs no changes) and never decodes a SUBMIT:
+ * scanSubmit (net/protocol.hh) validates it with every check a
+ * backend's decoder makes, leaving the operands as byte spans; the
+ * plan digest is taken straight from the matrix bytes (a matrix's
+ * digest is defined over its wire words, serve/fingerprint.hh); and
+ * the already-encoded payload relays to the owning backend inside a
+ * FORWARD frame — so the digest is computed once at the edge and
+ * reused by the backend's shard router and plan cache, and nothing
+ * a backend would reject ever reaches one.
  *
  *        clients ──▶ gateway IO thread ──FORWARD──▶ backend 0
  *                        │ ring over               backend 1
@@ -319,7 +323,7 @@ class Gateway
     void handleClientFrame(std::uint64_t conn_id, ClientConn &conn,
                            Frame &&frame);
     void handleBackendFrame(std::size_t idx, Frame &&frame);
-    /** Route a decoded SUBMIT/FORWARD payload to its ring owner,
+    /** Route a scanned SUBMIT/FORWARD payload to its ring owner,
      *  FORWARDing @p ctx when valid and stamping @p trace (may be
      *  null) through the gateway stages. */
     void routeSubmit(std::uint64_t conn_id, std::uint64_t client_tag,
@@ -363,7 +367,7 @@ class Gateway
      *  door: mint a context when none arrived and tracing is on,
      *  adopt it into a gateway-tier trace, stamp Decode. */
     std::shared_ptr<RequestTrace>
-    admitTrace(TraceContext *ctx, const ServeRequest &req);
+    admitTrace(TraceContext *ctx, const SubmitView &view);
     /** Register the admin routes on @p admin (start() helper). */
     void registerAdminRoutes(HttpAdminServer &admin);
     /** Gather HealthInputs and run them through health_. */

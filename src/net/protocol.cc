@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "base/logging.hh"
+#include "serve/plan_cache.hh"
 
 namespace sap {
 
@@ -178,11 +179,17 @@ WireReader::str(std::string *out)
 }
 
 bool
+WireReader::vecLength(Index *n)
+{
+    return i64(n) && *n >= 0 && *n <= kMaxWireDim &&
+           static_cast<std::size_t>(*n) <= remaining() / 8;
+}
+
+bool
 WireReader::vec(Vec<Scalar> *out)
 {
-    std::int64_t n;
-    if (!i64(&n) || n < 0 || n > kMaxWireDim ||
-        static_cast<std::size_t>(n) > remaining() / 8)
+    Index n;
+    if (!vecLength(&n))
         return false;
     Vec<Scalar> v(n);
     for (Index i = 0; i < n; ++i)
@@ -193,19 +200,37 @@ WireReader::vec(Vec<Scalar> *out)
 }
 
 bool
-WireReader::dense(Dense<Scalar> *out)
+WireReader::vecSpan(WireSpan *out)
 {
-    std::int64_t rows, cols;
-    if (!i64(&rows) || !i64(&cols))
+    const std::size_t start = pos_;
+    Index n;
+    if (!vecLength(&n))
         return false;
-    if (rows < 0 || cols < 0 || rows > kMaxWireDim ||
-        cols > kMaxWireDim)
+    pos_ += 8 * static_cast<std::size_t>(n);
+    *out = {data_ + start, pos_ - start};
+    return true;
+}
+
+bool
+WireReader::denseShape(Index *rows, Index *cols)
+{
+    if (!i64(rows) || !i64(cols))
+        return false;
+    if (*rows < 0 || *cols < 0 || *rows > kMaxWireDim ||
+        *cols > kMaxWireDim)
         return false;
     // rows*cols fits in 64 bits after the per-dimension caps; the
     // remaining() bound rejects lengths the payload cannot back.
-    std::uint64_t count = static_cast<std::uint64_t>(rows) *
-                          static_cast<std::uint64_t>(cols);
-    if (count > remaining() / 8)
+    std::uint64_t count = static_cast<std::uint64_t>(*rows) *
+                          static_cast<std::uint64_t>(*cols);
+    return count <= remaining() / 8;
+}
+
+bool
+WireReader::dense(Dense<Scalar> *out)
+{
+    Index rows, cols;
+    if (!denseShape(&rows, &cols))
         return false;
     Dense<Scalar> m(rows, cols);
     for (Index r = 0; r < rows; ++r)
@@ -213,6 +238,18 @@ WireReader::dense(Dense<Scalar> *out)
             if (!f64(&m(r, c)))
                 return false;
     *out = std::move(m);
+    return true;
+}
+
+bool
+WireReader::denseSpan(WireSpan *out, Index *rows, Index *cols)
+{
+    const std::size_t start = pos_;
+    if (!denseShape(rows, cols))
+        return false;
+    pos_ += 8 * static_cast<std::size_t>(*rows) *
+            static_cast<std::size_t>(*cols);
+    *out = {data_ + start, pos_ - start};
     return true;
 }
 
@@ -293,24 +330,36 @@ FrameDecoder::next(Frame *out, std::string *error)
 // Frame builders
 //----------------------------------------------------------------------
 
-std::vector<std::uint8_t>
-buildFrame(FrameType type, std::uint64_t tag,
-           const std::vector<std::uint8_t> &payload)
+namespace {
+
+/** A writer sized for the whole frame, its header already written:
+ *  the payload is appended once, with no reallocation. */
+WireWriter
+frameWriter(FrameType type, std::uint64_t tag, std::size_t payload_len)
 {
     // The len field is u32; silently wrapping would emit a corrupt
     // frame, so an over-large payload is a caller bug.
-    SAP_ASSERT(payload.size() <= 0xFFFFFFFFu,
-               "frame payload of ", payload.size(),
-               " bytes exceeds the u32 length field");
+    SAP_ASSERT(payload_len <= 0xFFFFFFFFu, "frame payload of ",
+               payload_len, " bytes exceeds the u32 length field");
     WireWriter w;
+    w.reserve(kFrameHeaderBytes + payload_len);
     w.u32(kWireMagic);
     w.u16(kWireVersion);
     w.u16(static_cast<std::uint16_t>(type));
     w.u64(tag);
-    w.u32(static_cast<std::uint32_t>(payload.size()));
-    std::vector<std::uint8_t> frame = w.take();
-    frame.insert(frame.end(), payload.begin(), payload.end());
-    return frame;
+    w.u32(static_cast<std::uint32_t>(payload_len));
+    return w;
+}
+
+} // namespace
+
+std::vector<std::uint8_t>
+buildFrame(FrameType type, std::uint64_t tag,
+           const std::vector<std::uint8_t> &payload)
+{
+    WireWriter w = frameWriter(type, tag, payload.size());
+    w.raw(payload.data(), payload.size());
+    return w.take();
 }
 
 std::vector<std::uint8_t>
@@ -342,18 +391,18 @@ buildForwardFrame(std::uint64_t tag, Digest digest,
                   const std::vector<std::uint8_t> &submit_payload,
                   const TraceContext *ctx)
 {
-    WireWriter w;
+    // Header, envelope and SUBMIT bytes go into one pre-sized buffer:
+    // the (possibly megabytes of) SUBMIT payload is copied once.
+    const bool with_ctx = ctx && ctx->valid();
+    const std::size_t envelope = 9 + (with_ctx ? kTraceContextBytes : 0);
+    WireWriter w = frameWriter(FrameType::Forward, tag,
+                               envelope + submit_payload.size());
     w.u64(digest);
-    if (ctx && ctx->valid()) {
-        w.u8(1);
+    w.u8(with_ctx ? 1 : 0);
+    if (with_ctx)
         encodeTraceContext(w, *ctx);
-    } else {
-        w.u8(0);
-    }
-    std::vector<std::uint8_t> payload = w.take();
-    payload.insert(payload.end(), submit_payload.begin(),
-                   submit_payload.end());
-    return buildFrame(FrameType::Forward, tag, payload);
+    w.raw(submit_payload.data(), submit_payload.size());
+    return w.take();
 }
 
 std::vector<std::uint8_t>
@@ -469,15 +518,16 @@ encodeSubmit(const ServeRequest &req)
 
 namespace {
 
-/** decodeSubmit over a raw span, so FORWARD can decode its embedded
- *  SUBMIT payload without copying it out first. */
+/** scanSubmit over a raw span, so FORWARD can scan its embedded
+ *  SUBMIT payload in place. */
 bool
-decodeSubmitSpan(const std::uint8_t *data, std::size_t size,
-                 ServeRequest *out, std::string *error)
+scanSubmitSpan(const std::uint8_t *data, std::size_t size,
+               SubmitView *out, std::string *error)
 {
     WireReader r(data, size);
-    ServeRequest req;
-    if (!r.str(&req.engine))
+    SubmitView v;
+    v.payload = {data, size};
+    if (!r.str(&v.engine))
         return failDecode(error, "truncated SUBMIT: engine name");
     std::uint8_t kind_byte;
     if (!r.u8(&kind_byte))
@@ -485,23 +535,22 @@ decodeSubmitSpan(const std::uint8_t *data, std::size_t size,
     if (kind_byte > static_cast<std::uint8_t>(ProblemKind::TriSolve))
         return failDecode(error, "unknown problem kind " +
                                      std::to_string(kind_byte));
-    req.plan.kind = static_cast<ProblemKind>(kind_byte);
-    if (!r.i64(&req.plan.w))
+    v.kind = static_cast<ProblemKind>(kind_byte);
+    if (!r.i64(&v.w))
         return failDecode(error, "truncated SUBMIT: array size");
-    if (req.plan.w < 1 || req.plan.w > kMaxWireDim)
-        return failDecode(error, "array size w=" +
-                                     std::to_string(req.plan.w) +
+    if (v.w < 1 || v.w > kMaxWireDim)
+        return failDecode(error, "array size w=" + std::to_string(v.w) +
                                      " out of range");
     std::uint8_t flags;
     if (!r.u8(&flags))
         return failDecode(error, "truncated SUBMIT: flags");
-    req.crossCheck = (flags & kSubmitFlagCrossCheck) != 0;
+    v.crossCheck = (flags & kSubmitFlagCrossCheck) != 0;
     const std::uint8_t mode_bits =
         (flags >> kSubmitModeShift) & kSubmitModeMask;
     if (mode_bits > static_cast<std::uint8_t>(ExecMode::Validate))
         return failDecode(error, "unknown execution mode " +
                                      std::to_string(mode_bits));
-    req.plan.mode = static_cast<ExecMode>(mode_bits);
+    v.mode = static_cast<ExecMode>(mode_bits);
     if ((flags & kSubmitFlagRecordTrace) != 0)
         return failDecode(error,
                           "SUBMIT requests recordTrace, but RESPONSE "
@@ -509,34 +558,33 @@ decodeSubmitSpan(const std::uint8_t *data, std::size_t size,
     if ((flags & ~kSubmitFlagsKnown) != 0)
         return failDecode(error, "reserved SUBMIT flag bits set");
     if ((flags & kSubmitFlagTraceContext) != 0 &&
-        !decodeTraceContext(r, &req.traceContext, "SUBMIT", error))
+        !decodeTraceContext(r, &v.traceContext, "SUBMIT", error))
         return false;
 
-    if (!r.dense(&req.plan.a))
+    Index rows, cols;
+    if (!r.denseSpan(&v.a, &rows, &cols))
         return failDecode(error, "truncated SUBMIT: matrix A");
-    if (req.plan.a.rows() == 0 || req.plan.a.cols() == 0)
+    if (rows == 0 || cols == 0)
         return failDecode(error, "zero-dimension matrix A (" +
-                                     std::to_string(req.plan.a.rows()) +
-                                     "x" +
-                                     std::to_string(req.plan.a.cols()) +
-                                     ")");
-    switch (req.plan.kind) {
+                                     std::to_string(rows) + "x" +
+                                     std::to_string(cols) + ")");
+    switch (v.kind) {
     case ProblemKind::MatVec:
-        if (!r.vec(&req.plan.x))
+        if (!r.vecSpan(&v.x))
             return failDecode(error, "truncated SUBMIT: vector x");
-        if (!r.vec(&req.plan.b))
+        if (!r.vecSpan(&v.b))
             return failDecode(error, "truncated SUBMIT: vector b");
         break;
     case ProblemKind::MatMul:
-        if (!r.dense(&req.plan.bmat))
+        if (!r.denseSpan(&v.bmat, &rows, &cols))
             return failDecode(error, "truncated SUBMIT: matrix B");
-        if (req.plan.bmat.rows() == 0 || req.plan.bmat.cols() == 0)
+        if (rows == 0 || cols == 0)
             return failDecode(error, "zero-dimension matrix B");
-        if (!r.dense(&req.plan.e))
+        if (!r.denseSpan(&v.e, &rows, &cols))
             return failDecode(error, "truncated SUBMIT: matrix E");
         break;
     case ProblemKind::TriSolve:
-        if (!r.vec(&req.plan.b))
+        if (!r.vecSpan(&v.b))
             return failDecode(error, "truncated SUBMIT: vector b");
         break;
     }
@@ -544,23 +592,60 @@ decodeSubmitSpan(const std::uint8_t *data, std::size_t size,
         return failDecode(error,
                           std::to_string(r.remaining()) +
                               " trailing bytes after SUBMIT payload");
-    *out = std::move(req);
+    *out = std::move(v);
     return true;
+}
+
+/** Decode the elements of a span scanSubmit validated. */
+template <typename T>
+void
+readSpan(const WireSpan &span, bool (WireReader::*read)(T *), T *out)
+{
+    WireReader r(span.data, span.size);
+    const bool ok = (r.*read)(out) && r.remaining() == 0;
+    SAP_ASSERT(ok, "a scanned SUBMIT operand failed to decode");
+}
+
+/** The ServeRequest a scanned SUBMIT carries. */
+ServeRequest
+materialise(const SubmitView &v)
+{
+    ServeRequest req;
+    req.engine = v.engine;
+    req.crossCheck = v.crossCheck;
+    req.traceContext = v.traceContext;
+    req.plan.kind = v.kind;
+    req.plan.w = v.w;
+    req.plan.mode = v.mode;
+    readSpan(v.a, &WireReader::dense, &req.plan.a);
+    switch (v.kind) {
+    case ProblemKind::MatVec:
+        readSpan(v.x, &WireReader::vec, &req.plan.x);
+        readSpan(v.b, &WireReader::vec, &req.plan.b);
+        break;
+    case ProblemKind::MatMul:
+        readSpan(v.bmat, &WireReader::dense, &req.plan.bmat);
+        readSpan(v.e, &WireReader::dense, &req.plan.e);
+        break;
+    case ProblemKind::TriSolve:
+        readSpan(v.b, &WireReader::vec, &req.plan.b);
+        break;
+    }
+    return req;
 }
 
 } // namespace
 
 bool
-decodeSubmit(const std::vector<std::uint8_t> &payload,
-             ServeRequest *out, std::string *error)
+scanSubmit(const std::vector<std::uint8_t> &payload, SubmitView *out,
+           std::string *error)
 {
-    return decodeSubmitSpan(payload.data(), payload.size(), out,
-                            error);
+    return scanSubmitSpan(payload.data(), payload.size(), out, error);
 }
 
 bool
-decodeForward(const std::vector<std::uint8_t> &payload, Digest *digest,
-              ServeRequest *out, std::string *error)
+scanForward(const std::vector<std::uint8_t> &payload, Digest *digest,
+            SubmitView *out, std::string *error)
 {
     WireReader r(payload);
     std::uint64_t d;
@@ -577,16 +662,55 @@ decodeForward(const std::vector<std::uint8_t> &payload, Digest *digest,
     if (ctx_present == 1 &&
         !decodeTraceContext(r, &ctx, "FORWARD", error))
         return false;
-    if (!decodeSubmitSpan(payload.data() + (payload.size() -
-                                            r.remaining()),
-                          r.remaining(), out, error))
+    SubmitView v;
+    if (!scanSubmitSpan(payload.data() + (payload.size() -
+                                          r.remaining()),
+                        r.remaining(), &v, error))
         return false;
     // The gateway's FORWARD-level context wins over any context the
     // client embedded in the SUBMIT (the gateway owns the attempt
     // counter).
     if (ctx_present == 1)
-        out->traceContext = ctx;
+        v.traceContext = ctx;
     *digest = d;
+    *out = std::move(v);
+    return true;
+}
+
+Digest
+planDigest(const SubmitView &view)
+{
+    // Each bound operand's span is the word sequence its digest is
+    // defined over (serve/fingerprint.hh): rows, cols, elements.
+    auto digestOf = [](const WireSpan &span) {
+        return fingerprintWords(span.data, span.size / 8);
+    };
+    return combinePlanDigest(view.engine, view.kind, view.w,
+                             digestOf(view.a),
+                             view.kind == ProblemKind::MatMul
+                                 ? digestOf(view.bmat)
+                                 : 0);
+}
+
+bool
+decodeSubmit(const std::vector<std::uint8_t> &payload,
+             ServeRequest *out, std::string *error)
+{
+    SubmitView view;
+    if (!scanSubmit(payload, &view, error))
+        return false;
+    *out = materialise(view);
+    return true;
+}
+
+bool
+decodeForward(const std::vector<std::uint8_t> &payload, Digest *digest,
+              ServeRequest *out, std::string *error)
+{
+    SubmitView view;
+    if (!scanForward(payload, digest, &view, error))
+        return false;
+    *out = materialise(view);
     return true;
 }
 

@@ -42,6 +42,16 @@
  * encodeTraceContext) carried on FORWARD and, behind SUBMIT flag
  * bit 4, on direct client submissions.
  *
+ * The FORWARD digest's algorithm changed in place too: planDigest
+ * (serve/fingerprint.hh) now hashes 64-bit words — a matrix over
+ * exactly the words its wire encoding carries, so the gateway takes
+ * it from the SUBMIT bytes without decoding them — where it used to
+ * hash bytes with FNV-1a. The frame layout is unchanged, so the
+ * version stays 1. A backend trusts the digest only as a routing and
+ * cache-key hint: a gateway and backends built on different sides of
+ * the change key the plan cache differently, which costs locality
+ * (a matrix may be cached under two digests), never correctness.
+ *
  * Type 3 was STATS, a per-(engine, shape) snapshot with reservoir
  * percentiles; it is retired and the number stays reserved. Its
  * per-(engine, kind, mode) breakdown travels in METRICS as labelled
@@ -159,6 +169,13 @@ constexpr Index kMaxWireDim = 1 << 20;
 /** Cap on string lengths (engine names, error messages). */
 constexpr std::uint32_t kMaxWireString = 1 << 16;
 
+/** A borrowed byte range inside a payload buffer. */
+struct WireSpan
+{
+    const std::uint8_t *data = nullptr;
+    std::size_t size = 0;
+};
+
 /**
  * Append-only little-endian byte sink: the encode half of the
  * protocol. Also the tool tests use to craft malformed frames.
@@ -166,6 +183,13 @@ constexpr std::uint32_t kMaxWireString = 1 << 16;
 class WireWriter
 {
   public:
+    /** Size the buffer for @p n bytes up front (one allocation). */
+    void reserve(std::size_t n) { bytes_.reserve(n); }
+    /** Append @p n already-encoded bytes verbatim. */
+    void raw(const std::uint8_t *data, std::size_t n)
+    {
+        bytes_.insert(bytes_.end(), data, data + n);
+    }
     void u8(std::uint8_t v) { bytes_.push_back(v); }
     void u16(std::uint16_t v);
     void u32(std::uint32_t v);
@@ -215,11 +239,24 @@ class WireReader
     bool str(std::string *out);
     bool vec(Vec<Scalar> *out);
     bool dense(Dense<Scalar> *out);
+    /** As vec(), but steps over the elements unread: @p out gets the
+     *  encoded bytes, length word included. */
+    bool vecSpan(WireSpan *out);
+    /** As dense(), but steps over the elements unread: @p out gets
+     *  the encoded bytes (dims included), @p rows / @p cols the
+     *  shape. */
+    bool denseSpan(WireSpan *out, Index *rows, Index *cols);
 
     /** Bytes not yet consumed. */
     std::size_t remaining() const { return size_ - pos_; }
 
   private:
+    /** vec()'s length word, checked against the cap and against the
+     *  bytes that remain. */
+    bool vecLength(Index *n);
+    /** dense()'s dims, checked the same way. */
+    bool denseShape(Index *rows, Index *cols);
+
     const std::uint8_t *data_;
     std::size_t size_;
     std::size_t pos_ = 0;
@@ -334,10 +371,11 @@ std::vector<std::uint8_t> buildMetricsFrame(std::uint64_t tag,
 /**
  * FORWARD wrapping an already-encoded SUBMIT payload together with
  * its precomputed plan digest (the gateway relays the payload bytes
- * it decoded for routing — no re-encode). @p digest MUST equal
+ * it scanned for routing — no re-encode). @p digest MUST equal
  * planDigest() of the embedded request; it is a cache/routing hint,
  * and correctness never depends on it (the plan cache confirms every
- * digest hit with an exact matrix comparison).
+ * digest hit with an exact matrix comparison). The frame is built in
+ * one pre-sized buffer, so the SUBMIT bytes are copied once.
  *
  * Layout: u64 digest | u8 ctx-present (0 or 1) | [trace-context
  * block when 1] | embedded SUBMIT payload. @p ctx (optional) is the
@@ -379,6 +417,57 @@ std::vector<std::uint8_t> buildErrorFrame(std::uint64_t tag,
  * encoded after it.
  */
 std::vector<std::uint8_t> encodeSubmit(const ServeRequest &req);
+
+/**
+ * A SUBMIT payload validated in place by scanSubmit: the header
+ * fields decoded, each operand left as the bytes WireWriter encoded
+ * for it (i64 dims, then one f64 word per element). Spans borrow the
+ * scanned buffer; operands the problem kind does not carry stay
+ * empty.
+ */
+struct SubmitView
+{
+    /** The whole SUBMIT payload (inside a FORWARD: the embedded
+     *  one, envelope excluded). */
+    WireSpan payload;
+    std::string engine;
+    ProblemKind kind = ProblemKind::MatVec;
+    Index w = 0;
+    bool crossCheck = false;
+    ExecMode mode = ExecMode::Simulate;
+    TraceContext traceContext;
+    WireSpan a, x, b, bmat, e;
+};
+
+/**
+ * The one SUBMIT validator: every check decodeSubmit makes, with the
+ * same error texts, but no element is read — a multi-megabyte
+ * payload scans in the time it takes to read its headers.
+ * decodeSubmit and decodeForward are this scan plus a materialiser;
+ * the gateway uses the scan alone.
+ *
+ * @return true and fill @p out (valid while @p payload lives
+ *         unmodified), or false with @p error set.
+ */
+bool scanSubmit(const std::vector<std::uint8_t> &payload,
+                SubmitView *out, std::string *error);
+
+/**
+ * The FORWARD envelope (u64 plan digest, u8 ctx-present byte,
+ * optional trace-context block) plus scanSubmit of the embedded
+ * SUBMIT. A FORWARD-level context overrides any context the embedded
+ * SUBMIT carries in out->traceContext.
+ */
+bool scanForward(const std::vector<std::uint8_t> &payload,
+                 Digest *digest, SubmitView *out, std::string *error);
+
+/**
+ * planDigest (serve/plan_cache.hh) of the request @p view decodes
+ * to, hashed straight from the operand bytes: a matrix's digest is
+ * defined over exactly the words WireWriter::dense writes, so this
+ * equals planDigest(req.engine, req.plan) of the decoded request.
+ */
+Digest planDigest(const SubmitView &view);
 
 /** @return true and fill @p out, or false with @p error set. */
 bool decodeSubmit(const std::vector<std::uint8_t> &payload,

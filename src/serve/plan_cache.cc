@@ -5,19 +5,28 @@
 namespace sap {
 
 Digest
+combinePlanDigest(const std::string &engine_name, ProblemKind kind,
+                  Index w, Digest a, Digest bmat)
+{
+    Digest d = fingerprintString(engine_name);
+    d = combineDigests(d, static_cast<Digest>(kind));
+    d = combineDigests(d, static_cast<Digest>(w));
+    d = combineDigests(d, a);
+    if (kind == ProblemKind::MatMul)
+        d = combineDigests(d, bmat);
+    return finalizeDigest(d);
+}
+
+Digest
 planDigest(const std::string &engine_name, const EnginePlan &plan,
            const DenseHashFn &hash)
 {
     auto hashOf = [&hash](const Dense<Scalar> &m) {
         return hash ? hash(m) : fingerprintDense(m);
     };
-    Digest d = fingerprintString(engine_name);
-    d = combineDigests(d, static_cast<Digest>(plan.kind));
-    d = combineDigests(d, static_cast<Digest>(plan.w));
-    d = combineDigests(d, hashOf(plan.a));
-    if (plan.kind == ProblemKind::MatMul)
-        d = combineDigests(d, hashOf(plan.bmat));
-    return d;
+    return combinePlanDigest(
+        engine_name, plan.kind, plan.w, hashOf(plan.a),
+        plan.kind == ProblemKind::MatMul ? hashOf(plan.bmat) : 0);
 }
 
 PlanCache::PlanCache(std::size_t capacity, DenseHashFn hash)

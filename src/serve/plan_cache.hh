@@ -58,16 +58,28 @@ struct PlanCacheStats
 
 /**
  * The cache-identity digest of (engine, plan): what PlanCache keys
- * entries by and what the cluster router (cluster/router.hh) hashes
- * to pin a matrix to one shard. Covers engine name, problem kind,
- * array size, and the content digests of the bound matrices (A, and
- * B for MatMul).
+ * entries by and what the cluster router (cluster/router.hh) places
+ * on its ring to pin a matrix to one shard. Covers engine name,
+ * problem kind, array size, and the content digests of the bound
+ * matrices (A, and B for MatMul); the combined value goes through
+ * finalizeDigest once.
  *
  * @param hash Dense-matrix hash; empty uses fingerprintDense.
  */
 Digest planDigest(const std::string &engine_name,
                   const EnginePlan &plan,
                   const DenseHashFn &hash = nullptr);
+
+/**
+ * planDigest over operand digests already taken: what planDigest
+ * computes once it has hashed A (and B for MatMul, else @p bmat is
+ * ignored). The gateway takes the operand digests straight from a
+ * SUBMIT's bytes (net/protocol.hh planDigest(SubmitView)) and gets
+ * the same value through here.
+ */
+Digest combinePlanDigest(const std::string &engine_name,
+                         ProblemKind kind, Index w, Digest a,
+                         Digest bmat);
 
 /**
  * LRU cache of prepared plans keyed by matrix content.

@@ -417,6 +417,110 @@ TEST(Gateway, ReservedStatsFrameTypeEarnsErrorThenServes)
     EXPECT_GE(gatewayCounter(gw, "gateway_errors_total"), 1u);
 }
 
+TEST(Gateway, MalformedSubmitNeverReachesABackend)
+{
+    // The gateway validates SUBMITs with the scanner alone; what it
+    // rejects must be exactly what a backend's decoder would reject,
+    // with the same text, and nothing it rejects may be forwarded.
+    NetServer a(backendOptions());
+    ASSERT_TRUE(a.start()) << a.error();
+    Gateway::Options gopts = gatewayOptions({{"127.0.0.1", a.port(), 0}});
+    // Only the connect-time PING: later pings would move the
+    // backend's frame counter this test watches.
+    gopts.pingIntervalMs = 60000;
+    Gateway gw(gopts);
+    ASSERT_TRUE(gw.start()) << gw.error();
+    ASSERT_TRUE(waitUntil([&] { return gw.routableBackends() == 1; }));
+
+    ServeRequest req = matVecRequest(7300, 8, 3);
+    const std::vector<std::uint8_t> good = encodeSubmit(req);
+    // Layout: str "linear" (4 + 6), kind u8, w i64, flags u8, then A.
+    const std::size_t flags_at = 4 + 6 + 1 + 8;
+    const std::size_t a_at = flags_at + 1;
+    std::vector<std::uint8_t> truncated(
+        good.begin(),
+        good.begin() + static_cast<std::ptrdiff_t>(a_at + 16 + 8 * 5));
+    std::vector<std::uint8_t> reserved = good;
+    reserved[flags_at] |= 0x80;
+    std::vector<std::uint8_t> trailing = good;
+    trailing.push_back(0);
+
+    struct Bad
+    {
+        std::vector<std::uint8_t> frame;
+        std::string expected;
+    };
+    std::vector<Bad> bad;
+    std::uint64_t tag = 100;
+    for (const auto *payload : {&truncated, &reserved, &trailing}) {
+        ServeRequest out;
+        std::string err;
+        ASSERT_FALSE(decodeSubmit(*payload, &out, &err));
+        bad.push_back(
+            {buildFrame(FrameType::Submit, tag++, *payload), err});
+    }
+    {
+        // A tier-up FORWARD whose embedded SUBMIT is truncated.
+        std::vector<std::uint8_t> frame =
+            buildForwardFrame(tag++, 42, truncated);
+        std::vector<std::uint8_t> forward(
+            frame.begin() + kFrameHeaderBytes, frame.end());
+        Digest digest = 0;
+        ServeRequest out;
+        std::string err;
+        ASSERT_FALSE(decodeForward(forward, &digest, &out, &err));
+        bad.push_back({std::move(frame), err});
+    }
+
+    const std::uint64_t frames_before =
+        a.metricsSnapshot().counters["net_frames_received_total"];
+    RawGatewayConn raw(gw.port());
+    ASSERT_TRUE(raw.ok());
+    std::vector<std::string> gateway_errors;
+    for (const Bad &b : bad) {
+        const std::uint64_t sent_tag = 100 + gateway_errors.size();
+        raw.send(b.frame);
+        Frame frame;
+        ASSERT_TRUE(raw.readFrame(&frame));
+        EXPECT_EQ(frame.header.type,
+                  static_cast<std::uint16_t>(FrameType::Error));
+        EXPECT_EQ(frame.header.tag, sent_tag);
+        std::string message, err;
+        ASSERT_TRUE(decodeError(frame.payload, &message, &err)) << err;
+        EXPECT_EQ(message, b.expected);
+        gateway_errors.push_back(message);
+    }
+    EXPECT_EQ(a.metricsSnapshot().counters["net_frames_received_total"],
+              frames_before)
+        << "a malformed SUBMIT reached the backend";
+
+    // The same connection routes a valid SUBMIT next.
+    raw.send(buildSubmitFrame(200, req));
+    Frame frame;
+    ASSERT_TRUE(raw.readFrame(&frame));
+    ASSERT_EQ(frame.header.type,
+              static_cast<std::uint16_t>(FrameType::Response));
+    EXPECT_EQ(frame.header.tag, 200u);
+    WireResponse resp;
+    std::string err;
+    ASSERT_TRUE(decodeResponse(frame.payload, &resp, &err)) << err;
+    EXPECT_TRUE(resp.ok) << resp.error;
+    EXPECT_TRUE(NetClient::matchesOracle(req, resp));
+
+    // And a NetServer answers the same bad frames with the same text.
+    RawGatewayConn direct(a.port());
+    ASSERT_TRUE(direct.ok());
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+        direct.send(bad[i].frame);
+        ASSERT_TRUE(direct.readFrame(&frame));
+        EXPECT_EQ(frame.header.type,
+                  static_cast<std::uint16_t>(FrameType::Error));
+        std::string message;
+        ASSERT_TRUE(decodeError(frame.payload, &message, &err)) << err;
+        EXPECT_EQ(message, gateway_errors[i]) << i;
+    }
+}
+
 //----------------------------------------------------------------------
 // Fault injection.
 //----------------------------------------------------------------------

@@ -27,6 +27,7 @@
 
 #include "net/protocol.hh"
 #include "obs/http_admin.hh"
+#include "serve/plan_cache.hh"
 #include "tests/fuzz_corpus.hh"
 
 namespace sap {
@@ -71,31 +72,65 @@ httpCorpus()
 }
 
 /**
+ * The SUBMIT scanner (what the gateway validates with) next to the
+ * full decoders (what a backend validates with) on the same bytes:
+ * they must accept exactly the same payloads and reject the rest
+ * with the same text, and on acceptance the digest taken from the
+ * bytes must be planDigest of the decoded request — so the gateway
+ * forwards nothing a backend would refuse, and routes by the digest
+ * the backend would compute itself.
+ */
+void
+checkScannerMatchesDecoders(const std::vector<std::uint8_t> &p)
+{
+    ServeRequest req;
+    SubmitView view;
+    std::string decode_err, scan_err;
+    const bool decoded = decodeSubmit(p, &req, &decode_err);
+    ASSERT_EQ(scanSubmit(p, &view, &scan_err), decoded);
+    if (decoded) {
+        ASSERT_EQ(planDigest(view), planDigest(req.engine, req.plan));
+    } else {
+        ASSERT_FALSE(decode_err.empty());
+        ASSERT_EQ(scan_err, decode_err);
+    }
+
+    Digest decoded_digest = 0, scanned_digest = 0;
+    decode_err.clear();
+    scan_err.clear();
+    const bool forwarded =
+        decodeForward(p, &decoded_digest, &req, &decode_err);
+    ASSERT_EQ(scanForward(p, &scanned_digest, &view, &scan_err),
+              forwarded);
+    if (forwarded) {
+        ASSERT_EQ(scanned_digest, decoded_digest);
+        ASSERT_EQ(planDigest(view), planDigest(req.engine, req.plan));
+    } else {
+        ASSERT_FALSE(decode_err.empty());
+        ASSERT_EQ(scan_err, decode_err);
+    }
+}
+
+/**
  * Run one decoded frame's payload through the codec its type claims,
  * then through every *other* codec too — a payload is attacker data,
  * so each decoder must survive all of them. Decoders must either
  * succeed or fail with a non-empty reason; which one is not checked
- * (that is the round-trip suite's job, on well-formed inputs).
+ * (that is the round-trip suite's job, on well-formed inputs), except
+ * that the SUBMIT scanner must agree with the decoders exactly.
  */
 void
 exercisePayloadDecoders(const Frame &frame)
 {
     const std::vector<std::uint8_t> &p = frame.payload;
     std::string err;
-    ServeRequest req;
-    Digest digest = 0;
     WireResponse resp;
     MetricsSnapshot snap;
     std::string message;
 
-    if (!decodeSubmit(p, &req, &err)) {
-        ASSERT_FALSE(err.empty());
-    }
-    err.clear();
-    if (!decodeForward(p, &digest, &req, &err)) {
-        ASSERT_FALSE(err.empty());
-    }
-    err.clear();
+    checkScannerMatchesDecoders(p);
+    if (::testing::Test::HasFatalFailure())
+        return;
     if (!decodeResponse(p, &resp, &err)) {
         ASSERT_FALSE(err.empty());
     }

@@ -9,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "base/random.hh"
 #include "mat/generate.hh"
 #include "net/protocol.hh"
+#include "serve/plan_cache.hh"
 
 namespace sap {
 namespace {
@@ -141,6 +144,45 @@ TEST_P(NetRoundTrip, FrameSurvivesAdversarialChunking)
     ServeRequest back;
     ASSERT_TRUE(decodeSubmit(frame.payload, &back, &err)) << err;
     EXPECT_TRUE(back.plan.a == req.plan.a);
+}
+
+TEST_P(NetRoundTrip, PlanDigestFromBytesMatchesTheRequest)
+{
+    // The gateway routes on planDigest taken from the SUBMIT bytes;
+    // it must be the digest of the request those bytes decode to, for
+    // every kind, with and without a trace-context block (which
+    // shifts every operand's offset), bare and inside a FORWARD.
+    ServeRequest req = drawRequest();
+    for (bool traced : {false, true}) {
+        SCOPED_TRACE(traced ? "traced" : "untraced");
+        req.traceContext = TraceContext{};
+        if (traced) {
+            req.traceContext.traceIdHi = 0x5eed + GetParam();
+            req.traceContext.traceIdLo = 1;
+        }
+        const Digest expected = planDigest(req.engine, req.plan);
+        const std::vector<std::uint8_t> payload = encodeSubmit(req);
+        SubmitView view;
+        std::string err;
+        ASSERT_TRUE(scanSubmit(payload, &view, &err)) << err;
+        EXPECT_EQ(planDigest(view), expected);
+        EXPECT_EQ(view.engine, req.engine);
+        EXPECT_EQ(view.kind, req.plan.kind);
+        EXPECT_EQ(view.w, req.plan.w);
+        EXPECT_EQ(view.traceContext.valid(), traced);
+        EXPECT_EQ(view.payload.size, payload.size());
+
+        const std::vector<std::uint8_t> frame =
+            buildForwardFrame(1, expected, payload);
+        const std::vector<std::uint8_t> forward(
+            frame.begin() + kFrameHeaderBytes, frame.end());
+        Digest carried = 0;
+        ASSERT_TRUE(scanForward(forward, &carried, &view, &err)) << err;
+        EXPECT_EQ(carried, expected);
+        EXPECT_EQ(planDigest(view), expected);
+        EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                               view.payload.data));
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NetRoundTrip, ::testing::Range(0, 18));
@@ -724,6 +766,26 @@ TEST(NetProtocol, ForwardRoundTripsWithAndWithoutContext)
     EXPECT_TRUE(out.traceContext.valid());
     EXPECT_EQ(out.traceContext.traceIdHi, ctx.traceIdHi);
     EXPECT_EQ(out.traceContext.attempt, ctx.attempt);
+}
+
+TEST(NetProtocol, ForwardFrameIsHeaderThenEnvelopeThenSubmit)
+{
+    // buildForwardFrame writes everything into one buffer; the bytes
+    // must be exactly the generic frame around envelope + payload.
+    const std::vector<std::uint8_t> submit = goodSubmitPayload();
+    TraceContext ctx = sampleContext();
+    for (const TraceContext *c : {static_cast<TraceContext *>(nullptr),
+                                  &ctx}) {
+        WireWriter w;
+        w.u64(0xabcdef);
+        w.u8(c ? 1 : 0);
+        if (c)
+            encodeTraceContext(w, *c);
+        std::vector<std::uint8_t> payload = w.take();
+        payload.insert(payload.end(), submit.begin(), submit.end());
+        EXPECT_EQ(buildForwardFrame(5, 0xabcdef, submit, c),
+                  buildFrame(FrameType::Forward, 5, payload));
+    }
 }
 
 TEST(NetProtocol, ForwardContextOverridesEmbeddedSubmitContext)

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <future>
+#include <set>
 
 #include "engine/registry.hh"
 #include "mat/generate.hh"
@@ -54,6 +57,85 @@ TEST(Fingerprint, VectorAndStringDigests)
     EXPECT_NE(fingerprintVec(v), fingerprintVec(w));
     EXPECT_NE(fingerprintString("linear"), fingerprintString("hex"));
     EXPECT_NE(combineDigests(1, 2), combineDigests(2, 1));
+}
+
+TEST(Fingerprint, NearMissesOfOneMatrixDigestPairwiseDistinct)
+{
+    // Distinct, non-integral elements, so every variant below is a
+    // different matrix: no ±1 on an element equals one of its bit
+    // flips, and every swap moves two unequal values.
+    const Index n = 64;
+    Dense<Scalar> base(n, n);
+    for (Index i = 0; i < n * n; ++i)
+        base(i / n, i % n) = 0.1 + static_cast<Scalar>(i);
+
+    std::vector<Digest> digests = {fingerprintDense(base)};
+    // Every single-bit flip of one element.
+    for (unsigned bit = 0; bit < 64; ++bit) {
+        Dense<Scalar> v = base;
+        std::uint64_t bits;
+        std::memcpy(&bits, &v(0, 0), sizeof(bits));
+        bits ^= std::uint64_t(1) << bit;
+        std::memcpy(&v(0, 0), &bits, sizeof(bits));
+        digests.push_back(fingerprintDense(v));
+    }
+    // ±1 on each element.
+    for (Index i = 0; i < n * n; ++i)
+        for (Scalar delta : {1.0, -1.0}) {
+            Dense<Scalar> v = base;
+            v(i / n, i % n) += delta;
+            digests.push_back(fingerprintDense(v));
+        }
+    // Two swapped elements: every adjacent pair in row-major order.
+    for (Index i = 0; i + 1 < n * n; ++i) {
+        Dense<Scalar> v = base;
+        std::swap(v(i / n, i % n), v((i + 1) / n, (i + 1) % n));
+        digests.push_back(fingerprintDense(v));
+    }
+    // The same data reshaped.
+    for (Index rows : {n / 2, n * 2}) {
+        const Index cols = n * n / rows;
+        Dense<Scalar> v(rows, cols);
+        for (Index i = 0; i < n * n; ++i)
+            v(i / cols, i % cols) = base(i / n, i % n);
+        digests.push_back(fingerprintDense(v));
+    }
+
+    std::sort(digests.begin(), digests.end());
+    EXPECT_EQ(std::adjacent_find(digests.begin(), digests.end()),
+              digests.end())
+        << "two near-miss variants share a digest";
+    const std::size_t cells = static_cast<std::size_t>(n * n);
+    EXPECT_EQ(digests.size(), 1 + 64 + 2 * cells + (cells - 1) + 2);
+}
+
+TEST(Fingerprint, EveryStringTailLengthDigestsDistinctly)
+{
+    // Lengths 0-17 cover every tail length (0-7 bytes past the last
+    // whole word) over zero, one and two whole words. All-zero
+    // strings differ only in length, so the length must be hashed.
+    const std::string text = "abcdefghijklmnopq";
+    std::set<Digest> digests;
+    for (std::size_t len = 0; len <= 17; ++len) {
+        digests.insert(fingerprintString(text.substr(0, len)));
+        digests.insert(fingerprintString(std::string(len, '\0')));
+    }
+    // The empty string appears in both families.
+    EXPECT_EQ(digests.size(), 2u * 18u - 1u);
+}
+
+TEST(Fingerprint, GoldenPlanDigestIsPinned)
+{
+    // A change of digest algorithm must be a visible edit here. It is
+    // safe, but a gateway and backends built on different sides of it
+    // key the plan cache differently: that costs locality, never
+    // correctness (net/protocol.hh).
+    Dense<Scalar> a(4, 4);
+    Vec<Scalar> x(4), b(4);
+    for (Index i = 0; i < 16; ++i)
+        a(i / 4, i % 4) = static_cast<Scalar>(i + 1);
+    EXPECT_EQ(planDigest("linear", EnginePlan::matVec(a, x, b, 2)),
+              Digest{0x469a057838f7864cULL});
 }
 
 //---------------------------------------------------------------------
