@@ -75,9 +75,10 @@ runOnEngine(const std::string &name, const EnginePlan &plan)
  *
  * Note this measures the *end-to-end* engine cost: each run()
  * rebuilds the DBT plan from the dense matrix before stepping the
- * array (plan caching is a ROADMAP item). For the simulator-only
- * hot-loop numbers, hoist a MatVecPlan/MatMulPlan out of the loop
- * as BM_LinearArrayCyclesPerSec / BM_HexArrayCyclesPerSec do.
+ * array. For the simulator-only hot-loop numbers, hoist a
+ * MatVecPlan/MatMulPlan out of the loop as
+ * BM_LinearArrayCyclesPerSec / BM_HexArrayCyclesPerSec do;
+ * BM_Prepare times the plan build alone.
  */
 inline void
 timeEngine(benchmark::State &state, const std::string &name,

@@ -7,6 +7,7 @@
  *
  * All topologies run through the unified engine layer, so a newly
  * registered engine is benchmarked here with zero code changes.
+ * BM_Prepare times the plan build alone (the plan-cache miss path).
  */
 
 #include "bench/bench_common.hh"
@@ -167,6 +168,36 @@ BM_TriArrayCyclesPerSec(benchmark::State &state)
         static_cast<double>(cycles), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_TriArrayCyclesPerSec)->Arg(4)->Arg(8)->Arg(16);
+
+/**
+ * The plan-cache miss path: one engine prepare() (the DBT transform
+ * and routing tables) at the shapes of perfbench's mixed_cold_open
+ * workload, where every request builds a plan.
+ */
+void
+BM_Prepare(benchmark::State &state, const char *engine,
+           EnginePlan (*make_plan)())
+{
+    auto eng = requireEngine(engine);
+    const EnginePlan plan = make_plan();
+    for (auto _ : state) {
+        std::shared_ptr<const PreparedPlan> prepared = eng->prepare(plan);
+        benchmark::DoNotOptimize(prepared.get());
+    }
+}
+BENCHMARK_CAPTURE(BM_Prepare, linear, "linear", [] {
+    return EnginePlan::matVec(randomIntDense(128, 128, 1),
+                              randomIntVec(128, 2), randomIntVec(128, 3),
+                              8);
+});
+BENCHMARK_CAPTURE(BM_Prepare, tri, "tri", [] {
+    return EnginePlan::triSolve(randomUnitLowerTriangular(128, 1),
+                                randomIntVec(128, 2), 8);
+});
+BENCHMARK_CAPTURE(BM_Prepare, hex, "hex", [] {
+    return EnginePlan::matMul(randomIntDense(32, 32, 1),
+                              randomIntDense(32, 32, 2), 4);
+});
 
 void
 BM_BlockOracleVsCycleSim(benchmark::State &state)

@@ -106,6 +106,13 @@ MatMulPlan::MatMulPlan(const Dense<Scalar> &a, const Dense<Scalar> &b,
                 // positions (checked here so run() can index
                 // directly).
                 bandIdx(oi, oj);
+                // The delay classes of SpiralFeedback's records.
+                if (rt.irregular)
+                    ++irregular_transfers_;
+                else if (oi == oj)
+                    ++main_diag_transfers_;
+                else
+                    ++pair_transfers_;
                 break;
               }
             }
@@ -141,9 +148,6 @@ MatMulPlan::MatMulPlan(const Dense<Scalar> &a, const Dense<Scalar> &b,
             }
         }
     }
-
-    sched_ = HexIoSchedule::build(transform_.abar(),
-                                  transform_.bbar());
 }
 
 MatMulExecResult
@@ -162,6 +166,8 @@ MatMulPlan::run(const Dense<Scalar> &e) const
     Dense<Scalar> e_pad = e.paddedTo(d.nbar * w, d.mbar * w);
 
     auto feedback = std::make_shared<SpiralFeedback>(w);
+    feedback->reserve(main_diag_transfers_, pair_transfers_,
+                      irregular_transfers_);
 
     // Captured O values, keyed by bandIdx of the scalar position.
     struct Captured
@@ -204,7 +210,7 @@ MatMulPlan::run(const Dense<Scalar> &e) const
             c_pad(extract_row_[slot], extract_col_[slot]) = v;
     };
 
-    HexRunResult hex = runHexBandMatMul(sched_, spec);
+    HexRunResult hex = runHexBandMatMul(spec);
     SAP_ASSERT(feedback->topologyRespected(),
                "a feedback transfer left its spiral loop");
 

@@ -42,6 +42,8 @@ struct MatMulPlanResult
  * I-band input comes from, where every O-band output goes). run(e)
  * only streams data through the array, so a plan cached by the
  * serving layer amortizes the full dense→band build across requests.
+ * The plan stores nothing per cycle: the hex driver derives every
+ * port event from the bands' shape (sim/hex_driver.hh).
  *
  * Thread-compatibility: const member functions are safe to call
  * concurrently (each run owns its transient state).
@@ -108,8 +110,11 @@ class MatMulPlan
     std::vector<InputRoute> routes_;
     std::vector<Index> extract_row_; ///< padded C row, −1 = discard
     std::vector<Index> extract_col_;
-    /** Per-cycle I/O event schedule (depends only on the bands). */
-    HexIoSchedule sched_;
+    /** FromO routes per SpiralFeedback delay class, so run() sizes
+     *  its feedback records once. */
+    Index main_diag_transfers_ = 0;
+    Index pair_transfers_ = 0;
+    Index irregular_transfers_ = 0;
 };
 
 } // namespace sap

@@ -10,7 +10,6 @@ MatVecPlan::MatVecPlan(const Dense<Scalar> &a, Index w)
 {
     SAP_ASSERT(transform_.validate(/*check_filled=*/false),
                "DBT structural conditions violated");
-    asched_ = LinearASchedule::build(transform_.abar());
 
     const Index rows = dims().barRows();
     b_external_.assign(static_cast<std::size_t>(rows), 0);
@@ -27,7 +26,6 @@ MatVecPlan::makeSpec(const Vec<Scalar> &x, const Vec<Scalar> &b) const
     const MatVecDims &d = dims();
     BandMatVecSpec spec;
     spec.abar = &transform_.abar();
-    spec.aSchedule = &asched_;
     spec.xbar = transform_.transformX(x);
     spec.bIsExternal = b_external_;
     spec.yIsFinal = y_final_;

@@ -35,7 +35,9 @@ struct MatVecPlanResult
 };
 
 /**
- * Reusable execution plan for one matrix on one array size.
+ * Reusable execution plan for one matrix on one array size. It keeps
+ * the transformed band and its per-row routing flags, nothing per
+ * cycle: each run derives the port timing from the band's shape.
  *
  * Thread-compatibility: const member functions are safe to call
  * concurrently from multiple threads (each run builds its own
@@ -115,11 +117,9 @@ class MatVecPlan
 
   private:
     MatVecTransform transform_;
-    /** Coefficient firing schedule (depends only on the band):
-     *  built once here so every run streams it. */
-    LinearASchedule asched_;
-    /** Input-independent b̄/ȳ schedules, hoisted out of makeSpec()
-     *  so each run copies instead of re-deriving them. */
+    /** Per scalar row: b̄ is external (else fed back) / ȳ is final.
+     *  Input-independent, so each run copies them instead of
+     *  re-deriving them. */
     std::vector<std::uint8_t> b_external_;
     std::vector<std::uint8_t> y_final_;
 };

@@ -33,10 +33,9 @@ MatMulPlan::runSemantics(const Dense<Scalar> &e) const
     Dense<Scalar> c_pad(d.nbar * w, d.mbar * w);
     Index macs = 0;
 
-    for (Cycle t = 0; t <= sched_.horizon; ++t) {
-        for (const HexIoSchedule::CEvent &ev : sched_.oEvents[t]) {
-            const Index i = ev.i;
-            const Index j = ev.j;
+    const Cycle last = hexLastCycle(N, w);
+    for (Cycle t = 0; t <= last; ++t) {
+        forEachHexExit(N, w, t, [&](Index i, Index j) {
             const std::size_t slot = bandIdx(i, j);
 
             const InputRoute &rt = routes_[slot];
@@ -66,7 +65,7 @@ MatMulPlan::runSemantics(const Dense<Scalar> &e) const
             captured[slot] = acc;
             if (extract_row_[slot] >= 0)
                 c_pad(extract_row_[slot], extract_col_[slot]) = acc;
-        }
+        });
     }
 
     MatMulPlanResult res;
@@ -74,7 +73,7 @@ MatMulPlan::runSemantics(const Dense<Scalar> &e) const
     res.stats.cycles = formulas::tMatMul(w, d.pbar, d.nbar, d.mbar);
     res.stats.peCount = w * w;
     res.stats.usefulMacs = macs;
-    res.totalCycles = sched_.horizon + 1;
+    res.totalCycles = last + 1;
     return res;
 }
 

@@ -1,5 +1,7 @@
 #include "sim/hex_array.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 
 namespace sap {
@@ -9,9 +11,6 @@ HexArray::HexArray(Index w)
       a_reg_(static_cast<std::size_t>(w * w)),
       b_reg_(static_cast<std::size_t>(w * w)),
       c_reg_(static_cast<std::size_t>(w * w)),
-      a_next_(static_cast<std::size_t>(w * w)),
-      b_next_(static_cast<std::size_t>(w * w)),
-      c_next_(static_cast<std::size_t>(w * w)),
       a_in_(static_cast<std::size_t>(w)),
       b_in_(static_cast<std::size_t>(w)),
       c_in_(static_cast<std::size_t>(2 * w - 1))
@@ -20,76 +19,42 @@ HexArray::HexArray(Index w)
 }
 
 void
-HexArray::setAIn(Index r, Sample s)
-{
-    SAP_ASSERT(r >= 0 && r < w_, "a row ", r, " out of range");
-    a_in_[static_cast<std::size_t>(r)] = s;
-}
-
-void
-HexArray::setBIn(Index q, Sample s)
-{
-    SAP_ASSERT(q >= 0 && q < w_, "b column ", q, " out of range");
-    b_in_[static_cast<std::size_t>(q)] = s;
-}
-
-void
-HexArray::setCIn(Index delta, Sample s)
-{
-    SAP_ASSERT(delta > -w_ && delta < w_, "diagonal ", delta,
-               " out of range");
-    c_in_[static_cast<std::size_t>(delta + w_ - 1)] = s;
-}
-
-Sample
-HexArray::cOut(Index delta) const
-{
-    SAP_ASSERT(delta > -w_ && delta < w_, "diagonal ", delta,
-               " out of range");
-    Index r = delta >= 0 ? w_ - 1 : w_ - 1 + delta;
-    Index q = delta >= 0 ? w_ - 1 - delta : w_ - 1;
-    return c_reg_[idx(r, q)];
-}
-
-void
 HexArray::step()
 {
-    // Member scratch buffers: step() is the hot loop and must not
-    // allocate per cycle. Every cell is overwritten below, so the
-    // stale contents left by the previous swap never leak through.
-    std::vector<Sample> &a_next = a_next_;
-    std::vector<Sample> &b_next = b_next_;
-    std::vector<Sample> &c_next = c_next_;
+    // Every stream shifts in place: step() is the hot loop and must
+    // neither allocate nor copy a register file per cycle.
+    //
+    // b moves −r and passes through unchanged: shift whole rows
+    // first (ascending r reads row r+1 before overwriting it), so
+    // each PE's b register then holds its input wire.
+    std::copy(b_reg_.begin() + w_, b_reg_.end(), b_reg_.begin());
+    std::copy(b_in_.begin(), b_in_.end(), b_reg_.end() - w_);
 
-    for (Index r = 0; r < w_; ++r) {
+    // a moves −q and c moves +(r, q): descending r reads c at
+    // (r−1, q−1) and ascending q reads a at (r, q+1), each before
+    // it is overwritten.
+    for (Index r = w_ - 1; r >= 0; --r) {
         for (Index q = 0; q < w_; ++q) {
-            // Combinational input wires of PE (r, q).
-            Sample a = (q == w_ - 1) ? a_in_[r] : a_reg_[idx(r, q + 1)];
-            Sample b = (r == w_ - 1) ? b_in_[q] : b_reg_[idx(r + 1, q)];
-            Sample c;
-            if (r == 0 || q == 0)
-                c = c_in_[static_cast<std::size_t>((r - q) + w_ - 1)];
-            else
-                c = c_reg_[idx(r - 1, q - 1)];
+            const Sample a =
+                (q == w_ - 1) ? a_in_[r] : a_reg_[idx(r, q + 1)];
+            const Sample &b = b_reg_[idx(r, q)];
+            const Sample c =
+                (r == 0 || q == 0)
+                    ? c_in_[static_cast<std::size_t>((r - q) + w_ - 1)]
+                    : c_reg_[idx(r - 1, q - 1)];
 
             // Inner product step.
-            Sample c_out = c;
+            a_reg_[idx(r, q)] = a;
             if (a.valid && b.valid && c.valid) {
-                c_out = Sample::of(c.value + a.value * b.value);
+                c_reg_[idx(r, q)] = Sample::of(c.value + a.value * b.value);
                 ++useful_macs_;
                 if (first_mac_ < 0)
                     first_mac_ = now_;
+            } else {
+                c_reg_[idx(r, q)] = c;
             }
-
-            a_next[idx(r, q)] = a;
-            b_next[idx(r, q)] = b;
-            c_next[idx(r, q)] = c_out;
         }
     }
-
-    a_reg_.swap(a_next);
-    b_reg_.swap(b_next);
-    c_reg_.swap(c_next);
 
     for (Index r = 0; r < w_; ++r)
         a_in_[r] = Sample::bubble();

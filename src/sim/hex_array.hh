@@ -28,6 +28,7 @@
 
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/types.hh"
 #include "sim/sample.hh"
 
@@ -46,14 +47,30 @@ class HexArray
     Index peCount() const { return w_ * w_; }
 
     /** Present the a sample entering row r (edge PE (r, w−1)). */
-    void setAIn(Index r, Sample s);
+    void
+    setAIn(Index r, Sample s)
+    {
+        SAP_ASSERT(r >= 0 && r < w_, "a row ", r, " out of range");
+        a_in_[static_cast<std::size_t>(r)] = s;
+    }
     /** Present the b sample entering column q (edge PE (w−1, q)). */
-    void setBIn(Index q, Sample s);
+    void
+    setBIn(Index q, Sample s)
+    {
+        SAP_ASSERT(q >= 0 && q < w_, "b column ", q, " out of range");
+        b_in_[static_cast<std::size_t>(q)] = s;
+    }
     /**
      * Present the c sample entering C̄-diagonal δ in [−(w−1), w−1]
      * (edge PE (δ, 0) for δ >= 0, (0, −δ) for δ < 0).
      */
-    void setCIn(Index delta, Sample s);
+    void
+    setCIn(Index delta, Sample s)
+    {
+        SAP_ASSERT(delta > -w_ && delta < w_, "diagonal ", delta,
+                   " out of range");
+        c_in_[static_cast<std::size_t>(delta + w_ - 1)] = s;
+    }
 
     /** Advance one clock cycle (compute, then shift all streams). */
     void step();
@@ -63,7 +80,15 @@ class HexArray
      * the last step() (registered at exit PE (w−1, w−1−δ) for
      * δ >= 0, (w−1+δ, w−1) for δ < 0).
      */
-    Sample cOut(Index delta) const;
+    Sample
+    cOut(Index delta) const
+    {
+        SAP_ASSERT(delta > -w_ && delta < w_, "diagonal ", delta,
+                   " out of range");
+        Index r = delta >= 0 ? w_ - 1 : w_ - 1 + delta;
+        Index q = delta >= 0 ? w_ - 1 - delta : w_ - 1;
+        return c_reg_[idx(r, q)];
+    }
 
     /** Cycles executed. */
     Cycle now() const { return now_; }
@@ -83,12 +108,11 @@ class HexArray
     Index useful_macs_ = 0;
     Cycle first_mac_ = -1;
 
+    // Stream registers, row-major by PE (r, q); step() shifts them
+    // in place.
     std::vector<Sample> a_reg_; ///< a at output of PE (r,q)
     std::vector<Sample> b_reg_;
     std::vector<Sample> c_reg_;
-    std::vector<Sample> a_next_; ///< step() scratch (no per-cycle alloc)
-    std::vector<Sample> b_next_;
-    std::vector<Sample> c_next_;
     std::vector<Sample> a_in_;  ///< per-row a inputs this cycle
     std::vector<Sample> b_in_;  ///< per-column b inputs this cycle
     std::vector<Sample> c_in_;  ///< per-diagonal c inputs (2w−1)

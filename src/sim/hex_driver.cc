@@ -7,6 +7,33 @@
 
 namespace sap {
 
+namespace {
+
+/**
+ * Call f(i, j) for every I position of an order-@p n problem that
+ * enters a width-@p w array on cycle @p tau (the c-entry formula,
+ * visiting only the due diagonals).
+ */
+template <class F>
+void
+forEachHexEntry(Index n, Index w, Cycle tau, F &&f)
+{
+    const Cycle s = tau - (w - 1); // = 3·min(i,j) + 2|δ|
+    if (s < 0)
+        return;
+    // max(i,j) = min(i,j) + |δ| grows with |δ|: stop at the edge.
+    for (Index d = (3 - s % 3) % 3; d < w && 2 * d <= s; d += 3) {
+        const Index m = (s - 2 * d) / 3;
+        if (m + d >= n)
+            break;
+        f(m, m + d);
+        if (d > 0)
+            f(m + d, m);
+    }
+}
+
+} // namespace
+
 void
 HexBandSpec::validate() const
 {
@@ -22,85 +49,44 @@ HexBandSpec::validate() const
     SAP_ASSERT(inputValue && onOutput, "missing I/O callbacks");
 }
 
-HexIoSchedule
-HexIoSchedule::build(const Band<Scalar> &abar, const Band<Scalar> &bbar)
-{
-    SAP_ASSERT(abar.sub() == 0, "Ā must be an upper band");
-    SAP_ASSERT(bbar.super() == 0, "B̄ must be a lower band");
-    SAP_ASSERT(abar.super() == bbar.sub(),
-               "Ā and B̄ must share the bandwidth");
-    SAP_ASSERT(abar.rows() == abar.cols() &&
-               bbar.rows() == bbar.cols() &&
-               abar.rows() == bbar.rows(),
-               "Ā and B̄ must be square of equal order");
-    const Index w = abar.super() + 1;
-    const Index N = abar.rows();
-
-    HexIoSchedule s;
-    s.horizon = 3 * (N - 1) + 2 * w - 2;
-    s.aEvents.resize(s.horizon + 1);
-    s.bEvents.resize(s.horizon + 1);
-    s.cEvents.resize(s.horizon + 1);
-    s.oEvents.resize(s.horizon + 1);
-
-    for (Index i = 0; i < N; ++i) {
-        for (Index k = i; k <= std::min(i + w - 1, N - 1); ++k)
-            s.aEvents[i + 2 * k].push_back({k - i, abar.at(i, k)});
-    }
-    for (Index j = 0; j < N; ++j) {
-        for (Index k = j; k <= std::min(j + w - 1, N - 1); ++k)
-            s.bEvents[2 * k + j].push_back({k - j, bbar.at(k, j)});
-    }
-    for (Index i = 0; i < N; ++i) {
-        for (Index j = std::max(Index{0}, i - w + 1);
-             j <= std::min(N - 1, i + w - 1); ++j) {
-            Cycle t_in = i + j + std::max(i, j) + w - 1;
-            Cycle t_out = i + j + std::min(i, j) + 2 * w - 2;
-            s.cEvents[t_in].push_back({i, j});
-            s.oEvents[t_out].push_back({i, j});
-        }
-    }
-    return s;
-}
-
 HexRunResult
 runHexBandMatMul(const HexBandSpec &spec)
-{
-    return runHexBandMatMul(
-        HexIoSchedule::build(*spec.abar, *spec.bbar), spec);
-}
-
-HexRunResult
-runHexBandMatMul(const HexIoSchedule &sched, const HexBandSpec &spec)
 {
     spec.validate();
     const Index w = spec.w();
     const Index N = spec.order();
-    SAP_ASSERT(sched.horizon == 3 * (N - 1) + 2 * w - 2,
-               "schedule was built for a different problem");
+    const Band<Scalar> &abar = *spec.abar;
+    const Band<Scalar> &bbar = *spec.bbar;
     HexArray array(w);
 
-    const Cycle horizon = sched.horizon;
+    const Cycle horizon = hexLastCycle(N, w);
 
     HexRunResult res;
     for (Cycle tau = 0; tau <= horizon; ++tau) {
-        for (const HexIoSchedule::AEvent &ev : sched.aEvents[tau])
-            array.setAIn(ev.port, Sample::of(ev.value));
-        for (const HexIoSchedule::AEvent &ev : sched.bEvents[tau])
-            array.setBIn(ev.port, Sample::of(ev.value));
-        for (const HexIoSchedule::CEvent &ev : sched.cEvents[tau])
-            array.setCIn(ev.j - ev.i,
-                         Sample::of(spec.inputValue(ev.i, ev.j)));
+        // a(i, k) enters row r = k − i and b(k, j) column q = k − j
+        // at 3k − r: the due ports are r ≡ −τ (mod 3), each with
+        // k = (τ + r)/3, while i = k − r >= 0 and k <= N − 1.
+        const Cycle rmax =
+            std::min<Cycle>({w - 1, tau / 2, 3 * (N - 1) - tau});
+        for (Index r = (3 - tau % 3) % 3; r <= rmax; r += 3) {
+            const Index k = (tau + r) / 3;
+            array.setAIn(r, Sample::of(abar.at(k - r, k)));
+            array.setBIn(r, Sample::of(bbar.at(k, k - r)));
+        }
+
+        forEachHexEntry(N, w, tau, [&](Index i, Index j) {
+            array.setCIn(j - i, Sample::of(spec.inputValue(i, j)));
+        });
 
         array.step();
 
-        for (const HexIoSchedule::CEvent &ev : sched.oEvents[tau]) {
-            Sample s = array.cOut(ev.j - ev.i);
-            SAP_ASSERT(s.valid, "missing output at (", ev.i, ",", ev.j,
+        forEachHexExit(N, w, tau, [&](Index i, Index j) {
+            Sample out = array.cOut(j - i);
+            SAP_ASSERT(out.valid, "missing output at (", i, ",", j,
                        ") cycle ", tau);
-            spec.onOutput(ev.i, ev.j, s.value, tau);
+            spec.onOutput(i, j, out.value, tau);
             res.lastExit = tau;
-        }
+        });
     }
 
     res.totalCycles = horizon + 1;

@@ -5,13 +5,22 @@
  *
  * Schedule (derived in DESIGN.md §4.4; 0-based cycles with a global
  * staging offset of w−1 so that all stream items can enter at the
- * array edges):
+ * array edges). These formulas are the implementation: the driver
+ * computes every port event from them as it runs and stores no
+ * per-cycle lists.
  *
  *   MAC for (i, j, k)  fires in PE (k−i, k−j) at τ = i+j+k + (w−1)
- *   a(i, k)  enters row r = k−i   at τ = i + 2k
- *   b(k, j)  enters col q = k−j   at τ = 2k + j
+ *   a(i, k)  enters row r = k−i   at τ = i + 2k          = 3k − r
+ *   b(k, j)  enters col q = k−j   at τ = 2k + j          = 3k − q
  *   c(i, j)  enters diagonal δ = j−i at τ = i + j + max(i,j) + w−1
+ *                                      = 3·min(i,j) + 2|δ| + w−1
  *   c(i, j)  exits after step       τ = i + j + min(i,j) + 2w−2
+ *                                      = 3·min(i,j) + |δ| + 2w−2
+ *
+ * Every port therefore fires every third cycle on a fixed phase
+ * (r, q ≡ −τ; |δ| ≡ −(τ−w+1) on entry and ≡ τ−2w+2 on exit, all
+ * mod 3), so on each cycle a driver visits only the ports that are
+ * due, stepping through them three apart.
  *
  * The paper's step count T = 3w·p̄n̄m̄ + 4w − 5 counts from the first
  * useful MAC to the last exit (inclusive); the driver measures both
@@ -81,51 +90,41 @@ struct HexRunResult
     Cycle lastExit = -1;
 };
 
-/**
- * Precomputed per-cycle I/O event lists of one (Ā, B̄) pair: which
- * a/b values enter which ports and which c positions enter/exit, by
- * cycle. Everything here depends only on the bands (never on E or
- * the feedback values), so a reusable plan builds the schedule once
- * and every execution streams it — the per-run schedule rebuild was
- * a significant slice of the execution cost.
- */
-struct HexIoSchedule
+/** Last cycle of an order-@p n problem: the exit of (n−1, n−1). */
+inline Cycle
+hexLastCycle(Index n, Index w)
 {
-    struct AEvent
-    {
-        Index port;   ///< row (a) or column (b) edge port
-        Scalar value; ///< band element
-    };
-    struct CEvent
-    {
-        Index i, j; ///< scalar O/I-band position
-    };
+    return 3 * (n - 1) + 2 * w - 2;
+}
 
-    Cycle horizon = -1; ///< last scheduled cycle
-    std::vector<std::vector<AEvent>> aEvents; ///< per cycle
-    std::vector<std::vector<AEvent>> bEvents;
-    std::vector<std::vector<CEvent>> cEvents; ///< injections
-    std::vector<std::vector<CEvent>> oEvents; ///< extractions
-
-    /** Build from the band pair (validated like HexBandSpec). */
-    static HexIoSchedule build(const Band<Scalar> &abar,
-                               const Band<Scalar> &bbar);
-};
+/**
+ * Call f(i, j) for every O position of an order-@p n problem that
+ * leaves a width-@p w array after cycle @p tau (the exit formula
+ * above, visiting only the due diagonals).
+ */
+template <class F>
+void
+forEachHexExit(Index n, Index w, Cycle tau, F &&f)
+{
+    const Cycle s = tau - (2 * w - 2); // = 3·min(i,j) + |δ|
+    if (s < 0)
+        return;
+    // min(i,j) + |δ| = max(i,j) grows with |δ|: stop at the edge.
+    for (Index d = s % 3; d < w && d <= s; d += 3) {
+        const Index m = (s - d) / 3;
+        if (m + d >= n)
+            break;
+        f(m, m + d);
+        if (d > 0)
+            f(m + d, m);
+    }
+}
 
 /**
  * Execute one band mat-mul problem on the hexagonal array.
  * Input/output routing is delegated to the spec's callbacks.
  */
 HexRunResult runHexBandMatMul(const HexBandSpec &spec);
-
-/**
- * Same, with a prebuilt event schedule.
- *
- * @pre @p sched was built from @p spec's bands (spot-checked by
- *      shape assertions).
- */
-HexRunResult runHexBandMatMul(const HexIoSchedule &sched,
-                              const HexBandSpec &spec);
 
 } // namespace sap
 

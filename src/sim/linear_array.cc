@@ -15,13 +15,6 @@ LinearArray::LinearArray(Index w)
 }
 
 void
-LinearArray::setAIn(Index p, Sample s)
-{
-    SAP_ASSERT(p >= 0 && p < w_, "PE ", p, " out of range");
-    a_in_[static_cast<std::size_t>(p)] = s;
-}
-
-void
 LinearArray::step()
 {
     // Combinational input wires for this cycle.

@@ -23,6 +23,7 @@
 
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/types.hh"
 #include "sim/sample.hh"
 
@@ -45,7 +46,12 @@ class LinearArray
     void setYIn(Sample s) { y_in_ = s; }
 
     /** Present the coefficient entering PE @p p this cycle. */
-    void setAIn(Index p, Sample s);
+    void
+    setAIn(Index p, Sample s)
+    {
+        SAP_ASSERT(p >= 0 && p < w_, "PE ", p, " out of range");
+        a_in_[static_cast<std::size_t>(p)] = s;
+    }
 
     /**
      * Advance one clock cycle: all PEs compute with their current

@@ -1,44 +1,12 @@
 #include "sim/linear_driver.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 #include "sim/delay_line.hh"
 #include "sim/linear_array.hh"
 
 namespace sap {
-
-LinearASchedule
-LinearASchedule::build(const Band<Scalar> &abar)
-{
-    SAP_ASSERT(abar.sub() == 0, "a-schedule needs an upper band");
-    const Index w = abar.super() + 1;
-    const Index rows = abar.rows();
-
-    LinearASchedule s;
-    s.horizon = rows == 0 ? -1 : 2 * (rows - 1) + 2 * w - 2;
-    s.offsets.assign(static_cast<std::size_t>(s.horizon + 2), 0);
-    // a(i, i+d) fires in PE w−1−d at cycle 2i + w − 1 + d: count
-    // per cycle, exclusive prefix-sum, then fill (CSR two-pass).
-    for (Index i = 0; i < rows; ++i)
-        for (Index d = 0; d < w; ++d)
-            ++s.offsets[static_cast<std::size_t>(2 * i + w - 1 + d)];
-    std::uint32_t total = 0;
-    for (std::uint32_t &o : s.offsets) {
-        std::uint32_t count = o;
-        o = total;
-        total += count;
-    }
-    s.events.resize(total);
-    std::vector<std::uint32_t> cursor(s.offsets.begin(),
-                                      s.offsets.end());
-    for (Index i = 0; i < rows; ++i) {
-        for (Index d = 0; d < w; ++d) {
-            Cycle t = 2 * i + w - 1 + d;
-            s.events[cursor[static_cast<std::size_t>(t)]++] =
-                Event{w - 1 - d, abar.at(i, i + d)};
-        }
-    }
-    return s;
-}
 
 void
 BandMatVecSpec::validate() const
@@ -61,10 +29,6 @@ BandMatVecSpec::validate() const
     for (Index i = 0; i < std::min(rows(), w_); ++i)
         SAP_ASSERT(bIsExternal[i],
                    "row ", i, " wants feedback before any output");
-    if (aSchedule)
-        SAP_ASSERT(static_cast<Index>(aSchedule->events.size()) ==
-                       rows() * w_,
-                   "a-schedule does not cover this band");
 }
 
 namespace {
@@ -142,26 +106,14 @@ runLanes(std::vector<Lane> &lanes, LinearArray &array, DelayLine &fb_line,
             }
 
             // a coefficients: diagonal d = w-1-p into PE p at
-            // t = 2i + 2w - 2 - p. A precomputed schedule (reusable
-            // plans) replaces the per-cycle derivation.
-            if (const LinearASchedule *as = spec.aSchedule) {
-                if (t >= 0 && t <= as->horizon) {
-                    std::size_t tc = static_cast<std::size_t>(t);
-                    for (std::uint32_t k = as->offsets[tc];
-                         k < as->offsets[tc + 1]; ++k)
-                        array.setAIn(as->events[k].pe,
-                                     Sample::of(as->events[k].value));
-                }
-            } else {
-                for (Index p = 0; p < w; ++p) {
-                    Cycle ta = t - (2 * w - 2 - p);
-                    if (ta >= 0 && ta % 2 == 0 && ta / 2 < rows) {
-                        Index i = ta / 2;
-                        Index d = w - 1 - p;
-                        array.setAIn(p,
-                                     Sample::of(spec.abar->at(i, i + d)));
-                    }
-                }
+            // t = 2i + 2w - 2 - p. The PEs due are p ≡ t (mod 2),
+            // from the first with i >= 0 to the last with i < rows.
+            Index p = std::max(Index{0}, 2 * w - 2 - t);
+            p += (p + t) & 1;
+            const Index pend = std::min(w, 2 * rows + 2 * w - 2 - t);
+            for (; p < pend; p += 2) {
+                const Index i = (t - (2 * w - 2 - p)) / 2;
+                array.setAIn(p, Sample::of(spec.abar->at(i, i + w - 1 - p)));
             }
         }
 

@@ -11,9 +11,12 @@
  *   a(i, i+d) fires in PE (w-1-d) at cycle 2i + w - 1 + d
  *   ȳ_i       is computed by PE 0 during cycle 2i + 2w - 2
  *
- * With these schedules the transformed problem of the paper needs
- * exactly T = 2w·n̄m̄ + 2w − 3 cycles and the feedback path is a
- * depth-w register chain — both asserted by tests.
+ * The driver computes every port event from these formulas as it
+ * runs (a coefficient is due in PE p when t − p is even, so each
+ * cycle visits every other PE). With these schedules the transformed
+ * problem of the paper needs exactly T = 2w·n̄m̄ + 2w − 3 cycles and
+ * the feedback path is a depth-w register chain — both asserted by
+ * tests.
  */
 
 #ifndef SAP_SIM_LINEAR_DRIVER_HH
@@ -29,32 +32,6 @@
 #include "sim/trace.hh"
 
 namespace sap {
-
-/**
- * Precomputed a-coefficient firing schedule for one band matrix:
- * which coefficient enters which PE on each (lane-local) cycle, in
- * CSR layout — the events of cycle t are
- * events[offsets[t] .. offsets[t+1]).
- *
- * The schedule depends only on the band, so a reusable plan builds
- * it once and every execution streams it instead of re-deriving the
- * firings (modulo checks + banded reads) per cycle.
- */
-struct LinearASchedule
-{
-    struct Event
-    {
-        Index pe;     ///< destination PE
-        Scalar value; ///< the coefficient
-    };
-
-    Cycle horizon = -1; ///< last cycle with any event
-    std::vector<std::uint32_t> offsets; ///< size horizon + 2
-    std::vector<Event> events;          ///< rows() * w entries
-
-    /** Build from an upper band (sub() == 0, super() == w−1). */
-    static LinearASchedule build(const Band<Scalar> &abar);
-};
 
 /**
  * A band mat-vec problem instance in array-ready form.
@@ -75,13 +52,6 @@ struct BandMatVecSpec
     Vec<Scalar> externalB;
     /** Per scalar row: true = ȳ_i is a final result. */
     std::vector<std::uint8_t> yIsFinal;
-
-    /**
-     * Optional precomputed coefficient schedule for abar; when null
-     * the driver derives each cycle's firings from abar directly.
-     * Must have been built from this spec's abar.
-     */
-    const LinearASchedule *aSchedule = nullptr;
 
     /** Array size = bandwidth of abar. */
     Index w() const { return abar->super() + 1; }

@@ -36,6 +36,17 @@ SpiralFeedback::loopPeCount(Index loop) const
 }
 
 void
+SpiralFeedback::reserve(Index main_diag, Index pair, Index irregular)
+{
+    main_diag_delays_.reserve(static_cast<std::size_t>(main_diag));
+    pair_delays_.reserve(static_cast<std::size_t>(pair));
+    irregular_delays_.reserve(static_cast<std::size_t>(irregular));
+    regular_intervals_.reserve(
+        static_cast<std::size_t>(main_diag + pair));
+    irregular_intervals_.reserve(static_cast<std::size_t>(irregular));
+}
+
+void
 SpiralFeedback::recordTransfer(Index delta_out, Index delta_in,
                                Cycle exit_cycle, Cycle enter_cycle,
                                bool irregular)

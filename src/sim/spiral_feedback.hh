@@ -65,6 +65,13 @@ class SpiralFeedback
                         Cycle exit_cycle, Cycle enter_cycle,
                         bool irregular);
 
+    /**
+     * Size the records for a run that will make these transfers
+     * (regular on the main diagonal, regular on the pairs,
+     * irregular), so recording never reallocates.
+     */
+    void reserve(Index main_diag, Index pair, Index irregular);
+
     /** Delay convention: cycles spent outside the array. */
     static Cycle
     delayOf(Cycle exit_cycle, Cycle enter_cycle)

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "analysis/formulas.hh"
 #include "dbt/matmul_plan.hh"
 #include "mat/generate.hh"
@@ -64,19 +67,27 @@ TEST(HexArray, DiagonalTransitTime)
     }
 }
 
-/** Run a plain band product O = band(Ā·B̄) + I through the driver. */
+/**
+ * Run a plain band product O = band(Ā·B̄) + I through the driver,
+ * checking the documented port timing in the callbacks: I positions
+ * are requested in nondecreasing i + j + max(i, j), and every O
+ * position leaves after cycle i + j + min(i, j) + 2w − 2.
+ */
 struct PlainHex
 {
     Band<Scalar> abar;
     Band<Scalar> bbar;
-    Dense<Scalar> iband;   // full-matrix holder of the I band
-    Dense<Scalar> oband;   // collected outputs
+    Dense<Scalar> iband;    // full-matrix holder of the I band
+    Dense<Scalar> oband;    // collected outputs
+    Dense<Scalar> requests; // inputValue calls per position
+    Dense<Scalar> arrivals; // onOutput calls per position
     HexRunResult result;
 
     PlainHex(Index n_order, Index w, std::uint64_t seed)
         : abar(n_order, n_order, 0, w - 1),
           bbar(n_order, n_order, w - 1, 0),
-          iband(n_order, n_order), oband(n_order, n_order)
+          iband(n_order, n_order), oband(n_order, n_order),
+          requests(n_order, n_order), arrivals(n_order, n_order)
     {
         Rng rng(seed);
         for (Index i = 0; i < n_order; ++i) {
@@ -95,10 +106,20 @@ struct PlainHex
         HexBandSpec spec;
         spec.abar = &abar;
         spec.bbar = &bbar;
-        spec.inputValue = [this](Index i, Index j) {
+        Index last_entry = -1;
+        spec.inputValue = [&, this](Index i, Index j) {
+            const Index entry = i + j + std::max(i, j);
+            EXPECT_GE(entry, last_entry)
+                << "(" << i << "," << j << ") requested out of order";
+            last_entry = entry;
+            requests(i, j) += 1;
             return iband(i, j);
         };
-        spec.onOutput = [this](Index i, Index j, Scalar v, Cycle) {
+        spec.onOutput = [this, w](Index i, Index j, Scalar v,
+                                  Cycle exit_cycle) {
+            EXPECT_EQ(exit_cycle, i + j + std::min(i, j) + 2 * w - 2)
+                << "(" << i << "," << j << ")";
+            arrivals(i, j) += 1;
             oband(i, j) = v;
         };
         result = runHexBandMatMul(spec);
@@ -177,21 +198,30 @@ TEST(HexSchedule, MisalignedOperandsNeverMac)
 TEST(HexDriver, PlainBandProductMatchesOracle)
 {
     for (Index w : {1, 2, 3, 4}) {
-        for (Index order : {w, 2 * w + 1, 3 * w}) {
+        // Orders below w leave ports that never fire at the band
+        // edges.
+        for (Index order : {Index{1}, w - 1, w, 2 * w + 1, 3 * w}) {
+            if (order < 1)
+                continue;
             PlainHex p(order, w, 70 + w * 10 + order);
             Dense<Scalar> expect =
                 add(matMul(p.abar.toDense(), p.bbar.toDense()),
                     p.iband);
-            // Outputs cover exactly the 2w−1 band; outside stays 0.
+            // Outputs cover exactly the 2w−1 band, each position
+            // requested and delivered once; outside stays 0.
             for (Index i = 0; i < order; ++i) {
                 for (Index j = 0; j < order; ++j) {
                     Index dlt = j - i;
-                    if (dlt >= -(w - 1) && dlt <= w - 1) {
-                        EXPECT_EQ(p.oband(i, j), expect(i, j))
-                            << i << "," << j << " w=" << w;
-                    } else {
-                        EXPECT_EQ(p.oband(i, j), 0.0);
-                    }
+                    bool in_band = dlt >= -(w - 1) && dlt <= w - 1;
+                    EXPECT_EQ(p.requests(i, j), in_band ? 1 : 0)
+                        << i << "," << j << " w=" << w
+                        << " order=" << order;
+                    EXPECT_EQ(p.arrivals(i, j), in_band ? 1 : 0)
+                        << i << "," << j << " w=" << w
+                        << " order=" << order;
+                    EXPECT_EQ(p.oband(i, j), in_band ? expect(i, j) : 0.0)
+                        << i << "," << j << " w=" << w
+                        << " order=" << order;
                 }
             }
         }
@@ -356,6 +386,71 @@ TEST(HexPlan, MemoryElementsScaleAsPaperClaims)
                       formulas::hexMemSubDiag(w) + 1)
                 << "w=" << w << " loop=" << loop;
         }
+    }
+}
+
+TEST(HexPlan, SimulatedStatisticsArePinned)
+{
+    // Golden values. Every one is structural (independent of the
+    // operand values), so any drift is a timing change. Delay
+    // records compare as value counts: the order of the injections
+    // within one cycle is free.
+    struct Pinned
+    {
+        Index n, p, m, w;
+        Cycle cycles, totalCycles, firstMac;
+        Index usefulMacs, transfers;
+        std::map<Cycle, Index> mainDiag, pair, irregular;
+        std::vector<Index> peakRegular; ///< per loop
+        Index peakIrregular;
+    };
+    const Pinned cases[] = {
+        {7, 5, 6, 3, 115, 116, 2, 329, 126,
+         {{6, 18}}, {{3, 96}}, {{39, 9}, {57, 3}},
+         {2, 2, 2}, 9},
+        {48, 48, 48, 4, 20747, 20749, 3, 110606, 46080,
+         {{8, 6336}}, {{4, 39600}}, {{1588, 138}, {19012, 6}},
+         {3, 3, 4, 3}, 18},
+    };
+    auto counts = [](const std::vector<Cycle> &delays) {
+        std::map<Cycle, Index> c;
+        for (Cycle d : delays)
+            ++c[d];
+        return c;
+    };
+    for (const Pinned &pin : cases) {
+        SCOPED_TRACE(::testing::Message() << "(" << pin.n << "x" << pin.p
+                                          << ")·(" << pin.p << "x"
+                                          << pin.m << ") w=" << pin.w);
+        MatMulPlan plan(randomIntDense(pin.n, pin.p, 110),
+                        randomIntDense(pin.p, pin.m, 111), pin.w);
+        MatMulPlanResult r = plan.run(randomIntDense(pin.n, pin.m, 112));
+        EXPECT_EQ(r.stats.cycles, pin.cycles);
+        EXPECT_EQ(r.totalCycles, pin.totalCycles);
+        EXPECT_EQ(r.stats.usefulMacs, pin.usefulMacs);
+
+        const SpiralFeedback &fb = *r.feedback;
+        EXPECT_EQ(fb.transferCount(), pin.transfers);
+        EXPECT_EQ(counts(fb.mainDiagDelays()), pin.mainDiag);
+        EXPECT_EQ(counts(fb.pairDelays()), pin.pair);
+        EXPECT_EQ(counts(fb.irregularDelays()), pin.irregular);
+        std::vector<Index> peaks;
+        for (Index loop = 0; loop < pin.w; ++loop)
+            peaks.push_back(fb.peakRegularOccupancy(loop));
+        EXPECT_EQ(peaks, pin.peakRegular);
+        EXPECT_EQ(fb.peakIrregularOccupancy(), pin.peakIrregular);
+
+        // The first MAC is a driver statistic: run the plan's bands
+        // through the driver alone.
+        HexBandSpec spec;
+        spec.abar = &plan.transform().abar();
+        spec.bbar = &plan.transform().bbar();
+        spec.inputValue = [](Index, Index) { return Scalar{0}; };
+        spec.onOutput = [](Index, Index, Scalar, Cycle) {};
+        HexRunResult h = runHexBandMatMul(spec);
+        EXPECT_EQ(h.firstMac, pin.firstMac);
+        EXPECT_EQ(h.stats.cycles, pin.cycles);
+        EXPECT_EQ(h.totalCycles, pin.totalCycles);
     }
 }
 

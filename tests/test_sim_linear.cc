@@ -108,7 +108,10 @@ struct PlainBand
 TEST(LinearDriver, PlainBandMatVecMatchesOracle)
 {
     for (Index w : {1, 2, 3, 5}) {
-        for (Index rows : {w, 2 * w, Index{7}}) {
+        // Orders below w leave PEs that never fire at the band edges.
+        for (Index rows : {Index{1}, w - 1, w, 2 * w, Index{7}}) {
+            if (rows < 1)
+                continue;
             PlainBand p(rows, w, 40 + w + rows);
             LinearRunResult r = runBandMatVec(p.spec);
             Dense<Scalar> dense = p.band.toDense();
