@@ -11,8 +11,7 @@
  * The bench parks 0 / 1,000 / 5,000 idle client connections on a
  * gateway fronting two live backends, then measures sequential
  * submit latency from one hot client at each level. The figure of
- * merit: p99 at 5,000 parked connections within 2x the p99 at zero
- * (on the poll() fallback build, SAP_NET_FORCE_POLL, it is not).
+ * merit: p99 at 5,000 parked connections within 2x the p99 at zero.
  *
  * Also measured: the accept rate while parking the herd (the
  * front-door cost of a reconnect storm).
@@ -113,8 +112,7 @@ void
 print()
 {
     printHeader("net_c10k",
-                "gateway request latency vs parked connections (" +
-                    std::string(EventLoop::backendName()) + ")");
+                "gateway request latency vs parked connections");
 
     std::size_t fd_cap = raiseFdLimit();
     // Each parked connection holds one fd here and one in the
@@ -218,7 +216,6 @@ print()
         entry.config = {{"idle_conns", std::to_string(herd)},
                         {"hot_connections", std::to_string(kHot)},
                         {"hot_requests", std::to_string(kRequests)},
-                        {"event_loop", EventLoop::backendName()},
                         {"backends", "2"}};
         entry.metrics = {{"p50_micros", p50},
                          {"p99_micros", p99},

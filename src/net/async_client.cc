@@ -3,81 +3,29 @@
 #include <cerrno>
 #include <cstring>
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <unistd.h>
+
+#include "base/socket_util.hh"
 
 namespace sap {
-
-AsyncClient::~AsyncClient()
-{
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-}
 
 bool
 AsyncClient::connectStart(const std::string &host, std::uint16_t port)
 {
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-    decoder_ = FrameDecoder(max_payload_);
-    outbuf_.clear();
-    outoff_ = 0;
+    sock_.close();
     error_.clear();
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    const std::string node = host == "localhost" ? "127.0.0.1" : host;
-    if (::inet_pton(AF_INET, node.c_str(), &addr.sin_addr) != 1) {
-        error_ = "unparseable IPv4 address '" + host + "'";
-        state_ = State::Closed;
-        return false;
-    }
-
-    int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-    if (fd < 0) {
-        error_ = std::string("socket: ") + std::strerror(errno);
-        state_ = State::Closed;
-        return false;
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) == 0) {
-        // Loopback connects can complete synchronously.
-        fd_ = fd;
-        state_ = State::Connected;
-        return true;
-    }
-    if (errno != EINPROGRESS) {
-        error_ = std::string("connect: ") + std::strerror(errno);
-        ::close(fd);
-        state_ = State::Closed;
-        return false;
-    }
-    fd_ = fd;
-    state_ = State::Connecting;
-    return true;
+    bool pending = false;
+    sock_.fd = connectTcp(host, port, &pending, &error_);
+    state_ = sock_.fd < 0 ? State::Closed
+             : pending    ? State::Connecting
+                          : State::Connected;
+    return sock_.fd >= 0;
 }
 
 void
 AsyncClient::close()
 {
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-    outbuf_.clear();
-    outoff_ = 0;
+    sock_.close();
     state_ = State::Idle;
 }
 
@@ -100,24 +48,15 @@ AsyncClient::desiredInterest() const
 void
 AsyncClient::send(std::vector<std::uint8_t> bytes)
 {
-    if (state_ != State::Connecting && state_ != State::Connected)
-        return;
-    if (outbuf_.empty()) {
-        outbuf_ = std::move(bytes);
-        outoff_ = 0;
-    } else {
-        outbuf_.insert(outbuf_.end(), bytes.begin(), bytes.end());
-    }
+    if (state_ == State::Connecting || state_ == State::Connected)
+        sock_.queue(std::move(bytes));
 }
 
 void
 AsyncClient::transportClosed(const std::string &reason)
 {
     error_ = reason;
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
+    sock_.close();
     state_ = State::Closed;
     if (onClosed)
         onClosed(reason);
@@ -126,77 +65,39 @@ AsyncClient::transportClosed(const std::string &reason)
 bool
 AsyncClient::flushSome()
 {
-    // Compact the sent prefix once it dominates the buffer, so a
-    // long-lived connection does not accumulate dead bytes.
-    while (outoff_ < outbuf_.size()) {
-        ssize_t n = ::send(fd_, outbuf_.data() + outoff_,
-                           outbuf_.size() - outoff_, MSG_NOSIGNAL);
-        if (n > 0) {
-            outoff_ += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-            break;
-        if (n < 0 && errno == EINTR)
-            continue;
-        transportClosed(std::string("send: ") + std::strerror(errno));
-        return false;
-    }
-    if (outoff_ == outbuf_.size()) {
-        outbuf_.clear();
-        outoff_ = 0;
-    } else if (outoff_ > (64u << 10) && outoff_ * 2 > outbuf_.size()) {
-        outbuf_.erase(outbuf_.begin(),
-                      outbuf_.begin() +
-                          static_cast<std::ptrdiff_t>(outoff_));
-        outoff_ = 0;
-    }
-    return true;
+    std::uint64_t sent = 0;
+    if (sock_.flush(&sent))
+        return true;
+    transportClosed(errnoString("send"));
+    return false;
 }
 
 bool
 AsyncClient::readSome()
 {
-    std::uint8_t buf[65536];
+    Frame frame;
+    std::string err;
+    std::uint64_t received = 0;
     for (;;) {
-        ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-        if (n > 0) {
-            decoder_.feed(buf, static_cast<std::size_t>(n));
-            for (;;) {
-                Frame frame;
-                std::string err;
-                FrameDecoder::Result res = decoder_.next(&frame, &err);
-                if (res == FrameDecoder::Result::Ok) {
-                    if (onFrame)
-                        onFrame(std::move(frame));
-                    // A callback may have close()d us.
-                    if (state_ != State::Connected)
-                        return false;
-                    continue;
-                }
-                if (res == FrameDecoder::Result::Malformed) {
-                    transportClosed("malformed server stream: " + err);
-                    return false;
-                }
-                break; // NeedMore
-            }
-            continue;
-        }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+        const FramedSocket::Read r = sock_.next(&frame, &err, &received);
+        if (r == FramedSocket::Read::Drained)
             return true;
-        if (n < 0 && errno == EINTR)
-            continue;
-        transportClosed(n == 0 ? "server closed the connection"
-                               : std::string("recv: ") +
-                                     std::strerror(errno));
-        return false;
+        if (r != FramedSocket::Read::Frame) {
+            transportClosed(FramedSocket::endReason(r, err));
+            return false;
+        }
+        if (onFrame)
+            onFrame(std::move(frame));
+        // A callback may have close()d us.
+        if (state_ != State::Connected)
+            return false;
     }
 }
 
 void
 AsyncClient::handleReady(const EventLoop::Ready &ev)
 {
-    if (fd_ < 0)
+    if (sock_.fd < 0)
         return;
 
     if (state_ == State::Connecting) {
@@ -204,7 +105,8 @@ AsyncClient::handleReady(const EventLoop::Ready &ev)
         // error/hangup or a nonzero SO_ERROR.
         int soerr = 0;
         socklen_t len = sizeof(soerr);
-        if (::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &soerr, &len) != 0)
+        if (::getsockopt(sock_.fd, SOL_SOCKET, SO_ERROR, &soerr, &len) !=
+            0)
             soerr = errno;
         if (ev.error || soerr != 0) {
             transportClosed(std::string("connect: ") +
@@ -229,7 +131,7 @@ AsyncClient::handleReady(const EventLoop::Ready &ev)
     if (ev.error) {
         int soerr = 0;
         socklen_t len = sizeof(soerr);
-        ::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &soerr, &len);
+        ::getsockopt(sock_.fd, SOL_SOCKET, SO_ERROR, &soerr, &len);
         transportClosed(std::string("socket error: ") +
                         std::strerror(soerr ? soerr : EIO));
         return;

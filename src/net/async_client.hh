@@ -8,7 +8,8 @@
  * holding a connection per backend cannot block on any of them: a
  * slow backend would stall traffic to every healthy one. AsyncClient
  * is the same wire protocol restructured around an owner-provided
- * EventLoop (net/event_loop.hh):
+ * EventLoop (net/event_loop.hh), on the same FramedSocket
+ * (net/framed_socket.hh) the front door's connections use:
  *
  *  - connectStart() issues a non-blocking connect and returns
  *    immediately; the owner watches fd() with desiredInterest() and
@@ -44,7 +45,7 @@
 #include <vector>
 
 #include "net/event_loop.hh"
-#include "net/protocol.hh"
+#include "net/framed_socket.hh"
 
 namespace sap {
 
@@ -60,14 +61,9 @@ class AsyncClient
         Closed,     ///< transport failed or peer hung up
     };
 
-    explicit AsyncClient(
-        std::uint32_t max_payload = kDefaultMaxPayloadBytes)
-        : max_payload_(max_payload), decoder_(max_payload)
-    {
-    }
-
-    /** Closes the socket if still open (no callback). */
-    ~AsyncClient();
+    /** The destructor closes the socket if still open (no
+     *  callback). */
+    AsyncClient() = default;
 
     AsyncClient(const AsyncClient &) = delete;
     AsyncClient &operator=(const AsyncClient &) = delete;
@@ -100,7 +96,7 @@ class AsyncClient
     bool connected() const { return state_ == State::Connected; }
 
     /** The socket (−1 unless Connecting or Connected). */
-    int fd() const { return fd_; }
+    int fd() const { return sock_.fd; }
 
     /**
      * The EventLoop interest mask this connection currently needs:
@@ -116,7 +112,7 @@ class AsyncClient
     void send(std::vector<std::uint8_t> bytes);
 
     /** Bytes buffered but not yet accepted by the kernel. */
-    std::size_t queuedBytes() const { return outbuf_.size() - outoff_; }
+    std::size_t queuedBytes() const { return sock_.queuedBytes(); }
 
     /**
      * Drive the connection from one readiness record (the owner
@@ -138,19 +134,15 @@ class AsyncClient
   private:
     /** Enter Closed, ::close() the fd, fire onClosed once. */
     void transportClosed(const std::string &reason);
-    /** Flush outbuf_ until EAGAIN. @return false if the socket died
+    /** Flush until EAGAIN. @return false if the socket died
      *  (transportClosed already ran). */
     bool flushSome();
     /** Read until EAGAIN, delivering frames. @return false if the
      *  stream ended (transportClosed already ran). */
     bool readSome();
 
-    std::uint32_t max_payload_;
-    FrameDecoder decoder_;
+    FramedSocket sock_;
     State state_ = State::Idle;
-    int fd_ = -1;
-    std::vector<std::uint8_t> outbuf_;
-    std::size_t outoff_ = 0;
     std::string error_;
 };
 

@@ -11,12 +11,14 @@
  * traces() and ping() round-trip the METRICS, TRACES and PING
  * frames.
  *
- * Internally the socket is non-blocking and every wait goes through
- * poll(). That matters for submitBatch(): a blocking send() can
- * deadlock against the server's backpressure — when this client's
- * pending responses exceed the server's maxQueuedOutputBytes, the
- * server stops reading from it, the socket send buffer fills, and a
- * client that won't read until everything is sent waits forever.
+ * Internally the socket is a non-blocking FramedSocket
+ * (net/framed_socket.hh, shared with the front door and AsyncClient)
+ * and every wait goes through poll(). That matters for
+ * submitBatch(): a blocking send() can deadlock against the server's
+ * backpressure — when this client's pending responses exceed the
+ * server's maxQueuedOutputBytes, the server stops reading from it,
+ * the socket send buffer fills, and a client that won't read until
+ * everything is sent waits forever.
  * submitBatch() therefore interleaves: once send() would block it
  * polls on readable|writable and drains responses while the rest of
  * the pipeline trickles out (see test_net_server.cc's tiny-SO_SNDBUF
@@ -40,7 +42,7 @@
 #include <string>
 #include <vector>
 
-#include "net/protocol.hh"
+#include "net/framed_socket.hh"
 
 namespace sap {
 
@@ -62,18 +64,7 @@ class NetClient
         WireResponse response;
     };
 
-    /**
-     * @param max_payload Per-frame payload cap the client will
-     *        accept from the server; match the server's
-     *        NetServer::Options::maxPayloadBytes when that was
-     *        raised above the default (responses can be as large as
-     *        the requests the server accepts).
-     */
-    explicit NetClient(
-        std::uint32_t max_payload = kDefaultMaxPayloadBytes)
-        : max_payload_(max_payload), decoder_(max_payload)
-    {
-    }
+    NetClient() = default;
 
     /** Disconnects. */
     ~NetClient();
@@ -99,7 +90,7 @@ class NetClient
     void disconnect();
 
     /** True while the socket is open. */
-    bool connected() const { return fd_ >= 0; }
+    bool connected() const { return sock_.fd >= 0; }
 
     /** The last transport error seen by any call. */
     const std::string &lastError() const { return error_; }
@@ -148,16 +139,20 @@ class NetClient
                               const WireResponse &resp);
 
   private:
-    /** Send all of @p bytes, polling on writability as needed. */
-    bool sendAll(const std::vector<std::uint8_t> &bytes);
-    /** Block (via poll) until one complete frame arrives. */
-    bool readFrame(Frame *out);
+    /** Send @p request and block for the reply, which must be a
+     *  @p type frame on tag @p tag. */
+    bool roundTrip(std::vector<std::uint8_t> request, std::uint64_t tag,
+                   FrameType type, Frame *reply);
+    /** Block until a frame arrives, sending queued output as the
+     *  socket takes it. @return false (disconnected unless never
+     *  connected) on a transport failure. */
+    bool nextFrame(Frame *out);
     bool fail(const std::string &message);
+    /** disconnect(), then fail(). */
+    bool drop(const std::string &message);
 
-    int fd_ = -1;
+    FramedSocket sock_;
     int sndbuf_bytes_ = 0;
-    std::uint32_t max_payload_ = kDefaultMaxPayloadBytes;
-    FrameDecoder decoder_;
     std::uint64_t next_tag_ = 1;
     std::string error_;
 };

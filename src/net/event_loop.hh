@@ -1,19 +1,17 @@
 /**
  * @file
  * Level-triggered socket readiness multiplexer: the reusable IO core
- * under the net/ server, the gateway, and the async client mode.
+ * under the net/ front door (net/front_door.hh) and the async client
+ * mode.
  *
  * A C10K front door cannot afford poll()'s per-call O(watched fds)
  * kernel copy: with ten thousand mostly-idle connections, every
  * wakeup would stream the whole interest set into the kernel to
  * learn that three sockets are ready. EventLoop keeps the interest
- * set *in* the kernel (epoll on Linux) so one wait() costs O(ready
- * fds), and falls back to a bit-identical poll() implementation on
- * platforms without epoll (or when SAP_NET_FORCE_POLL is defined,
- * which CI uses to keep the fallback honest).
+ * set *in* the kernel (epoll; net/ is Linux-only) so one wait()
+ * costs O(ready fds).
  *
- * Semantics are deliberately the lowest common denominator of the
- * two backends:
+ * Semantics:
  *
  *  - level-triggered only: a readable fd stays readable until
  *    drained, so a handler that reads partially is re-woken — no
@@ -24,11 +22,11 @@
  *    otherwise still report HUP/ERR for a registered fd and spin a
  *    loop that wants to ignore a half-dead socket);
  *  - error/hangup readiness is always delivered for watched fds,
- *    whatever the mask, exactly as both kernels do.
+ *    whatever the mask, exactly as the kernel does.
  *
  * Thread-safety: NONE. An EventLoop belongs to the one thread that
  * wait()s on it; cross-thread wakeups go through a self-pipe
- * watched like any other fd (see net/server.cc, net/gateway.cc).
+ * watched like any other fd (see net/front_door.cc).
  */
 
 #ifndef SAP_NET_EVENT_LOOP_HH
@@ -38,13 +36,7 @@
 #include <map>
 #include <vector>
 
-#if defined(__linux__) && !defined(SAP_NET_FORCE_POLL)
-#define SAP_EVENT_LOOP_EPOLL 1
 #include <sys/epoll.h>
-#else
-#define SAP_EVENT_LOOP_EPOLL 0
-#include <poll.h>
-#endif
 
 namespace sap {
 
@@ -63,7 +55,7 @@ class EventLoop
         std::uint64_t key = 0;
         bool readable = false;
         bool writable = false;
-        /** POLLERR/POLLNVAL-class trouble: close the fd. */
+        /** EPOLLERR: close the fd. */
         bool error = false;
         /** Peer hung up; level-triggered reads will drain to EOF. */
         bool hangup = false;
@@ -76,7 +68,7 @@ class EventLoop
     EventLoop &operator=(const EventLoop &) = delete;
 
     /** False when the kernel multiplexer could not be created
-     *  (epoll_create failure; the poll backend never fails). */
+     *  (epoll_create failure). */
     bool valid() const;
 
     /**
@@ -88,7 +80,7 @@ class EventLoop
     bool set(int fd, std::uint32_t interest, std::uint64_t key);
 
     /** Stop watching @p fd (harmless if not watched). Call *before*
-     *  closing the fd, or the epoll backend cannot deregister it. */
+     *  closing the fd, or epoll cannot deregister it. */
     void remove(int fd);
 
     /** True while @p fd is watched with nonzero interest. */
@@ -107,9 +99,6 @@ class EventLoop
     /** The fds the last wait() reported ready. */
     const std::vector<Ready> &ready() const { return ready_; }
 
-    /** "epoll" or "poll" — which backend this build uses. */
-    static const char *backendName();
-
   private:
     struct Entry
     {
@@ -120,15 +109,8 @@ class EventLoop
     std::map<int, Entry> entries_;
     std::vector<Ready> ready_;
 
-#if SAP_EVENT_LOOP_EPOLL
     int epfd_ = -1;
     std::vector<struct epoll_event> events_;
-#else
-    /** pfds_ mirrors entries_; rebuilt lazily when dirty. */
-    bool pfds_dirty_ = true;
-    std::vector<struct pollfd> pfds_;
-    std::vector<std::uint64_t> pfd_keys_;
-#endif
 };
 
 } // namespace sap

@@ -54,14 +54,21 @@
  * same decision, and records its own gateway-tier trace (gw_decode →
  * gw_route → gw_forward → gw_relay_pop → gw_flush, plus failover /
  * resubmit point events carrying the attempt number). The embedded
- * admin plane (Options::adminEnabled) serves the same routes as
- * NetServer's plus a stitched /tracez: backend rings are gathered
- * over the wire and joined with the gateway's own by trace id, so
- * one request renders as two process lanes in Perfetto.
+ * admin plane (Options::adminEnabled) is the same AdminPlane as
+ * NetServer's (net/front_door.hh) with a stitched /tracez: backend
+ * rings are gathered over the wire and joined with the gateway's own
+ * by trace id, so one request renders as two process lanes in
+ * Perfetto.
+ *
+ * IO: the gateway runs on the shared front door (net/front_door.hh)
+ * — the same listen socket, connection handling, backpressure and
+ * error policy as NetServer. Its backend connections are AsyncClients
+ * watched on the door's event loop, and a per-wakeup tick sends
+ * liveness PINGs and retries down backends.
  *
  * Thread-safety: start()/stop() serialize on a lifecycle mutex; the
  * metrics and health accessors are safe from any thread. Everything
- * else lives on the gateway's one IO thread (net/event_loop.hh).
+ * else lives on the door's one IO thread.
  */
 
 #ifndef SAP_NET_GATEWAY_HH
@@ -73,20 +80,14 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/router.hh"
 #include "net/async_client.hh"
-#include "net/event_loop.hh"
-#include "net/protocol.hh"
-#include "obs/health.hh"
-#include "obs/http_admin.hh"
+#include "net/front_door.hh"
 #include "obs/metrics.hh"
-#include "obs/timeseries.hh"
-#include "obs/trace_ring.hh"
 
 namespace sap {
 
@@ -112,16 +113,21 @@ class Gateway
         std::uint16_t adminPort = 0;
     };
 
-    struct Options
+    /**
+     * The shared front-door options (net/front_door.hh) plus routing
+     * and liveness. The gateway is the edge tier of tracing: with
+     * trace enabled it makes the head-sampling decision once per
+     * request, stamps its own gw_* stages, and propagates a
+     * TraceContext on every FORWARD so backends honor the same
+     * decision. A request that already arrives with a context (a
+     * gateway one tier up, or a client that opted in) keeps it —
+     * sampling is decided exactly once. Its admin plane adds the
+     * stitched cross-tier /tracez.
+     */
+    struct Options : FrontDoorOptions
     {
         /** The backends fronted (at least one). */
         std::vector<BackendAddr> backends;
-        /** Client-facing TCP port; 0 binds an ephemeral port. */
-        std::uint16_t port = 0;
-        /** Per-frame payload cap, both directions. */
-        std::uint32_t maxPayloadBytes = kDefaultMaxPayloadBytes;
-        /** Client backpressure threshold (as NetServer's). */
-        std::size_t maxQueuedOutputBytes = 64u << 20;
         /** Liveness PING cadence per routable backend. */
         int pingIntervalMs = 200;
         /** Unanswered PINGs in a row before a backend is declared
@@ -138,32 +144,6 @@ class Gateway
         /** Ring points per backend (cluster/router.hh). */
         std::size_t virtualNodesPerBackend =
             ConsistentHashRouter::kDefaultVirtualNodes;
-        /**
-         * Gateway tracing (obs/trace_ring.hh). The gateway is the
-         * edge tier: when enabled it makes the head-sampling decision
-         * once per request, stamps its own gw_* stages, and
-         * propagates a TraceContext on every FORWARD so backends
-         * honor the same decision. A request that already arrives
-         * with a context (a gateway one tier up, or a client that
-         * opted in) keeps it — sampling is decided exactly once.
-         */
-        TraceConfig trace;
-        /**
-         * Embedded HTTP admin plane (obs/http_admin.hh), mirroring
-         * NetServer's: /metrics, /varz, /healthz, /readyz,
-         * /timeseriesz, plus the stitched cross-tier /tracez that
-         * scatter-gathers backend trace rings and joins them with the
-         * gateway's own by trace id.
-         */
-        bool adminEnabled = false;
-        /** Admin TCP port; 0 binds an ephemeral port (adminPort()). */
-        std::uint16_t adminPort = 0;
-        /** Health state machine thresholds (obs/health.hh). */
-        HealthThresholds health;
-        /** Flight recorder sample interval (admin plane only). */
-        int samplerIntervalSeconds = 1;
-        /** Flight recorder ring capacity per series. */
-        std::size_t samplerRetainSamples = 300;
     };
 
     explicit Gateway(const Options &opts);
@@ -190,7 +170,7 @@ class Gateway
     bool running() const { return running_.load(); }
 
     /** The bound client-facing port (valid after start()). */
-    std::uint16_t port() const { return port_; }
+    std::uint16_t port() const { return door_.port(); }
 
     /** Why start() failed (empty otherwise). */
     const std::string &error() const { return error_; }
@@ -215,14 +195,17 @@ class Gateway
 
     /** The admin plane's bound TCP port (0 unless adminEnabled and
      *  started). */
-    std::uint16_t adminPort() const
-    {
-        return admin_ ? admin_->port() : 0;
-    }
+    std::uint16_t adminPort() const { return admin_.port(); }
 
     /** Current health verdict (degenerate always-healthy report when
      *  the admin plane is off, as NetServer's). */
-    HealthReport healthReport() const;
+    HealthReport healthReport() const { return admin_.report(); }
+
+    /** The flight recorder (null unless adminEnabled). */
+    const FlightRecorder *flightRecorder() const
+    {
+        return admin_.recorder();
+    }
 
     /** The gateway's own committed traces (not the backends'; the
      *  TRACES frame and /tracez scatter-gather those per request). */
@@ -232,22 +215,6 @@ class Gateway
     }
 
   private:
-    /** A client connection (same shape as NetServer's). */
-    struct ClientConn
-    {
-        int fd = -1;
-        FrameDecoder decoder;
-        std::vector<std::uint8_t> outbuf;
-        std::size_t outoff = 0;
-        bool closing = false;
-        std::uint32_t interest = 0;
-
-        ClientConn(int fd_in, std::uint32_t max_payload)
-            : fd(fd_in), decoder(max_payload)
-        {
-        }
-    };
-
     /** One backend: its async connection plus liveness state. All
      *  fields IO-thread-only except adminHealthy (prober writes). */
     struct Backend
@@ -268,11 +235,7 @@ class Gateway
         std::uint64_t inflight = 0;
         Gauge *inflightGauge = nullptr;
 
-        explicit Backend(const BackendAddr &a,
-                         std::uint32_t max_payload)
-            : addr(a), conn(max_payload)
-        {
-        }
+        explicit Backend(const BackendAddr &a) : addr(a) {}
     };
 
     /** One routed SUBMIT awaiting its backend response. */
@@ -297,15 +260,10 @@ class Gateway
     /** One scatter-gather METRICS/TRACES in progress. */
     struct Gather
     {
-        enum class Kind : std::uint8_t
-        {
-            Metrics,
-            Traces,
-        };
-
         std::uint64_t clientConnId = 0;
         std::uint64_t clientTag = 0;
-        Kind kind = Kind::Metrics;
+        /** METRICS or TRACES. */
+        FrameType kind = FrameType::Metrics;
         std::size_t awaiting = 0;
         MetricsSnapshot metricsMerged;
         /** Traces gathered so far (seeded with the gateway's own). */
@@ -313,16 +271,14 @@ class Gateway
         std::uint64_t tracesTotal = 0;
     };
 
-    void ioLoop();
     void proberLoop();
-    void acceptReady();
-    bool readReady(std::uint64_t conn_id, ClientConn &conn);
-    /** Flush as much of conn.outbuf as the socket accepts.
-     *  @return false when the socket died. */
-    bool flushClient(ClientConn &conn);
-    void handleClientFrame(std::uint64_t conn_id, ClientConn &conn,
-                           Frame &&frame);
+    /** FrontDoor::Hooks::onFrame: a client frame other than PING. */
+    void handleClientFrame(std::uint64_t conn_id, Frame &&frame);
+    /** FrontDoor::Hooks::onOwnerReady: drive backend @p idx. */
+    void handleBackendReady(std::size_t idx, const EventLoop::Ready &ev);
     void handleBackendFrame(std::size_t idx, Frame &&frame);
+    /** FrontDoor::Hooks::onTick: liveness PINGs and reconnects. */
+    void tick();
     /** Route a scanned SUBMIT/FORWARD payload to its ring owner,
      *  FORWARDing @p ctx when valid and stamping @p trace (may be
      *  null) through the gateway stages. */
@@ -333,18 +289,9 @@ class Gateway
                      std::shared_ptr<RequestTrace> trace);
     /** Fan a METRICS/TRACES request out to every routable backend. */
     void startGather(std::uint64_t conn_id, std::uint64_t client_tag,
-                     Gather::Kind kind);
+                     FrameType kind);
     void finishGatherIfDone(std::uint64_t gather_id);
-    /** Append bytes to a client connection's output buffer; no-op
-     *  when the connection is gone. IO thread only. */
-    void sendToClient(std::uint64_t conn_id,
-                      std::vector<std::uint8_t> bytes);
-    void sendClientError(std::uint64_t conn_id, std::uint64_t tag,
-                         const std::string &message);
-    /** Install the client conn's interest mask (cf. NetServer). */
-    void updateClientInterest(std::uint64_t conn_id, ClientConn &conn);
     void updateBackendInterest(std::size_t idx);
-    void closeClientConn(std::uint64_t conn_id);
     /** Remove backend @p idx from the routable set, drop its
      *  connection if still open, re-ring, and migrate or fail its
      *  in-flight requests. */
@@ -362,16 +309,13 @@ class Gateway
     /** True while responses or gather replies are still owed to this
      *  client (a half-closed conn must survive until delivery). */
     bool clientOwedWork(std::uint64_t conn_id) const;
-    void wakeIoThread();
     /** Begin (or continue) tracing a request admitted at the front
      *  door: mint a context when none arrived and tracing is on,
      *  adopt it into a gateway-tier trace, stamp Decode. */
     std::shared_ptr<RequestTrace>
     admitTrace(TraceContext *ctx, const SubmitView &view);
-    /** Register the admin routes on @p admin (start() helper). */
-    void registerAdminRoutes(HttpAdminServer &admin);
-    /** Gather HealthInputs and run them through health_. */
-    HealthReport evaluateHealth() const;
+    /** The admin plane's health inputs. */
+    HealthInputs healthInputs() const;
     /** Fetch the stitchable cross-tier trace set (the gateway's own
      *  rings plus every routable backend's) by round-tripping a
      *  TRACES frame through the gateway's own front door. */
@@ -384,27 +328,19 @@ class Gateway
     std::mutex lifecycle_mutex_;
     bool stopped_ = false;
     std::atomic<bool> running_{false};
+    /** Tells the prober thread to exit. */
     std::atomic<bool> exiting_{false};
 
-    int listen_fd_ = -1;
-    std::uint16_t port_ = 0;
-    int wake_pipe_[2] = {-1, -1};
-    int listen_backoff_ = 0;
-
     /** IO-thread only (except where noted). */
-    EventLoop loop_;
     std::vector<std::unique_ptr<Backend>> backends_;
     /** Ring over the routable subset; ring_map_[ring shard] =
      *  backend index. Empty while no backend is routable. */
     std::unique_ptr<ConsistentHashRouter> ring_;
     std::vector<std::size_t> ring_map_;
     std::atomic<std::size_t> routable_count_{0};
-
-    std::uint64_t next_conn_id_ = 16;
-    std::map<std::uint64_t, std::unique_ptr<ClientConn>> conns_;
-    /** Closing clients, swept for close-when-flushed-and-owed-
-     *  nothing each wakeup. */
-    std::set<std::uint64_t> closing_conns_;
+    /** tick() bookkeeping. */
+    std::chrono::steady_clock::time_point last_tick_;
+    std::chrono::steady_clock::time_point last_ping_;
 
     std::uint64_t next_tag_ = 1;
     std::map<std::uint64_t, Inflight> inflight_;
@@ -421,9 +357,12 @@ class Gateway
     std::uint64_t next_gather_id_ = 1;
     std::map<std::uint64_t, Gather> gathers_;
 
-    std::thread io_thread_;
     std::thread prober_thread_;
 
+    /** The gateway's registry; the door's counts are injected into
+     *  metricsSnapshot() as gateway_errors_total and
+     *  gateway_clients_live, never recorded here (the METRICS gather
+     *  seeds its merge with this registry). */
     MetricsRegistry metrics_;
     struct Instruments
     {
@@ -431,19 +370,17 @@ class Gateway
         Counter *relayed = nullptr;
         Counter *failovers = nullptr;
         Counter *resubmits = nullptr;
-        Counter *errors = nullptr;
         Gauge *backendsRoutable = nullptr;
-        Gauge *clientsLive = nullptr;
         Histogram *routeMicros = nullptr;
     } inst_;
 
     /** Declared after metrics_: stage histograms feed the registry. */
     TraceCollector collector_;
 
-    /** Admin plane (all null when Options::adminEnabled is off). */
-    std::unique_ptr<HealthModel> health_;
-    std::unique_ptr<FlightRecorder> recorder_;
-    std::unique_ptr<HttpAdminServer> admin_;
+    /** Declared last: their threads call back into everything
+     *  above. */
+    AdminPlane admin_;
+    FrontDoor door_;
 };
 
 /**

@@ -1,10 +1,6 @@
 #include "obs/http_admin.hh"
 
 #include <cerrno>
-#include <cstring>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -18,18 +14,12 @@ namespace sap {
 
 namespace {
 
-bool
-setNonBlocking(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-std::string
-errnoString(const char *what)
-{
-    return std::string(what) + ": " + std::strerror(errno);
-}
+/** Hard cap on request-head bytes; beyond it: 431 + close. */
+constexpr std::size_t kMaxRequestBytes = 8192;
+/** Idle connections are dropped after this many seconds. */
+constexpr double kIdleTimeoutSeconds = 10.0;
+/** Cap on simultaneously open admin connections. */
+constexpr std::size_t kMaxConnections = 32;
 
 /** Target bytes must be printable ASCII — no spaces (token-split
  *  already), no controls, nothing above 0x7e. */
@@ -193,12 +183,6 @@ renderHttpResponse(const HttpResponse &resp, bool headOnly)
     return out;
 }
 
-HttpAdminServer::HttpAdminServer(const Options &opts) : opts_(opts)
-{
-    opts_.maxRequestBytes = std::max<std::size_t>(opts_.maxRequestBytes, 64);
-    opts_.maxConnections = std::max<std::size_t>(opts_.maxConnections, 1);
-}
-
 HttpAdminServer::~HttpAdminServer()
 {
     stop();
@@ -218,40 +202,12 @@ HttpAdminServer::start()
         return false;
     }
 
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) {
-        error_ = errnoString("socket");
+    listen_fd_ = listenLoopback(want_port_, 16, &port_, &error_);
+    if (listen_fd_ < 0)
         return false;
-    }
-    int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(opts_.port);
-    socklen_t addrlen = sizeof(addr);
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(listen_fd_, 16) != 0 || !setNonBlocking(listen_fd_) ||
-        ::getsockname(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-                      &addrlen) != 0) {
-        error_ = errnoString("bind/listen");
+    if (!wake_.open(&error_)) {
         ::close(listen_fd_);
         listen_fd_ = -1;
-        return false;
-    }
-    port_ = ntohs(addr.sin_port);
-
-    if (::pipe(wake_pipe_) != 0 || !setNonBlocking(wake_pipe_[0]) ||
-        !setNonBlocking(wake_pipe_[1])) {
-        error_ = errnoString("pipe");
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        for (int i = 0; i < 2; ++i) {
-            if (wake_pipe_[i] >= 0)
-                ::close(wake_pipe_[i]);
-            wake_pipe_[i] = -1;
-        }
         return false;
     }
 
@@ -270,17 +226,13 @@ HttpAdminServer::stop()
         return;
     }
     stop_requested_.store(true);
-    char byte = 0;
-    // Best-effort: a full pipe already guarantees a pending wake.
-    [[maybe_unused]] ssize_t n = ::write(wake_pipe_[1], &byte, 1);
+    wake_.wake();
     thread_.join();
     running_.store(false);
     stopped_ = true;
     ::close(listen_fd_);
     listen_fd_ = -1;
-    ::close(wake_pipe_[0]);
-    ::close(wake_pipe_[1]);
-    wake_pipe_[0] = wake_pipe_[1] = -1;
+    wake_.close();
     SAP_LOG_INFO("admin server stopped");
 }
 
@@ -303,7 +255,7 @@ HttpAdminServer::makeResponse(Conn &conn)
     HttpRequest req;
     HttpParseResult parsed = parseHttpRequest(conn.in, &req);
     if (parsed == HttpParseResult::NeedMore) {
-        if (conn.in.size() >= opts_.maxRequestBytes) {
+        if (conn.in.size() >= kMaxRequestBytes) {
             HttpResponse resp;
             resp.status = 431;
             resp.body = "request too large\n";
@@ -343,7 +295,7 @@ HttpAdminServer::serveLoop()
     std::vector<Conn> conns;
     while (!stop_requested_.load()) {
         std::vector<pollfd> pfds;
-        pfds.push_back({wake_pipe_[0], POLLIN, 0});
+        pfds.push_back({wake_.readFd(), POLLIN, 0});
         pfds.push_back({listen_fd_, POLLIN, 0});
         for (const Conn &c : conns) {
             short events = c.responding && !c.draining ? POLLOUT
@@ -360,11 +312,8 @@ HttpAdminServer::serveLoop()
             break;
         const double now = monotonicSeconds();
 
-        if (pfds[0].revents & POLLIN) {
-            char drain[64];
-            while (::read(wake_pipe_[0], drain, sizeof(drain)) > 0) {
-            }
-        }
+        if (pfds[0].revents & POLLIN)
+            wake_.drain();
 
         if (pfds[1].revents & POLLIN) {
             for (;;) {
@@ -372,7 +321,7 @@ HttpAdminServer::serveLoop()
                 if (fd < 0)
                     break;
                 if (!setNonBlocking(fd) ||
-                    conns.size() >= opts_.maxConnections) {
+                    conns.size() >= kMaxConnections) {
                     ::close(fd);
                     continue;
                 }
@@ -415,8 +364,8 @@ HttpAdminServer::serveLoop()
                         // Cap the buffered head: bytes beyond the
                         // limit cannot change the (431) outcome.
                         const std::size_t room =
-                            opts_.maxRequestBytes > c.in.size()
-                                ? opts_.maxRequestBytes - c.in.size()
+                            kMaxRequestBytes > c.in.size()
+                                ? kMaxRequestBytes - c.in.size()
                                 : 0;
                         c.in.append(
                             buf, std::min<std::size_t>(
@@ -463,7 +412,7 @@ HttpAdminServer::serveLoop()
                     c.draining = true;
                 }
             }
-            if (!drop && now - c.idleSince > opts_.idleTimeoutSeconds)
+            if (!drop && now - c.idleSince > kIdleTimeoutSeconds)
                 drop = true;
             if (drop)
                 dead.push_back(i);

@@ -23,15 +23,20 @@
  *    render obs snapshots (microseconds to low milliseconds); an
  *    admin port does not need concurrency, it needs predictability.
  *
+ * Fixed limits: a request head is capped at 8 KiB, an idle
+ * connection is dropped after 10 s (a client that connects and sends
+ * nothing cannot pin a slot forever), and at most 32 connections are
+ * open at once (beyond that a new one is refused).
+ *
  * Routing is exact-path: register a handler per path; the query
  * string is split into key=value pairs and passed along. Unknown
- * paths earn 404. The owner (net/NetServer, or anything else)
- * registers handlers *before* start() — registration is not
- * thread-safe against a running server, by design.
+ * paths earn 404. The owner (net/front_door.hh's AdminPlane, or
+ * anything else) registers handlers *before* start() — registration
+ * is not thread-safe against a running server, by design.
  *
- * Lifecycle mirrors NetServer: construct, addHandler(), start()
- * (binds 127.0.0.1, port 0 = ephemeral, see port()), stop() joins
- * the thread; stopped servers do not restart.
+ * Lifecycle: construct, addHandler(), start() (binds 127.0.0.1, port
+ * 0 = ephemeral, see port()), stop() joins the thread; stopped
+ * servers do not restart.
  */
 
 #ifndef SAP_OBS_HTTP_ADMIN_HH
@@ -44,6 +49,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "base/socket_util.hh"
 
 namespace sap {
 
@@ -106,22 +113,10 @@ class HttpAdminServer
   public:
     using Handler = std::function<HttpResponse(const HttpRequest &)>;
 
-    struct Options
+    /** Serve on 127.0.0.1:@p port; 0 binds an ephemeral port. */
+    explicit HttpAdminServer(std::uint16_t port) : want_port_(port)
     {
-        /** TCP port on 127.0.0.1; 0 binds an ephemeral port. */
-        std::uint16_t port = 0;
-        /** Hard cap on request-head bytes; beyond it: 431 + close. */
-        std::size_t maxRequestBytes = 8192;
-        /** Idle connections are dropped after this many seconds
-         *  (a client that connects and sends nothing cannot pin a
-         *  slot forever). */
-        double idleTimeoutSeconds = 10.0;
-        /** Cap on simultaneously open admin connections; beyond it
-         *  the oldest pending connection is dropped. */
-        std::size_t maxConnections = 32;
-    };
-
-    explicit HttpAdminServer(const Options &opts);
+    }
     ~HttpAdminServer();
 
     HttpAdminServer(const HttpAdminServer &) = delete;
@@ -174,12 +169,12 @@ class HttpAdminServer
     bool makeResponse(Conn &conn);
     HttpResponse dispatch(const HttpRequest &req);
 
-    Options opts_;
+    std::uint16_t want_port_;
     std::string error_;
     std::map<std::string, Handler> handlers_;
 
     int listen_fd_ = -1;
-    int wake_pipe_[2] = {-1, -1};
+    WakePipe wake_;
     std::uint16_t port_ = 0;
     std::atomic<bool> running_{false};
     std::atomic<bool> stop_requested_{false};

@@ -18,6 +18,11 @@
  * failure shape: a backend that took work, acknowledged nothing,
  * and vanished.
  *
+ * The gateway also runs the NetServer suite's front-door cases
+ * (tests/front_door_cases.hh: half-close, backpressure, lifecycle,
+ * frame-level garbage), since both tiers share one connection core,
+ * and the last test pins each tier's exported series keys.
+ *
  * Everything here runs under TSan in CI; cross-thread test state is
  * atomics only.
  */
@@ -39,6 +44,7 @@
 #include "net/server.hh"
 
 #include "flaky_backend.hh"
+#include "tests/front_door_cases.hh"
 #include "tests/fuzz_corpus.hh"
 
 namespace sap {
@@ -124,70 +130,8 @@ waitUntil(Pred pred, int timeout_ms = 5000)
 // FlakyBackend now lives in flaky_backend.hh, shared with the
 // trace-propagation suite.
 
-/**
- * A raw loopback connection for crafting frames below the NetClient
- * abstraction (cf. test_net_server.cc's RawConn).
- */
-class RawGatewayConn
-{
-  public:
-    explicit RawGatewayConn(std::uint16_t port)
-    {
-        fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        addr.sin_port = htons(port);
-        if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            ::close(fd_);
-            fd_ = -1;
-        }
-    }
-
-    ~RawGatewayConn()
-    {
-        if (fd_ >= 0)
-            ::close(fd_);
-    }
-
-    bool ok() const { return fd_ >= 0; }
-
-    void
-    send(const std::vector<std::uint8_t> &bytes)
-    {
-        std::size_t off = 0;
-        while (off < bytes.size()) {
-            ssize_t n = ::send(fd_, bytes.data() + off,
-                               bytes.size() - off, MSG_NOSIGNAL);
-            if (n <= 0)
-                return;
-            off += static_cast<std::size_t>(n);
-        }
-    }
-
-    bool
-    readFrame(Frame *out)
-    {
-        std::uint8_t buf[4096];
-        for (;;) {
-            std::string err;
-            FrameDecoder::Result res = decoder_.next(out, &err);
-            if (res == FrameDecoder::Result::Ok)
-                return true;
-            if (res == FrameDecoder::Result::Malformed)
-                return false;
-            ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-            if (n <= 0)
-                return false;
-            decoder_.feed(buf, static_cast<std::size_t>(n));
-        }
-    }
-
-  private:
-    int fd_ = -1;
-    FrameDecoder decoder_;
-};
+using door_cases::Door;
+using door_cases::RawConn;
 
 /** Find a loopback port that is currently free (bind 0, read, close).
  *  Races are possible in principle; in the test container they are
@@ -356,7 +300,7 @@ TEST(Gateway, UnexpectedFrameEarnsErrorAndConnectionSurvives)
     // A RESPONSE frame from a client is nonsense at the gateway: it
     // must earn a payload-level ERROR on the same tag — and the
     // connection must keep serving afterwards.
-    RawGatewayConn raw(gw.port());
+    RawConn raw(gw.port());
     ASSERT_TRUE(raw.ok());
     WireResponse bogus;
     bogus.ok = true;
@@ -390,7 +334,7 @@ TEST(Gateway, ReservedStatsFrameTypeEarnsErrorThenServes)
     // Frame type 3 (the retired STATS request, tag 9), byte for byte
     // as an old monitoring client sends it: answered at the gateway
     // with an ERROR, never gathered from the backends.
-    RawGatewayConn raw(gw.port());
+    RawConn raw(gw.port());
     ASSERT_TRUE(raw.ok());
     raw.send(fuzz::loadHexSeed(std::string(SAP_TEST_DATA_DIR) + "/fuzz",
                                "stats_request.hex"));
@@ -474,7 +418,7 @@ TEST(Gateway, MalformedSubmitNeverReachesABackend)
 
     const std::uint64_t frames_before =
         a.metricsSnapshot().counters["net_frames_received_total"];
-    RawGatewayConn raw(gw.port());
+    RawConn raw(gw.port());
     ASSERT_TRUE(raw.ok());
     std::vector<std::string> gateway_errors;
     for (const Bad &b : bad) {
@@ -508,7 +452,7 @@ TEST(Gateway, MalformedSubmitNeverReachesABackend)
     EXPECT_TRUE(NetClient::matchesOracle(req, resp));
 
     // And a NetServer answers the same bad frames with the same text.
-    RawGatewayConn direct(a.port());
+    RawConn direct(a.port());
     ASSERT_TRUE(direct.ok());
     for (std::size_t i = 0; i < bad.size(); ++i) {
         direct.send(bad[i].frame);
@@ -811,6 +755,217 @@ TEST(Gateway, GatewayMetricsExposeRoutingAndFailure)
                                               {{"backend", backend}})),
                   1u)
             << backend;
+}
+
+//----------------------------------------------------------------------
+// Front-door behaviour, shared with NetServer (the bodies live in
+// tests/front_door_cases.hh): a gateway in front of one NetServer.
+//----------------------------------------------------------------------
+
+TEST(Gateway, HalfClosedClientStillGetsEveryResponse)
+{
+    Door door = Door::gateway();
+    door_cases::halfClosedClientStillGetsEveryResponse(door);
+}
+
+TEST(Gateway, PipelinedBatchSurvivesServerBackpressure)
+{
+    Door door = Door::gateway(/*max_queued_output=*/16u << 10);
+    door_cases::pipelinedBatchSurvivesBackpressure(door);
+}
+
+TEST(Gateway, RestartAfterStopIsRefused)
+{
+    Door door = Door::gateway();
+    door_cases::restartAfterStopIsRefused(door);
+}
+
+TEST(Gateway, StopWhileClientsConnectedIsClean)
+{
+    Door door = Door::gateway();
+    door_cases::stopWhileClientsConnectedIsClean(door);
+}
+
+TEST(Gateway, StopDropsInFlightWork)
+{
+    // The gateway's stop contract (NetServer's is the opposite, see
+    // test_net_server.cc): in-flight requests die with their
+    // connections. The backend absorbs the FORWARD and never
+    // answers, so a stop() that waited for it would hang here.
+    FlakyBackend mute(/*kill_after=*/0);
+    Gateway gw(gatewayOptions({{"127.0.0.1", mute.port(), 0}}));
+    ASSERT_TRUE(gw.start()) << gw.error();
+    ASSERT_TRUE(waitUntil([&] { return gw.routableBackends() == 1; }));
+
+    RawConn conn(gw.port());
+    ASSERT_TRUE(conn.ok());
+    conn.send(buildSubmitFrame(1, matVecRequest(81000)));
+    ASSERT_TRUE(waitUntil([&] { return mute.forwardsAbsorbed() == 1; }));
+    gw.stop();
+
+    // The client sees the connection close, with no reply.
+    EXPECT_TRUE(conn.awaitClose());
+    Frame frame;
+    EXPECT_FALSE(conn.readFrame(&frame));
+}
+
+/** The shared malformed-input fixture on a gateway door. */
+class GatewayMalformed : public door_cases::MalformedFixture
+{
+  protected:
+    GatewayMalformed() : MalformedFixture(Door::gateway()) {}
+};
+
+TEST_F(GatewayMalformed, BadMagicGetsErrorThenClose)
+{
+    door_cases::badMagicGetsErrorThenClose(door, control);
+}
+
+TEST_F(GatewayMalformed, BadVersionGetsErrorThenClose)
+{
+    door_cases::badVersionGetsErrorThenClose(door, control);
+}
+
+TEST_F(GatewayMalformed, OversizedLengthPrefixGetsErrorThenClose)
+{
+    door_cases::oversizedLengthPrefixGetsErrorThenClose(door, control);
+}
+
+TEST_F(GatewayMalformed, MidFrameDisconnectLeavesServerHealthy)
+{
+    door_cases::midFrameDisconnectLeavesServerHealthy(door, control);
+}
+
+TEST_F(GatewayMalformed, GarbageFloodDoesNotStarveOtherClients)
+{
+    door_cases::garbageFloodDoesNotStarveOtherClients(door, control);
+}
+
+//----------------------------------------------------------------------
+// The metric vocabulary of both tiers.
+//----------------------------------------------------------------------
+
+/** Every series key of @p snap, prefixed by its kind, sorted. */
+std::vector<std::string>
+seriesKeys(const MetricsSnapshot &snap)
+{
+    std::vector<std::string> keys;
+    for (const auto &entry : snap.counters)
+        keys.push_back("counter " + entry.first);
+    for (const auto &entry : snap.gauges)
+        keys.push_back("gauge " + entry.first);
+    for (const auto &entry : snap.histograms)
+        keys.push_back("histogram " + entry.first);
+    return keys;
+}
+
+/** @p lines as C++ string literals, one per line, ready to paste
+ *  over a pin below when a series is added on purpose. */
+std::string
+joinLines(const std::vector<std::string> &lines)
+{
+    std::string out;
+    for (const std::string &line : lines) {
+        out += "        \"";
+        for (char c : line)
+            out += c == '"' ? std::string("\\\"") : std::string(1, c);
+        out += "\",\n";
+    }
+    return out;
+}
+
+TEST(Gateway, EachTierExportsThePinnedSeriesKeys)
+{
+    // A fixed traffic script through a gateway in front of one
+    // NetServer, tracing off. Each tier's exported series keys are
+    // pinned: moving the counting between layers must not add,
+    // rename or drop a series (and the gateway's registry must not
+    // grow net_* series, which its METRICS gather would then count
+    // twice).
+    NetServer backend(backendOptions());
+    ASSERT_TRUE(backend.start()) << backend.error();
+    Gateway gw(gatewayOptions({{"127.0.0.1", backend.port(), 0}}));
+    ASSERT_TRUE(gw.start()) << gw.error();
+    ASSERT_TRUE(waitUntil([&] { return gw.routableBackends() == 1; }));
+
+    NetClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", gw.port()));
+    EXPECT_TRUE(client.ping()) << client.lastError();
+    ServeRequest fast = matVecRequest(80000);
+    fast.plan.mode = ExecMode::Fast;
+    std::vector<ServeRequest> reqs = {matVecRequest(80100),
+                                      matMulRequest(80200),
+                                      triSolveRequest(80300), fast};
+    for (const NetClient::Result &r : client.submitBatch(reqs)) {
+        ASSERT_TRUE(r.transportOk) << r.transportError;
+        EXPECT_TRUE(r.response.ok) << r.response.error;
+    }
+    ServeRequest unknown = matVecRequest(80400);
+    unknown.engine = "warp-drive"; // served as a failed response
+    EXPECT_FALSE(client.submit(unknown).response.ok);
+    RawConn raw(gw.port()); // a payload-level ERROR at the gateway
+    ASSERT_TRUE(raw.ok());
+    raw.send(buildFrame(FrameType::Submit, 5, {1, 2, 3}));
+    Frame frame;
+    ASSERT_TRUE(raw.readFrame(&frame));
+    MetricsSnapshot merged;
+    ASSERT_TRUE(client.metrics(&merged)) << client.lastError();
+
+    // Change a pin only when a series is added, renamed or dropped
+    // on purpose.
+    const std::vector<std::string> backend_keys = {
+        "counter net_bytes_received_total",
+        "counter net_bytes_sent_total",
+        "counter net_connections_accepted_total",
+        "counter net_frames_received_total",
+        "counter net_protocol_errors_total",
+        "counter net_responses_sent_total",
+        "counter plan_cache_collisions_total",
+        "counter plan_cache_evictions_total",
+        "counter plan_cache_hits_total",
+        "counter plan_cache_misses_total",
+        "counter serve_cross_check_failures_total",
+        "counter serve_engine_cache_hits_total{engine=\"hex\",kind=\"matmul\",mode=\"simulate\"}",
+        "counter serve_engine_cache_hits_total{engine=\"linear\",kind=\"matvec\",mode=\"fast\"}",
+        "counter serve_engine_cache_hits_total{engine=\"linear\",kind=\"matvec\",mode=\"simulate\"}",
+        "counter serve_engine_cache_hits_total{engine=\"tri\",kind=\"trisolve\",mode=\"simulate\"}",
+        "counter serve_engine_requests_total{engine=\"hex\",kind=\"matmul\",mode=\"simulate\"}",
+        "counter serve_engine_requests_total{engine=\"linear\",kind=\"matvec\",mode=\"fast\"}",
+        "counter serve_engine_requests_total{engine=\"linear\",kind=\"matvec\",mode=\"simulate\"}",
+        "counter serve_engine_requests_total{engine=\"tri\",kind=\"trisolve\",mode=\"simulate\"}",
+        "counter serve_engine_sim_cycles_total{engine=\"hex\",kind=\"matmul\",mode=\"simulate\"}",
+        "counter serve_engine_sim_cycles_total{engine=\"linear\",kind=\"matvec\",mode=\"fast\"}",
+        "counter serve_engine_sim_cycles_total{engine=\"linear\",kind=\"matvec\",mode=\"simulate\"}",
+        "counter serve_engine_sim_cycles_total{engine=\"tri\",kind=\"trisolve\",mode=\"simulate\"}",
+        "counter serve_failures_total",
+        "counter serve_requests_total",
+        "gauge net_connections_live",
+        "gauge serve_cycles_formula_drift",
+        "gauge serve_queue_depth",
+        "histogram serve_engine_latency_micros{engine=\"hex\",kind=\"matmul\",mode=\"simulate\"}",
+        "histogram serve_engine_latency_micros{engine=\"linear\",kind=\"matvec\",mode=\"fast\"}",
+        "histogram serve_engine_latency_micros{engine=\"linear\",kind=\"matvec\",mode=\"simulate\"}",
+        "histogram serve_engine_latency_micros{engine=\"tri\",kind=\"trisolve\",mode=\"simulate\"}",
+        "histogram serve_latency_micros",
+        "histogram serve_queue_wait_micros",
+    };
+    const std::vector<std::string> gateway_keys = {
+        "counter gateway_errors_total",
+        "counter gateway_failovers_total",
+        "counter gateway_requests_total",
+        "counter gateway_responses_relayed_total",
+        "counter gateway_resubmits_total",
+        "gauge gateway_backend_inflight{backend=\"0\"}",
+        "gauge gateway_backends_routable",
+        "gauge gateway_clients_live",
+        "histogram gateway_route_micros",
+    };
+    const std::vector<std::string> got_backend =
+        seriesKeys(backend.metricsSnapshot());
+    const std::vector<std::string> got_gateway =
+        seriesKeys(gw.metricsSnapshot());
+    EXPECT_EQ(got_backend, backend_keys) << joinLines(got_backend);
+    EXPECT_EQ(got_gateway, gateway_keys) << joinLines(got_gateway);
 }
 
 } // namespace

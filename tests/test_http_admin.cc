@@ -6,7 +6,9 @@
  * rings, and loopback coverage of every endpoint — responses parsed
  * strictly (status line, Content-Type, Content-Length vs body),
  * /metrics validated by the exposition-format checker, JSON
- * endpoints by the strict JSON checker, /healthz flipping 200→503
+ * endpoints by the strict JSON checker — through both doors, a
+ * NetServer and a Gateway, which share one admin plane — /healthz
+ * flipping 200→503
  * under induced queue saturation and recovering, and the
  * malformed/oversized/non-GET suite that must never crash the admin
  * thread.
@@ -30,6 +32,7 @@
 #include "checkers.hh"
 #include "mat/generate.hh"
 #include "net/client.hh"
+#include "net/gateway.hh"
 #include "net/server.hh"
 #include "obs/health.hh"
 #include "obs/http_admin.hh"
@@ -590,70 +593,78 @@ matVecRequest(std::uint64_t seed, Index n = 6, Index w = 3)
     return req;
 }
 
-TEST(HttpAdmin, ServesEveryEndpointStrictly)
+/** One door's admin plane, as servesEveryEndpointStrictly() sees it. */
+struct AdminDoor
 {
-    NetServer server(adminServerOptions());
-    ASSERT_TRUE(server.start()) << server.error();
-    ASSERT_NE(server.adminPort(), 0);
+    std::uint16_t port = 0;
+    std::uint16_t adminPort = 0;
+    const FlightRecorder *recorder = nullptr;
+    /** Series (labelled or not) that count every request: each must
+     *  read 8 after the traffic. */
+    std::vector<std::string> countersAt8;
+    /** A histogram family the exposition must TYPE. */
+    std::string histogram;
+};
+
+/** Put 8 requests through the door, then check every admin endpoint
+ *  strictly. */
+void
+servesEveryEndpointStrictly(const AdminDoor &door)
+{
+    ASSERT_NE(door.adminPort, 0);
 
     // Put some traffic through so every surface has data.
     NetClient client;
-    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+    ASSERT_TRUE(client.connect("127.0.0.1", door.port));
     for (int i = 0; i < 8; ++i) {
         NetClient::Result r = client.submit(matVecRequest(500 + i));
         ASSERT_TRUE(r.transportOk && r.response.ok);
     }
 
     // Index page.
-    ParsedResponse index = httpGet(server.adminPort(), "/");
+    ParsedResponse index = httpGet(door.adminPort, "/");
     ASSERT_TRUE(index.ok) << index.error;
     EXPECT_EQ(index.status, 200);
     EXPECT_NE(index.body.find("/metrics"), std::string::npos);
 
-    // /metrics: valid exposition with the serving metrics present.
-    ParsedResponse metrics = httpGet(server.adminPort(), "/metrics");
+    // /metrics: valid exposition with the serving metrics present,
+    // labelled series included.
+    ParsedResponse metrics = httpGet(door.adminPort, "/metrics");
     ASSERT_TRUE(metrics.ok) << metrics.error;
     EXPECT_EQ(metrics.status, 200);
     EXPECT_EQ(metrics.headers["content-type"].rfind("text/plain", 0),
               0u);
     PromChecker prom(metrics.body);
     EXPECT_TRUE(prom.valid()) << prom.error();
-    EXPECT_NE(metrics.body.find("serve_requests_total 8"),
-              std::string::npos)
-        << metrics.body;
-    // The per-engine breakdown scrapes as labelled series.
-    const std::string served = seriesKey(
-        "serve_engine_requests_total",
-        engineLabels("linear", ProblemKind::MatVec, ExecMode::Simulate));
-    EXPECT_NE(metrics.body.find(served + " 8\n"), std::string::npos)
-        << metrics.body;
-    EXPECT_NE(metrics.body.find(
-                  "# TYPE serve_engine_latency_micros histogram\n"),
+    for (const std::string &series : door.countersAt8)
+        EXPECT_NE(metrics.body.find(series + " 8\n"), std::string::npos)
+            << series << "\n" << metrics.body;
+    EXPECT_NE(metrics.body.find("# TYPE " + door.histogram +
+                                " histogram\n"),
               std::string::npos);
 
     // /varz: strict JSON of the same snapshot.
-    ParsedResponse varz = httpGet(server.adminPort(), "/varz");
+    ParsedResponse varz = httpGet(door.adminPort, "/varz");
     ASSERT_TRUE(varz.ok) << varz.error;
     EXPECT_EQ(varz.status, 200);
     EXPECT_EQ(varz.headers["content-type"], "application/json");
     EXPECT_TRUE(JsonChecker(varz.body).valid()) << varz.body;
-    EXPECT_NE(varz.body.find("\"serve_requests_total\":8"),
-              std::string::npos);
-    EXPECT_NE(varz.body.find("\"" + jsonEscape(served) + "\":8"),
-              std::string::npos)
-        << varz.body;
+    for (const std::string &series : door.countersAt8)
+        EXPECT_NE(varz.body.find("\"" + jsonEscape(series) + "\":8"),
+                  std::string::npos)
+            << series << "\n" << varz.body;
 
     // /healthz and /readyz: healthy under no load.
-    ParsedResponse healthz = httpGet(server.adminPort(), "/healthz");
+    ParsedResponse healthz = httpGet(door.adminPort, "/healthz");
     ASSERT_TRUE(healthz.ok) << healthz.error;
     EXPECT_EQ(healthz.status, 200);
     EXPECT_EQ(healthz.body, "ok\n");
-    ParsedResponse readyz = httpGet(server.adminPort(), "/readyz");
+    ParsedResponse readyz = httpGet(door.adminPort, "/readyz");
     ASSERT_TRUE(readyz.ok) << readyz.error;
     EXPECT_EQ(readyz.status, 200);
 
     // /tracez: strict JSON; committed traces from the traffic above.
-    ParsedResponse tracez = httpGet(server.adminPort(), "/tracez");
+    ParsedResponse tracez = httpGet(door.adminPort, "/tracez");
     ASSERT_TRUE(tracez.ok) << tracez.error;
     EXPECT_EQ(tracez.status, 200);
     EXPECT_TRUE(JsonChecker(tracez.body).valid()) << tracez.body;
@@ -662,7 +673,7 @@ TEST(HttpAdmin, ServesEveryEndpointStrictly)
 
     // /tracez?format=chrome: a Perfetto-loadable download.
     ParsedResponse chrome =
-        httpGet(server.adminPort(), "/tracez?format=chrome");
+        httpGet(door.adminPort, "/tracez?format=chrome");
     ASSERT_TRUE(chrome.ok) << chrome.error;
     EXPECT_TRUE(JsonChecker(chrome.body).valid());
     EXPECT_NE(chrome.body.find("\"traceEvents\""), std::string::npos);
@@ -670,12 +681,12 @@ TEST(HttpAdmin, ServesEveryEndpointStrictly)
               std::string::npos);
 
     // /timeseriesz: wait for the sampler to tick, then strict JSON.
-    const FlightRecorder *rec = server.flightRecorder();
+    const FlightRecorder *rec = door.recorder;
     ASSERT_NE(rec, nullptr);
     for (int spin = 0; spin < 400 && rec->samplesTaken() < 3; ++spin)
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     ASSERT_GE(rec->samplesTaken(), 3u);
-    ParsedResponse ts = httpGet(server.adminPort(), "/timeseriesz");
+    ParsedResponse ts = httpGet(door.adminPort, "/timeseriesz");
     ASSERT_TRUE(ts.ok) << ts.error;
     EXPECT_EQ(ts.status, 200);
     EXPECT_TRUE(JsonChecker(ts.body).valid()) << ts.body;
@@ -683,7 +694,7 @@ TEST(HttpAdmin, ServesEveryEndpointStrictly)
     // HEAD: headers with the body's Content-Length, empty body. The
     // parser treats the body as absent, so Content-Length won't
     // match — exchange manually.
-    ParsedResponse head = httpExchange(server.adminPort(),
+    ParsedResponse head = httpExchange(door.adminPort,
                                        "HEAD /healthz HTTP/1.1\r\n"
                                        "Host: x\r\n\r\n");
     EXPECT_FALSE(head.ok); // Content-Length > 0 with empty body
@@ -691,11 +702,57 @@ TEST(HttpAdmin, ServesEveryEndpointStrictly)
     EXPECT_TRUE(head.body.empty());
 
     // Unknown path.
-    ParsedResponse missing = httpGet(server.adminPort(), "/nope");
+    ParsedResponse missing = httpGet(door.adminPort, "/nope");
     ASSERT_TRUE(missing.ok) << missing.error;
     EXPECT_EQ(missing.status, 404);
+}
 
+TEST(HttpAdmin, ServesEveryEndpointStrictly)
+{
+    NetServer server(adminServerOptions());
+    ASSERT_TRUE(server.start()) << server.error();
+    AdminDoor door;
+    door.port = server.port();
+    door.adminPort = server.adminPort();
+    door.recorder = server.flightRecorder();
+    door.countersAt8 = {
+        "serve_requests_total",
+        // The per-engine breakdown scrapes as labelled series.
+        seriesKey("serve_engine_requests_total",
+                  engineLabels("linear", ProblemKind::MatVec,
+                               ExecMode::Simulate))};
+    door.histogram = "serve_engine_latency_micros";
+    servesEveryEndpointStrictly(door);
     server.stop();
+}
+
+TEST(HttpAdmin, GatewayServesEveryEndpointStrictly)
+{
+    NetServer::Options bopts;
+    bopts.cluster.shards = 2;
+    NetServer backend(bopts);
+    ASSERT_TRUE(backend.start()) << backend.error();
+
+    // The gateway's admin options, exactly as the server's above.
+    const NetServer::Options admin = adminServerOptions();
+    Gateway::Options gopts;
+    static_cast<FrontDoorOptions &>(gopts) = admin;
+    gopts.backends = {{"127.0.0.1", backend.port(), 0}};
+    Gateway gw(gopts);
+    ASSERT_TRUE(gw.start()) << gw.error();
+    for (int i = 0; i < 1000 && gw.routableBackends() == 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_EQ(gw.routableBackends(), 1u);
+
+    AdminDoor door;
+    door.port = gw.port();
+    door.adminPort = gw.adminPort();
+    door.recorder = gw.flightRecorder();
+    door.countersAt8 = {"gateway_requests_total",
+                        "gateway_responses_relayed_total"};
+    door.histogram = "gateway_route_micros";
+    servesEveryEndpointStrictly(door);
+    gw.stop();
 }
 
 TEST(HttpAdmin, MalformedOversizedAndNonGetNeverCrash)
@@ -778,7 +835,14 @@ TEST(HttpAdmin, HealthzFlipsUnderSaturationAndRecovers)
         batchDone.store(true);
     });
 
-    // Poll /healthz until it reports saturation (503).
+    // Poll /healthz until it reports saturation (503). The poll
+    // budget starts once the burst reaches the server: under a
+    // sanitizer the client can spend longer encoding the burst than
+    // 2000 polls take.
+    while (!batchDone.load() &&
+           server.metricsSnapshot().counters["net_frames_received_total"] ==
+               0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     bool saw503 = false;
     for (int spin = 0; spin < 2000 && !saw503; ++spin) {
         ParsedResponse during = httpGet(port, "/healthz");

@@ -4,22 +4,23 @@
  * kind served over the wire bit-identical to the host oracle,
  * multi-client concurrency, the STATS and PING round-trips, and the
  * malformed-frame suite — garbage on a connection must earn an ERROR
- * frame and leave the server (and other connections) healthy.
+ * frame and leave the server (and other connections) healthy. The
+ * front-door cases shared with the gateway (half-close,
+ * backpressure, lifecycle, frame-level garbage) have their bodies in
+ * tests/front_door_cases.hh.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <thread>
-
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include "mat/generate.hh"
 #include "mat/ops.hh"
 #include "net/client.hh"
 #include "net/server.hh"
+#include "tests/front_door_cases.hh"
 #include "tests/fuzz_corpus.hh"
 
 namespace sap {
@@ -66,89 +67,8 @@ triSolveRequest(std::uint64_t seed, Index n = 6, Index w = 3)
     return req;
 }
 
-/**
- * A raw loopback connection for crafting arbitrary (including
- * malformed) byte streams, below the NetClient abstraction.
- */
-class RawConn
-{
-  public:
-    explicit RawConn(std::uint16_t port)
-    {
-        fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        addr.sin_port = htons(port);
-        if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            ::close(fd_);
-            fd_ = -1;
-        }
-    }
-
-    ~RawConn()
-    {
-        if (fd_ >= 0)
-            ::close(fd_);
-    }
-
-    bool ok() const { return fd_ >= 0; }
-
-    /** Half-close: no more writes, reads stay open. */
-    void shutdownWrite() { ::shutdown(fd_, SHUT_WR); }
-
-    void
-    send(const std::vector<std::uint8_t> &bytes)
-    {
-        std::size_t off = 0;
-        while (off < bytes.size()) {
-            ssize_t n = ::send(fd_, bytes.data() + off,
-                               bytes.size() - off, MSG_NOSIGNAL);
-            if (n <= 0)
-                return;
-            off += static_cast<std::size_t>(n);
-        }
-    }
-
-    /** Block for one frame; false on close/garbage. */
-    bool
-    readFrame(Frame *out)
-    {
-        std::uint8_t buf[4096];
-        for (;;) {
-            std::string err;
-            FrameDecoder::Result res = decoder_.next(out, &err);
-            if (res == FrameDecoder::Result::Ok)
-                return true;
-            if (res == FrameDecoder::Result::Malformed)
-                return false;
-            ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-            if (n <= 0)
-                return false;
-            decoder_.feed(buf, static_cast<std::size_t>(n));
-        }
-    }
-
-    /** True when the server closed the connection (EOF). */
-    bool
-    awaitClose()
-    {
-        std::uint8_t buf[4096];
-        for (;;) {
-            ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-            if (n == 0)
-                return true;
-            if (n < 0)
-                return false;
-            decoder_.feed(buf, static_cast<std::size_t>(n));
-        }
-    }
-
-  private:
-    int fd_ = -1;
-    FrameDecoder decoder_;
-};
+using door_cases::Door;
+using door_cases::RawConn;
 
 //---------------------------------------------------------------------
 // Happy paths
@@ -426,25 +346,60 @@ TEST(NetServer, ManyClientsManyKindsConcurrently)
     EXPECT_EQ(net.counters["net_protocol_errors_total"], 0u);
 }
 
+// The front-door cases below run through both doors; their bodies
+// live in tests/front_door_cases.hh, the gateway twins in
+// test_gateway.cc.
+
 TEST(NetServer, HalfClosedClientStillGetsEveryResponse)
 {
-    // A standards-following client may pipeline its SUBMITs,
-    // shutdown its write side, and then read to EOF: the server
-    // must deliver every owed response before closing, not drop
-    // the in-flight ones with the read side.
-    NetServer server(smallServerOptions());
+    Door door = Door::server();
+    door_cases::halfClosedClientStillGetsEveryResponse(door);
+}
+
+TEST(NetServer, PipelinedBatchSurvivesServerBackpressure)
+{
+    Door door = Door::server(/*max_queued_output=*/16u << 10);
+    door_cases::pipelinedBatchSurvivesBackpressure(door);
+}
+
+TEST(NetServer, RestartAfterStopIsRefused)
+{
+    Door door = Door::server();
+    door_cases::restartAfterStopIsRefused(door);
+}
+
+TEST(NetServer, StopWhileClientsConnectedIsClean)
+{
+    Door door = Door::server();
+    door_cases::stopWhileClientsConnectedIsClean(door);
+}
+
+TEST(NetServer, StopAnswersEveryAcceptedRequest)
+{
+    // The NetServer's stop contract (the gateway's is the opposite,
+    // see test_gateway.cc): every request it has accepted is served
+    // and its response flushed before the connection closes.
+    NetServer::Options opts = smallServerOptions();
+    opts.cluster.shards = 1;
+    opts.cluster.threadsPerShard = 1;
+    NetServer server(opts);
     ASSERT_TRUE(server.start()) << server.error();
 
     RawConn conn(server.port());
     ASSERT_TRUE(conn.ok());
-    const int kRequests = 6;
+    const int kRequests = 8;
     std::vector<ServeRequest> reqs;
     for (int i = 0; i < kRequests; ++i) {
-        reqs.push_back(matVecRequest(7000 + i));
+        // w = 1 keeps each simulated request slow enough that most
+        // are still queued when stop() begins.
+        reqs.push_back(matVecRequest(8000 + i, 96, 1));
         conn.send(buildSubmitFrame(static_cast<std::uint64_t>(i),
                                    reqs.back()));
     }
-    conn.shutdownWrite();
+    while (server.metricsSnapshot().counters["net_frames_received_total"] <
+           static_cast<std::uint64_t>(kRequests))
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    server.stop();
 
     std::vector<bool> got(kRequests, false);
     for (int i = 0; i < kRequests; ++i) {
@@ -464,171 +419,36 @@ TEST(NetServer, HalfClosedClientStillGetsEveryResponse)
     }
     for (int i = 0; i < kRequests; ++i)
         EXPECT_TRUE(got[static_cast<std::size_t>(i)]) << i;
-    // After the last owed response the server closes the connection.
     EXPECT_TRUE(conn.awaitClose());
-}
-
-TEST(NetServer, PipelinedBatchSurvivesServerBackpressure)
-{
-    // Regression: submitBatch() used to write the whole pipeline
-    // before reading anything. With the server's per-connection
-    // output cap tripped (it stops reading clients whose pending
-    // responses exceed maxQueuedOutputBytes) and a deliberately tiny
-    // client send buffer, that wedges both sides forever: the server
-    // waits for the client to drain responses, the client waits for
-    // the socket to accept more SUBMIT bytes. The fixed client
-    // interleaves sends with reads, so this completes instead of
-    // deadlocking (a hang here fails via the ctest timeout).
-    NetServer::Options opts = smallServerOptions();
-    opts.maxQueuedOutputBytes = 16u << 10;
-    NetServer server(opts);
-    ASSERT_TRUE(server.start()) << server.error();
-
-    NetClient client;
-    client.setSendBufferBytes(4096);
-    ASSERT_TRUE(client.connect("127.0.0.1", server.port()))
-        << client.lastError();
-
-    // ~40 matmuls at n=16: a few hundred KiB of requests and well
-    // over the 16 KiB response cap, so backpressure engages while
-    // most of the pipeline is still unsent.
-    std::vector<ServeRequest> reqs;
-    for (int i = 0; i < 40; ++i)
-        reqs.push_back(matMulRequest(9000 + i, /*n=*/16));
-    std::vector<NetClient::Result> results = client.submitBatch(reqs);
-
-    ASSERT_EQ(results.size(), reqs.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        ASSERT_TRUE(results[i].transportOk)
-            << i << ": " << results[i].transportError;
-        ASSERT_TRUE(results[i].response.ok)
-            << i << ": " << results[i].response.error;
-        EXPECT_TRUE(
-            NetClient::matchesOracle(reqs[i], results[i].response))
-            << i;
-    }
-}
-
-TEST(NetServer, RestartAfterStopIsRefused)
-{
-    NetServer server(smallServerOptions());
-    ASSERT_TRUE(server.start()) << server.error();
-    server.stop();
-    EXPECT_FALSE(server.start());
-    EXPECT_NE(server.error().find("restarted"), std::string::npos)
-        << server.error();
-}
-
-TEST(NetServer, StopWhileClientsConnectedIsClean)
-{
-    NetServer server(smallServerOptions());
-    ASSERT_TRUE(server.start()) << server.error();
-    NetClient client;
-    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
-    NetClient::Result r = client.submit(matVecRequest(1));
-    ASSERT_TRUE(r.transportOk && r.response.ok);
-    server.stop();
-    // The socket is gone; the client sees a transport failure, not a
-    // hang.
-    r = client.submit(matVecRequest(2));
-    EXPECT_FALSE(r.transportOk);
 }
 
 //---------------------------------------------------------------------
 // Malformed-frame suite: ERROR frames, healthy server
 //---------------------------------------------------------------------
 
-/**
- * Fixture driving a healthy control client alongside each
- * malformed-input connection: after every abuse, the control client
- * must still be served correctly.
- */
-class NetServerMalformed : public ::testing::Test
+/** The shared malformed-input fixture (tests/front_door_cases.hh)
+ *  on a NetServer door. */
+class NetServerMalformed : public door_cases::MalformedFixture
 {
   protected:
-    void
-    SetUp() override
-    {
-        server = std::make_unique<NetServer>(smallServerOptions());
-        ASSERT_TRUE(server->start()) << server->error();
-        ASSERT_TRUE(control.connect("127.0.0.1", server->port()))
-            << control.lastError();
-    }
+    NetServerMalformed() : MalformedFixture(Door::server()) {}
 
-    void
-    expectServerStillHealthy()
-    {
-        ServeRequest req = matVecRequest(31337);
-        NetClient::Result r = control.submit(req);
-        ASSERT_TRUE(r.transportOk) << r.transportError;
-        ASSERT_TRUE(r.response.ok) << r.response.error;
-        EXPECT_TRUE(NetClient::matchesOracle(req, r.response));
-    }
-
-    std::unique_ptr<NetServer> server;
-    NetClient control;
+    NetServer *const server = door.backend.get();
 };
 
 TEST_F(NetServerMalformed, BadMagicGetsErrorThenClose)
 {
-    RawConn conn(server->port());
-    ASSERT_TRUE(conn.ok());
-    std::vector<std::uint8_t> bytes = buildPingFrame(1);
-    bytes[0] ^= 0xFF;
-    conn.send(bytes);
-
-    Frame frame;
-    ASSERT_TRUE(conn.readFrame(&frame));
-    EXPECT_EQ(frame.header.type,
-              static_cast<std::uint16_t>(FrameType::Error));
-    std::string message, err;
-    ASSERT_TRUE(decodeError(frame.payload, &message, &err));
-    EXPECT_NE(message.find("magic"), std::string::npos) << message;
-    // Frame-level: the stream cannot re-sync, so the server closes.
-    EXPECT_TRUE(conn.awaitClose());
-    expectServerStillHealthy();
+    door_cases::badMagicGetsErrorThenClose(door, control);
 }
 
 TEST_F(NetServerMalformed, BadVersionGetsErrorThenClose)
 {
-    RawConn conn(server->port());
-    ASSERT_TRUE(conn.ok());
-    std::vector<std::uint8_t> bytes = buildPingFrame(1);
-    bytes[4] = 0x42;
-    conn.send(bytes);
-
-    Frame frame;
-    ASSERT_TRUE(conn.readFrame(&frame));
-    EXPECT_EQ(frame.header.type,
-              static_cast<std::uint16_t>(FrameType::Error));
-    std::string message, err;
-    ASSERT_TRUE(decodeError(frame.payload, &message, &err));
-    EXPECT_NE(message.find("version"), std::string::npos) << message;
-    EXPECT_TRUE(conn.awaitClose());
-    expectServerStillHealthy();
+    door_cases::badVersionGetsErrorThenClose(door, control);
 }
 
 TEST_F(NetServerMalformed, OversizedLengthPrefixGetsErrorThenClose)
 {
-    RawConn conn(server->port());
-    ASSERT_TRUE(conn.ok());
-    WireWriter w;
-    w.u32(kWireMagic);
-    w.u16(kWireVersion);
-    w.u16(static_cast<std::uint16_t>(FrameType::Submit));
-    w.u64(9);
-    w.u32(0xF0000000u); // 3.75 GiB "payload"
-    conn.send(w.take());
-
-    Frame frame;
-    ASSERT_TRUE(conn.readFrame(&frame));
-    EXPECT_EQ(frame.header.type,
-              static_cast<std::uint16_t>(FrameType::Error));
-    std::string message, err;
-    ASSERT_TRUE(decodeError(frame.payload, &message, &err));
-    EXPECT_NE(message.find("cap"), std::string::npos) << message;
-    EXPECT_TRUE(conn.awaitClose());
-    expectServerStillHealthy();
+    door_cases::oversizedLengthPrefixGetsErrorThenClose(door, control);
 }
 
 TEST_F(NetServerMalformed, TruncatedSubmitPayloadKeepsConnection)
@@ -773,37 +593,12 @@ TEST_F(NetServerMalformed, UnknownFrameTypeKeepsConnection)
 
 TEST_F(NetServerMalformed, MidFrameDisconnectLeavesServerHealthy)
 {
-    {
-        RawConn conn(server->port());
-        ASSERT_TRUE(conn.ok());
-        ServeRequest req = matVecRequest(7);
-        std::vector<std::uint8_t> bytes = buildSubmitFrame(51, req);
-        bytes.resize(bytes.size() / 3); // drop mid-frame
-        conn.send(bytes);
-        // Destructor closes the socket with a frame half-sent.
-    }
-    expectServerStillHealthy();
-    EXPECT_EQ(
-        server->metricsSnapshot().counters["net_protocol_errors_total"],
-        0u);
+    door_cases::midFrameDisconnectLeavesServerHealthy(door, control);
 }
 
 TEST_F(NetServerMalformed, GarbageFloodDoesNotStarveOtherClients)
 {
-    RawConn conn(server->port());
-    ASSERT_TRUE(conn.ok());
-    std::vector<std::uint8_t> garbage(4096, 0xAB);
-    conn.send(garbage);
-
-    Frame frame;
-    ASSERT_TRUE(conn.readFrame(&frame));
-    EXPECT_EQ(frame.header.type,
-              static_cast<std::uint16_t>(FrameType::Error));
-    EXPECT_TRUE(conn.awaitClose());
-    expectServerStillHealthy();
-    EXPECT_GE(
-        server->metricsSnapshot().counters["net_protocol_errors_total"],
-        1u);
+    door_cases::garbageFloodDoesNotStarveOtherClients(door, control);
 }
 
 TEST_F(NetServerMalformed, ReservedStatsFrameTypeEarnsErrorThenServes)
