@@ -3,7 +3,7 @@
  * PERF: throughput of the sharded cluster layer (engineering data,
  * not a paper artifact).
  *
- * Two claims are measured:
+ * Two quantities are measured:
  *
  *  1. Shard scaling: consistent-hash routing pins each matrix to one
  *     shard, so aggregate plan-cache capacity grows with the shard
@@ -15,9 +15,8 @@
  *     cache economics, which hold even on a single-core host where
  *     thread parallelism cannot.
  *
- *  2. Batch grouping: submitBatch() serves same-matrix requests
- *     through one prepared-plan streaming pass, beating a loop of
- *     individual submits on a cold cache.
+ *  2. Execution mode: fast semantics replay against cycle
+ *     simulation through the same warm cluster path.
  *
  * The print section reports both and emits BENCH_cluster_throughput
  * .json; google-benchmark timers cover the submit path for tracked
@@ -268,81 +267,12 @@ printModeAxis(std::vector<BenchJsonEntry> *json)
                 wall_by_mode[0] / wall_by_mode[1]);
 }
 
-/** submitBatch() grouping vs a loop of individual submits. */
-void
-printBatchGrouping(std::vector<BenchJsonEntry> *json)
-{
-    const Index s = 24, w = 4;
-    const int kRequests = 48;
-
-    printHeader("CLUSTER-2", "server-side batch grouping: one "
-                             "matrix, one prepared streaming pass");
-    std::printf("%-12s %12s %10s\n", "mode", "wall", "req/s");
-
-    Dense<Scalar> a = randomIntDense(s, s, 7001);
-    auto makeRequests = [&] {
-        std::vector<ServeRequest> reqs;
-        for (int i = 0; i < kRequests; ++i) {
-            ServeRequest req;
-            req.engine = "linear";
-            req.plan = EnginePlan::matVec(
-                a, randomIntVec(s, 7100 + 2 * i),
-                randomIntVec(s, 7101 + 2 * i), w);
-            reqs.push_back(std::move(req));
-        }
-        return reqs;
-    };
-
-    double wall_by_mode[2] = {0, 0};
-    const char *modes[2] = {"individual", "batched"};
-    for (int mode = 0; mode < 2; ++mode) {
-        Cluster::Options opts;
-        opts.shards = 2;
-        opts.threadsPerShard = 2;
-        // Cold cache each run: capacity 0 disables caching, so the
-        // individual path pays a rebuild per request while the
-        // batched path still shares its one group-prepared plan.
-        opts.planCacheCapacityPerShard = 0;
-        Cluster cluster(opts);
-
-        std::vector<ServeRequest> reqs = makeRequests();
-        auto t0 = std::chrono::steady_clock::now();
-        std::vector<std::future<ServeResponse>> futures;
-        if (mode == 0) {
-            for (ServeRequest &req : reqs)
-                futures.push_back(cluster.submit(std::move(req)));
-        } else {
-            futures = cluster.submitBatch(std::move(reqs));
-        }
-        std::size_t ok = 0;
-        for (auto &f : futures)
-            ok += f.get().ok ? 1 : 0;
-        double wall = secondsSince(t0);
-        SAP_ASSERT(ok == static_cast<std::size_t>(kRequests),
-                   "cluster batch bench failures");
-        wall_by_mode[mode] = wall;
-        double req_per_s = kRequests / wall;
-        std::printf("%-12s %10.2fms %10.0f\n", modes[mode],
-                    wall * 1e3, req_per_s);
-        json->push_back({"batch_grouping",
-                         {{"mode", modes[mode]},
-                          {"engine", "linear"},
-                          {"s", std::to_string(s)},
-                          {"requests", std::to_string(kRequests)}},
-                         {{"wall_ms", wall * 1e3},
-                          {"req_per_s", req_per_s}}});
-    }
-    std::printf("batched vs individual: %.2fx\n",
-                wall_by_mode[0] / wall_by_mode[1]);
-}
-
 void
 print()
 {
     std::vector<BenchJsonEntry> json;
     printShardScaling(&json);
     printModeAxis(&json);
-    printBatchGrouping(&json);
     writeBenchJson("cluster_throughput", json);
 }
 
@@ -382,34 +312,6 @@ BM_ClusterSubmitRepeatedMatrices(benchmark::State &state)
 BENCHMARK(BM_ClusterSubmitRepeatedMatrices)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-void
-BM_ClusterBatchSubmit(benchmark::State &state)
-{
-    const Index s = 16, w = 4;
-    Dense<Scalar> a = randomIntDense(s, s, 11001);
-    Cluster::Options opts;
-    opts.shards = 2;
-    opts.threadsPerShard = 2;
-    Cluster cluster(opts);
-
-    std::size_t served = 0;
-    for (auto _ : state) {
-        std::vector<ServeRequest> reqs;
-        for (int i = 0; i < 8; ++i) {
-            ServeRequest req;
-            req.engine = "linear";
-            req.plan = EnginePlan::matVec(
-                a, randomIntVec(s, 11100 + i),
-                randomIntVec(s, 11200 + i), w);
-            reqs.push_back(std::move(req));
-        }
-        for (auto &f : cluster.submitBatch(std::move(reqs)))
-            served += f.get().ok ? 1 : 0;
-    }
-    state.counters["req/s"] = benchmark::Counter(
-        static_cast<double>(served), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ClusterBatchSubmit)->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace sap

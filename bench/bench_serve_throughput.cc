@@ -5,10 +5,11 @@
  *
  * Two claims are measured:
  *
- *  1. Amortization: for repeated-matrix workloads, plan-cached
- *     runMany() beats per-request SystolicEngine::run() (which
- *     rebuilds the DBT transform every time) — the software form of
- *     the hyper-systolic setup-cost amortization.
+ *  1. Amortization: for repeated-matrix workloads, one prepare()
+ *     followed by one runPrepared() per request — the path a shard
+ *     runs on plan-cache hits — beats per-request
+ *     SystolicEngine::run() (which rebuilds the DBT transform every
+ *     time).
  *  2. Scaling: a mixed-topology request stream through one Shard
  *     speeds up with worker threads (engines are stateless, so
  *     requests parallelize; scaling flattens at the host's core
@@ -23,7 +24,6 @@
 #include <chrono>
 
 #include "mat/generate.hh"
-#include "serve/batch.hh"
 #include "serve/shard.hh"
 
 namespace sap {
@@ -65,8 +65,8 @@ makeMatVecWorkload(Index s, Index w, int requests)
 void
 printAmortization(std::vector<BenchJsonEntry> *json)
 {
-    printHeader("SERVE-1", "plan amortization: cached runMany vs "
-                           "per-request run (repeated matrix)");
+    printHeader("SERVE-1", "plan amortization: one prepare + runPrepared "
+                           "vs per-request run (repeated matrix)");
     std::printf("%-10s %-22s %10s %10s %8s\n", "engine", "workload",
                 "uncached", "cached", "speedup");
 
@@ -113,8 +113,12 @@ printAmortization(std::vector<BenchJsonEntry> *json)
         double uncached = secondsSince(t0);
 
         t0 = std::chrono::steady_clock::now();
-        BatchResult batch = runMany(*engine, plan, inputs);
-        benchmark::DoNotOptimize(batch);
+        std::shared_ptr<const PreparedPlan> prepared =
+            engine->prepare(plan);
+        for (const EngineInputs &in : inputs) {
+            EngineRunResult r = engine->runPrepared(*prepared, in);
+            benchmark::DoNotOptimize(r);
+        }
         double cached = secondsSince(t0);
 
         char workload[64];

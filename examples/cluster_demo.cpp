@@ -9,8 +9,7 @@
  * blocks on a future. Clients reuse matrices across requests (the
  * realistic serving pattern), so each matrix's plan is built once,
  * on the one shard that owns it, and every repeat streams through
- * that shard's cache. A final batch submit shows the server-side
- * same-matrix grouping.
+ * that shard's cache.
  *
  * Every request is cross-checked against the host oracle; the demo
  * exits nonzero on any mismatch, serving failure, or lost
@@ -54,7 +53,6 @@ main()
     opts.shards = 4;
     opts.threadsPerShard = 2;
     opts.planCacheCapacityPerShard = 8;
-    opts.crossCheckAll = true; // golden-model check on every request
     Cluster cluster(opts);
 
     const std::uint64_t total = static_cast<std::uint64_t>(
@@ -97,6 +95,7 @@ main()
                     1000 + 100 * static_cast<std::uint64_t>(c) + i;
                 ServeRequest req;
                 req.engine = "linear";
+                req.crossCheck = true; // golden-model check
                 req.plan = EnginePlan::matVec(
                     a, randomIntVec(s, seed),
                     randomIntVec(s, seed + 1), w);
@@ -111,21 +110,6 @@ main()
         t.join();
     for (std::thread &t : pollers)
         t.join();
-
-    // Batch coda: the same matrices again, grouped server-side so
-    // each distinct matrix is one prepared streaming pass.
-    std::vector<ServeRequest> batch;
-    for (int i = 0; i < kMatrices * 3; ++i) {
-        ServeRequest req;
-        req.engine = "linear";
-        req.plan = EnginePlan::matVec(
-            mats[i % kMatrices], randomIntVec(s, 5000 + i),
-            randomIntVec(s, 5001 + i), w);
-        batch.push_back(std::move(req));
-    }
-    std::size_t batch_ok = 0;
-    for (auto &f : cluster.submitBatch(std::move(batch)))
-        batch_ok += f.get().ok ? 1 : 0;
 
     std::printf("\nper-shard serving metrics:\n");
     std::printf("%-6s %8s %8s %8s %10s %10s\n", "shard", "reqs",
@@ -149,9 +133,9 @@ main()
         snap.counters["serve_cross_check_failures_total"];
     const std::uint64_t hits = snap.counters["plan_cache_hits_total"];
     const std::uint64_t misses = snap.counters["plan_cache_misses_total"];
-    std::printf("\ntotal: %llu async + %zu batched requests, %llu "
-                "failures, %llu cross-check failures\n",
-                (unsigned long long)received.load(), batch_ok,
+    std::printf("\ntotal: %llu async requests, %llu failures, %llu "
+                "cross-check failures\n",
+                (unsigned long long)received.load(),
                 (unsigned long long)failures,
                 (unsigned long long)cross_check_failures);
     std::printf("aggregate plan cache: %llu hits / %llu misses "
@@ -160,7 +144,6 @@ main()
                 hits + misses ? 100.0 * hits / (hits + misses) : 0.0);
 
     bool ok = received.load() == total && bad.load() == 0 &&
-              batch_ok == static_cast<std::size_t>(kMatrices * 3) &&
               failures == 0 && cross_check_failures == 0 && hits > 0;
     std::printf("%s\n", ok ? "all requests served and verified"
                            : "FAILURES detected");

@@ -48,7 +48,6 @@ main()
     Shard::Options opts;
     opts.threads = 4;
     opts.planCacheCapacity = 16;
-    opts.crossCheckAll = true; // golden-model check on every request
     Shard shard(opts);
 
     // Engine name -> problem kind, resolved once; requests only
@@ -87,6 +86,7 @@ main()
                     std::uint64_t seed = 1000 + 10 * i + c;
                     ServeRequest req;
                     req.engine = name;
+                    req.crossCheck = true; // golden-model check
                     req.plan =
                         kind == ProblemKind::MatVec
                             ? EnginePlan::matVec(

@@ -12,7 +12,6 @@ shardOptions(const Cluster::Options &opts)
     Shard::Options shard;
     shard.threads = opts.threadsPerShard;
     shard.planCacheCapacity = opts.planCacheCapacityPerShard;
-    shard.crossCheckAll = opts.crossCheckAll;
     return shard;
 }
 
@@ -21,8 +20,7 @@ shardOptions(const Cluster::Options &opts)
 Cluster::Cluster() : Cluster(Options()) {}
 
 Cluster::Cluster(const Options &opts)
-    : opts_(opts),
-      router_(opts.shards, opts.virtualNodesPerShard)
+    : opts_(opts), router_(opts.shards)
 {
     SAP_ASSERT(opts_.shards >= 1, "cluster needs at least one shard");
     shards_.reserve(opts_.shards);
@@ -37,7 +35,7 @@ Cluster::Cluster(const Options &opts)
 Digest
 Cluster::routingKey(const ServeRequest &req)
 {
-    return planDigest(req.engine, req.plan);
+    return req.digest ? *req.digest : planDigest(req.engine, req.plan);
 }
 
 std::size_t
@@ -46,79 +44,41 @@ Cluster::shardFor(const ServeRequest &req) const
     return router_.shardFor(routingKey(req));
 }
 
+Shard &
+Cluster::route(ServeRequest &req)
+{
+    // The routing key doubles as the shard-side cache digest: stored
+    // on the request before it moves into the shard, so the matrices
+    // are hashed once per request.
+    const Digest key = routingKey(req);
+    req.digest = key;
+    traceStamp(req.trace, TraceStage::Route);
+    return *shards_[router_.shardFor(key)];
+}
+
 std::future<ServeResponse>
 Cluster::submit(ServeRequest req)
 {
-    // The routing key doubles as the shard-side cache digest, so
-    // the matrices are hashed once per request.
-    Digest key = routingKey(req);
-    traceStamp(req.trace, TraceStage::Route);
-    Shard &shard = *shards_[router_.shardFor(key)];
-    return shard.submit(std::move(req), key);
+    Shard &shard = route(req);
+    return shard.submit(std::move(req));
 }
 
 void
 Cluster::submitAsync(ServeRequest req, CompletionFn done)
 {
-    Digest key = routingKey(req);
-    traceStamp(req.trace, TraceStage::Route);
-    Shard &shard = *shards_[router_.shardFor(key)];
-    shard.submitAsync(std::move(req), std::move(done), key);
+    Shard &shard = route(req);
+    shard.submitAsync(std::move(req), std::move(done));
 }
 
 void
 Cluster::submitToQueue(ServeRequest req, CompletionQueue *queue,
                        std::uint64_t tag)
 {
-    Digest key = routingKey(req);
-    submitToQueue(std::move(req), queue, tag, key);
-}
-
-void
-Cluster::submitToQueue(ServeRequest req, CompletionQueue *queue,
-                       std::uint64_t tag, Digest digest)
-{
     SAP_ASSERT(queue != nullptr, "submitToQueue() needs a queue");
-    traceStamp(req.trace, TraceStage::Route);
-    Shard &shard = *shards_[router_.shardFor(digest)];
-    shard.submitAsync(
-        std::move(req),
-        [queue, tag](ServeResponse resp) {
-            traceStamp(resp.trace, TraceStage::CqPush);
-            queue->push({tag, std::move(resp)});
-        },
-        digest);
-}
-
-std::vector<std::future<ServeResponse>>
-Cluster::submitBatch(std::vector<ServeRequest> reqs)
-{
-    // Partition by shard — carrying each request's digest along so
-    // neither routing nor batch grouping hashes a matrix twice —
-    // then batch-submit each partition and put the futures back in
-    // request order.
-    std::vector<std::vector<std::pair<ServeRequest, Digest>>>
-        partition(shards_.size());
-    std::vector<std::pair<std::size_t, std::size_t>> slot(reqs.size());
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-        Digest key = routingKey(reqs[i]);
-        std::size_t s = router_.shardFor(key);
-        slot[i] = {s, partition[s].size()};
-        partition[s].emplace_back(std::move(reqs[i]), key);
-    }
-
-    std::vector<std::vector<std::future<ServeResponse>>> per_shard(
-        shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s)
-        if (!partition[s].empty())
-            per_shard[s] =
-                shards_[s]->submitBatch(std::move(partition[s]));
-
-    std::vector<std::future<ServeResponse>> futures;
-    futures.reserve(slot.size());
-    for (const auto &[s, j] : slot)
-        futures.push_back(std::move(per_shard[s][j]));
-    return futures;
+    submitAsync(std::move(req), [queue, tag](ServeResponse resp) {
+        traceStamp(resp.trace, TraceStage::CqPush);
+        queue->push({tag, std::move(resp)});
+    });
 }
 
 MetricsSnapshot

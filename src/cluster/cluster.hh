@@ -19,10 +19,11 @@
  *    (cluster/router.hh).
  *
  * IO surfaces: future-based submit(), completion-callback
- * submitAsync(), completion-queue submitToQueue() for clients that
- * cannot block on futures (cluster/completion_queue.hh), and
- * submitBatch(), which groups same-matrix requests server-side into
- * a single prepared-plan streaming pass per shard.
+ * submitAsync(), and completion-queue submitToQueue() for clients
+ * that cannot block on futures (cluster/completion_queue.hh). Each
+ * hashes a request at most once: the routing key is stored on the
+ * request (ServeRequest::digest) before the shard sees it, and a
+ * request that arrives with a digest is not hashed again.
  */
 
 #ifndef SAP_CLUSTER_CLUSTER_HH
@@ -69,11 +70,6 @@ class Cluster
         /** Plans kept by each shard's LRU plan cache. */
         std::size_t planCacheCapacityPerShard =
             PlanCache::kDefaultCapacity;
-        /** Ring points per shard (see cluster/router.hh). */
-        std::size_t virtualNodesPerShard =
-            ConsistentHashRouter::kDefaultVirtualNodes;
-        /** Cross-check every request (overrides per-request flag). */
-        bool crossCheckAll = false;
     };
 
     /** Cluster with default options. */
@@ -91,8 +87,10 @@ class Cluster
     std::size_t shardCount() const { return shards_.size(); }
 
     /**
-     * The routing key of @p req: its plan digest. Deterministic in
-     * the request content alone.
+     * The routing key of @p req: its plan digest — req.digest when a
+     * tier above already computed it (a FORWARD carries the
+     * gateway's), else planDigest(req.engine, req.plan).
+     * Deterministic in the request content alone.
      */
     static Digest routingKey(const ServeRequest &req);
 
@@ -118,27 +116,6 @@ class Cluster
                        std::uint64_t tag);
 
     /**
-     * As submitToQueue(), with @p digest = routingKey(req) already
-     * computed — the gateway tier's FORWARD hop passes its routing
-     * digest through so the matrices are hashed once per
-     * installation, not once per hop. @p digest is a hint: the shard
-     * plan cache confirms every digest hit with an exact matrix
-     * comparison, so a wrong digest costs cache locality, never
-     * correctness.
-     */
-    void submitToQueue(ServeRequest req, CompletionQueue *queue,
-                       std::uint64_t tag, Digest digest);
-
-    /**
-     * Partition @p reqs across shards and batch-submit each
-     * partition (Shard::submitBatch), so same-matrix requests are
-     * served through one prepared-plan streaming pass. Returns one
-     * future per request, in the original request order.
-     */
-    std::vector<std::future<ServeResponse>>
-    submitBatch(std::vector<ServeRequest> reqs);
-
-    /**
      * Whole-installation obs/ metrics: every shard's registry
      * snapshot merged *exactly* — counters and histogram buckets
      * add, gauges follow their GaugeAgg — so cluster p50/p99 equal
@@ -161,6 +138,10 @@ class Cluster
     const Shard &shard(std::size_t i) const;
 
   private:
+    /** Store @p req's routing key on it, stamp Route, and return
+     *  the owning shard. */
+    Shard &route(ServeRequest &req);
+
     Options opts_;
     ConsistentHashRouter router_;
     /** unique_ptr: Shard is non-movable (owns threads and mutexes). */

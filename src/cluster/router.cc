@@ -9,6 +9,9 @@ namespace sap {
 
 namespace {
 
+/** Virtual nodes per shard; more = smoother key distribution. */
+constexpr std::size_t kVirtualNodes = 64;
+
 /** Ring point of one (shard, vnode): a string digest, so the ring
  *  depends only on the indices and is reproducible everywhere. */
 Digest
@@ -20,16 +23,13 @@ ringPoint(std::size_t shard, std::size_t vnode)
 
 } // namespace
 
-ConsistentHashRouter::ConsistentHashRouter(
-    std::size_t shards, std::size_t virtual_nodes_per_shard)
-    : shards_(shards), vnodes_per_shard_(virtual_nodes_per_shard)
+ConsistentHashRouter::ConsistentHashRouter(std::size_t shards)
+    : shards_(shards)
 {
     SAP_ASSERT(shards_ >= 1, "router needs at least one shard");
-    SAP_ASSERT(vnodes_per_shard_ >= 1,
-               "router needs at least one virtual node per shard");
-    ring_.reserve(shards_ * vnodes_per_shard_);
+    ring_.reserve(shards_ * kVirtualNodes);
     for (std::size_t s = 0; s < shards_; ++s)
-        for (std::size_t v = 0; v < vnodes_per_shard_; ++v)
+        for (std::size_t v = 0; v < kVirtualNodes; ++v)
             ring_.emplace_back(ringPoint(s, v), s);
     // Ties (identical ring points from different shards) resolve to
     // the lower shard index, deterministically.

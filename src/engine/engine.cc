@@ -8,6 +8,7 @@
 #include "dbt/matmul_plan.hh"
 #include "dbt/matvec_plan.hh"
 #include "engine/registry.hh"
+#include "mat/ops.hh"
 #include "sim/mesh_array.hh"
 #include "solve/trisolve_plan.hh"
 
@@ -148,6 +149,19 @@ EnginePlan::validate() const
     std::string error = check();
     if (!error.empty())
         throw EngineError(error);
+}
+
+bool
+EnginePlan::matchesOracle(const Vec<Scalar> &y,
+                          const Dense<Scalar> &c) const
+{
+    if (kind == ProblemKind::MatMul)
+        return c == matMulAdd(a, bmat, e);
+    // sap::matVec, the host oracle — not the EnginePlan factory.
+    Vec<Scalar> gold = kind == ProblemKind::MatVec
+        ? sap::matVec(a, x, b)
+        : forwardSolve(a, b);
+    return y.size() == gold.size() && maxAbsDiff(y, gold) == 0.0;
 }
 
 EngineInputs
@@ -406,26 +420,6 @@ SystolicEngine::runPrepared(const PreparedPlan &prepared,
     request.recordTrace = in.recordTrace;
     request.mode = in.mode;
     return run(request);
-}
-
-std::vector<EngineRunResult>
-SystolicEngine::runMany(const EnginePlan &plan,
-                        const std::vector<EngineInputs> &inputs) const
-{
-    std::shared_ptr<const PreparedPlan> prepared = prepare(plan);
-    return runManyPrepared(*prepared, inputs);
-}
-
-std::vector<EngineRunResult>
-SystolicEngine::runManyPrepared(
-    const PreparedPlan &prepared,
-    const std::vector<EngineInputs> &inputs) const
-{
-    std::vector<EngineRunResult> out;
-    out.reserve(inputs.size());
-    for (const EngineInputs &in : inputs)
-        out.push_back(runPrepared(prepared, in));
-    return out;
 }
 
 namespace {

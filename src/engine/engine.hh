@@ -137,6 +137,19 @@ struct EnginePlan
 
     /** As check(), but throws EngineError on a malformed plan. */
     void validate() const;
+
+    /**
+     * Bit-exact comparison of a result against the host oracle
+     * (mat/ops.hh): @p y for MatVec and TriSolve, @p c for MatMul;
+     * the other is ignored. Every cross-check in the repository —
+     * the serving layer's and the wire client's — goes through here.
+     * TriSolve divides, so cross-checked systems should keep the
+     * intermediates representable (e.g. unit-diagonal integer
+     * systems); the tolerance hook for real-valued workloads is the
+     * ROADMAP float item.
+     */
+    bool matchesOracle(const Vec<Scalar> &y,
+                       const Dense<Scalar> &c) const;
 };
 
 /**
@@ -305,35 +318,6 @@ class SystolicEngine
     virtual EngineRunResult
     runPrepared(const PreparedPlan &prepared,
                 const EngineInputs &in) const;
-
-    /**
-     * Batched execution: prepare @p plan once and stream every
-     * element of @p inputs through it. The plan's own operand
-     * fields (x/b/e) are ignored; only its matrix and options bind.
-     *
-     * This is the amortization primitive the serving layer is built
-     * on: for R requests against one matrix it performs one
-     * dense→band transform instead of R.
-     */
-    std::vector<EngineRunResult>
-    runMany(const EnginePlan &plan,
-            const std::vector<EngineInputs> &inputs) const;
-
-    /**
-     * Stream every element of @p inputs through one already-prepared
-     * plan, in order: the streaming half of runMany(), for callers
-     * that fetched (or cached) the prepared plan themselves — the
-     * batched serve/batch.hh runMany() streams its cache-fetched
-     * plans through this. The serving shard's batch path streams
-     * per-request instead, because it interleaves validation and
-     * stats between runs.
-     *
-     * @pre @p prepared came from this engine's prepare().
-     * @pre Every input matches the prepared plan's shape contract.
-     */
-    std::vector<EngineRunResult>
-    runManyPrepared(const PreparedPlan &prepared,
-                    const std::vector<EngineInputs> &inputs) const;
 };
 
 } // namespace sap

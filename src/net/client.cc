@@ -8,7 +8,6 @@
 #include <sys/socket.h>
 
 #include "base/socket_util.hh"
-#include "mat/ops.hh"
 
 namespace sap {
 
@@ -240,22 +239,7 @@ bool
 NetClient::matchesOracle(const ServeRequest &req,
                          const WireResponse &resp)
 {
-    switch (req.plan.kind) {
-    case ProblemKind::MatVec: {
-        Vec<Scalar> gold = matVec(req.plan.a, req.plan.x, req.plan.b);
-        return resp.y.size() == gold.size() &&
-               maxAbsDiff(resp.y, gold) == 0.0;
-    }
-    case ProblemKind::MatMul:
-        return resp.c ==
-               matMulAdd(req.plan.a, req.plan.bmat, req.plan.e);
-    case ProblemKind::TriSolve: {
-        Vec<Scalar> gold = forwardSolve(req.plan.a, req.plan.b);
-        return resp.y.size() == gold.size() &&
-               maxAbsDiff(resp.y, gold) == 0.0;
-    }
-    }
-    return false;
+    return req.plan.matchesOracle(resp.y, resp.c);
 }
 
 } // namespace sap

@@ -198,8 +198,7 @@ Gateway::rebuildRing()
             ring_map_.push_back(i);
     ring_ = ring_map_.empty()
                 ? nullptr
-                : std::make_unique<ConsistentHashRouter>(
-                      ring_map_.size(), opts_.virtualNodesPerBackend);
+                : std::make_unique<ConsistentHashRouter>(ring_map_.size());
     routable_count_.store(ring_map_.size());
     inst_.backendsRoutable->set(static_cast<double>(ring_map_.size()));
 }

@@ -141,9 +141,6 @@ class Gateway
         /** Times one SUBMIT may fail over before the client gets an
          *  ERROR frame instead. */
         std::size_t maxResubmits = 2;
-        /** Ring points per backend (cluster/router.hh). */
-        std::size_t virtualNodesPerBackend =
-            ConsistentHashRouter::kDefaultVirtualNodes;
     };
 
     explicit Gateway(const Options &opts);

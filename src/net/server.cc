@@ -188,7 +188,8 @@ NetServer::handleFrame(std::uint64_t conn_id, Frame &&frame)
     case static_cast<std::uint16_t>(FrameType::Forward): {
         // FORWARD is the gateway hop: a SUBMIT whose routing digest
         // was already computed one tier up. Same life cycle as
-        // SUBMIT; the digest rides through to the shard plan cache.
+        // SUBMIT; the digest rides on the request to the shard plan
+        // cache, as a hint (ServeRequest::digest).
         const bool forward =
             frame.header.type ==
             static_cast<std::uint16_t>(FrameType::Forward);
@@ -200,6 +201,8 @@ NetServer::handleFrame(std::uint64_t conn_id, Frame &&frame)
             door_.sendError(conn_id, tag, err);
             return;
         }
+        if (forward)
+            req.digest = digest;
         // Tracing begins at the network boundary: the Decode stamp
         // anchors every later span to the IO thread's hand-off time.
         // A request carrying a propagated context adopts the edge's
@@ -214,11 +217,7 @@ NetServer::handleFrame(std::uint64_t conn_id, Frame &&frame)
             server_tag = next_tag_++;
             tags_[server_tag] = {conn_id, tag};
         }
-        if (forward)
-            cluster_->submitToQueue(std::move(req), &queue_, server_tag,
-                                    digest);
-        else
-            cluster_->submitToQueue(std::move(req), &queue_, server_tag);
+        cluster_->submitToQueue(std::move(req), &queue_, server_tag);
         return;
     }
     case static_cast<std::uint16_t>(FrameType::Metrics):

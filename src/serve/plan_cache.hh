@@ -126,12 +126,16 @@ class PlanCache
 
     /**
      * As prepare(), with the key digest already computed — callers
-     * that hashed the matrices for routing (cluster/cluster.hh)
-     * or batch grouping (serve/shard.hh) skip rehashing them here.
+     * that hashed the matrices for routing (cluster/cluster.hh, or
+     * the gateway one tier up) skip rehashing them here.
      *
-     * @pre @p digest == planDigest(engine.name(), plan) with the
-     *      default hash. When the cache was built with a custom
-     *      hash, the hint is ignored and the digest is recomputed.
+     * @p digest is a hint, never an answer: it should equal
+     * planDigest(engine.name(), plan) with the default hash, but
+     * every match under it is confirmed by an exact comparison of
+     * the bound matrices, so a wrong digest costs cache locality (a
+     * miss, a counted collision, an entry filed under the wrong
+     * key), never a wrong plan. When the cache was built with a
+     * custom hash, the hint is ignored and the digest is recomputed.
      */
     Prepared prepare(const SystolicEngine &engine,
                      const EnginePlan &plan, Digest digest);

@@ -1,14 +1,12 @@
 #include "serve/shard.hh"
 
 #include <chrono>
-#include <unordered_map>
 
 #include "analysis/formulas.hh"
 #include "analysis/metrics.hh"
 #include "base/error.hh"
 #include "base/logging.hh"
 #include "engine/registry.hh"
-#include "mat/ops.hh"
 
 namespace sap {
 
@@ -57,38 +55,6 @@ shapeLabel(const std::string &engine_name, const EnginePlan &plan)
 }
 
 /**
- * Exact comparison against the host oracle. Trisolve requests
- * divide, so cross-checked workloads should keep the intermediates
- * representable (e.g. unit-diagonal integer systems); the tolerance
- * hook for real-valued workloads is the ROADMAP float item.
- */
-bool
-matchesOracle(const EnginePlan &plan, const EngineRunResult &r)
-{
-    if (plan.kind == ProblemKind::MatMul)
-        return r.c == matMulAdd(plan.a, plan.bmat, plan.e);
-    Vec<Scalar> gold = plan.kind == ProblemKind::MatVec
-        ? matVec(plan.a, plan.x, plan.b)
-        : forwardSolve(plan.a, plan.b);
-    return r.y.size() == gold.size() && maxAbsDiff(r.y, gold) == 0.0;
-}
-
-/**
- * True when two requests bind identical plans: same engine, kind,
- * array size, and element-wise equal bound matrices. This is the
- * exact-compare backstop behind digest-keyed batch grouping — two
- * requests whose digests collide must not share a prepared plan.
- */
-bool
-sameBinding(const ServeRequest &a, const ServeRequest &b)
-{
-    return a.engine == b.engine && a.plan.kind == b.plan.kind &&
-           a.plan.w == b.plan.w && a.plan.a == b.plan.a &&
-           (a.plan.kind != ProblemKind::MatMul ||
-            a.plan.bmat == b.plan.bmat);
-}
-
-/**
  * The paper's closed-form cycle count for @p plan on @p engine_name
  * (§4–§5 via analysis/formulas.hh), or -1 when no formula covers the
  * engine (grouped/spiral/no-feedback have extra scheduling slack the
@@ -133,7 +99,7 @@ engineLabels(const std::string &engine, ProblemKind kind, ExecMode mode)
 }
 
 Shard::Shard(const Options &opts)
-    : opts_(opts), cache_(opts.planCacheCapacity), pool_(opts.threads)
+    : cache_(opts.planCacheCapacity), pool_(opts.threads)
 {
     inst_.requests = &metrics_.counter("serve_requests_total");
     inst_.failures = &metrics_.counter("serve_failures_total");
@@ -168,51 +134,14 @@ Shard::seriesFor(const std::string &engine, ProblemKind kind,
     return series;
 }
 
-void
-Shard::noteEnqueued(std::size_t n)
-{
-    inst_.queueDepth->add(static_cast<double>(n));
-}
-
-void
-Shard::noteDequeued(Clock::time_point enqueuedAt,
-                    const std::shared_ptr<RequestTrace> &trace,
-                    std::size_t n)
-{
-    traceStamp(trace, TraceStage::Dequeue);
-    inst_.queueDepth->add(-static_cast<double>(n));
-    inst_.queueWait->record(elapsedMicros(enqueuedAt));
-}
-
 std::future<ServeResponse>
 Shard::submit(ServeRequest req)
 {
-    // No digest hint: hash on the worker (inside handle), keeping
-    // the submitting client thread free of O(rows·cols) work.
-    const Clock::time_point tq = Clock::now();
-    noteEnqueued();
-    auto task = std::make_shared<std::packaged_task<ServeResponse()>>(
-        [this, req = std::move(req), tq]() {
-            noteDequeued(tq, req.trace);
-            return handle(req);
-        });
-    std::future<ServeResponse> fut = task->get_future();
-    pool_.post([task] { (*task)(); });
-    return fut;
-}
-
-std::future<ServeResponse>
-Shard::submit(ServeRequest req, Digest digest)
-{
-    const Clock::time_point tq = Clock::now();
-    noteEnqueued();
-    auto task = std::make_shared<std::packaged_task<ServeResponse()>>(
-        [this, req = std::move(req), digest, tq]() {
-            noteDequeued(tq, req.trace);
-            return handle(req, digest);
-        });
-    std::future<ServeResponse> fut = task->get_future();
-    pool_.post([task] { (*task)(); });
+    auto promise = std::make_shared<std::promise<ServeResponse>>();
+    std::future<ServeResponse> fut = promise->get_future();
+    submitAsync(std::move(req), [promise](ServeResponse resp) {
+        promise->set_value(std::move(resp));
+    });
     return fut;
 }
 
@@ -221,82 +150,19 @@ Shard::submitAsync(ServeRequest req, CompletionFn done)
 {
     SAP_ASSERT(done, "submitAsync() needs a completion callback");
     // One shared holder: std::function requires copyable targets,
-    // and the request is worth not copying per post. As with
-    // submit(), hashing happens on the worker.
+    // and the request is worth not copying per post. Hashing, when
+    // no tier above did it, happens on the worker (inside handle),
+    // keeping the submitting thread free of O(rows·cols) work.
     const Clock::time_point tq = Clock::now();
-    noteEnqueued();
+    inst_.queueDepth->add(1);
     auto job = std::make_shared<std::pair<ServeRequest, CompletionFn>>(
         std::move(req), std::move(done));
     pool_.post([this, job, tq] {
-        noteDequeued(tq, job->first.trace);
+        traceStamp(job->first.trace, TraceStage::Dequeue);
+        inst_.queueDepth->add(-1);
+        inst_.queueWait->record(elapsedMicros(tq));
         job->second(handle(job->first));
     });
-}
-
-void
-Shard::submitAsync(ServeRequest req, CompletionFn done, Digest digest)
-{
-    SAP_ASSERT(done, "submitAsync() needs a completion callback");
-    const Clock::time_point tq = Clock::now();
-    noteEnqueued();
-    auto job = std::make_shared<std::pair<ServeRequest, CompletionFn>>(
-        std::move(req), std::move(done));
-    pool_.post([this, job, digest, tq] {
-        noteDequeued(tq, job->first.trace);
-        job->second(handle(job->first, digest));
-    });
-}
-
-std::vector<std::future<ServeResponse>>
-Shard::submitBatch(std::vector<ServeRequest> reqs)
-{
-    std::vector<std::pair<ServeRequest, Digest>> keyed;
-    keyed.reserve(reqs.size());
-    for (ServeRequest &req : reqs) {
-        Digest digest = planDigest(req.engine, req.plan);
-        keyed.emplace_back(std::move(req), digest);
-    }
-    return submitBatch(std::move(keyed));
-}
-
-std::vector<std::future<ServeResponse>>
-Shard::submitBatch(std::vector<std::pair<ServeRequest, Digest>> reqs)
-{
-    std::vector<std::future<ServeResponse>> futures;
-    futures.reserve(reqs.size());
-
-    // Partition by plan digest; serveGroup() re-checks exact binding
-    // equality, so a digest collision degrades to individual service
-    // rather than a shared (wrong) plan.
-    std::unordered_map<Digest, std::shared_ptr<std::vector<Job>>>
-        groups;
-    std::vector<std::pair<Digest, std::shared_ptr<std::vector<Job>>>>
-        post_order;
-    for (auto &keyed : reqs) {
-        Job job;
-        job.req = std::move(keyed.first);
-        futures.push_back(job.promise.get_future());
-        std::shared_ptr<std::vector<Job>> &group =
-            groups[keyed.second];
-        if (!group) {
-            group = std::make_shared<std::vector<Job>>();
-            post_order.emplace_back(keyed.second, group);
-        }
-        group->push_back(std::move(job));
-    }
-    const Clock::time_point tq = Clock::now();
-    noteEnqueued(reqs.size());
-    for (const auto &entry : post_order) {
-        const Digest digest = entry.first;
-        const std::shared_ptr<std::vector<Job>> group = entry.second;
-        pool_.post([this, digest, group, tq] {
-            // The whole group leaves the queue when its worker picks
-            // it up; per-job Dequeue stamps happen in serveGroup().
-            noteDequeued(tq, nullptr, group->size());
-            serveGroup(digest, *group);
-        });
-    }
-    return futures;
 }
 
 const SystolicEngine *
@@ -315,12 +181,6 @@ Shard::engineFor(const std::string &name)
 
 ServeResponse
 Shard::handle(const ServeRequest &req)
-{
-    return handle(req, planDigest(req.engine, req.plan));
-}
-
-ServeResponse
-Shard::handle(const ServeRequest &req, Digest digest)
 {
     const Clock::time_point t0 = Clock::now();
     const SystolicEngine *engine = engineFor(req.engine);
@@ -342,7 +202,8 @@ Shard::handle(const ServeRequest &req, Digest digest)
     // response, not a dead shard.
     try {
         PlanCache::Prepared cached =
-            cache_.prepare(*engine, req.plan, digest);
+            req.digest ? cache_.prepare(*engine, req.plan, *req.digest)
+                       : cache_.prepare(*engine, req.plan);
         if (req.trace) {
             req.trace->stamp(TraceStage::Prepare);
             req.trace->cacheHit = cached.hit;
@@ -380,8 +241,9 @@ Shard::finish(const ServeRequest &req, const SystolicEngine &engine,
     resp.ok = true;
     traceStamp(req.trace, TraceStage::Execute);
 
-    if (req.crossCheck || opts_.crossCheckAll) {
-        resp.crossCheckOk = matchesOracle(req.plan, resp.result);
+    if (req.crossCheck) {
+        resp.crossCheckOk =
+            req.plan.matchesOracle(resp.result.y, resp.result.c);
         if (!resp.crossCheckOk)
             inst_.crossCheckFailures->add();
     }
@@ -410,73 +272,6 @@ Shard::finish(const ServeRequest &req, const SystolicEngine &engine,
         req.trace->cacheHit = cacheHit;
     }
     return resp;
-}
-
-void
-Shard::serveGroup(Digest digest, std::vector<Job> &jobs)
-{
-    // The first valid request is the leader: it pays the (possibly
-    // cached) prepare, and every follower with identical bindings
-    // rides the same plan as a reported cache hit. Malformed
-    // requests resolve to error responses without blocking the
-    // group; digest collisions fall back to individual service.
-    const Job *leader = nullptr;
-    const SystolicEngine *leader_engine = nullptr;
-    std::shared_ptr<const PreparedPlan> shared_plan;
-
-    for (Job &job : jobs) {
-        const ServeRequest &req = job.req;
-        const Clock::time_point t0 = Clock::now();
-        traceStamp(req.trace, TraceStage::Dequeue);
-
-        if (leader && sameBinding(leader->req, req)) {
-            // Followers still need operand validation: sameBinding()
-            // covers only the bound matrices, and a malformed x/b/e
-            // must become an error response, not an engine assert.
-            std::string error =
-                validateRequest(*leader_engine, req.plan);
-            if (!error.empty()) {
-                job.promise.set_value(fail(std::move(error), t0));
-                continue;
-            }
-            try {
-                job.promise.set_value(finish(req, *leader_engine,
-                                             *shared_plan,
-                                             /*cacheHit=*/true, t0));
-            } catch (const EngineError &e) {
-                job.promise.set_value(fail(e.what(), t0));
-            }
-            continue;
-        }
-        if (leader) {
-            // Digest collision: a different binding in this group.
-            job.promise.set_value(handle(req));
-            continue;
-        }
-
-        const SystolicEngine *engine = engineFor(req.engine);
-        if (!engine) {
-            job.promise.set_value(
-                fail("unknown engine '" + req.engine + "'", t0));
-            continue;
-        }
-        std::string error = validateRequest(*engine, req.plan);
-        if (!error.empty()) {
-            job.promise.set_value(fail(std::move(error), t0));
-            continue;
-        }
-        try {
-            PlanCache::Prepared cached =
-                cache_.prepare(*engine, req.plan, digest);
-            leader = &job;
-            leader_engine = engine;
-            shared_plan = cached.plan;
-            job.promise.set_value(
-                finish(req, *engine, *shared_plan, cached.hit, t0));
-        } catch (const EngineError &e) {
-            job.promise.set_value(fail(e.what(), t0));
-        }
-    }
 }
 
 MetricsSnapshot

@@ -10,15 +10,13 @@
  * exactly one shard and plan-cache lock contention stays bounded by
  * a shard's own thread count instead of the whole installation's.
  *
- * Three submission surfaces:
+ * Two submission surfaces, one path to the plan cache:
  *  - submit()       future-based, for clients that can block;
  *  - submitAsync()  completion-callback, for clients that cannot
- *                   (the callback runs on the worker thread);
- *  - submitBatch()  server-side grouping: requests against the same
- *                   bound matrices are served through one prepared
- *                   plan fetched once, the software analogue of
- *                   streaming a request group through the array
- *                   back-to-back.
+ *                   (the callback runs on the worker thread).
+ * Repeated requests against one matrix share work through the plan
+ * cache: the dense→band transform runs once per distinct matrix and
+ * every later request streams its operands through the cached plan.
  */
 
 #ifndef SAP_SERVE_SHARD_HH
@@ -30,8 +28,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "engine/engine.hh"
 #include "obs/metrics.hh"
@@ -62,6 +60,16 @@ struct ServeRequest
      * !valid() = none; the serving layers never require it.
      */
     TraceContext traceContext;
+    /**
+     * planDigest(engine, plan), once some tier has computed it: the
+     * cluster stores its routing key here, and a FORWARD carries the
+     * gateway's. The shard's plan cache then skips hashing the
+     * matrices again. A hint, never an answer: the cache confirms
+     * every digest match with an exact matrix comparison, so a wrong
+     * digest costs cache locality, never a wrong plan. Empty = the
+     * shard hashes on its worker.
+     */
+    std::optional<Digest> digest;
 };
 
 /** What a request resolves to. */
@@ -112,8 +120,6 @@ class Shard
         std::size_t threads = 2;
         /** Plans kept by this shard's LRU plan cache. */
         std::size_t planCacheCapacity = PlanCache::kDefaultCapacity;
-        /** Cross-check every request (overrides per-request flag). */
-        bool crossCheckAll = false;
     };
 
     explicit Shard(const Options &opts);
@@ -128,38 +134,12 @@ class Shard
     std::future<ServeResponse> submit(ServeRequest req);
 
     /**
-     * As submit(), with @p digest = planDigest(req.engine, req.plan)
-     * already computed — the cluster router passes its routing key
-     * through so the matrices are hashed once per request.
-     */
-    std::future<ServeResponse> submit(ServeRequest req, Digest digest);
-
-    /**
      * Enqueue @p req; @p done runs on the worker thread that served
      * it, with the response. For clients that cannot block on
      * futures — the cluster layer builds its completion queue on
      * this.
      */
     void submitAsync(ServeRequest req, CompletionFn done);
-
-    /** As submitAsync(), with the plan digest precomputed. */
-    void submitAsync(ServeRequest req, CompletionFn done,
-                     Digest digest);
-
-    /**
-     * Enqueue a request group, returning one future per request in
-     * order. Requests whose (engine, kind, w, bound matrices) agree
-     * are served through a single prepared plan fetched once from
-     * the cache — followers are reported as cache hits — and each
-     * group occupies one worker, streaming its requests
-     * back-to-back.
-     */
-    std::vector<std::future<ServeResponse>>
-    submitBatch(std::vector<ServeRequest> reqs);
-
-    /** As submitBatch(), with each request's plan digest paired in. */
-    std::vector<std::future<ServeResponse>>
-    submitBatch(std::vector<std::pair<ServeRequest, Digest>> reqs);
 
     /** Worker count. */
     std::size_t threadCount() const { return pool_.threadCount(); }
@@ -187,22 +167,10 @@ class Shard
     double queueDepth() const;
 
   private:
-    /** One batched request plus the promise that resolves it. */
-    struct Job
-    {
-        ServeRequest req;
-        std::promise<ServeResponse> promise;
-    };
-
+    /** Serve @p req on the calling worker: validate it, fetch or
+     *  build its plan (reusing req.digest when set), execute, and
+     *  record the outcome. */
     ServeResponse handle(const ServeRequest &req);
-    ServeResponse handle(const ServeRequest &req, Digest digest);
-    /** Metrics hook at enqueue time (queue depth up). */
-    void noteEnqueued(std::size_t n = 1);
-    /** Metrics + trace hook when a worker picks a request up:
-     *  Dequeue stamp, queue-wait histogram, queue depth down. */
-    void noteDequeued(std::chrono::steady_clock::time_point enqueuedAt,
-                      const std::shared_ptr<RequestTrace> &trace,
-                      std::size_t n = 1);
     /** Error response for a malformed request (records the failure). */
     ServeResponse fail(std::string error,
                        std::chrono::steady_clock::time_point t0);
@@ -211,8 +179,6 @@ class Shard
                          const SystolicEngine &engine,
                          const PreparedPlan &prepared, bool cacheHit,
                          std::chrono::steady_clock::time_point t0);
-    /** Serve one same-digest group through a shared prepared plan. */
-    void serveGroup(Digest digest, std::vector<Job> &jobs);
     /** Lazily instantiated shared engine instances, by name. */
     const SystolicEngine *engineFor(const std::string &name);
 
@@ -242,7 +208,6 @@ class Shard
     const EngineSeries &seriesFor(const std::string &engine,
                                   ProblemKind kind, ExecMode mode);
 
-    Options opts_;
     PlanCache cache_;
     MetricsRegistry metrics_;
     Instruments inst_;

@@ -2,10 +2,9 @@
  * @file
  * Tests of the cluster layer: consistent-hash routing (determinism,
  * coverage, rebalance behavior), shard pinning of plan caches, the
- * async completion-queue and callback surfaces, server-side batch
- * grouping, malformed-request error paths exercised through the
- * cluster router, and the exact merge of the shards' labelled
- * per-engine metrics.
+ * async completion-queue and callback surfaces, malformed-request
+ * error paths exercised through the cluster router, and the exact
+ * merge of the shards' labelled per-engine metrics.
  */
 
 #include <gtest/gtest.h>
@@ -161,7 +160,6 @@ TEST(Cluster, ServesCorrectResultsAcrossShards)
 {
     Cluster::Options opts;
     opts.shards = 3;
-    opts.crossCheckAll = true;
     Cluster cluster(opts);
 
     std::vector<ServeRequest> reqs;
@@ -169,6 +167,7 @@ TEST(Cluster, ServesCorrectResultsAcrossShards)
     for (int i = 0; i < 9; ++i) {
         Dense<Scalar> a = randomIntDense(7, 5, 800 + i);
         reqs.push_back(matVecRequest("linear", a, 900 + 2 * i, 3));
+        reqs.back().crossCheck = true;
     }
     for (const ServeRequest &req : reqs)
         futures.push_back(cluster.submit(req));
@@ -188,11 +187,11 @@ TEST(Cluster, ServesCorrectResultsAcrossShards)
 TEST(Cluster, TriSolveRequestsRouteBatchAndCrossCheck)
 {
     // The triangular workload through the whole cluster surface:
-    // digest routing pins each L to one shard, and batch submission
-    // groups same-L requests into one prepared-plan streaming pass.
+    // digest routing pins each L to one shard, whose plan cache
+    // builds it once and serves every later right-hand side from the
+    // cached plan.
     Cluster::Options opts;
     opts.shards = 3;
-    opts.crossCheckAll = true;
     Cluster cluster(opts);
 
     const Index n = 8, w = 3;
@@ -200,6 +199,7 @@ TEST(Cluster, TriSolveRequestsRouteBatchAndCrossCheck)
     for (int i = 0; i < 12; ++i) {
         ServeRequest req;
         req.engine = "tri";
+        req.crossCheck = true;
         // Four distinct systems, three right-hand sides each.
         Dense<Scalar> l =
             randomUnitLowerTriangular(n, 1900 + i % 4);
@@ -210,26 +210,24 @@ TEST(Cluster, TriSolveRequestsRouteBatchAndCrossCheck)
     // Same binding ⇒ same digest ⇒ same shard.
     EXPECT_EQ(cluster.shardFor(reqs[0]), cluster.shardFor(reqs[4]));
 
-    std::vector<ServeRequest> copies = reqs;
-    std::vector<std::future<ServeResponse>> futures =
-        cluster.submitBatch(std::move(copies));
-    std::size_t rode_shared_plan = 0;
+    // One at a time, so no two cold workers race one system's build.
+    std::size_t cache_hits = 0;
     for (std::size_t i = 0; i < reqs.size(); ++i) {
-        ServeResponse resp = futures[i].get();
+        ServeResponse resp = cluster.submit(reqs[i]).get();
         ASSERT_TRUE(resp.ok) << resp.error;
         EXPECT_TRUE(resp.crossCheckOk);
         if (resp.cacheHit)
-            ++rode_shared_plan;
+            ++cache_hits;
         Vec<Scalar> gold = forwardSolve(reqs[i].plan.a,
                                         reqs[i].plan.b);
         EXPECT_EQ(maxAbsDiff(resp.result.y, gold), 0.0) << i;
     }
     MetricsSnapshot snap = cluster.metricsSnapshot();
     EXPECT_EQ(snap.counters["serve_cross_check_failures_total"], 0u);
-    // Four distinct systems: four group leaders build, and each
-    // group's followers ride the leader's prepared plan.
+    // Four distinct systems: four builds, and every further
+    // right-hand side rides its system's cached plan.
     EXPECT_EQ(snap.counters["plan_cache_misses_total"], 4u);
-    EXPECT_EQ(rode_shared_plan, 8u);
+    EXPECT_EQ(cache_hits, 8u);
 }
 
 //---------------------------------------------------------------------
@@ -316,46 +314,23 @@ TEST(CompletionQueue, PushAfterShutdownStillDelivered)
 }
 
 //---------------------------------------------------------------------
-// Server-side batch grouping.
+// Malformed requests among well-formed ones on the same matrix.
 //---------------------------------------------------------------------
 
-TEST(Cluster, BatchGroupsSameMatrixIntoOneBuild)
+/** A shape-mismatched request on @p a (x one element short),
+ *  hand-built to bypass the asserting factory. Same matrix, so it
+ *  routes to the same shard as well-formed requests on @p a. */
+ServeRequest
+shortXRequest(const Dense<Scalar> &a, std::uint64_t seed)
 {
-    Cluster::Options opts;
-    opts.shards = 2;
-    opts.threadsPerShard = 1;
-    Cluster cluster(opts);
-
-    Dense<Scalar> a1 = randomIntDense(8, 8, 1301);
-    Dense<Scalar> a2 = randomIntDense(8, 8, 1302);
-    std::vector<ServeRequest> reqs;
-    for (int i = 0; i < 6; ++i)
-        reqs.push_back(matVecRequest("linear", a1, 1400 + 2 * i, 4));
-    for (int i = 0; i < 3; ++i)
-        reqs.push_back(matVecRequest("linear", a2, 1500 + 2 * i, 4));
-
-    std::vector<Vec<Scalar>> gold;
-    for (const ServeRequest &req : reqs)
-        gold.push_back(matVec(req.plan.a, req.plan.x, req.plan.b));
-
-    std::vector<std::future<ServeResponse>> futures =
-        cluster.submitBatch(std::move(reqs));
-    ASSERT_EQ(futures.size(), gold.size());
-    std::size_t reported_hits = 0;
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-        ServeResponse resp = futures[i].get();
-        ASSERT_TRUE(resp.ok) << resp.error;
-        // Order preserved: each response matches its own operands.
-        EXPECT_EQ(maxAbsDiff(resp.result.y, gold[i]), 0.0) << i;
-        reported_hits += resp.cacheHit ? 1 : 0;
-    }
-
-    MetricsSnapshot snap = cluster.metricsSnapshot();
-    EXPECT_EQ(snap.counters["serve_requests_total"], 9u);
-    // One dense→band build per distinct matrix; every follower rode
-    // the group's shared plan (reported as a cache hit).
-    EXPECT_EQ(snap.counters["plan_cache_misses_total"], 2u);
-    EXPECT_EQ(reported_hits, 7u);
+    ServeRequest bad;
+    bad.engine = "linear";
+    bad.plan.kind = ProblemKind::MatVec;
+    bad.plan.a = a;
+    bad.plan.x = randomIntVec(a.cols() - 1, seed); // wrong length
+    bad.plan.b = randomIntVec(a.rows(), seed + 1);
+    bad.plan.w = 3;
+    return bad;
 }
 
 TEST(Cluster, BatchMalformedRequestDoesNotBlockItsGroup)
@@ -366,27 +341,13 @@ TEST(Cluster, BatchMalformedRequestDoesNotBlockItsGroup)
     Cluster cluster(opts);
 
     Dense<Scalar> a = randomIntDense(6, 6, 1601);
-    std::vector<ServeRequest> reqs;
-    // A shape-mismatched request, hand-built to bypass the
-    // asserting factory — same matrix, so it routes with the group.
-    ServeRequest bad;
-    bad.engine = "linear";
-    bad.plan.kind = ProblemKind::MatVec;
-    bad.plan.a = a;
-    bad.plan.x = randomIntVec(5, 1602); // wrong length
-    bad.plan.b = randomIntVec(6, 1603);
-    bad.plan.w = 3;
-    reqs.push_back(std::move(bad));
-    for (int i = 0; i < 4; ++i)
-        reqs.push_back(matVecRequest("linear", a, 1610 + 2 * i, 3));
-
-    std::vector<std::future<ServeResponse>> futures =
-        cluster.submitBatch(std::move(reqs));
-    ServeResponse first = futures[0].get();
+    ServeResponse first = cluster.submit(shortXRequest(a, 1602)).get();
     EXPECT_FALSE(first.ok);
     EXPECT_FALSE(first.error.empty());
-    for (std::size_t i = 1; i < futures.size(); ++i) {
-        ServeResponse resp = futures[i].get();
+    for (int i = 0; i < 4; ++i) {
+        ServeResponse resp =
+            cluster.submit(matVecRequest("linear", a, 1610 + 2 * i, 3))
+                .get();
         EXPECT_TRUE(resp.ok) << resp.error;
     }
     MetricsSnapshot snap = cluster.metricsSnapshot();
@@ -402,39 +363,21 @@ TEST(Cluster, BatchMalformedFollowerGetsErrorResponseNotAbort)
     Cluster cluster(opts);
 
     Dense<Scalar> a = randomIntDense(6, 6, 1651);
-    std::vector<ServeRequest> reqs;
-    // Valid leader first, then a same-matrix follower with malformed
-    // streamed operands: it groups with the leader (the digest only
-    // covers the bound matrices) and must still be validated.
-    reqs.push_back(matVecRequest("linear", a, 1652, 3));
-    ServeRequest bad;
-    bad.engine = "linear";
-    bad.plan.kind = ProblemKind::MatVec;
-    bad.plan.a = a;
-    bad.plan.x = randomIntVec(5, 1654); // wrong length
-    bad.plan.b = randomIntVec(6, 1655);
-    bad.plan.w = 3;
-    reqs.push_back(std::move(bad));
-    reqs.push_back(matVecRequest("linear", a, 1656, 3));
-
-    std::vector<std::future<ServeResponse>> futures =
-        cluster.submitBatch(std::move(reqs));
-    EXPECT_TRUE(futures[0].get().ok);
-    ServeResponse follower = futures[1].get();
+    // A valid request caches a's plan; the malformed one after it
+    // binds the same matrix (the digest only covers the bound
+    // matrices), so it must be validated before the cache hands it
+    // the cached plan.
+    EXPECT_TRUE(
+        cluster.submit(matVecRequest("linear", a, 1652, 3)).get().ok);
+    ServeResponse follower =
+        cluster.submit(shortXRequest(a, 1654)).get();
     EXPECT_FALSE(follower.ok);
     EXPECT_FALSE(follower.error.empty());
-    EXPECT_TRUE(futures[2].get().ok);
+    EXPECT_TRUE(
+        cluster.submit(matVecRequest("linear", a, 1656, 3)).get().ok);
     MetricsSnapshot snap = cluster.metricsSnapshot();
     EXPECT_EQ(snap.counters["serve_failures_total"], 1u);
     EXPECT_EQ(snap.counters["serve_requests_total"], 2u);
-}
-
-TEST(Cluster, EmptyBatchIsANoop)
-{
-    Cluster cluster;
-    EXPECT_TRUE(cluster.submitBatch({}).empty());
-    EXPECT_EQ(cluster.metricsSnapshot().counters["serve_requests_total"],
-              0u);
 }
 
 //---------------------------------------------------------------------

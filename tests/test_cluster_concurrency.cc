@@ -3,8 +3,8 @@
  * Concurrency hammering of the cluster layer, built to run clean
  * under ThreadSanitizer (the CI tsan job runs this suite): many
  * producers and pollers on one completion queue, async-callback
- * storms, mixed batch/single submission, and destruction draining
- * with completions in flight.
+ * storms, many clients on one shared matrix, and destruction
+ * draining with completions in flight.
  */
 
 #include <gtest/gtest.h>
@@ -104,7 +104,6 @@ TEST(ClusterConcurrency, AsyncCallbackStormWithConcurrentStats)
     Cluster::Options opts;
     opts.shards = 3;
     opts.threadsPerShard = 2;
-    opts.crossCheckAll = true;
     Cluster cluster(opts);
 
     std::vector<Dense<Scalar>> mats;
@@ -117,10 +116,12 @@ TEST(ClusterConcurrency, AsyncCallbackStormWithConcurrentStats)
     for (int c = 0; c < kClients; ++c) {
         clients.emplace_back([&, c] {
             for (int i = 0; i < kPerClient; ++i) {
-                cluster.submitAsync(
+                ServeRequest req =
                     matVecRequest(mats[(c + i) % mats.size()],
-                                  2400 + 100 * c + 2 * i, 3),
-                    [&](ServeResponse resp) {
+                                  2400 + 100 * c + 2 * i, 3);
+                req.crossCheck = true;
+                cluster.submitAsync(
+                    std::move(req), [&](ServeResponse resp) {
                         if (!resp.ok || !resp.crossCheckOk)
                             failures.fetch_add(
                                 1, std::memory_order_relaxed);
@@ -174,12 +175,10 @@ TEST(ClusterConcurrency, MixedBatchAndSingleSubmission)
     for (int c = 0; c < 3; ++c) {
         clients.emplace_back([&, c] {
             for (int round = 0; round < 4; ++round) {
-                std::vector<ServeRequest> batch;
+                std::vector<std::future<ServeResponse>> futures;
                 for (int i = 0; i < 5; ++i)
-                    batch.push_back(matVecRequest(
-                        shared, 2700 + 100 * c + 10 * round + i, 4));
-                std::vector<std::future<ServeResponse>> futures =
-                    cluster.submitBatch(std::move(batch));
+                    futures.push_back(cluster.submit(matVecRequest(
+                        shared, 2700 + 100 * c + 10 * round + i, 4)));
                 futures.push_back(cluster.submit(matVecRequest(
                     shared, 2800 + 100 * c + round, 4)));
                 for (auto &f : futures)

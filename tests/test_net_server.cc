@@ -2,7 +2,8 @@
  * @file
  * Loopback integration tests for the TCP front end: every problem
  * kind served over the wire bit-identical to the host oracle,
- * multi-client concurrency, the STATS and PING round-trips, and the
+ * multi-client concurrency, the STATS and PING round-trips, a
+ * FORWARD digest taken as a routing hint only, and the
  * malformed-frame suite — garbage on a connection must earn an ERROR
  * frame and leave the server (and other connections) healthy. The
  * front-door cases shared with the gateway (half-close,
@@ -116,6 +117,46 @@ TEST(NetServer, RepeatedMatrixHitsThePlanCacheOverTheWire)
     ASSERT_TRUE(second.transportOk && second.response.ok);
     EXPECT_TRUE(second.response.cacheHit);
     EXPECT_TRUE(NetClient::matchesOracle(req, second.response));
+}
+
+TEST(NetServer, ForwardDigestIsAHintNeverAnAnswer)
+{
+    // A FORWARD's digest routes the request and keys the plan cache,
+    // but the cache confirms every match against the matrices: two
+    // different matrices sent under one made-up digest each get a
+    // plan of their own and a bit-exact answer, and the mismatch is
+    // counted as a collision.
+    NetServer server(smallServerOptions());
+    ASSERT_TRUE(server.start()) << server.error();
+    RawConn conn(server.port());
+    ASSERT_TRUE(conn.ok());
+
+    const Digest made_up = 0x5eed5eed5eed5eedULL;
+    const ServeRequest reqs[] = {matVecRequest(71), matVecRequest(72)};
+    ASSERT_FALSE(reqs[0].plan.a == reqs[1].plan.a);
+    for (std::uint64_t tag = 1; tag <= 2; ++tag) {
+        SCOPED_TRACE("forward " + std::to_string(tag));
+        const ServeRequest &req = reqs[tag - 1];
+        conn.send(buildForwardFrame(tag, made_up, encodeSubmit(req)));
+        Frame frame;
+        ASSERT_TRUE(conn.readFrame(&frame));
+        ASSERT_EQ(frame.header.type,
+                  static_cast<std::uint16_t>(FrameType::Response));
+        EXPECT_EQ(frame.header.tag, tag);
+        WireResponse resp;
+        std::string err;
+        ASSERT_TRUE(decodeResponse(frame.payload, &resp, &err)) << err;
+        ASSERT_TRUE(resp.ok) << resp.error;
+        EXPECT_FALSE(resp.cacheHit);
+        EXPECT_TRUE(NetClient::matchesOracle(req, resp));
+    }
+
+    NetClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+    MetricsSnapshot snap;
+    ASSERT_TRUE(client.metrics(&snap)) << client.lastError();
+    EXPECT_GE(snap.counters["plan_cache_collisions_total"], 1u);
+    EXPECT_EQ(snap.counters["serve_requests_total"], 2u);
 }
 
 TEST(NetServer, PingAndStatsRoundTrip)

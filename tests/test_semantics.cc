@@ -15,7 +15,6 @@
 #include "base/math_util.hh"
 #include "engine/registry.hh"
 #include "mat/generate.hh"
-#include "serve/batch.hh"
 #include "serve/shard.hh"
 #include "solve/trisolve_plan.hh"
 
@@ -286,7 +285,7 @@ TEST(PlanValidation, ZeroDiagonalTriSolveIsRecoverable)
 }
 
 //---------------------------------------------------------------------
-// Mode through the batch and serve layers
+// Mode through a prepared plan and the serve layer
 //---------------------------------------------------------------------
 
 TEST(SemanticsServe, BatchFastModeMatchesSimulate)
@@ -294,31 +293,26 @@ TEST(SemanticsServe, BatchFastModeMatchesSimulate)
     std::unique_ptr<SystolicEngine> engine = makeEngine("linear");
     ASSERT_TRUE(engine);
     Dense<Scalar> a = randomIntDense(8, 6, 31);
-    std::vector<EngineInputs> inputs;
-    for (int i = 0; i < 5; ++i)
-        inputs.push_back(EngineInputs::matVec(
+    std::shared_ptr<const PreparedPlan> prepared = engine->prepare(
+        EnginePlan::matVec(a, Vec<Scalar>(6), Vec<Scalar>(8), 3));
+
+    for (int i = 0; i < 5; ++i) {
+        EngineInputs in = EngineInputs::matVec(
             randomIntVec(6, 32 + static_cast<std::uint64_t>(i)),
-            randomIntVec(8, 40 + static_cast<std::uint64_t>(i))));
+            randomIntVec(8, 40 + static_cast<std::uint64_t>(i)));
+        in.mode = ExecMode::Simulate;
+        EngineRunResult sim = engine->runPrepared(*prepared, in);
+        in.mode = ExecMode::Fast;
+        EngineRunResult fast = engine->runPrepared(*prepared, in);
+        EXPECT_TRUE(EnginePlan::matVec(a, in.x, in.b, 3)
+                        .matchesOracle(fast.y, fast.c))
+            << "input " << i;
+        expectAllEqual(
+            {diff("input " + std::to_string(i), sim, fast)});
 
-    BatchOptions sim_opts;
-    sim_opts.mode = ExecMode::Simulate;
-    BatchResult sim = runManyMatVec(*engine, a, 3, inputs, sim_opts);
-
-    BatchOptions fast_opts;
-    fast_opts.mode = ExecMode::Fast;
-    fast_opts.crossCheck = true;
-    BatchResult fast = runManyMatVec(*engine, a, 3, inputs,
-                                     fast_opts);
-    EXPECT_EQ(fast.crossCheckFailures, 0u);
-
-    ASSERT_EQ(sim.results.size(), fast.results.size());
-    for (std::size_t i = 0; i < sim.results.size(); ++i)
-        expectAllEqual({diff("batch input " + std::to_string(i),
-                             sim.results[i], fast.results[i])});
-
-    BatchOptions val_opts;
-    val_opts.mode = ExecMode::Validate;
-    EXPECT_NO_THROW(runManyMatVec(*engine, a, 3, inputs, val_opts));
+        in.mode = ExecMode::Validate;
+        EXPECT_NO_THROW(engine->runPrepared(*prepared, in));
+    }
 }
 
 TEST(SemanticsServe, ShardKeysStatsPerModeAndRejectsFastTrace)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests of the serving layer: matrix fingerprints, the
- * content-addressed plan cache (hit/miss/eviction/collision), the
- * batched runMany() APIs with the golden-model cross-check, and the
- * Shard front end's request/response and metrics contract.
+ * content-addressed plan cache (hit/miss/eviction/collision), many
+ * operand sets streamed through one prepared plan, and the Shard
+ * front end's request/response and metrics contract.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "engine/registry.hh"
 #include "mat/generate.hh"
 #include "mat/ops.hh"
-#include "serve/batch.hh"
 #include "serve/fingerprint.hh"
 #include "serve/plan_cache.hh"
 #include "serve/shard.hh"
@@ -354,117 +353,65 @@ TEST(PreparedPlan, EveryEngineMatchesItsOwnRunPath)
 }
 
 //---------------------------------------------------------------------
-// Batched runMany.
+// Many operand sets through one plan.
 //---------------------------------------------------------------------
 
 TEST(RunMany, StreamsManyInputsThroughOnePlan)
 {
     const Index n = 8, m = 6, w = 3;
     Dense<Scalar> a = randomIntDense(n, m, 61);
-    std::vector<EngineInputs> inputs;
-    for (int i = 0; i < 7; ++i)
-        inputs.push_back(EngineInputs::matVec(
-            randomIntVec(m, 100 + i), randomIntVec(n, 200 + i)));
-
     auto engine = makeEngine("linear");
-    BatchOptions opts;
-    opts.crossCheck = true;
-    BatchResult batch = runManyMatVec(*engine, a, w, inputs, opts);
+    // Zero operand placeholders: prepare() binds only the matrix.
+    std::shared_ptr<const PreparedPlan> prepared = engine->prepare(
+        EnginePlan::matVec(a, Vec<Scalar>(m), Vec<Scalar>(n), w));
 
-    ASSERT_EQ(batch.results.size(), inputs.size());
-    EXPECT_EQ(batch.crossCheckFailures, 0u);
-    EXPECT_EQ(batch.planBuilds, 1u);
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-        Vec<Scalar> gold = matVec(a, inputs[i].x, inputs[i].b);
-        EXPECT_EQ(maxAbsDiff(batch.results[i].y, gold), 0.0)
-            << "input " << i;
+    for (int i = 0; i < 7; ++i) {
+        EngineInputs in = EngineInputs::matVec(randomIntVec(m, 100 + i),
+                                               randomIntVec(n, 200 + i));
+        EngineRunResult r = engine->runPrepared(*prepared, in);
+        Vec<Scalar> gold = matVec(a, in.x, in.b);
+        EXPECT_EQ(maxAbsDiff(r.y, gold), 0.0) << "input " << i;
     }
-}
-
-TEST(RunMany, SharedCacheAmortizesAcrossCalls)
-{
-    const Index n = 6, m = 6, w = 3;
-    Dense<Scalar> a = randomIntDense(n, m, 71);
-    std::vector<EngineInputs> inputs = {EngineInputs::matVec(
-        randomIntVec(m, 72), randomIntVec(n, 73))};
-
-    auto engine = makeEngine("linear");
-    PlanCache cache(4);
-    BatchOptions opts;
-    opts.cache = &cache;
-
-    BatchResult first = runManyMatVec(*engine, a, w, inputs, opts);
-    BatchResult second = runManyMatVec(*engine, a, w, inputs, opts);
-    EXPECT_EQ(first.planBuilds, 1u);
-    EXPECT_EQ(first.cacheHits, 0u);
-    EXPECT_EQ(second.planBuilds, 0u);
-    EXPECT_EQ(second.cacheHits, 1u);
 }
 
 TEST(RunMany, MatMulPairsReuseRepeatedB)
 {
+    // The hexagonal transform binds (A, B) together, so each distinct
+    // B needs its own plan and a repeated B rides the cached one.
     const Index n = 6, p = 6, m = 4, w = 2;
     Dense<Scalar> a = randomIntDense(n, p, 81);
     Dense<Scalar> b1 = randomIntDense(p, m, 82);
     Dense<Scalar> b2 = randomIntDense(p, m, 83);
 
-    std::vector<MatMulItem> items;
-    items.push_back({b1, randomIntDense(n, m, 84)});
-    items.push_back({b2, randomIntDense(n, m, 85)});
-    items.push_back({b1, randomIntDense(n, m, 86)}); // repeat of b1
-    items.push_back({b1, randomIntDense(n, m, 87)}); // repeat of b1
-
-    auto engine = makeEngine("hex");
-    BatchOptions opts;
-    opts.crossCheck = true;
-    BatchResult batch = runManyMatMul(*engine, a, w, items, opts);
-
-    ASSERT_EQ(batch.results.size(), items.size());
-    EXPECT_EQ(batch.crossCheckFailures, 0u);
-    EXPECT_EQ(batch.planBuilds, 2u); // b1 and b2
-    EXPECT_EQ(batch.cacheHits, 2u);  // the two b1 repeats
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        Dense<Scalar> gold = matMulAdd(a, items[i].bmat, items[i].e);
-        EXPECT_TRUE(batch.results[i].c == gold) << "item " << i;
+    // Items in order: b1, b2, then two repeats of b1.
+    const Dense<Scalar> *bs[] = {&b1, &b2, &b1, &b1};
+    std::vector<ServeRequest> reqs;
+    for (int i = 0; i < 4; ++i) {
+        ServeRequest req;
+        req.engine = "hex";
+        req.crossCheck = true;
+        req.plan = EnginePlan::matMul(a, *bs[i],
+                                      randomIntDense(n, m, 84 + i), w);
+        reqs.push_back(std::move(req));
     }
-}
 
-TEST(RunMany, RunManyPreparedStreamsThroughACacheFetchedPlan)
-{
-    // The documented runManyPrepared() shape: fetch the prepared
-    // plan from a cache once, stream a whole input group through it.
-    const Index n = 7, m = 6, w = 3;
-    Dense<Scalar> a = randomIntDense(n, m, 171);
-    auto engine = makeEngine("linear");
-    PlanCache cache(4);
-    EnginePlan plan = EnginePlan::matVec(a, Vec<Scalar>(m),
-                                         Vec<Scalar>(n), w);
-    PlanCache::Prepared cached = cache.prepare(*engine, plan);
-
-    std::vector<EngineInputs> inputs;
-    for (int i = 0; i < 5; ++i)
-        inputs.push_back(EngineInputs::matVec(
-            randomIntVec(m, 180 + i), randomIntVec(n, 190 + i)));
-    std::vector<EngineRunResult> results =
-        engine->runManyPrepared(*cached.plan, inputs);
-
-    ASSERT_EQ(results.size(), inputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-        Vec<Scalar> gold = matVec(a, inputs[i].x, inputs[i].b);
-        EXPECT_EQ(maxAbsDiff(results[i].y, gold), 0.0) << i;
+    Shard::Options opts;
+    opts.threads = 1;
+    Shard shard(opts);
+    const bool expected_hit[] = {false, false, true, true};
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        ServeResponse resp = shard.submit(reqs[i]).get();
+        ASSERT_TRUE(resp.ok) << resp.error;
+        EXPECT_TRUE(resp.crossCheckOk) << "item " << i;
+        EXPECT_EQ(resp.cacheHit, expected_hit[i]) << "item " << i;
+        Dense<Scalar> gold =
+            matMulAdd(a, reqs[i].plan.bmat, reqs[i].plan.e);
+        EXPECT_TRUE(resp.result.c == gold) << "item " << i;
     }
-    // One build, no further cache traffic.
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().hits, 0u);
-}
-
-TEST(RunMany, EmptyBatchIsANoop)
-{
-    auto engine = makeEngine("linear");
-    Dense<Scalar> a = randomIntDense(4, 4, 91);
-    BatchResult batch = runManyMatVec(*engine, a, 2, {});
-    EXPECT_TRUE(batch.results.empty());
-    EXPECT_EQ(batch.planBuilds, 0u);
+    MetricsSnapshot snap = shard.metricsSnapshot();
+    EXPECT_EQ(snap.counters["serve_cross_check_failures_total"], 0u);
+    EXPECT_EQ(snap.counters["plan_cache_misses_total"], 2u); // b1, b2
+    EXPECT_EQ(snap.counters["plan_cache_hits_total"], 2u); // b1 repeats
 }
 
 //---------------------------------------------------------------------
@@ -595,21 +542,17 @@ TEST(RunMany, TriSolveStreamsRightHandSidesThroughOnePlan)
 {
     const Index n = 10, w = 3;
     Dense<Scalar> l = randomUnitLowerTriangular(n, 131);
-    std::vector<EngineInputs> inputs;
-    for (int i = 0; i < 6; ++i)
-        inputs.push_back(
-            EngineInputs::triSolve(randomIntVec(n, 140 + i)));
+    auto engine = makeEngine("tri");
+    // Zero rhs placeholder: prepare() binds only the matrix.
+    std::shared_ptr<const PreparedPlan> prepared =
+        engine->prepare(EnginePlan::triSolve(l, Vec<Scalar>(n), w));
 
-    BatchOptions opts;
-    opts.crossCheck = true;
-    BatchResult batch = runManyTriSolve(*makeEngine("tri"), l, w,
-                                        inputs, opts);
-    ASSERT_EQ(batch.results.size(), inputs.size());
-    EXPECT_EQ(batch.crossCheckFailures, 0u);
-    EXPECT_EQ(batch.planBuilds, 1u);
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-        Vec<Scalar> gold = forwardSolve(l, inputs[i].b);
-        EXPECT_EQ(maxAbsDiff(batch.results[i].y, gold), 0.0) << i;
+    for (int i = 0; i < 6; ++i) {
+        EngineInputs in =
+            EngineInputs::triSolve(randomIntVec(n, 140 + i));
+        EngineRunResult r = engine->runPrepared(*prepared, in);
+        Vec<Scalar> gold = forwardSolve(l, in.b);
+        EXPECT_EQ(maxAbsDiff(r.y, gold), 0.0) << i;
     }
 }
 
@@ -617,7 +560,6 @@ TEST(Shard, CrossCheckModeValidatesEveryTopology)
 {
     Shard::Options opts;
     opts.threads = 2;
-    opts.crossCheckAll = true;
     Shard shard(opts);
 
     const Index n = 6, m = 6, p = 4, w = 2;
@@ -631,6 +573,7 @@ TEST(Shard, CrossCheckModeValidatesEveryTopology)
         auto engine = makeEngine(name);
         ServeRequest req;
         req.engine = name;
+        req.crossCheck = true;
         req.plan = engine->kind() == ProblemKind::MatVec
             ? EnginePlan::matVec(a, randomIntVec(m, 124),
                                  randomIntVec(n, 125), w)

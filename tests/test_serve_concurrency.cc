@@ -94,7 +94,6 @@ TEST(ServeConcurrency, MixedTopologyRequestStream)
 
     Shard::Options opts;
     opts.threads = 4;
-    opts.crossCheckAll = true;
     Shard shard(opts);
 
     std::vector<std::string> names = engineNames();
@@ -104,6 +103,7 @@ TEST(ServeConcurrency, MixedTopologyRequestStream)
             auto engine = makeEngine(name);
             ServeRequest req;
             req.engine = name;
+            req.crossCheck = true;
             std::uint64_t seed = 300 + 10 * round;
             req.plan = engine->kind() == ProblemKind::MatVec
                 ? EnginePlan::matVec(a, randomIntVec(m, seed),
