@@ -36,9 +36,9 @@ print()
     std::printf("\nĀ band sequence (k: Ū=U^A_{r,s}, L̄=L^A_{r,s⊕1}):\n");
     for (Index k = 0; k < d.blockCount(); ++k) {
         std::printf("  k=%2lld: U%lld,%lld L%lld,%lld%s\n",
-                    (long long)k, (long long)t.rOf(k),
-                    (long long)t.sOf(k), (long long)t.rOf(k),
-                    (long long)((t.sOf(k) + 1) % d.pbar),
+                    (long long)k, (long long)d.rOf(k),
+                    (long long)d.sOf(k), (long long)d.rOf(k),
+                    (long long)((d.sOf(k) + 1) % d.pbar),
                     k % (d.nbar * d.pbar) == 0 ? "   <- copy start"
                                                : "");
     }
@@ -49,7 +49,7 @@ print()
                 "U⁻=B-upper(s,c')):\n");
     for (Index k = 0; k < d.blockCount(); ++k) {
         std::printf("  k=%2lld: L+%lld,%lld", (long long)k,
-                    (long long)t.sOf(k), (long long)t.cOf(k));
+                    (long long)d.sOf(k), (long long)d.cOf(k));
         if (k >= 1)
             std::printf("  U-%lld,%lld", (long long)(k % d.pbar),
                         (long long)((k - 1) / (d.nbar * d.pbar)));

@@ -1,6 +1,10 @@
 #include "dbt/matmul_plan.hh"
 
 #include <algorithm>
+#include <iterator>
+#include <map>
+#include <mutex>
+#include <tuple>
 
 #include "base/logging.hh"
 #include "mat/triangular.hh"
@@ -55,25 +59,25 @@ oScalarCoords(Index k, BandPart part, Index il, Index jl, Index w)
 } // namespace
 
 std::size_t
-MatMulPlan::bandIdx(Index i, Index j) const
+MatMulSkeleton::bandIdx(Index i, Index j) const
 {
-    const Index w = dims().w;
+    const Index w = dims_.w;
     SAP_ASSERT(j - i > -w && j - i < w, "position (", i, ",", j,
                ") outside the width-", 2 * w - 1, " band");
     return static_cast<std::size_t>(i * (2 * w - 1) + (j - i) + w - 1);
 }
 
-MatMulPlan::MatMulPlan(const Dense<Scalar> &a, const Dense<Scalar> &b,
-                       Index w)
-    : transform_(a, b, w), composer_(transform_.dims())
+MatMulSkeleton::MatMulSkeleton(const MatMulDims &dims)
+    : dims_(dims), composer_(dims)
 {
-    SAP_ASSERT(transform_.validate(), "mat-mul transform is malformed");
+    SAP_ASSERT(dims_.coverageHolds(), "mat-mul transform is malformed");
     SAP_ASSERT(composer_.validate(), "I/O composition is inconsistent");
 
     // Precompute the scalar routing tables so that run() is pure
     // streaming. Both tables are keyed by bandIdx() over the 2w−1
     // wide I/O band of the order-N transformed problem.
-    const MatMulDims &d = dims();
+    const MatMulDims &d = dims_;
+    const Index w = d.w;
     const Index N = d.order();
     const std::size_t slots = static_cast<std::size_t>(N * (2 * w - 1));
 
@@ -150,6 +154,50 @@ MatMulPlan::MatMulPlan(const Dense<Scalar> &a, const Dense<Scalar> &b,
     }
 }
 
+std::shared_ptr<const MatMulSkeleton>
+MatMulSkeleton::intern(const MatMulDims &dims, bool *reused)
+{
+    using Key = std::tuple<Index, Index, Index, Index>;
+    static std::mutex mutex;
+    static std::map<Key, std::weak_ptr<const MatMulSkeleton>> live;
+    const Key key{dims.n, dims.p, dims.m, dims.w};
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        auto it = live.find(key);
+        if (it != live.end()) {
+            if (std::shared_ptr<const MatMulSkeleton> found =
+                    it->second.lock()) {
+                *reused = true;
+                return found;
+            }
+        }
+    }
+
+    // Build outside the lock, so that plans of other shapes do not
+    // wait for this one's tables.
+    auto built = std::make_shared<const MatMulSkeleton>(dims);
+    *reused = false;
+
+    std::lock_guard<std::mutex> lock(mutex);
+    for (auto it = live.begin(); it != live.end();)
+        it = it->second.expired() ? live.erase(it) : std::next(it);
+    std::weak_ptr<const MatMulSkeleton> &slot = live[key];
+    // A concurrent build of the same shape may have finished first:
+    // adopt it, so that all live plans of a shape share one skeleton.
+    if (std::shared_ptr<const MatMulSkeleton> incumbent = slot.lock())
+        return incumbent;
+    slot = built;
+    return built;
+}
+
+MatMulPlan::MatMulPlan(const Dense<Scalar> &a, const Dense<Scalar> &b,
+                       Index w)
+    : transform_(a, b, w),
+      skeleton_(MatMulSkeleton::intern(transform_.dims(),
+                                       &reused_skeleton_))
+{
+}
+
 MatMulExecResult
 MatMulPlan::runBlockLevel(const Dense<Scalar> &e) const
 {
@@ -161,13 +209,15 @@ MatMulPlan::run(const Dense<Scalar> &e) const
 {
     const MatMulDims &d = dims();
     const Index w = d.w;
+    const MatMulSkeleton &sk = *skeleton_;
+    using Route = MatMulSkeleton::InputRoute;
     SAP_ASSERT(e.rows() == d.n && e.cols() == d.m,
                "E must be n×m = ", d.n, "x", d.m);
     Dense<Scalar> e_pad = e.paddedTo(d.nbar * w, d.mbar * w);
 
     auto feedback = std::make_shared<SpiralFeedback>(w);
-    feedback->reserve(main_diag_transfers_, pair_transfers_,
-                      irregular_transfers_);
+    feedback->reserve(sk.mainDiagTransfers(), sk.pairTransfers(),
+                      sk.irregularTransfers());
 
     // Captured O values, keyed by bandIdx of the scalar position.
     struct Captured
@@ -176,7 +226,7 @@ MatMulPlan::run(const Dense<Scalar> &e) const
         Cycle exit = 0;
         bool valid = false;
     };
-    std::vector<Captured> captured(routes_.size());
+    std::vector<Captured> captured(sk.slots());
 
     Dense<Scalar> c_pad(d.nbar * w, d.mbar * w);
 
@@ -184,14 +234,14 @@ MatMulPlan::run(const Dense<Scalar> &e) const
     spec.abar = &transform_.abar();
     spec.bbar = &transform_.bbar();
     spec.inputValue = [&](Index i, Index j) -> Scalar {
-        const InputRoute &rt = routes_[bandIdx(i, j)];
+        const Route &rt = sk.route(sk.bandIdx(i, j));
         switch (rt.kind) {
-          case InputRoute::Kind::Zero:
+          case Route::Kind::Zero:
             return 0;
-          case InputRoute::Kind::FromE:
+          case Route::Kind::FromE:
             return e_pad(rt.r, rt.c);
-          case InputRoute::Kind::FromO: {
-            const Captured &cap = captured[bandIdx(rt.r, rt.c)];
+          case Route::Kind::FromO: {
+            const Captured &cap = captured[sk.bandIdx(rt.r, rt.c)];
             SAP_ASSERT(cap.valid, "feedback for (", i, ",", j,
                        ") consumed before (", rt.r, ",", rt.c,
                        ") was produced");
@@ -204,10 +254,10 @@ MatMulPlan::run(const Dense<Scalar> &e) const
         SAP_PANIC("unreachable");
     };
     spec.onOutput = [&](Index i, Index j, Scalar v, Cycle exit_cycle) {
-        std::size_t slot = bandIdx(i, j);
+        std::size_t slot = sk.bandIdx(i, j);
         captured[slot] = {v, exit_cycle, true};
-        if (extract_row_[slot] >= 0)
-            c_pad(extract_row_[slot], extract_col_[slot]) = v;
+        if (sk.extractRow(slot) >= 0)
+            c_pad(sk.extractRow(slot), sk.extractCol(slot)) = v;
     };
 
     HexRunResult hex = runHexBandMatMul(spec);

@@ -3,7 +3,8 @@
  * End-to-end mat-mul execution plan: DBT transformation, cycle-
  * accurate hexagonal execution with spiral feedback, and result
  * extraction. The user-facing API for C = A·B + E on a fixed w×w
- * hexagonal array.
+ * hexagonal array. A plan is its per-matrix bands plus a per-shape
+ * skeleton of routing tables that every plan of one shape shares.
  */
 
 #ifndef SAP_DBT_MATMUL_PLAN_HH
@@ -35,18 +36,100 @@ struct MatMulPlanResult
 };
 
 /**
+ * The shape-only half of a MatMulPlan: everything it needs that
+ * depends on (n, p, m, w) and never on the matrix values. That is
+ * the Appendix I/O composer, the scalar routing tables (where every
+ * I-band input comes from, where every O-band output goes) and the
+ * feedback transfer counts.
+ *
+ * Immutable once built, so every plan of one shape shares one
+ * skeleton through intern(). Building one runs the shape-only
+ * checks: IoComposer::validate(), the block-schedule coverage, and
+ * the range assert of every feedback route.
+ */
+class MatMulSkeleton
+{
+  public:
+    /** Precomputed source of one in-band I position. */
+    struct InputRoute
+    {
+        enum class Kind : std::uint8_t { Zero, FromE, FromO };
+        Kind kind = Kind::Zero;
+        bool irregular = false; ///< FromO: irregular spiral transfer
+        Index r = 0;            ///< FromE: padded E row; FromO: O row
+        Index c = 0;            ///< FromE: padded E col; FromO: O col
+    };
+
+    /** Build the tables for @p dims and run the shape-only checks. */
+    explicit MatMulSkeleton(const MatMulDims &dims);
+
+    /**
+     * The skeleton of @p dims's shape: the live one if some plan
+     * still holds it, else a new one. The process-wide table keeps
+     * only weak references, so a skeleton lives exactly as long as a
+     * plan uses it and memory stays bounded by the plan caches.
+     *
+     * @param reused Set to true when a live skeleton was found, false
+     *        when this call built one.
+     */
+    static std::shared_ptr<const MatMulSkeleton>
+    intern(const MatMulDims &dims, bool *reused);
+
+    /** The Appendix I/O composer. */
+    const IoComposer &composer() const { return composer_; }
+
+    /** Flat index of in-band position (i, j), |i−j| <= w−1. */
+    std::size_t bandIdx(Index i, Index j) const;
+    /** Number of bandIdx() slots: N·(2w−1). */
+    std::size_t slots() const { return routes_.size(); }
+
+    /** Where the I value of bandIdx slot @p slot comes from. */
+    const InputRoute &route(std::size_t slot) const
+    {
+        return routes_[slot];
+    }
+    /** Padded C position of the O value at @p slot; row −1 means
+     *  the value is not part of C. */
+    Index extractRow(std::size_t slot) const { return extract_row_[slot]; }
+    /** @copydoc extractRow() */
+    Index extractCol(std::size_t slot) const { return extract_col_[slot]; }
+
+    /** FromO routes per SpiralFeedback delay class, so a run sizes
+     *  its feedback records once. */
+    Index mainDiagTransfers() const { return main_diag_transfers_; }
+    /** @copydoc mainDiagTransfers() */
+    Index pairTransfers() const { return pair_transfers_; }
+    /** @copydoc mainDiagTransfers() */
+    Index irregularTransfers() const { return irregular_transfers_; }
+
+  private:
+    MatMulDims dims_;
+    IoComposer composer_;
+    // Routing tables keyed by bandIdx().
+    std::vector<InputRoute> routes_;
+    std::vector<Index> extract_row_;
+    std::vector<Index> extract_col_;
+    Index main_diag_transfers_ = 0;
+    Index pair_transfers_ = 0;
+    Index irregular_transfers_ = 0;
+};
+
+/**
  * Reusable execution plan for one (A, B) pair on one array size.
  *
- * Construction does *all* plan work: the DBT transform, the Appendix
- * I/O composition, and the scalar-level routing tables (where every
- * I-band input comes from, where every O-band output goes). run(e)
+ * Construction does all plan work, in two parts. The per-matrix part
+ * is the DBT transform: both bands, gathered straight from A and B.
+ * The per-shape part is the MatMulSkeleton, built once per
+ * (n, p, m, w) and shared by every live plan of that shape. run(e)
  * only streams data through the array, so a plan cached by the
- * serving layer amortizes the full dense→band build across requests.
+ * serving layer amortizes the dense→band build across requests, and
+ * a plan-cache miss on a shape already live pays only for its bands.
  * The plan stores nothing per cycle: the hex driver derives every
  * port event from the bands' shape (sim/hex_driver.hh).
  *
  * Thread-compatibility: const member functions are safe to call
- * concurrently (each run owns its transient state).
+ * concurrently (each run owns its transient state); construction is
+ * safe from any number of threads.
  */
 class MatMulPlan
 {
@@ -61,9 +144,17 @@ class MatMulPlan
     /** The underlying transform. */
     const MatMulTransform &transform() const { return transform_; }
     /** The Appendix I/O composer. */
-    const IoComposer &composer() const { return composer_; }
+    const IoComposer &composer() const { return skeleton_->composer(); }
     /** Dimensions record. */
     const MatMulDims &dims() const { return transform_.dims(); }
+
+    /** The shape-only tables, shared with every plan of this shape. */
+    const std::shared_ptr<const MatMulSkeleton> &skeleton() const
+    {
+        return skeleton_;
+    }
+    /** True if construction found this shape's skeleton live. */
+    bool reusedSkeleton() const { return reused_skeleton_; }
 
     /**
      * Execute C = A·B + E on the simulated hexagonal array with
@@ -89,32 +180,9 @@ class MatMulPlan
     MatMulPlanResult runSemantics(const Dense<Scalar> &e) const;
 
   private:
-    /** Precomputed source of one in-band I position. */
-    struct InputRoute
-    {
-        enum class Kind : std::uint8_t { Zero, FromE, FromO };
-        Kind kind = Kind::Zero;
-        bool irregular = false; ///< FromO: irregular spiral transfer
-        Index r = 0;            ///< FromE: padded E row; FromO: O row
-        Index c = 0;            ///< FromE: padded E col; FromO: O col
-    };
-
-    /** Flat index of in-band position (i, j), |i−j| <= w−1. */
-    std::size_t bandIdx(Index i, Index j) const;
-
     MatMulTransform transform_;
-    IoComposer composer_;
-
-    // Scalar routing tables keyed by bandIdx(): built once at
-    // construction, read-only during run().
-    std::vector<InputRoute> routes_;
-    std::vector<Index> extract_row_; ///< padded C row, −1 = discard
-    std::vector<Index> extract_col_;
-    /** FromO routes per SpiralFeedback delay class, so run() sizes
-     *  its feedback records once. */
-    Index main_diag_transfers_ = 0;
-    Index pair_transfers_ = 0;
-    Index irregular_transfers_ = 0;
+    bool reused_skeleton_ = false;
+    std::shared_ptr<const MatMulSkeleton> skeleton_;
 };
 
 } // namespace sap

@@ -1,109 +1,151 @@
 #include "dbt/matmul_transform.hh"
 
+#include <vector>
+
 #include "base/logging.hh"
 #include "base/math_util.hh"
 #include "mat/triangular.hh"
 
 namespace sap {
 
+namespace {
+
+/**
+ * The w×w block (kr, kc) of @p band restricted to @p part, zero
+ * where the block leaves the matrix (the tail's missing last row
+ * and column).
+ */
+Dense<Scalar>
+bandBlock(const Band<Scalar> &band, Index w, Index kr, Index kc,
+          TriPart part)
+{
+    Dense<Scalar> blk(w, w);
+    for (Index i = 0; i < w; ++i) {
+        for (Index j = 0; j < w; ++j) {
+            const Index row = kr * w + i, col = kc * w + j;
+            if (inTriPart(part, i, j) && row < band.rows() &&
+                col < band.cols())
+                blk(i, j) = band.at(row, col);
+        }
+    }
+    return blk;
+}
+
+/**
+ * Placement: every Ā diagonal block (the tail's U' included) holds
+ * U^A of its provenance block, read here element by element from A's
+ * coordinates rather than through the row gather.
+ */
+bool
+diagBlocksMatchA(const Band<Scalar> &abar, const MatMulDims &d,
+                 const Dense<Scalar> &a)
+{
+    const Index w = d.w;
+    for (Index k = 0; k <= d.blockCount(); ++k) {
+        const Index r = d.rOf(k), s = d.sOf(k); // (0, 0) at the tail
+        for (Index i = 0; i < w; ++i) {
+            for (Index j = i; j < w; ++j) {
+                const Index col = k * w + j;
+                if (col >= d.order())
+                    continue;
+                const Index ar = r * w + i, ac = s * w + j;
+                const Scalar expect =
+                    ar < a.rows() && ac < a.cols() ? a(ar, ac) : 0;
+                if (abar.at(k * w + i, col) != expect)
+                    return false;
+            }
+        }
+    }
+    return true;
+}
+
+} // namespace
+
+bool
+MatMulDims::coverageHolds() const
+{
+    std::vector<Index> u_count(nbar * pbar, 0);
+    std::vector<Index> l_count(pbar * mbar, 0);
+    for (Index k = 0; k < blockCount(); ++k) {
+        ++u_count[rOf(k) * pbar + sOf(k)];
+        ++l_count[sOf(k) * mbar + cOf(k)];
+    }
+    for (Index v : u_count)
+        if (v != mbar)
+            return false;
+    for (Index v : l_count)
+        if (v != nbar)
+            return false;
+    return true;
+}
+
 MatMulTransform::MatMulTransform(const Dense<Scalar> &a,
                                  const Dense<Scalar> &b, Index w)
     : dims_{a.rows(), a.cols(), b.cols(), w,
             ceilDiv(a.rows(), w), ceilDiv(a.cols(), w),
             ceilDiv(b.cols(), w)},
-      ablocks_(a, w), bblocks_(b, w),
       abar_(dims_.order(), dims_.order(), 0, w - 1),
       bbar_(dims_.order(), dims_.order(), w - 1, 0)
 {
+    SAP_ASSERT(w >= 1, "block size must be >= 1");
+    SAP_ASSERT(a.rows() >= 1 && a.cols() >= 1 && b.cols() >= 1,
+               "cannot partition an empty matrix");
     SAP_ASSERT(a.cols() == b.rows(), "A cols ", a.cols(),
                " != B rows ", b.rows());
     const Index K = dims_.blockCount();
-    const Index N = dims_.order();
 
     // ---- Ā -------------------------------------------------------
-    // Interior block rows: Ū_k on the diagonal, L̄_k one block right.
+    // Row k·w+i stores columns k·w+i … k·w+i+w−1: row i of Ū_k =
+    // U^A_{r,s} (local columns i … w−1), then row i of L̄_k =
+    // L^A_{r,(s+1) mod p̄} (local columns 0 … i−1), both from A's
+    // row r·w+i. Unless s+1 wraps to 0, the two are one run of A.
     for (Index k = 0; k < K; ++k) {
-        Dense<Scalar> u = ablocks_.block(rOf(k), sOf(k));
-        Dense<Scalar> l = ablocks_.block(rOf(k), (sOf(k) + 1)
-                                         % dims_.pbar);
+        const Index src = dims_.rOf(k) * w;
+        const Index s = dims_.sOf(k), s_next = (s + 1) % dims_.pbar;
         for (Index i = 0; i < w; ++i) {
-            for (Index j = i; j < w; ++j)      // upper incl. diagonal
-                abar_.ref(k * w + i, k * w + j) = u(i, j);
-            for (Index j = 0; j < i; ++j)      // strictly lower
-                abar_.ref(k * w + i, (k + 1) * w + j) = l(i, j);
+            Scalar *row = abar_.rowPtr(k * w + i);
+            if (s_next == s + 1) {
+                a.gatherRow(src + i, s * w + i, w, row);
+                continue;
+            }
+            a.gatherRow(src + i, s * w + i, w - i, row);
+            a.gatherRow(src + i, s_next * w, i, row + (w - i));
         }
     }
-    // Tail U': leading (w−1)×(w−1) corner of U^A_{0,0}.
-    {
-        Dense<Scalar> u0 = ablocks_.block(0, 0);
-        for (Index i = 0; i < w - 1; ++i)
-            for (Index j = i; j < w - 1; ++j)
-                abar_.ref(K * w + i, K * w + j) = u0(i, j);
-    }
+    // Tail U': leading (w−1)×(w−1) corner of U^A_{0,0}; the slots
+    // past column N−1 stay zero.
+    for (Index i = 0; i + 1 < w; ++i)
+        a.gatherRow(i, i, w - 1 - i, abar_.rowPtr(K * w + i));
 
     // ---- B̄ -------------------------------------------------------
-    // Interior: L⁺ on the diagonal, U⁻ one block left (k >= 1).
-    for (Index k = 0; k < K; ++k) {
-        Dense<Scalar> lp = bblocks_.block(sOf(k), cOf(k));
-        for (Index i = 0; i < w; ++i)
-            for (Index j = 0; j <= i; ++j)     // lower incl. diagonal
-                bbar_.ref(k * w + i, k * w + j) = lp(i, j);
-    }
-    for (Index k = 1; k <= K; ++k) {
-        // U⁻ block: B block (k mod p̄, ⌊(k−1)/(n̄p̄)⌋), strictly upper.
-        Dense<Scalar> um = bSubBlock(k);
-        for (Index i = 0; i < w; ++i) {
-            if (k * w + i >= N)
-                break; // the tail row has only w−1 rows
-            for (Index j = i + 1; j < w; ++j)
-                bbar_.ref(k * w + i, (k - 1) * w + j) = um(i, j);
+    // Row k·w+i stores columns k·w+i−w+1 … k·w+i: row i of U⁻_k (B
+    // block (k mod p̄, c(k−1)), local columns i+1 … w−1; none at
+    // k = 0), then row i of L⁺_k (B block (s, c), local columns
+    // 0 … i), both from B's row (k mod p̄)·w+i. The tail row k = K
+    // has w−1 rows and its L' is the leading corner of L⁺_{0,0}.
+    for (Index k = 0; k <= K; ++k) {
+        const Index src = dims_.sOf(k) * w;
+        const Index c_diag = k < K ? dims_.cOf(k) : 0;
+        const Index rows = k < K ? w : w - 1;
+        for (Index i = 0; i < rows; ++i) {
+            Scalar *row = bbar_.rowPtr(k * w + i);
+            if (k >= 1)
+                b.gatherRow(src + i, dims_.cOf(k - 1) * w + i + 1,
+                            w - 1 - i, row);
+            b.gatherRow(src + i, c_diag * w, i + 1, row + (w - 1 - i));
         }
     }
-    // Tail L': leading (w−1)×(w−1) corner of L⁺_{0,0}.
-    {
-        Dense<Scalar> l0 = bblocks_.block(0, 0);
-        for (Index i = 0; i < w - 1; ++i)
-            for (Index j = 0; j <= i; ++j)
-                bbar_.ref(K * w + i, K * w + j) = l0(i, j);
-    }
-}
 
-Index
-MatMulTransform::rOf(Index k) const
-{
-    return (k % (dims_.nbar * dims_.pbar)) / dims_.pbar;
-}
-
-Index
-MatMulTransform::sOf(Index k) const
-{
-    return k % dims_.pbar;
-}
-
-Index
-MatMulTransform::cOf(Index k) const
-{
-    return k / (dims_.nbar * dims_.pbar);
+    SAP_ASSERT(diagBlocksMatchA(abar_, dims_, a),
+               "Ā diagonal blocks differ from A's provenance blocks");
 }
 
 Dense<Scalar>
 MatMulTransform::aDiagBlock(Index k) const
 {
-    const Index K = dims_.blockCount();
-    SAP_ASSERT(k >= 0 && k <= K, "block row ", k, " out of range");
-    if (k < K)
-        return triPartOf(ablocks_.block(rOf(k), sOf(k)),
-                         TriPart::UpperWithDiag);
-    // Tail U': U^A_{0,0} with its last row and column zeroed. The
-    // clipped row/column contribute nothing to the products the tail
-    // participates in (see DESIGN.md §4.3).
-    Dense<Scalar> u = triPartOf(ablocks_.block(0, 0),
-                                TriPart::UpperWithDiag);
-    for (Index t = 0; t < dims_.w; ++t) {
-        u(dims_.w - 1, t) = 0;
-        u(t, dims_.w - 1) = 0;
-    }
-    return u;
+    SAP_ASSERT(k >= 0 && k <= dims_.blockCount(), "block row ", k,
+               " out of range");
+    return bandBlock(abar_, dims_.w, k, k, TriPart::UpperWithDiag);
 }
 
 Dense<Scalar>
@@ -113,74 +155,29 @@ MatMulTransform::aSuperBlock(Index k) const
     SAP_ASSERT(k >= 0 && k <= K, "block row ", k, " out of range");
     if (k == K)
         return Dense<Scalar>(dims_.w, dims_.w); // no super block at tail
-    return triPartOf(ablocks_.block(rOf(k), (sOf(k) + 1) % dims_.pbar),
-                     TriPart::LowerStrict);
+    return bandBlock(abar_, dims_.w, k, k + 1, TriPart::LowerStrict);
 }
 
 Dense<Scalar>
 MatMulTransform::bDiagBlock(Index k) const
 {
-    const Index K = dims_.blockCount();
-    SAP_ASSERT(k >= 0 && k <= K, "block row ", k, " out of range");
-    if (k < K)
-        return triPartOf(bblocks_.block(sOf(k), cOf(k)),
-                         TriPart::LowerWithDiag);
-    // Tail L': L⁺_{0,0} with last row/column zeroed.
-    Dense<Scalar> l = triPartOf(bblocks_.block(0, 0),
-                                TriPart::LowerWithDiag);
-    for (Index t = 0; t < dims_.w; ++t) {
-        l(dims_.w - 1, t) = 0;
-        l(t, dims_.w - 1) = 0;
-    }
-    return l;
+    SAP_ASSERT(k >= 0 && k <= dims_.blockCount(), "block row ", k,
+               " out of range");
+    return bandBlock(bbar_, dims_.w, k, k, TriPart::LowerWithDiag);
 }
 
 Dense<Scalar>
 MatMulTransform::bSubBlock(Index k) const
 {
-    const Index K = dims_.blockCount();
-    SAP_ASSERT(k >= 1 && k <= K, "sub block row ", k, " out of range");
-    Index s = k % dims_.pbar; // == sOf(k) for k < K; 0 at the tail
-    Index c = (k - 1) / (dims_.nbar * dims_.pbar);
-    return triPartOf(bblocks_.block(s, c), TriPart::UpperStrict);
+    SAP_ASSERT(k >= 1 && k <= dims_.blockCount(), "sub block row ", k,
+               " out of range");
+    return bandBlock(bbar_, dims_.w, k, k - 1, TriPart::UpperStrict);
 }
 
 bool
 MatMulTransform::validate() const
 {
-    const Index K = dims_.blockCount();
-    const Index w = dims_.w;
-
-    // Reconstruction: the band content must equal the provenance
-    // blocks placed at their positions.
-    for (Index k = 0; k <= K; ++k) {
-        Dense<Scalar> u = aDiagBlock(k);
-        for (Index i = 0; i < w; ++i) {
-            for (Index j = i; j < w; ++j) {
-                Index row = k * w + i, col = k * w + j;
-                if (row >= dims_.order() || col >= dims_.order())
-                    continue;
-                if (abar_.at(row, col) != u(i, j))
-                    return false;
-            }
-        }
-    }
-
-    // Coverage: every U^A block appears exactly m̄ times (once per
-    // copy); every L⁺^B block appears exactly n̄ times.
-    std::vector<Index> u_count(dims_.nbar * dims_.pbar, 0);
-    std::vector<Index> l_count(dims_.pbar * dims_.mbar, 0);
-    for (Index k = 0; k < K; ++k) {
-        ++u_count[rOf(k) * dims_.pbar + sOf(k)];
-        ++l_count[sOf(k) * dims_.mbar + cOf(k)];
-    }
-    for (Index v : u_count)
-        if (v != dims_.mbar)
-            return false;
-    for (Index v : l_count)
-        if (v != dims_.nbar)
-            return false;
-    return true;
+    return dims_.coverageHolds();
 }
 
 } // namespace sap

@@ -23,6 +23,11 @@
  *
  * where U^A/L^A split A-blocks with the diagonal in U, and
  * L⁺/U⁻ split B-blocks with the diagonal in L.
+ *
+ * Both bands are gathered straight from A's and B's rows: each band
+ * row is at most two contiguous segments of one source row, zero past
+ * the source's edges. No padded copy of A or B is kept, and the
+ * provenance blocks above are read back out of the bands.
  */
 
 #ifndef SAP_DBT_MATMUL_TRANSFORM_HH
@@ -30,7 +35,6 @@
 
 #include "base/types.hh"
 #include "mat/band.hh"
-#include "mat/block.hh"
 #include "mat/dense.hh"
 
 namespace sap {
@@ -50,6 +54,20 @@ struct MatMulDims
     Index blockCount() const { return pbar * nbar * mbar; }
     /** Scalar order of Ā and B̄: N = w·K + w − 1. */
     Index order() const { return blockCount() * w + w - 1; }
+
+    /** Original A block-row index r of band block row k. */
+    Index rOf(Index k) const { return (k % (nbar * pbar)) / pbar; }
+    /** Original A block-column (= B block-row) index s of row k. */
+    Index sOf(Index k) const { return k % pbar; }
+    /** Original B block-column index c of row k. */
+    Index cOf(Index k) const { return k / (nbar * pbar); }
+
+    /**
+     * Single-copy coverage of the block schedule, a property of the
+     * shape alone: every U^A block appears exactly m̄ times (once per
+     * copy of Ā^b) and every L⁺^B block exactly n̄ times.
+     */
+    bool coverageHolds() const;
 };
 
 /**
@@ -59,6 +77,9 @@ class MatMulTransform
 {
   public:
     /**
+     * Gather both bands and assert the placement: every Ā diagonal
+     * block equals its provenance block of A, read by coordinates.
+     *
      * @param a Dense A (n×p).
      * @param b Dense B (p×m).
      * @param w Hexagonal array size.
@@ -75,15 +96,9 @@ class MatMulTransform
 
     //-----------------------------------------------------------------
     // Block-level provenance (k in [0, blockCount()], where
-    // blockCount() is the tail row).
+    // blockCount() is the tail row), read out of the bands. The
+    // indices r, s, c of row k are dims().rOf/sOf/cOf(k).
     //-----------------------------------------------------------------
-
-    /** Original A block-row index r of band block row k. */
-    Index rOf(Index k) const;
-    /** Original A block-column (= B block-row) index s of row k. */
-    Index sOf(Index k) const;
-    /** Original B block-column index c of row k. */
-    Index cOf(Index k) const;
 
     /** Ā(k,k): the U^A block (w×w dense copy; tail-clipped at K). */
     Dense<Scalar> aDiagBlock(Index k) const;
@@ -94,21 +109,15 @@ class MatMulTransform
     /** B̄(k,k−1): the U⁻ block (k in [1, blockCount()]). */
     Dense<Scalar> bSubBlock(Index k) const;
 
-    /** The padded block partitions of A and B. */
-    const BlockPartition<Scalar> &aBlocks() const { return ablocks_; }
-    /** @copydoc aBlocks() */
-    const BlockPartition<Scalar> &bBlocks() const { return bblocks_; }
-
     /**
-     * Structural validation: band occupancy, single-copy coverage,
-     * and exact reconstruction of the band from provenance blocks.
+     * Structural validation of the block schedule: single-copy
+     * coverage (dims().coverageHolds()). The placement of values is
+     * asserted once, at construction, while A is at hand.
      */
     bool validate() const;
 
   private:
     MatMulDims dims_;
-    BlockPartition<Scalar> ablocks_;
-    BlockPartition<Scalar> bblocks_;
     Band<Scalar> abar_;
     Band<Scalar> bbar_;
 };

@@ -1,5 +1,7 @@
 #include "dbt/matvec_plan.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 #include "dbt/interleave.hh"
 
@@ -11,12 +13,17 @@ MatVecPlan::MatVecPlan(const Dense<Scalar> &a, Index w)
     SAP_ASSERT(transform_.validate(/*check_filled=*/false),
                "DBT structural conditions violated");
 
-    const Index rows = dims().barRows();
-    b_external_.assign(static_cast<std::size_t>(rows), 0);
-    y_final_.assign(static_cast<std::size_t>(rows), 0);
-    for (Index i = 0; i < rows; ++i) {
-        b_external_[i] = transform_.scalarIsExternalB(i) ? 1 : 0;
-        y_final_[i] = transform_.scalarIsFinalY(i) ? 1 : 0;
+    // One pass over the block rows: every scalar row of block row k
+    // shares its b̄ source and ȳ sink.
+    const MatVecDims &d = dims();
+    b_external_.resize(static_cast<std::size_t>(d.barRows()));
+    y_final_.resize(static_cast<std::size_t>(d.barRows()));
+    for (Index k = 0; k < d.blockCount(); ++k) {
+        const auto at = static_cast<std::ptrdiff_t>(k * d.w);
+        std::fill_n(b_external_.begin() + at, d.w,
+                    transform_.bSourceOf(k) == BSource::External);
+        std::fill_n(y_final_.begin() + at, d.w,
+                    transform_.ySinkOf(k) == YSink::Emit);
     }
 }
 

@@ -1,44 +1,51 @@
 #include "dbt/matvec_transform.hh"
 
+#include <vector>
+
 #include "base/logging.hh"
 #include "base/math_util.hh"
-#include "mat/triangular.hh"
 
 namespace sap {
 
 MatVecTransform::MatVecTransform(const Dense<Scalar> &a, Index w)
     : dims_{a.rows(), a.cols(), w,
             ceilDiv(a.rows(), w), ceilDiv(a.cols(), w)},
-      partition_(a, w),
       abar_(dims_.barRows(), dims_.barCols(), /*sub=*/0, /*super=*/w - 1)
 {
-    const Index mbar = dims_.mbar;
-    const Index blocks = dims_.blockCount();
-    pairs_.reserve(blocks);
-
-    // DBT-by-rows block selection (paper §2, rules a).
-    for (Index k = 0; k < blocks; ++k) {
-        Index r = k / mbar;
-        Index s = k % mbar;
-        Index s_next = (s + 1) % mbar;
-        pairs_.push_back({r, s, r, s_next});
-    }
-
-    // Materialize the band: block row k holds Ū_k at block column k
-    // (offsets 0..w-1-i per local row i) and L̄_k at block column k+1
-    // (offsets w-i..w-1). Together they fill the whole band.
-    for (Index k = 0; k < blocks; ++k) {
-        const BlockPair &p = pairs_[k];
-        Dense<Scalar> blk_u = partition_.block(p.uRow, p.uCol);
-        Dense<Scalar> blk_l = partition_.block(p.lRow, p.lCol);
+    SAP_ASSERT(w >= 1, "block size must be >= 1");
+    SAP_ASSERT(a.rows() >= 1 && a.cols() >= 1,
+               "cannot partition an empty matrix");
+    // Gather the band straight from A. Band row k·w+i stores columns
+    // k·w+i … k·w+i+w−1: row i of Ū_k (block column k, local columns
+    // i … w−1) followed by row i of L̄_k (block column k+1, local
+    // columns 0 … i−1). Both are segments of A's row uRow·w+i, and
+    // together they fill the whole band. Unless L̄_k wraps around to
+    // A's first block column, the two segments are adjacent in A and
+    // are copied as one.
+    for (Index k = 0; k < dims_.blockCount(); ++k) {
+        const BlockPair p = pair(k);
         for (Index i = 0; i < w; ++i) {
-            Index row = k * w + i;
-            for (Index j = i; j < w; ++j)          // U part, j >= i
-                abar_.ref(row, k * w + j) = blk_u(i, j);
-            for (Index j = 0; j < i; ++j)          // L part, j < i
-                abar_.ref(row, (k + 1) * w + j) = blk_l(i, j);
+            Scalar *row = abar_.rowPtr(k * w + i);
+            const Index src = p.uRow * w + i;
+            if (p.lCol == p.uCol + 1) {
+                a.gatherRow(src, p.uCol * w + i, w, row);
+                continue;
+            }
+            a.gatherRow(src, p.uCol * w + i, w - i, row);
+            a.gatherRow(src, p.lCol * w, i, row + (w - i));
         }
     }
+}
+
+MatVecTransform::BlockPair
+MatVecTransform::pair(Index k) const
+{
+    SAP_ASSERT(k >= 0 && k < dims_.blockCount(), "block ", k,
+               " out of range");
+    // DBT-by-rows block selection (paper §2, rules a).
+    const Index r = k / dims_.mbar;
+    const Index s = k % dims_.mbar;
+    return {r, s, r, (s + 1) % dims_.mbar};
 }
 
 BSource
@@ -144,20 +151,21 @@ MatVecTransform::validate(bool check_filled) const
 
     // Condition 1: Ū_k and L̄_k come from the same original block row.
     for (Index k = 0; k < blocks; ++k)
-        if (pairs_[k].uRow != pairs_[k].lRow)
+        if (pair(k).uRow != pair(k).lRow)
             return false;
 
     // Condition 2: L̄_k and Ū_{k+1} come from the same original block
     // column (they share the x sub-vector flowing between them).
     for (Index k = 0; k + 1 < blocks; ++k)
-        if (pairs_[k].lCol != pairs_[k + 1].uCol)
+        if (pair(k).lCol != pair(k + 1).uCol)
             return false;
 
     // Condition 3: exactly one copy of every U_ij and every L_ij.
     std::vector<int> seen_u(blocks, 0), seen_l(blocks, 0);
     for (Index k = 0; k < blocks; ++k) {
-        ++seen_u[pairs_[k].uRow * dims_.mbar + pairs_[k].uCol];
-        ++seen_l[pairs_[k].lRow * dims_.mbar + pairs_[k].lCol];
+        const BlockPair p = pair(k);
+        ++seen_u[p.uRow * dims_.mbar + p.uCol];
+        ++seen_l[p.lRow * dims_.mbar + p.lCol];
     }
     for (Index q = 0; q < blocks; ++q)
         if (seen_u[q] != 1 || seen_l[q] != 1)

@@ -17,18 +17,18 @@
  *    b sub-vector vs. the fed-back previous partial result, and which
  *    block rows emit a final y sub-vector vs. recirculate.
  *
- * The class also verifies the paper's three structural conditions
- * and the filled-band property.
+ * The band is gathered straight from A: each band row is at most two
+ * contiguous segments of one A row, zero past A's edges, so the
+ * transform keeps no padded copy of A and makes no per-block
+ * temporaries. The class also verifies the paper's three structural
+ * conditions and the filled-band property.
  */
 
 #ifndef SAP_DBT_MATVEC_TRANSFORM_HH
 #define SAP_DBT_MATVEC_TRANSFORM_HH
 
-#include <vector>
-
 #include "base/types.hh"
 #include "mat/band.hh"
-#include "mat/block.hh"
 #include "mat/dense.hh"
 #include "mat/vector.hh"
 
@@ -68,8 +68,10 @@ enum class YSink
 /**
  * Result of applying DBT-by-rows to a dense matrix.
  *
- * Owns the transformed band matrix plus the provenance and feedback
- * schedules the drivers and the result extractor need.
+ * Owns the transformed band matrix; the provenance and feedback
+ * schedules the drivers and the result extractor need are derived
+ * from the shape on demand. A itself is read only during
+ * construction.
  */
 class MatVecTransform
 {
@@ -95,11 +97,9 @@ class MatVecTransform
     /** The transformed band matrix Ā (upper band, bandwidth w). */
     const Band<Scalar> &abar() const { return abar_; }
 
-    /** Block provenance for band block row k. */
-    const BlockPair &pair(Index k) const { return pairs_.at(k); }
-
-    /** All block pairs, in band order. */
-    const std::vector<BlockPair> &pairs() const { return pairs_; }
+    /** Block provenance for band block row k (paper §2, rules a),
+     *  derived from the shape on each call. */
+    BlockPair pair(Index k) const;
 
     /** b̄ source for band block row k (paper rule: k mod m̄). */
     BSource bSourceOf(Index k) const;
@@ -155,8 +155,6 @@ class MatVecTransform
 
   private:
     MatVecDims dims_;
-    BlockPartition<Scalar> partition_;
-    std::vector<BlockPair> pairs_;
     Band<Scalar> abar_;
 };
 

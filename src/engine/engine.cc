@@ -270,6 +270,8 @@ class MatMulPrepared : public PreparedPlan
     {
     }
 
+    bool reusedSkeleton() const override { return plan.reusedSkeleton(); }
+
     MatMulPlan plan;
 };
 

@@ -247,6 +247,13 @@ class PreparedPlan
     /** Shape-check @p in against the bound matrix (asserts). */
     void validateInputs(const EngineInputs &in) const;
 
+    /**
+     * True if building this plan found the shape-only part of it
+     * (the hex family's routing skeleton, dbt/matmul_plan.hh) already
+     * live and built none. Plans without such a part report false.
+     */
+    virtual bool reusedSkeleton() const { return false; }
+
   protected:
     /** Capture the shape contract of @p plan. */
     explicit PreparedPlan(const EnginePlan &plan);

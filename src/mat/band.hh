@@ -84,6 +84,27 @@ class Band
         return data_[slot(r, c - r)];
     }
 
+    /**
+     * Storage of row @p r: bandwidth() slots holding columns
+     * r − sub() … r + super() in order. The row's bounds are asserted
+     * here once, not per element. Slots whose column lies outside
+     * the matrix read as T{} and must stay T{}.
+     */
+    T *
+    rowPtr(Index r)
+    {
+        SAP_ASSERT(r >= 0 && r < rows_, "row ", r, " out of ", rows_);
+        return data_.data() + slot(r, -sub_);
+    }
+
+    /** Same shape, same extents and every stored slot equal. */
+    bool
+    operator==(const Band &o) const
+    {
+        return rows_ == o.rows_ && cols_ == o.cols_ && sub_ == o.sub_ &&
+               super_ == o.super_ && data_ == o.data_;
+    }
+
     /** Expand to a dense matrix (zeros outside the band). */
     Dense<T>
     toDense() const

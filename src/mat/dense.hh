@@ -11,6 +11,7 @@
 #ifndef SAP_MAT_DENSE_HH
 #define SAP_MAT_DENSE_HH
 
+#include <algorithm>
 #include <vector>
 
 #include "base/logging.hh"
@@ -62,6 +63,30 @@ class Dense
 
     /** Raw storage access (row-major). */
     const std::vector<T> &data() const { return data_; }
+
+    /**
+     * Copy elements (r, c0) … (r, c0 + len − 1) to @p out, reading
+     * T{} past the matrix edges: the zero padding of §2.a, clipped
+     * from the shape alone. Bounds are checked once per call, not
+     * per element.
+     *
+     * @pre c0 >= 0, len >= 0, and @p out has room for len elements.
+     */
+    void
+    gatherRow(Index r, Index c0, Index len, T *out) const
+    {
+        SAP_ASSERT(c0 >= 0 && len >= 0, "bad segment at column ", c0,
+                   " of length ", len);
+        Index inside = 0;
+        if (r >= 0 && r < rows_ && c0 < cols_)
+            inside = std::min(len, cols_ - c0);
+        if (inside > 0) {
+            const T *src =
+                data_.data() + static_cast<std::size_t>(r * cols_ + c0);
+            std::copy(src, src + inside, out);
+        }
+        std::fill(out + inside, out + len, T{});
+    }
 
     /** @return a new matrix that is the transpose of this one. */
     Dense

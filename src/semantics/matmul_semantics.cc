@@ -24,31 +24,33 @@ MatMulPlan::runSemantics(const Dense<Scalar> &e) const
     const MatMulDims &d = dims();
     const Index w = d.w;
     const Index N = d.order();
+    const MatMulSkeleton &sk = *skeleton_;
+    using Route = MatMulSkeleton::InputRoute;
     SAP_ASSERT(e.rows() == d.n && e.cols() == d.m,
                "E must be n×m = ", d.n, "x", d.m);
     Dense<Scalar> e_pad = e.paddedTo(d.nbar * w, d.mbar * w);
 
     // Captured O values, keyed by bandIdx of the scalar position.
-    std::vector<Scalar> captured(routes_.size(), 0);
+    std::vector<Scalar> captured(sk.slots(), 0);
     Dense<Scalar> c_pad(d.nbar * w, d.mbar * w);
     Index macs = 0;
 
     const Cycle last = hexLastCycle(N, w);
     for (Cycle t = 0; t <= last; ++t) {
         forEachHexExit(N, w, t, [&](Index i, Index j) {
-            const std::size_t slot = bandIdx(i, j);
+            const std::size_t slot = sk.bandIdx(i, j);
 
-            const InputRoute &rt = routes_[slot];
+            const Route &rt = sk.route(slot);
             Scalar acc = 0;
             switch (rt.kind) {
-              case InputRoute::Kind::Zero:
+              case Route::Kind::Zero:
                 acc = 0;
                 break;
-              case InputRoute::Kind::FromE:
+              case Route::Kind::FromE:
                 acc = e_pad(rt.r, rt.c);
                 break;
-              case InputRoute::Kind::FromO:
-                acc = captured[bandIdx(rt.r, rt.c)];
+              case Route::Kind::FromO:
+                acc = captured[sk.bandIdx(rt.r, rt.c)];
                 break;
             }
 
@@ -63,8 +65,8 @@ MatMulPlan::runSemantics(const Dense<Scalar> &e) const
             }
 
             captured[slot] = acc;
-            if (extract_row_[slot] >= 0)
-                c_pad(extract_row_[slot], extract_col_[slot]) = acc;
+            if (sk.extractRow(slot) >= 0)
+                c_pad(sk.extractRow(slot), sk.extractCol(slot)) = acc;
         });
     }
 

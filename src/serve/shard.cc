@@ -126,6 +126,8 @@ Shard::seriesFor(const std::string &engine, ProblemKind kind,
             seriesKey("serve_engine_requests_total", labels));
         series.cacheHits = &metrics_.counter(
             seriesKey("serve_engine_cache_hits_total", labels));
+        series.skeletonHits = &metrics_.counter(
+            seriesKey("serve_engine_skeleton_hits_total", labels));
         series.simCycles = &metrics_.counter(
             seriesKey("serve_engine_sim_cycles_total", labels));
         series.latency = &metrics_.histogram(
@@ -257,6 +259,8 @@ Shard::finish(const ServeRequest &req, const SystolicEngine &engine,
     series.requests->add();
     if (cacheHit)
         series.cacheHits->add();
+    else if (prepared.reusedSkeleton())
+        series.skeletonHits->add();
     series.simCycles->add(static_cast<std::uint64_t>(cycles));
     series.latency->record(resp.latencyMicros);
     // Measured-vs-analytic drift: how far the served cycle count

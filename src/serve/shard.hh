@@ -153,8 +153,10 @@ class Shard
      * gauge). Besides the unlabelled totals (serve_requests_total,
      * serve_latency_micros, ...) it carries the per-(engine, kind,
      * mode) breakdown as labelled series: serve_engine_requests_total,
-     * serve_engine_cache_hits_total, serve_engine_sim_cycles_total and
-     * the serve_engine_latency_micros histogram. Cluster snapshots
+     * serve_engine_cache_hits_total, serve_engine_skeleton_hits_total
+     * (plan-cache misses whose plan found its shape's skeleton live),
+     * serve_engine_sim_cycles_total and the
+     * serve_engine_latency_micros histogram. Cluster snapshots
      * merge these exactly — counters and histogram buckets add.
      */
     MetricsSnapshot metricsSnapshot() const;
@@ -201,6 +203,7 @@ class Shard
     {
         Counter *requests = nullptr;
         Counter *cacheHits = nullptr;
+        Counter *skeletonHits = nullptr;
         Counter *simCycles = nullptr;
         Histogram *latency = nullptr;
     };

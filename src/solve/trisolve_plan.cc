@@ -1,11 +1,11 @@
 #include "solve/trisolve_plan.hh"
 
 #include <string>
+#include <utility>
 
 #include "base/error.hh"
 #include "base/logging.hh"
 #include "base/math_util.hh"
-#include "mat/block.hh"
 #include "sim/tri_array.hh"
 
 namespace sap {
@@ -25,28 +25,44 @@ TriSolvePlan::TriSolvePlan(const Dense<Scalar> &l, Index w)
             throw EngineError("zero diagonal at " +
                               std::to_string(i));
 
-    BlockPartition<Scalar> part(l, w);
-    nbar_ = part.blockRows();
-    const Dense<Scalar> &padded = part.padded();
-
+    // Copy the diagonal blocks and panels row by row from L, reading
+    // zero past its edges (the §2.a padding).
+    nbar_ = ceilDiv(n_, w_);
     diag_.reserve(static_cast<std::size_t>(nbar_));
     for (Index r = 0; r < nbar_; ++r) {
-        diag_.push_back(part.block(r, r));
-        // Padded diagonal entries are zero; patch them to 1 so the
-        // padded sub-systems stay solvable (their solutions are 0).
-        for (Index i = 0; i < w_; ++i)
+        Dense<Scalar> blk(w_, w_);
+        for (Index i = 0; i < w_; ++i) {
+            l.gatherRow(r * w_ + i, r * w_, w_, &blk(i, 0));
+            // Padded diagonal entries are zero; patch them to 1 so the
+            // padded sub-systems stay solvable (their solutions are 0).
             if (r * w_ + i >= n_)
-                diag_.back()(i, i) = 1;
+                blk(i, i) = 1;
+        }
+        diag_.push_back(std::move(blk));
     }
 
     panels_.reserve(static_cast<std::size_t>(nbar_ - 1));
     for (Index r = 1; r < nbar_; ++r) {
         Dense<Scalar> panel(w_, r * w_);
         for (Index i = 0; i < w_; ++i)
-            for (Index j = 0; j < r * w_; ++j)
-                panel(i, j) = padded(r * w_ + i, j);
+            l.gatherRow(r * w_ + i, 0, r * w_, &panel(i, 0));
         panels_.emplace_back(panel, w_);
     }
+}
+
+const Dense<Scalar> &
+TriSolvePlan::diagBlock(Index r) const
+{
+    SAP_ASSERT(r >= 0 && r < nbar_, "block row ", r, " out of ", nbar_);
+    return diag_[static_cast<std::size_t>(r)];
+}
+
+const MatVecPlan &
+TriSolvePlan::panel(Index r) const
+{
+    SAP_ASSERT(r >= 1 && r < nbar_, "panel ", r, " out of [1, ", nbar_,
+               ")");
+    return panels_[static_cast<std::size_t>(r - 1)];
 }
 
 TriSolvePlanResult

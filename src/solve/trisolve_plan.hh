@@ -12,9 +12,9 @@
  * (sim/tri_array.hh) instead of the host. Both arrays are w cells
  * wide, so the plan models one installation whose cells gain a
  * divide path — the matrix-bound artifact (panel plans + diagonal
- * coefficient blocks) is built once per (L, w) and any number of
- * right-hand sides stream through it, which is what the serving
- * layer caches.
+ * coefficient blocks, both copied row by row straight from L) is
+ * built once per (L, w) and any number of right-hand sides stream
+ * through it, which is what the serving layer caches.
  *
  * Thread-compatibility: const member functions are safe to call
  * concurrently (each run builds its own simulators).
@@ -72,6 +72,13 @@ class TriSolvePlan
     Index w() const { return w_; }
     /** Number of w-wide block rows n̄ = ceil(n/w). */
     Index nbar() const { return nbar_; }
+
+    /** The w×w diagonal block L_{r,r} as the array sees it (see
+     *  diag_), r in [0, n̄). */
+    const Dense<Scalar> &diagBlock(Index r) const;
+    /** The panel plan of block row r: it binds
+     *  [L_{r,0} … L_{r,r−1}], r in [1, n̄). */
+    const MatVecPlan &panel(Index r) const;
 
     /**
      * Solve L·y = b on the simulated arrays.

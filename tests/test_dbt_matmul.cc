@@ -7,9 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <tuple>
+#include <vector>
+
 #include "dbt/matmul_exec.hh"
 #include "dbt/matmul_io.hh"
+#include "dbt/matmul_plan.hh"
 #include "dbt/matmul_transform.hh"
+#include "dbt_oracle.hh"
 #include "mat/generate.hh"
 #include "mat/ops.hh"
 #include "mat/triangular.hh"
@@ -51,15 +57,15 @@ TEST(MatMulTransform, ProvenanceIndices)
     Dense<Scalar> b = randomIntDense(6, 9, 6);
     MatMulTransform t(a, b, 3);
     // k = 0 -> (r,s,c) = (0,0,0); k = 5 -> c=1? 5 = 1*4 + 0*2 + 1.
-    EXPECT_EQ(t.rOf(0), 0);
-    EXPECT_EQ(t.sOf(0), 0);
-    EXPECT_EQ(t.cOf(0), 0);
-    EXPECT_EQ(t.rOf(5), 0);
-    EXPECT_EQ(t.sOf(5), 1);
-    EXPECT_EQ(t.cOf(5), 1);
-    EXPECT_EQ(t.rOf(11), 1);
-    EXPECT_EQ(t.sOf(11), 1);
-    EXPECT_EQ(t.cOf(11), 2);
+    EXPECT_EQ(t.dims().rOf(0), 0);
+    EXPECT_EQ(t.dims().sOf(0), 0);
+    EXPECT_EQ(t.dims().cOf(0), 0);
+    EXPECT_EQ(t.dims().rOf(5), 0);
+    EXPECT_EQ(t.dims().sOf(5), 1);
+    EXPECT_EQ(t.dims().cOf(5), 1);
+    EXPECT_EQ(t.dims().rOf(11), 1);
+    EXPECT_EQ(t.dims().sOf(11), 1);
+    EXPECT_EQ(t.dims().cOf(11), 2);
 }
 
 TEST(MatMulTransform, ABarJuxtaposesCopies)
@@ -111,6 +117,80 @@ TEST(MatMulTransform, TailBlocksAreLeadingCorners)
         EXPECT_EQ(u_tail(w - 1, tcol), 0);
         EXPECT_EQ(u_tail(tcol, w - 1), 0);
     }
+}
+
+/** Bands and provenance blocks equal the block-copy oracle's. */
+void
+expectMatchesBlockCopyOracle(const Dense<Scalar> &a,
+                             const Dense<Scalar> &b, Index w)
+{
+    MatMulTransform t(a, b, w);
+    oracle::MatMul o(a, b, w);
+    SCOPED_TRACE(::testing::Message() << "n=" << a.rows() << " p="
+                                      << a.cols() << " m=" << b.cols()
+                                      << " w=" << w);
+    EXPECT_TRUE(t.abar() == o.abar());
+    EXPECT_TRUE(t.bbar() == o.bbar());
+    for (Index k = 0; k <= o.blockCount(); ++k) {
+        EXPECT_TRUE(t.aDiagBlock(k) == o.aDiagBlock(k)) << "k=" << k;
+        EXPECT_TRUE(t.aSuperBlock(k) == o.aSuperBlock(k)) << "k=" << k;
+        EXPECT_TRUE(t.bDiagBlock(k) == o.bDiagBlock(k)) << "k=" << k;
+        if (k >= 1) {
+            EXPECT_TRUE(t.bSubBlock(k) == o.bSubBlock(k)) << "k=" << k;
+        }
+    }
+}
+
+TEST(MatMulTransform, BandsEqualBlockCopyOracleOnEdgeShapes)
+{
+    // Every padding case on every edge of A and B (none, one short,
+    // one over, w > n), 1×1×1, and tall and wide operands.
+    std::vector<std::tuple<Index, Index, Index, Index>> shapes{
+        {23, 2, 3, 4}, {2, 3, 23, 4}, {3, 23, 2, 4}, {2, 3, 1, 8}};
+    for (Index w : oracle::sweepArraySizes())
+        for (Index n : oracle::sweepEdgeSizes(w))
+            for (Index p : oracle::sweepEdgeSizes(w))
+                for (Index m : oracle::sweepEdgeSizes(w))
+                    shapes.emplace_back(n, p, m, w);
+    for (const auto &[n, p, m, w] : shapes)
+        expectMatchesBlockCopyOracle(
+            randomIntDense(n, p, 600 + n * 41 + p * 7 + m + w),
+            randomIntDense(p, m, 700 + n + p * 13 + m * 3 + w), w);
+}
+
+TEST(MatMulSkeleton, PlansOfOneShapeShareOneSkeleton)
+{
+    // Shapes no other test here uses, so only these plans hold them.
+    MatMulPlan p1(randomIntDense(7, 5, 1), randomIntDense(5, 6, 2), 3);
+    MatMulPlan p2(randomIntDense(7, 5, 3), randomIntDense(5, 6, 4), 3);
+    MatMulPlan other(randomIntDense(7, 5, 5), randomIntDense(5, 8, 6),
+                     3);
+    EXPECT_FALSE(p1.reusedSkeleton());
+    EXPECT_TRUE(p2.reusedSkeleton());
+    EXPECT_EQ(p1.skeleton().get(), p2.skeleton().get());
+    EXPECT_FALSE(other.reusedSkeleton());
+    EXPECT_NE(other.skeleton().get(), p1.skeleton().get());
+    // Sharing the tables does not share the bands.
+    EXPECT_FALSE(p1.transform().abar() == p2.transform().abar());
+}
+
+TEST(MatMulSkeleton, LastPlanOfAShapeTakesItsSkeletonAlong)
+{
+    std::weak_ptr<const MatMulSkeleton> seen;
+    {
+        MatMulPlan p(randomIntDense(5, 7, 7), randomIntDense(7, 4, 8), 3);
+        EXPECT_FALSE(p.reusedSkeleton());
+        seen = p.skeleton();
+        EXPECT_FALSE(seen.expired());
+    }
+    EXPECT_TRUE(seen.expired());
+    MatMulPlan again(randomIntDense(5, 7, 9), randomIntDense(7, 4, 10),
+                     3);
+    EXPECT_FALSE(again.reusedSkeleton());
+    const Dense<Scalar> e = randomIntDense(5, 4, 11);
+    EXPECT_TRUE(again.run(e).c ==
+                matMulAdd(randomIntDense(5, 7, 9),
+                          randomIntDense(7, 4, 10), e));
 }
 
 TEST(IoComposerTest, ValidatesAcrossShapes)
@@ -189,6 +269,7 @@ TEST_P(MatMulCorrectness, BlockExecEqualsOracle)
 
     MatMulTransform t(a, b, w);
     EXPECT_TRUE(t.validate());
+    expectMatchesBlockCopyOracle(a, b, w);
     MatMulExecResult r = execTransformedMatMul(t, e);
     Dense<Scalar> expect = matMulAdd(a, b, e);
     EXPECT_EQ(maxAbsDiff(r.c, expect), 0.0)

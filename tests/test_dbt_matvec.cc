@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "dbt/matvec_exec.hh"
 #include "dbt/matvec_transform.hh"
+#include "dbt_oracle.hh"
 #include "mat/generate.hh"
 #include "mat/ops.hh"
 
@@ -151,6 +155,8 @@ TEST_P(DbtMatVecCorrectness, TransformedEqualsOracle)
     Vec<Scalar> b = randomIntVec(n, 300 + n * 3 + m + w);
 
     MatVecTransform t(a, w);
+    EXPECT_TRUE(t.abar() == oracle::matVecBand(a, w))
+        << "n=" << n << " m=" << m << " w=" << w;
     MatVecExecResult r = execTransformed(t, x, b);
     Vec<Scalar> expect = matVec(a, x, b);
     // Integer workload: results must be bit-exact.
@@ -170,6 +176,27 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(1, 9, 3), std::make_tuple(9, 1, 3),
         std::make_tuple(12, 12, 6), std::make_tuple(6, 9, 9),
         std::make_tuple(3, 3, 5)));
+
+TEST(DbtMatVec, BandEqualsBlockCopyOracleOnEdgeShapes)
+{
+    // Every padding case on both edges of A: none, one short, one
+    // over, w > n, 1×1, tall and wide. The gathered band must equal
+    // the block-copy one slot for slot, padding zeros included.
+    std::vector<std::tuple<Index, Index, Index>> shapes{
+        {37, 5, 3}, {2, 41, 4}, {3, 2, 8}};
+    for (Index w : oracle::sweepArraySizes())
+        for (Index n : oracle::sweepEdgeSizes(w))
+            for (Index m : oracle::sweepEdgeSizes(w))
+                shapes.emplace_back(n, m, w);
+    for (const auto &[n, m, w] : shapes) {
+        Dense<Scalar> a = randomIntDense(n, m, 500 + n * 37 + m * 5 + w);
+        MatVecTransform t(a, w);
+        EXPECT_TRUE(t.abar() == oracle::matVecBand(a, w))
+            << "n=" << n << " m=" << m << " w=" << w;
+        EXPECT_TRUE(t.validate(/*check_filled=*/false))
+            << "n=" << n << " m=" << m << " w=" << w;
+    }
+}
 
 TEST(DbtMatVec, LinearityProperty)
 {

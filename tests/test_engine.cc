@@ -9,6 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "base/random.hh"
 #include "baseline/naive_band.hh"
@@ -265,6 +269,58 @@ TEST(EngineCrossCheck, RandomBandMatricesMatchNaiveGoldenModel)
             makeEngine("hex")->run(EnginePlan::matMul(a, bmat, w));
         EXPECT_TRUE(hex.c == c_gold);
     }
+}
+
+/**
+ * Hex prepares racing on one new shape: each of 8 threads builds
+ * plans for its own matrices, so the first builds contend for the
+ * shape's skeleton and the later ones find it live. Every result must
+ * still equal the host oracle.
+ */
+TEST(EngineSkeleton, ConcurrentHexPreparesOfANewShapeMatchTheOracle)
+{
+    // A shape no other test here uses.
+    const Index n = 9, p = 6, m = 7, w = 3;
+    const int threads = 8, plans_per_thread = 4;
+    auto engine = makeEngine("hex");
+    ASSERT_NE(engine, nullptr);
+
+    std::atomic<bool> go{false};
+    std::vector<int> wrong(threads, 0), reused(threads, 0);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+            while (!go.load())
+                std::this_thread::yield();
+            // Held to the end, so the shape stays live across this
+            // thread's later prepares.
+            std::vector<std::shared_ptr<const PreparedPlan>> held;
+            for (int i = 0; i < plans_per_thread; ++i) {
+                const std::uint64_t seed = 3000 + 16 * t + 3 * i;
+                EnginePlan plan = EnginePlan::matMul(
+                    randomIntDense(n, p, seed),
+                    randomIntDense(p, m, seed + 1),
+                    randomIntDense(n, m, seed + 2), w);
+                held.push_back(engine->prepare(plan));
+                reused[t] += held.back()->reusedSkeleton() ? 1 : 0;
+                EngineRunResult r = engine->runPrepared(
+                    *held.back(), EngineInputs::of(plan));
+                if (!(r.c == matMulAdd(plan.a, plan.bmat, plan.e)))
+                    ++wrong[t];
+            }
+        });
+    }
+    go = true;
+    for (std::thread &th : pool)
+        th.join();
+
+    int total_reused = 0;
+    for (int t = 0; t < threads; ++t) {
+        EXPECT_EQ(wrong[t], 0) << "thread " << t;
+        total_reused += reused[t];
+    }
+    // A thread's own first plan keeps the shape live for the rest.
+    EXPECT_GE(total_reused, threads * (plans_per_thread - 1));
 }
 
 } // namespace

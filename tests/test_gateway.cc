@@ -937,6 +937,10 @@ TEST(Gateway, EachTierExportsThePinnedSeriesKeys)
         "counter serve_engine_sim_cycles_total{engine=\"linear\",kind=\"matvec\",mode=\"fast\"}",
         "counter serve_engine_sim_cycles_total{engine=\"linear\",kind=\"matvec\",mode=\"simulate\"}",
         "counter serve_engine_sim_cycles_total{engine=\"tri\",kind=\"trisolve\",mode=\"simulate\"}",
+        "counter serve_engine_skeleton_hits_total{engine=\"hex\",kind=\"matmul\",mode=\"simulate\"}",
+        "counter serve_engine_skeleton_hits_total{engine=\"linear\",kind=\"matvec\",mode=\"fast\"}",
+        "counter serve_engine_skeleton_hits_total{engine=\"linear\",kind=\"matvec\",mode=\"simulate\"}",
+        "counter serve_engine_skeleton_hits_total{engine=\"tri\",kind=\"trisolve\",mode=\"simulate\"}",
         "counter serve_failures_total",
         "counter serve_requests_total",
         "gauge net_connections_live",

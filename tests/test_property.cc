@@ -17,6 +17,7 @@
 #include "dbt/matvec_exec.hh"
 #include "dbt/matvec_plan.hh"
 #include "dbt/sparse_dbt.hh"
+#include "dbt_oracle.hh"
 #include "mat/generate.hh"
 #include "mat/ops.hh"
 #include "mat/triangular.hh"
@@ -48,6 +49,8 @@ TEST_P(RandomShapes, MatVecPlanExactOnRandomShape)
     Vec<Scalar> x = randomIntVec(m, 3000 + GetParam());
     Vec<Scalar> b = randomIntVec(n, 4000 + GetParam());
     MatVecPlan plan(a, w);
+    EXPECT_TRUE(plan.transform().abar() == oracle::matVecBand(a, w))
+        << "n=" << n << " m=" << m << " w=" << w;
     EXPECT_EQ(maxAbsDiff(plan.run(x, b).y, matVec(a, x, b)), 0.0)
         << "n=" << n << " m=" << m << " w=" << w;
 }
@@ -162,6 +165,9 @@ TEST_P(RandomMatMul, BlockOracleExact)
     Dense<Scalar> e = randomIntDense(n, m, 8000 + GetParam());
     MatMulTransform t(a, b, w);
     EXPECT_TRUE(t.validate());
+    oracle::MatMul o(a, b, w);
+    EXPECT_TRUE(t.abar() == o.abar() && t.bbar() == o.bbar())
+        << "n=" << n << " p=" << p << " m=" << m << " w=" << w;
     EXPECT_EQ(maxAbsDiff(execTransformedMatMul(t, e).c,
                          matMulAdd(a, b, e)), 0.0)
         << "n=" << n << " p=" << p << " m=" << m << " w=" << w;

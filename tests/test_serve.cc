@@ -474,6 +474,38 @@ TEST(Shard, ServesRequestsAndReportsCacheHits)
     EXPECT_GE(lat.quantile(0.99), lat.quantile(0.5));
 }
 
+TEST(Shard, CountsSkeletonHitsOnHexPlanMisses)
+{
+    // Four distinct matrix pairs, so four plan-cache misses: three of
+    // one shape (the second and third find its skeleton live in the
+    // cached first plan) and one of another shape.
+    Shard::Options opts;
+    opts.threads = 1;
+    Shard shard(opts);
+    const Index shapes[][3] = {{5, 8, 7}, {5, 8, 7}, {5, 8, 7}, {5, 8, 9}};
+    std::uint64_t seed = 130;
+    for (const auto &s : shapes) {
+        ServeRequest req;
+        req.engine = "hex";
+        req.plan = EnginePlan::matMul(randomIntDense(s[0], s[1], seed),
+                                      randomIntDense(s[1], s[2], seed + 1),
+                                      3);
+        seed += 2;
+        ServeResponse resp = shard.submit(req).get();
+        ASSERT_TRUE(resp.ok) << resp.error;
+        EXPECT_FALSE(resp.cacheHit);
+        EXPECT_TRUE(resp.result.c ==
+                    matMulAdd(req.plan.a, req.plan.bmat, req.plan.e));
+    }
+    MetricsSnapshot snap = shard.metricsSnapshot();
+    EXPECT_EQ(snap.counters["plan_cache_misses_total"], 4u);
+    const MetricLabels labels =
+        engineLabels("hex", ProblemKind::MatMul, ExecMode::Simulate);
+    EXPECT_EQ(snap.counters[seriesKey("serve_engine_skeleton_hits_total",
+                                      labels)],
+              2u);
+}
+
 TEST(Shard, MalformedRequestsResolveToErrors)
 {
     Shard::Options opts;

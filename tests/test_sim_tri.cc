@@ -11,6 +11,7 @@
 
 #include "analysis/formulas.hh"
 #include "base/random.hh"
+#include "dbt_oracle.hh"
 #include "engine/registry.hh"
 #include "mat/generate.hh"
 #include "mat/ops.hh"
@@ -149,6 +150,36 @@ TEST(TriSolvePlan, MatchesHostDiagonalGoldenModelBitExactly)
             // diagonal-block array passes on top.
             EXPECT_EQ(r.stats.peCount, gold.arrayStats.peCount);
             EXPECT_GE(r.stats.usefulMacs, gold.arrayStats.usefulMacs);
+        }
+    }
+}
+
+TEST(TriSolvePlan, BlocksAndPanelBandsEqualBlockCopyOracle)
+{
+    // A full random L (nonzero diagonal, nonzero above it too, which
+    // the diagonal blocks copy and the array ignores) on every
+    // padding case of the edge sweep.
+    for (Index w : oracle::sweepArraySizes()) {
+        for (Index n : oracle::sweepEdgeSizes(w)) {
+            SCOPED_TRACE("n=" + std::to_string(n) + " w=" +
+                         std::to_string(w));
+            Dense<Scalar> l = randomIntDense(n, n, 800 + n * 11 + w);
+            TriSolvePlan plan(l, w);
+            oracle::TriSolveBlocks o = oracle::triSolveBlocks(l, w);
+            ASSERT_EQ(plan.nbar(), static_cast<Index>(o.diag.size()));
+            for (Index r = 0; r < plan.nbar(); ++r) {
+                EXPECT_TRUE(plan.diagBlock(r) ==
+                            o.diag[static_cast<std::size_t>(r)])
+                    << "r=" << r;
+                if (r >= 1) {
+                    EXPECT_TRUE(plan.panel(r).transform().abar() ==
+                                oracle::matVecBand(
+                                    o.panels[static_cast<std::size_t>(
+                                        r - 1)],
+                                    w))
+                        << "r=" << r;
+                }
+            }
         }
     }
 }
