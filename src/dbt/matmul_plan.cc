@@ -84,6 +84,7 @@ MatMulSkeleton::MatMulSkeleton(const MatMulDims &dims)
     // Input routing: where the I-band value of position (i, j)
     // comes from (zero, an E element, or a fed-back O value).
     routes_.assign(slots, InputRoute{});
+    Index main_diag = 0, pair = 0, irregular = 0;
     for (Index i = 0; i < N; ++i) {
         for (Index j = std::max(Index{0}, i - w + 1);
              j <= std::min(N - 1, i + w - 1); ++j) {
@@ -112,11 +113,11 @@ MatMulSkeleton::MatMulSkeleton(const MatMulDims &dims)
                 bandIdx(oi, oj);
                 // The delay classes of SpiralFeedback's records.
                 if (rt.irregular)
-                    ++irregular_transfers_;
+                    ++irregular;
                 else if (oi == oj)
-                    ++main_diag_transfers_;
+                    ++main_diag;
                 else
-                    ++pair_transfers_;
+                    ++pair;
                 break;
               }
             }
@@ -152,6 +153,25 @@ MatMulSkeleton::MatMulSkeleton(const MatMulDims &dims)
             }
         }
     }
+
+    // Feedback records: every FromO input, in the order a run
+    // injects them, re-enters on its entry cycle after its source
+    // left on its exit cycle (the closed forms every run asserts).
+    auto feedback = std::make_shared<SpiralFeedback>(w);
+    feedback->reserve(main_diag, pair, irregular);
+    const Cycle last = hexLastCycle(N, w);
+    for (Cycle tau = 0; tau <= last; ++tau) {
+        forEachHexEntry(N, w, tau, [&](Index i, Index j) {
+            const InputRoute &rt = routes_[bandIdx(i, j)];
+            if (rt.kind == InputRoute::Kind::FromO)
+                feedback->recordTransfer(rt.c - rt.r, j - i,
+                                         hexExitCycle(rt.r, rt.c, w),
+                                         tau, rt.irregular);
+        });
+    }
+    SAP_ASSERT(feedback->topologyRespected(),
+               "a feedback transfer left its spiral loop");
+    feedback_ = std::move(feedback);
 }
 
 std::shared_ptr<const MatMulSkeleton>
@@ -215,60 +235,47 @@ MatMulPlan::run(const Dense<Scalar> &e) const
                "E must be n×m = ", d.n, "x", d.m);
     Dense<Scalar> e_pad = e.paddedTo(d.nbar * w, d.mbar * w);
 
-    auto feedback = std::make_shared<SpiralFeedback>(w);
-    feedback->reserve(sk.mainDiagTransfers(), sk.pairTransfers(),
-                      sk.irregularTransfers());
-
     // Captured O values, keyed by bandIdx of the scalar position.
     struct Captured
     {
         Scalar value = 0;
-        Cycle exit = 0;
         bool valid = false;
     };
     std::vector<Captured> captured(sk.slots());
 
     Dense<Scalar> c_pad(d.nbar * w, d.mbar * w);
 
-    HexBandSpec spec;
-    spec.abar = &transform_.abar();
-    spec.bbar = &transform_.bbar();
-    spec.inputValue = [&](Index i, Index j) -> Scalar {
-        const Route &rt = sk.route(sk.bandIdx(i, j));
-        switch (rt.kind) {
-          case Route::Kind::Zero:
-            return 0;
-          case Route::Kind::FromE:
-            return e_pad(rt.r, rt.c);
-          case Route::Kind::FromO: {
-            const Captured &cap = captured[sk.bandIdx(rt.r, rt.c)];
-            SAP_ASSERT(cap.valid, "feedback for (", i, ",", j,
-                       ") consumed before (", rt.r, ",", rt.c,
-                       ") was produced");
-            Cycle enter = i + j + std::max(i, j) + w - 1;
-            feedback->recordTransfer(rt.c - rt.r, j - i, cap.exit,
-                                     enter, rt.irregular);
-            return cap.value;
-          }
-        }
-        SAP_PANIC("unreachable");
-    };
-    spec.onOutput = [&](Index i, Index j, Scalar v, Cycle exit_cycle) {
-        std::size_t slot = sk.bandIdx(i, j);
-        captured[slot] = {v, exit_cycle, true};
-        if (sk.extractRow(slot) >= 0)
-            c_pad(sk.extractRow(slot), sk.extractCol(slot)) = v;
-    };
-
-    HexRunResult hex = runHexBandMatMul(spec);
-    SAP_ASSERT(feedback->topologyRespected(),
-               "a feedback transfer left its spiral loop");
+    HexRunResult hex = runHexBandMatMul(
+        transform_.abar(), transform_.bbar(),
+        [&](Index i, Index j) -> Scalar {
+            const Route &rt = sk.route(sk.bandIdx(i, j));
+            switch (rt.kind) {
+              case Route::Kind::Zero:
+                return 0;
+              case Route::Kind::FromE:
+                return e_pad(rt.r, rt.c);
+              case Route::Kind::FromO: {
+                const Captured &cap = captured[sk.bandIdx(rt.r, rt.c)];
+                SAP_ASSERT(cap.valid, "feedback for (", i, ",", j,
+                           ") consumed before (", rt.r, ",", rt.c,
+                           ") was produced");
+                return cap.value;
+              }
+            }
+            SAP_PANIC("unreachable");
+        },
+        [&](Index i, Index j, Scalar v, Cycle) {
+            std::size_t slot = sk.bandIdx(i, j);
+            captured[slot] = {v, true};
+            if (sk.extractRow(slot) >= 0)
+                c_pad(sk.extractRow(slot), sk.extractCol(slot)) = v;
+        });
 
     MatMulPlanResult res;
     res.c = c_pad.topLeft(d.n, d.m);
     res.stats = hex.stats;
     res.totalCycles = hex.totalCycles;
-    res.feedback = feedback;
+    res.feedback = sk.feedback();
     return res;
 }
 

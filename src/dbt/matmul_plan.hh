@@ -5,6 +5,13 @@
  * extraction. The user-facing API for C = A·B + E on a fixed w×w
  * hexagonal array. A plan is its per-matrix bands plus a per-shape
  * skeleton of routing tables that every plan of one shape shares.
+ *
+ * The spiral-feedback records are per shape too. Each transfer is a
+ * FromO route plus two cycles: the closed-form entry cycle of its
+ * input and exit cycle of its source (sim/hex_driver.hh). Every run
+ * asserts that port timing, every O value valid at its exit cycle
+ * and every fed-back value captured before it is consumed, so the
+ * skeleton records the transfers once and each result shares them.
  */
 
 #ifndef SAP_DBT_MATMUL_PLAN_HH
@@ -31,8 +38,9 @@ struct MatMulPlanResult
     RunStats stats;
     /** Raw edge-to-edge cycles. */
     Cycle totalCycles = 0;
-    /** Feedback measurements (delays, storage, topology audit). */
-    std::shared_ptr<SpiralFeedback> feedback;
+    /** Feedback measurements (delays, storage, topology audit),
+     *  shared with every run of the plan's shape. */
+    std::shared_ptr<const SpiralFeedback> feedback;
 };
 
 /**
@@ -40,12 +48,13 @@ struct MatMulPlanResult
  * depends on (n, p, m, w) and never on the matrix values. That is
  * the Appendix I/O composer, the scalar routing tables (where every
  * I-band input comes from, where every O-band output goes) and the
- * feedback transfer counts.
+ * spiral-feedback records of a run (file comment).
  *
  * Immutable once built, so every plan of one shape shares one
  * skeleton through intern(). Building one runs the shape-only
- * checks: IoComposer::validate(), the block-schedule coverage, and
- * the range assert of every feedback route.
+ * checks: IoComposer::validate(), the block-schedule coverage, the
+ * range assert of every feedback route, and the feedback audit
+ * (no value re-enters before it leaves, none leaves its loop).
  */
 class MatMulSkeleton
 {
@@ -94,13 +103,12 @@ class MatMulSkeleton
     /** @copydoc extractRow() */
     Index extractCol(std::size_t slot) const { return extract_col_[slot]; }
 
-    /** FromO routes per SpiralFeedback delay class, so a run sizes
-     *  its feedback records once. */
-    Index mainDiagTransfers() const { return main_diag_transfers_; }
-    /** @copydoc mainDiagTransfers() */
-    Index pairTransfers() const { return pair_transfers_; }
-    /** @copydoc mainDiagTransfers() */
-    Index irregularTransfers() const { return irregular_transfers_; }
+    /** The feedback transfers of a run of this shape, in the order
+     *  a run injects them. */
+    const std::shared_ptr<const SpiralFeedback> &feedback() const
+    {
+        return feedback_;
+    }
 
   private:
     MatMulDims dims_;
@@ -109,9 +117,7 @@ class MatMulSkeleton
     std::vector<InputRoute> routes_;
     std::vector<Index> extract_row_;
     std::vector<Index> extract_col_;
-    Index main_diag_transfers_ = 0;
-    Index pair_transfers_ = 0;
-    Index irregular_transfers_ = 0;
+    std::shared_ptr<const SpiralFeedback> feedback_;
 };
 
 /**
@@ -125,7 +131,8 @@ class MatMulSkeleton
  * serving layer amortizes the dense→band build across requests, and
  * a plan-cache miss on a shape already live pays only for its bands.
  * The plan stores nothing per cycle: the hex driver derives every
- * port event from the bands' shape (sim/hex_driver.hh).
+ * port event from the bands' shape (sim/hex_driver.hh), and a run
+ * records no feedback; it shares its skeleton's records.
  *
  * Thread-compatibility: const member functions are safe to call
  * concurrently (each run owns its transient state); construction is

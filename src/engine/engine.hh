@@ -179,8 +179,9 @@ struct EngineRunResult
     bool conflictFree = true;
     /** Spiral engine: every transfer stayed inside its loop. */
     bool topologyRespected = true;
-    /** Hex/spiral feedback measurements (null for linear family). */
-    std::shared_ptr<SpiralFeedback> feedback;
+    /** Hex/spiral feedback measurements (null for linear family),
+     *  shared by every run of the plan's shape. */
+    std::shared_ptr<const SpiralFeedback> feedback;
 };
 
 /**

@@ -113,13 +113,18 @@ FrontDoor::counts() const
 }
 
 bool
-FrontDoor::send(std::uint64_t conn, std::vector<std::uint8_t> bytes)
+FrontDoor::send(std::uint64_t conn, std::vector<std::uint8_t> bytes,
+                Counter *queued)
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto it = conns_.find(conn);
         if (it == conns_.end())
             return false; // connection is gone; drop the bytes
+        // The IO thread flushes under mu_, so this count happens
+        // before the first byte is written.
+        if (queued)
+            queued->add();
         it->second->sock.queue(std::move(bytes));
         if (tls_io_door == this) {
             updateInterestLocked(conn, *it->second);

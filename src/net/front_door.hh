@@ -155,9 +155,16 @@ class FrontDoor
     bool serving() const { return serving_.load(); }
     Counts counts() const;
 
-    /** Queue @p bytes on connection @p conn; safe from any thread.
-     *  @return false when the connection is gone (bytes dropped). */
-    bool send(std::uint64_t conn, std::vector<std::uint8_t> bytes);
+    /**
+     * Queue @p bytes on connection @p conn; safe from any thread.
+     * @param queued If set, counted under the door's lock as the
+     *        bytes are queued, so before any of them can leave: a
+     *        peer holding the reply already sees it counted.
+     * @return false when the connection is gone (bytes dropped,
+     *         nothing counted).
+     */
+    bool send(std::uint64_t conn, std::vector<std::uint8_t> bytes,
+              Counter *queued = nullptr);
     /** send() an ERROR frame and count it in Counts::errorsSent. */
     bool sendError(std::uint64_t conn, std::uint64_t tag,
                    const std::string &message);

@@ -306,16 +306,18 @@ NetServer::writerLoop()
             trace->ok = c.response.ok;
             trace->stamp(TraceStage::WriterPop);
         }
-        bool delivered = door_.send(
-            pending.connId,
-            buildResponseFrame(pending.clientTag,
-                               WireResponse::of(std::move(c.response))));
+        // Counted as the frame is queued, before its bytes can reach
+        // the client, so a client holding every response never
+        // scrapes a count that lags.
+        door_.send(pending.connId,
+                   buildResponseFrame(
+                       pending.clientTag,
+                       WireResponse::of(std::move(c.response))),
+                   responses_sent_);
         {
             std::lock_guard<std::mutex> lock(tags_mutex_);
             tags_.erase(c.tag);
         }
-        if (delivered)
-            responses_sent_->add();
         // Flush = response bytes handed to the socket layer; the
         // commit decides sampled-or-slow and records stage spans.
         traceStamp(trace, TraceStage::Flush);

@@ -6,14 +6,24 @@
 
 namespace sap {
 
+namespace {
+
+std::size_t
+ringFor(Index w)
+{
+    std::size_t ring = 2;
+    while (ring <= static_cast<std::size_t>(w))
+        ring *= 2;
+    return ring;
+}
+
+} // namespace
+
 HexArray::HexArray(Index w)
-    : w_(w),
-      a_reg_(static_cast<std::size_t>(w * w)),
-      b_reg_(static_cast<std::size_t>(w * w)),
-      c_reg_(static_cast<std::size_t>(w * w)),
-      a_in_(static_cast<std::size_t>(w)),
-      b_in_(static_cast<std::size_t>(w)),
-      c_in_(static_cast<std::size_t>(2 * w - 1))
+    : w_(w), ring_(ringFor(w)), mask_(ring_ - 1),
+      a_(static_cast<std::size_t>(w) * ring_),
+      b_(static_cast<std::size_t>(w) * ring_),
+      c_(static_cast<std::size_t>(2 * w - 1) * ring_)
 {
     SAP_ASSERT(w >= 1, "hex array needs at least one PE");
 }
@@ -21,49 +31,35 @@ HexArray::HexArray(Index w)
 void
 HexArray::step()
 {
-    // Every stream shifts in place: step() is the hot loop and must
-    // neither allocate nor copy a register file per cycle.
-    //
-    // b moves −r and passes through unchanged: shift whole rows
-    // first (ascending r reads row r+1 before overwriting it), so
-    // each PE's b register then holds its input wire.
-    std::copy(b_reg_.begin() + w_, b_reg_.end(), b_reg_.begin());
-    std::copy(b_in_.begin(), b_in_.end(), b_reg_.end() - w_);
-
-    // a moves −q and c moves +(r, q): descending r reads c at
-    // (r−1, q−1) and ascending q reads a at (r, q+1), each before
-    // it is overwritten.
-    for (Index r = w_ - 1; r >= 0; --r) {
+    // Nothing moves: on cycle τ the item at PE (r, q) is found by its
+    // entry cycle (file comment), and a MAC updates its c item in
+    // place. Each c item is at one PE per cycle, so the PEs may run
+    // in any order.
+    const Cycle tau = now_;
+    for (Index r = 0; r < w_; ++r) {
         for (Index q = 0; q < w_; ++q) {
-            const Sample a =
-                (q == w_ - 1) ? a_in_[r] : a_reg_[idx(r, q + 1)];
-            const Sample &b = b_reg_[idx(r, q)];
-            const Sample c =
-                (r == 0 || q == 0)
-                    ? c_in_[static_cast<std::size_t>((r - q) + w_ - 1)]
-                    : c_reg_[idx(r - 1, q - 1)];
-
+            const Sample &a = a_[slot(r, tau - (w_ - 1 - q))];
+            const Sample &b = b_[slot(q, tau - (w_ - 1 - r))];
+            Sample &c = c_[slot(r - q + w_ - 1, tau - std::min(r, q))];
             // Inner product step.
-            a_reg_[idx(r, q)] = a;
             if (a.valid && b.valid && c.valid) {
-                c_reg_[idx(r, q)] = Sample::of(c.value + a.value * b.value);
+                c.value = c.value + a.value * b.value;
                 ++useful_macs_;
                 if (first_mac_ < 0)
-                    first_mac_ = now_;
-            } else {
-                c_reg_[idx(r, q)] = c;
+                    first_mac_ = tau;
             }
         }
     }
-
-    for (Index r = 0; r < w_; ++r)
-        a_in_[r] = Sample::bubble();
-    for (Index q = 0; q < w_; ++q)
-        b_in_[q] = Sample::bubble();
-    for (Index dlt = 0; dlt < 2 * w_ - 1; ++dlt)
-        c_in_[static_cast<std::size_t>(dlt)] = Sample::bubble();
-
     ++now_;
+
+    // The registers the next cycle's items enter held items that
+    // entered ring_ cycles ago and have left: they start as bubbles.
+    for (Index line = 0; line < w_; ++line) {
+        a_[slot(line, now_)] = Sample::bubble();
+        b_[slot(line, now_)] = Sample::bubble();
+    }
+    for (Index line = 0; line < 2 * w_ - 1; ++line)
+        c_[slot(line, now_)] = Sample::bubble();
 }
 
 } // namespace sap

@@ -17,6 +17,16 @@
  * advance one hop per cycle; drivers space items three cycles apart
  * on each stream, which is what caps hexagonal utilization at 1/3.
  *
+ * Registers are indexed by the entry cycle of the item they hold.
+ * An item advances one hop per cycle, so on cycle τ the item at PE
+ * (r, q) entered its line a fixed number of cycles earlier: w−1−q
+ * for a (row r), w−1−r for b (column q) and min(r, q) for c
+ * (diagonal r−q). Each line is a ring of registers keyed by entry
+ * cycle, so moving every stream one hop is a change of τ, not a
+ * copy; a MAC updates its c item where it sits. step() still
+ * evaluates every PE on every cycle: the array models the hardware
+ * and assumes nothing about the driver's phase.
+ *
  * Schedule alignment invariant: at PE (r, q) on cycle τ the three
  * streams can only hold samples belonging to the unique index
  * triple (i, j, k) with k−i = r, k−j = q, i+j+k = τ−(w−1), so a
@@ -26,6 +36,7 @@
 #ifndef SAP_SIM_HEX_ARRAY_HH
 #define SAP_SIM_HEX_ARRAY_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "base/logging.hh"
@@ -51,14 +62,14 @@ class HexArray
     setAIn(Index r, Sample s)
     {
         SAP_ASSERT(r >= 0 && r < w_, "a row ", r, " out of range");
-        a_in_[static_cast<std::size_t>(r)] = s;
+        a_[slot(r, now_)] = s;
     }
     /** Present the b sample entering column q (edge PE (w−1, q)). */
     void
     setBIn(Index q, Sample s)
     {
         SAP_ASSERT(q >= 0 && q < w_, "b column ", q, " out of range");
-        b_in_[static_cast<std::size_t>(q)] = s;
+        b_[slot(q, now_)] = s;
     }
     /**
      * Present the c sample entering C̄-diagonal δ in [−(w−1), w−1]
@@ -69,25 +80,26 @@ class HexArray
     {
         SAP_ASSERT(delta > -w_ && delta < w_, "diagonal ", delta,
                    " out of range");
-        c_in_[static_cast<std::size_t>(delta + w_ - 1)] = s;
+        c_[slot(delta + w_ - 1, now_)] = s;
     }
 
-    /** Advance one clock cycle (compute, then shift all streams). */
+    /** Advance one clock cycle: every PE computes, then every stream
+     *  moves one hop. */
     void step();
 
     /**
      * The c sample that finished its traversal of diagonal δ during
      * the last step() (registered at exit PE (w−1, w−1−δ) for
-     * δ >= 0, (w−1+δ, w−1) for δ < 0).
+     * δ >= 0, (w−1+δ, w−1) for δ < 0). It entered w − |δ| cycles
+     * before now().
      */
     Sample
     cOut(Index delta) const
     {
         SAP_ASSERT(delta > -w_ && delta < w_, "diagonal ", delta,
                    " out of range");
-        Index r = delta >= 0 ? w_ - 1 : w_ - 1 + delta;
-        Index q = delta >= 0 ? w_ - 1 - delta : w_ - 1;
-        return c_reg_[idx(r, q)];
+        const Index hops = w_ - (delta >= 0 ? delta : -delta);
+        return c_[slot(delta + w_ - 1, now_ - hops)];
     }
 
     /** Cycles executed. */
@@ -98,24 +110,29 @@ class HexArray
     Cycle firstMacCycle() const { return first_mac_; }
 
   private:
-    std::size_t idx(Index r, Index q) const
+    /** Register of @p line holding the item that entered on cycle
+     *  @p entry (may be negative before the first cycles). */
+    std::size_t
+    slot(Index line, Cycle entry) const
     {
-        return static_cast<std::size_t>(r * w_ + q);
+        return static_cast<std::size_t>(line) * ring_ +
+               static_cast<std::size_t>(static_cast<std::uint64_t>(entry) &
+                                        mask_);
     }
 
     Index w_;
+    /** Registers per line: a power of two above w, so the item that
+     *  entered ring_ cycles ago has left the array, even through the
+     *  exit register cOut() reads. */
+    std::size_t ring_;
+    std::uint64_t mask_;
     Cycle now_ = 0;
     Index useful_macs_ = 0;
     Cycle first_mac_ = -1;
 
-    // Stream registers, row-major by PE (r, q); step() shifts them
-    // in place.
-    std::vector<Sample> a_reg_; ///< a at output of PE (r,q)
-    std::vector<Sample> b_reg_;
-    std::vector<Sample> c_reg_;
-    std::vector<Sample> a_in_;  ///< per-row a inputs this cycle
-    std::vector<Sample> b_in_;  ///< per-column b inputs this cycle
-    std::vector<Sample> c_in_;  ///< per-diagonal c inputs (2w−1)
+    std::vector<Sample> a_; ///< w rows × ring_
+    std::vector<Sample> b_; ///< w columns × ring_
+    std::vector<Sample> c_; ///< 2w−1 diagonals (δ + w − 1) × ring_
 };
 
 } // namespace sap

@@ -19,6 +19,12 @@
  * number of in-flight values (= required memory elements: paper
  * claims 2w for the main diagonal, w per sub-diagonal pair, and a
  * w(w−1)·3/2 pool for the irregular feedbacks).
+ *
+ * The records are per shape: every transfer's route and both of its
+ * cycles depend only on (n, p, m, w), and each run asserts the port
+ * timing they are derived from (sim/hex_driver.hh). So
+ * MatMulSkeleton records them once, in the order a run injects the
+ * values, and every run of the shape shares that immutable object.
  */
 
 #ifndef SAP_SIM_SPIRAL_FEEDBACK_HH
@@ -31,7 +37,8 @@
 
 namespace sap {
 
-/** Records and audits all feedback transfers of one execution. */
+/** Records and audits all feedback transfers of one problem shape
+ *  (the same in every execution of it). */
 class SpiralFeedback
 {
   public:
@@ -66,9 +73,9 @@ class SpiralFeedback
                         bool irregular);
 
     /**
-     * Size the records for a run that will make these transfers
-     * (regular on the main diagonal, regular on the pairs,
-     * irregular), so recording never reallocates.
+     * Size the records for this many transfers (regular on the main
+     * diagonal, regular on the pairs, irregular), so recording never
+     * reallocates.
      */
     void reserve(Index main_diag, Index pair, Index irregular);
 

@@ -16,8 +16,10 @@
 
 #include "base/random.hh"
 #include "baseline/naive_band.hh"
+#include "dbt/matmul_plan.hh"
 #include "engine/engine.hh"
 #include "engine/registry.hh"
+#include "hex_feedback_oracle.hh"
 #include "mat/generate.hh"
 #include "mat/ops.hh"
 
@@ -275,7 +277,8 @@ TEST(EngineCrossCheck, RandomBandMatricesMatchNaiveGoldenModel)
  * Hex prepares racing on one new shape: each of 8 threads builds
  * plans for its own matrices, so the first builds contend for the
  * shape's skeleton and the later ones find it live. Every result must
- * still equal the host oracle.
+ * still equal the host oracle, and every result shares the shape's
+ * one feedback record object, read from all threads at once.
  */
 TEST(EngineSkeleton, ConcurrentHexPreparesOfANewShapeMatchTheOracle)
 {
@@ -287,14 +290,19 @@ TEST(EngineSkeleton, ConcurrentHexPreparesOfANewShapeMatchTheOracle)
 
     std::atomic<bool> go{false};
     std::vector<int> wrong(threads, 0), reused(threads, 0);
+    // Held to the end of the test, so the shape stays live from the
+    // first plan on and every plan shares one skeleton.
+    std::vector<std::vector<std::shared_ptr<const PreparedPlan>>> plans(
+        threads);
+    std::vector<std::vector<const SpiralFeedback *>> feedback(threads);
+    std::vector<std::vector<Index>> transfers(threads);
     std::vector<std::thread> pool;
     for (int t = 0; t < threads; ++t) {
         pool.emplace_back([&, t] {
             while (!go.load())
                 std::this_thread::yield();
-            // Held to the end, so the shape stays live across this
-            // thread's later prepares.
-            std::vector<std::shared_ptr<const PreparedPlan>> held;
+            std::vector<std::shared_ptr<const PreparedPlan>> &held =
+                plans[t];
             for (int i = 0; i < plans_per_thread; ++i) {
                 const std::uint64_t seed = 3000 + 16 * t + 3 * i;
                 EnginePlan plan = EnginePlan::matMul(
@@ -307,6 +315,9 @@ TEST(EngineSkeleton, ConcurrentHexPreparesOfANewShapeMatchTheOracle)
                     *held.back(), EngineInputs::of(plan));
                 if (!(r.c == matMulAdd(plan.a, plan.bmat, plan.e)))
                     ++wrong[t];
+                feedback[t].push_back(r.feedback.get());
+                transfers[t].push_back(r.feedback ? r.feedback->transferCount()
+                                                  : -1);
             }
         });
     }
@@ -321,6 +332,21 @@ TEST(EngineSkeleton, ConcurrentHexPreparesOfANewShapeMatchTheOracle)
     }
     // A thread's own first plan keeps the shape live for the rest.
     EXPECT_GE(total_reused, threads * (plans_per_thread - 1));
+
+    // One record object for the shape, holding what a run records.
+    MatMulPlan probe(randomIntDense(n, p, 1), randomIntDense(p, m, 2), w);
+    const Index expected =
+        oracle::recordFeedback(probe, Dense<Scalar>(n, m)).transferCount();
+    ASSERT_NE(feedback[0].front(), nullptr);
+    EXPECT_EQ(feedback[0].front(), probe.skeleton()->feedback().get());
+    for (int t = 0; t < threads; ++t) {
+        for (int i = 0; i < plans_per_thread; ++i) {
+            EXPECT_EQ(feedback[t][i], feedback[0].front())
+                << "thread " << t << " plan " << i;
+            EXPECT_EQ(transfers[t][i], expected)
+                << "thread " << t << " plan " << i;
+        }
+    }
 }
 
 } // namespace

@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
 #include <vector>
 
 #include "analysis/formulas.hh"
 #include "dbt/matmul_plan.hh"
+#include "hex_feedback_oracle.hh"
 #include "mat/generate.hh"
 #include "mat/ops.hh"
 #include "sim/hex_array.hh"
@@ -103,26 +105,23 @@ struct PlainHex
                 iband(i, j) = static_cast<Scalar>(rng.uniformInt(1, 9));
         }
 
-        HexBandSpec spec;
-        spec.abar = &abar;
-        spec.bbar = &bbar;
         Index last_entry = -1;
-        spec.inputValue = [&, this](Index i, Index j) {
-            const Index entry = i + j + std::max(i, j);
-            EXPECT_GE(entry, last_entry)
-                << "(" << i << "," << j << ") requested out of order";
-            last_entry = entry;
-            requests(i, j) += 1;
-            return iband(i, j);
-        };
-        spec.onOutput = [this, w](Index i, Index j, Scalar v,
-                                  Cycle exit_cycle) {
-            EXPECT_EQ(exit_cycle, i + j + std::min(i, j) + 2 * w - 2)
-                << "(" << i << "," << j << ")";
-            arrivals(i, j) += 1;
-            oband(i, j) = v;
-        };
-        result = runHexBandMatMul(spec);
+        result = runHexBandMatMul(
+            abar, bbar,
+            [&, this](Index i, Index j) {
+                const Index entry = i + j + std::max(i, j);
+                EXPECT_GE(entry, last_entry)
+                    << "(" << i << "," << j << ") requested out of order";
+                last_entry = entry;
+                requests(i, j) += 1;
+                return iband(i, j);
+            },
+            [this, w](Index i, Index j, Scalar v, Cycle exit_cycle) {
+                EXPECT_EQ(exit_cycle, i + j + std::min(i, j) + 2 * w - 2)
+                    << "(" << i << "," << j << ")";
+                arrivals(i, j) += 1;
+                oband(i, j) = v;
+            });
     }
 };
 
@@ -193,6 +192,52 @@ TEST(HexSchedule, MisalignedOperandsNeverMac)
         arr.step();
     }
     EXPECT_EQ(arr.usefulMacs(), 0);
+}
+
+TEST(HexSchedule, OffPhaseTripleStillMacs)
+{
+    // The array models the hardware, not the driver's schedule: when
+    // a, b and c of one triple each enter one cycle late, they still
+    // meet in PE (k−i, k−j), one cycle late, and the sum exits one
+    // cycle late. A step() that evaluated only the PEs on the
+    // schedule's phase would never fire this MAC.
+    const Index w = 3, n = 5;
+    for (Index i = 0; i < n; ++i) {
+        for (Index j = 0; j < n; ++j) {
+            for (Index k = std::max(i, j);
+                 k < std::min(n, std::min(i, j) + w); ++k) {
+                const Cycle a_tau = i + 2 * k + 1;
+                const Cycle b_tau = 2 * k + j + 1;
+                const Cycle c_tau = i + j + std::max(i, j) + w;
+                const Cycle mac_tau = i + j + k + w - 1;
+                const Cycle exit_tau =
+                    i + j + std::min(i, j) + 2 * w - 1;
+                const Index delta = j - i;
+
+                HexArray arr(w);
+                for (Cycle tau = 0; tau <= exit_tau; ++tau) {
+                    if (tau == a_tau)
+                        arr.setAIn(k - i, Sample::of(3));
+                    if (tau == b_tau)
+                        arr.setBIn(k - j, Sample::of(5));
+                    if (tau == c_tau)
+                        arr.setCIn(delta, Sample::of(100));
+                    arr.step();
+                    if (tau < exit_tau) {
+                        EXPECT_FALSE(arr.cOut(delta).valid)
+                            << "early exit at tau=" << tau << " for ("
+                            << i << "," << j << "," << k << ")";
+                    }
+                }
+                ASSERT_EQ(arr.usefulMacs(), 1)
+                    << "(" << i << "," << j << "," << k << ")";
+                EXPECT_EQ(arr.firstMacCycle(), mac_tau + 1)
+                    << "(" << i << "," << j << "," << k << ")";
+                ASSERT_TRUE(arr.cOut(delta).valid);
+                EXPECT_EQ(arr.cOut(delta).value, 115);
+            }
+        }
+    }
 }
 
 TEST(HexDriver, PlainBandProductMatchesOracle)
@@ -270,6 +315,19 @@ TEST_P(HexPlanCorrectness, CycleSimEqualsOracle)
     EXPECT_TRUE(r.feedback->topologyRespected());
 }
 
+TEST_P(HexPlanCorrectness, FeedbackRecordsMatchPerRunOracle)
+{
+    auto [n, p, m, w] = GetParam();
+    MatMulPlan plan(randomIntDense(n, p, 83 + n), randomIntDense(p, m, 84),
+                    w);
+    const Dense<Scalar> e = randomIntDense(n, m, 85);
+    MatMulPlanResult r = plan.run(e);
+    ASSERT_NE(r.feedback, nullptr);
+    EXPECT_EQ(r.feedback, plan.skeleton()->feedback());
+    oracle::expectSameFeedback(*r.feedback,
+                               oracle::recordFeedback(plan, e), w);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, HexPlanCorrectness,
     ::testing::Values(
@@ -279,6 +337,38 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(3, 6, 3, 3), std::make_tuple(3, 3, 6, 3),
         std::make_tuple(6, 4, 8, 2), std::make_tuple(5, 7, 4, 3),
         std::make_tuple(9, 6, 6, 3), std::make_tuple(8, 8, 8, 4)));
+
+TEST(HexPlan, FeedbackRecordsMatchPerRunOracleOnEdgeShapes)
+{
+    // Orders that are not multiples of w, single blocks, one-wide
+    // inner and outer dimensions, for every w up to 5; plus the
+    // 48² w = 4 shape the serving benchmark runs.
+    std::vector<std::tuple<Index, Index, Index, Index>> shapes = {
+        {48, 48, 48, 4}};
+    for (Index w = 1; w <= 5; ++w) {
+        for (auto [n, p, m] : std::vector<std::tuple<Index, Index, Index>>{
+                 {1, 1, 1},
+                 {w, w, w},
+                 {w + 1, w, std::max<Index>(w - 1, 1)},
+                 {2 * w + 1, w + 1, 3 * w - 1},
+                 {w, 2 * w + 1, w + 1},
+                 {3 * w, 1, 2 * w},
+                 {1, 3 * w, 1}})
+            shapes.emplace_back(n, p, m, w);
+    }
+    for (auto [n, p, m, w] : shapes) {
+        SCOPED_TRACE(::testing::Message() << "(" << n << "x" << p << ")·("
+                                          << p << "x" << m << ") w=" << w);
+        const Dense<Scalar> a = randomIntDense(n, p, 120 + n);
+        const Dense<Scalar> b = randomIntDense(p, m, 121 + m);
+        const Dense<Scalar> e = randomIntDense(n, m, 122);
+        MatMulPlan plan(a, b, w);
+        MatMulPlanResult r = plan.run(e);
+        EXPECT_EQ(maxAbsDiff(r.c, matMulAdd(a, b, e)), 0.0);
+        oracle::expectSameFeedback(*r.feedback,
+                                   oracle::recordFeedback(plan, e), w);
+    }
+}
 
 TEST(HexPlan, TimeFormulaHolds)
 {
@@ -442,12 +532,10 @@ TEST(HexPlan, SimulatedStatisticsArePinned)
 
         // The first MAC is a driver statistic: run the plan's bands
         // through the driver alone.
-        HexBandSpec spec;
-        spec.abar = &plan.transform().abar();
-        spec.bbar = &plan.transform().bbar();
-        spec.inputValue = [](Index, Index) { return Scalar{0}; };
-        spec.onOutput = [](Index, Index, Scalar, Cycle) {};
-        HexRunResult h = runHexBandMatMul(spec);
+        HexRunResult h = runHexBandMatMul(
+            plan.transform().abar(), plan.transform().bbar(),
+            [](Index, Index) { return Scalar{0}; },
+            [](Index, Index, Scalar, Cycle) {});
         EXPECT_EQ(h.firstMac, pin.firstMac);
         EXPECT_EQ(h.stats.cycles, pin.cycles);
         EXPECT_EQ(h.totalCycles, pin.totalCycles);
