@@ -2,21 +2,58 @@
 
 #include "base/logging.hh"
 #include "base/math_util.hh"
-#include "mat/block.hh"
 
 namespace sap {
+
+namespace {
+
+/** Block (i, j) of @p a into the w×w @p out, zero past A's edges
+ *  (§2.a). */
+void
+gatherBlock(const Dense<Scalar> &a, Index i, Index j, Dense<Scalar> &out)
+{
+    const Index w = out.rows();
+    for (Index r = 0; r < w; ++r)
+        a.gatherRow(i * w + r, j * w, w, &out(r, 0));
+}
+
+} // namespace
 
 BlockNoFeedbackPlan::BlockNoFeedbackPlan(const Dense<Scalar> &a,
                                          Index w)
     : w_(w), rows_(a.rows()), cols_(a.cols())
 {
-    BlockPartition<Scalar> part(a, w);
-    nbar_ = part.blockRows();
-    mbar_ = part.blockCols();
+    SAP_ASSERT(w >= 1, "block size must be >= 1");
+    SAP_ASSERT(rows_ >= 1 && cols_ >= 1,
+               "cannot partition an empty matrix");
+    nbar_ = ceilDiv(rows_, w);
+    mbar_ = ceilDiv(cols_, w);
     blocks_.reserve(static_cast<std::size_t>(nbar_ * mbar_));
-    for (Index i = 0; i < nbar_; ++i)
-        for (Index j = 0; j < mbar_; ++j)
-            blocks_.emplace_back(part.block(i, j), w);
+    Dense<Scalar> blk(w, w);
+    for (Index i = 0; i < nbar_; ++i) {
+        for (Index j = 0; j < mbar_; ++j) {
+            gatherBlock(a, i, j, blk);
+            blocks_.emplace_back(blk, w);
+        }
+    }
+}
+
+bool
+BlockNoFeedbackPlan::builtFrom(const Dense<Scalar> &a) const
+{
+    if (a.rows() != rows_ || a.cols() != cols_)
+        return false;
+    Dense<Scalar> blk(w_, w_);
+    for (Index i = 0; i < nbar_; ++i) {
+        for (Index j = 0; j < mbar_; ++j) {
+            gatherBlock(a, i, j, blk);
+            if (!blocks_[static_cast<std::size_t>(i * mbar_ + j)]
+                     .transform()
+                     .builtFrom(blk))
+                return false;
+        }
+    }
+    return true;
 }
 
 BlockNoFeedbackResult

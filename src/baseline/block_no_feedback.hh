@@ -56,6 +56,13 @@ class BlockNoFeedbackPlan
      */
     BlockNoFeedbackPlan(const Dense<Scalar> &a, Index w);
 
+    /**
+     * True if this is bit for bit the plan of (@p a, w): the same
+     * shape, and every block plan's band is the band of the block
+     * gathered again from @p a (MatVecTransform::builtFrom()).
+     */
+    bool builtFrom(const Dense<Scalar> &a) const;
+
     /** Execute y = A·x + b, one isolated array run per block. */
     BlockNoFeedbackResult run(const Vec<Scalar> &x,
                               const Vec<Scalar> &b) const;

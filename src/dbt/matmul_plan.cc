@@ -68,7 +68,7 @@ MatMulSkeleton::bandIdx(Index i, Index j) const
 }
 
 MatMulSkeleton::MatMulSkeleton(const MatMulDims &dims)
-    : dims_(dims), composer_(dims)
+    : dims_(dims), composer_(dims), copies_(dims)
 {
     SAP_ASSERT(dims_.coverageHolds(), "mat-mul transform is malformed");
     SAP_ASSERT(composer_.validate(), "I/O composition is inconsistent");

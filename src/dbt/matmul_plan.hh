@@ -47,8 +47,10 @@ struct MatMulPlanResult
  * The shape-only half of a MatMulPlan: everything it needs that
  * depends on (n, p, m, w) and never on the matrix values. That is
  * the Appendix I/O composer, the scalar routing tables (where every
- * I-band input comes from, where every O-band output goes) and the
- * spiral-feedback records of a run (file comment).
+ * I-band input comes from, where every O-band output goes), the
+ * spiral-feedback records of a run (file comment), and the
+ * MatMulCopyMap through which a cached plan is compared with a
+ * request's matrices.
  *
  * Immutable once built, so every plan of one shape shares one
  * skeleton through intern(). Building one runs the shape-only
@@ -110,9 +112,14 @@ class MatMulSkeleton
         return feedback_;
     }
 
+    /** Where this shape's bands keep one copy of each element of A
+     *  and B: what a plan-cache hit is confirmed through. */
+    const MatMulCopyMap &copies() const { return copies_; }
+
   private:
     MatMulDims dims_;
     IoComposer composer_;
+    MatMulCopyMap copies_;
     // Routing tables keyed by bandIdx().
     std::vector<InputRoute> routes_;
     std::vector<Index> extract_row_;

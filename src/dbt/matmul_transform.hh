@@ -33,6 +33,9 @@
 #ifndef SAP_DBT_MATMUL_TRANSFORM_HH
 #define SAP_DBT_MATMUL_TRANSFORM_HH
 
+#include <cstdint>
+#include <vector>
+
 #include "base/types.hh"
 #include "mat/band.hh"
 #include "mat/dense.hh"
@@ -68,6 +71,41 @@ struct MatMulDims
      * copy of Ā^b) and every L⁺^B block exactly n̄ times.
      */
     bool coverageHolds() const;
+};
+
+/**
+ * Where the bands of one shape keep one copy of every element of A
+ * and of B: for each element, its storage slot in Ā (B̄) and its
+ * row-major offset in A (B). The map is a function of the shape, so
+ * MatMulSkeleton builds it once per shape, and a plan-cache hit is
+ * confirmed through it in two flat loops (MatMulTransform::
+ * builtFrom()). Walking the bands' own runs instead, about 1,780 runs
+ * of 1–4 words at 48², w = 4, took three to four times as long.
+ */
+class MatMulCopyMap
+{
+  public:
+    /** One mapped element: Ā (B̄) storage slot, A (B) offset. */
+    struct Copy
+    {
+        std::uint32_t slot;
+        std::uint32_t offset;
+    };
+
+    /** Map the shape @p dims by the bands' gather layout. */
+    explicit MatMulCopyMap(const MatMulDims &dims);
+
+    /** The shape mapped. */
+    const MatMulDims &dims() const { return dims_; }
+    /** One copy of each element of A, in Ā's storage order. */
+    const std::vector<Copy> &a() const { return a_; }
+    /** One copy of each element of B. */
+    const std::vector<Copy> &b() const { return b_; }
+
+  private:
+    MatMulDims dims_;
+    std::vector<Copy> a_;
+    std::vector<Copy> b_;
 };
 
 /**
@@ -108,6 +146,17 @@ class MatMulTransform
     Dense<Scalar> bDiagBlock(Index k) const;
     /** B̄(k,k−1): the U⁻ block (k in [1, blockCount()]). */
     Dense<Scalar> bSubBlock(Index k) const;
+
+    /**
+     * True if these are bit for bit the bands of (@p a, @p b): the
+     * same shape, and the stored copy of every element of A and of B
+     * that @p copies maps holds that element's bits. This confirms a
+     * plan-cache hit without a copy of A or B.
+     *
+     * @pre @p copies maps this transform's shape (asserted).
+     */
+    bool builtFrom(const Dense<Scalar> &a, const Dense<Scalar> &b,
+                   const MatMulCopyMap &copies) const;
 
     /**
      * Structural validation of the block schedule: single-copy

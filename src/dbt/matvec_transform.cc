@@ -15,26 +15,55 @@ MatVecTransform::MatVecTransform(const Dense<Scalar> &a, Index w)
     SAP_ASSERT(w >= 1, "block size must be >= 1");
     SAP_ASSERT(a.rows() >= 1 && a.cols() >= 1,
                "cannot partition an empty matrix");
-    // Gather the band straight from A. Band row k·w+i stores columns
-    // k·w+i … k·w+i+w−1: row i of Ū_k (block column k, local columns
-    // i … w−1) followed by row i of L̄_k (block column k+1, local
-    // columns 0 … i−1). Both are segments of A's row uRow·w+i, and
-    // together they fill the whole band. Unless L̄_k wraps around to
-    // A's first block column, the two segments are adjacent in A and
-    // are copied as one.
+    // Gather the band straight from A.
+    Scalar *abar = abar_.rowPtr(0);
+    forEachSegment([&](Index row, Index col, Index len, Index slot) {
+        a.gatherRow(row, col, len, abar + slot);
+    });
+}
+
+template <typename Seg>
+void
+MatVecTransform::forEachSegment(Seg &&seg) const
+{
+    // Band row k·w+i stores columns k·w+i … k·w+i+w−1: row i of Ū_k
+    // (block column k, local columns i … w−1) followed by row i of
+    // L̄_k (block column k+1, local columns 0 … i−1). Both are
+    // segments of A's row uRow·w+i, and together they fill the whole
+    // band. Unless L̄_k wraps around to A's first block column, the
+    // two segments are adjacent in A and are one run. The block pair
+    // (pair(k), rules a) is stepped along with k.
+    const Index w = dims_.w;
+    Index r = 0, s = 0;
     for (Index k = 0; k < dims_.blockCount(); ++k) {
-        const BlockPair p = pair(k);
+        const Index s_next = s + 1 == dims_.mbar ? 0 : s + 1;
         for (Index i = 0; i < w; ++i) {
-            Scalar *row = abar_.rowPtr(k * w + i);
-            const Index src = p.uRow * w + i;
-            if (p.lCol == p.uCol + 1) {
-                a.gatherRow(src, p.uCol * w + i, w, row);
+            const Index src = r * w + i, slot = (k * w + i) * w;
+            if (s_next == s + 1) {
+                seg(src, s * w + i, w, slot);
                 continue;
             }
-            a.gatherRow(src, p.uCol * w + i, w - i, row);
-            a.gatherRow(src, p.lCol * w, i, row + (w - i));
+            seg(src, s * w + i, w - i, slot);
+            seg(src, s_next * w, i, slot + (w - i));
+        }
+        if (++s == dims_.mbar) {
+            s = 0;
+            ++r;
         }
     }
+}
+
+bool
+MatVecTransform::builtFrom(const Dense<Scalar> &a) const
+{
+    if (a.rows() != dims_.n || a.cols() != dims_.m)
+        return false;
+    bool same = true;
+    const Scalar *abar = abar_.rowPtr(0);
+    forEachSegment([&](Index row, Index col, Index len, Index slot) {
+        same &= a.matchesGather(row, col, len, abar + slot);
+    });
+    return same;
 }
 
 MatVecTransform::BlockPair

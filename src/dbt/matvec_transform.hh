@@ -144,6 +144,14 @@ class MatVecTransform
     Vec<Scalar> extractY(const Vec<Scalar> &ybar) const;
 
     /**
+     * True if this is bit for bit the transform of @p a: the same
+     * shape, and every band row holds the same bits as the gather
+     * that built it would read from @p a (compared in place). This
+     * confirms a plan-cache hit without a copy of A.
+     */
+    bool builtFrom(const Dense<Scalar> &a) const;
+
+    /**
      * Check the paper's conditions 1-3 on the block sequence plus
      * the filled-band property (the latter only when all blocks of
      * the padded matrix are fully nonzero).
@@ -154,6 +162,17 @@ class MatVecTransform
     bool validate(bool check_filled) const;
 
   private:
+    /**
+     * The layout of the band, which the constructor gathers by and
+     * builtFrom() compares by: calls seg(row, col, len, slot) for
+     * each run of A's row @p row, columns col … col+len−1, that the
+     * band holds from storage slot @p slot on. Slots count from the
+     * band's first, its rows back to back, w slots each (as Band
+     * stores them); the runs cover every slot.
+     */
+    template <typename Seg>
+    void forEachSegment(Seg &&seg) const;
+
     MatVecDims dims_;
     Band<Scalar> abar_;
 };

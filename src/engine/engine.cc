@@ -231,6 +231,16 @@ PreparedPlan::validateInputs(const EngineInputs &in) const
     }
 }
 
+bool
+PreparedPlan::builtFrom(const EnginePlan &plan) const
+{
+    const Index out_cols =
+        plan.kind == ProblemKind::MatMul ? plan.bmat.cols() : 0;
+    return plan.kind == kind_ && plan.w == w_ && plan.a.rows() == rows_ &&
+           plan.a.cols() == cols_ && out_cols == out_cols_ &&
+           storesDataOf(plan);
+}
+
 namespace {
 
 /**
@@ -247,6 +257,17 @@ class GenericPrepared : public PreparedPlan
     }
 
     EnginePlan plan;
+
+  private:
+    // The bound matrices; the streamed operands are replaced per
+    // request (runPrepared), so they are not part of the plan.
+    bool
+    storesDataOf(const EnginePlan &p) const override
+    {
+        return sameBits(plan.a, p.a) &&
+               (p.kind != ProblemKind::MatMul ||
+                sameBits(plan.bmat, p.bmat));
+    }
 };
 
 /** The linear family's prepared artifact: the DBT mat-vec plan. */
@@ -259,6 +280,13 @@ class MatVecPrepared : public PreparedPlan
     }
 
     MatVecPlan plan;
+
+  private:
+    bool
+    storesDataOf(const EnginePlan &p) const override
+    {
+        return plan.transform().builtFrom(p.a);
+    }
 };
 
 /** The hex family's prepared artifact: the DBT mat-mul plan. */
@@ -273,6 +301,15 @@ class MatMulPrepared : public PreparedPlan
     bool reusedSkeleton() const override { return plan.reusedSkeleton(); }
 
     MatMulPlan plan;
+
+  private:
+    // The skeleton is a function of the shape, already compared.
+    bool
+    storesDataOf(const EnginePlan &p) const override
+    {
+        return plan.transform().builtFrom(p.a, p.bmat,
+                                          plan.skeleton()->copies());
+    }
 };
 
 /** The mesh engine's prepared artifact: padded block partitions. */
@@ -285,6 +322,13 @@ class MeshPrepared : public PreparedPlan
     }
 
     MeshMatMulPlan plan;
+
+  private:
+    bool
+    storesDataOf(const EnginePlan &p) const override
+    {
+        return plan.builtFrom(p.a, p.bmat);
+    }
 };
 
 /** The tri engine's prepared artifact: panels + diagonal blocks. */
@@ -297,6 +341,13 @@ class TriSolvePrepared : public PreparedPlan
     }
 
     TriSolvePlan plan;
+
+  private:
+    bool
+    storesDataOf(const EnginePlan &p) const override
+    {
+        return plan.builtFrom(p.a);
+    }
 };
 
 /** The no-feedback baseline's prepared artifact: per-block plans. */
@@ -309,6 +360,13 @@ class NoFeedbackPrepared : public PreparedPlan
     }
 
     BlockNoFeedbackPlan plan;
+
+  private:
+    bool
+    storesDataOf(const EnginePlan &p) const override
+    {
+        return plan.builtFrom(p.a);
+    }
 };
 
 /** Checked downcast of a prepared plan to an engine's own type. */

@@ -249,6 +249,20 @@ class PreparedPlan
     void validateInputs(const EngineInputs &in) const;
 
     /**
+     * True if prepare(@p plan) on this plan's engine would build this
+     * plan bit for bit, so it may serve @p plan: what the plan cache
+     * confirms a digest match with (serve/plan_cache.hh). The shape
+     * is compared first (kind, w, A's rows and cols, B's cols): a
+     * matrix and its zero-padded extension gather to the same band,
+     * so the stored data alone cannot tell them apart. Then each
+     * family compares its stored data, bit for bit, with @p plan's A
+     * (and B) where the gather that built it read them: a NaN
+     * matches the same NaN, and +0 differs from −0, as in the
+     * digest.
+     */
+    bool builtFrom(const EnginePlan &plan) const;
+
+    /**
      * True if building this plan found the shape-only part of it
      * (the hex family's routing skeleton, dbt/matmul_plan.hh) already
      * live and built none. Plans without such a part report false.
@@ -260,6 +274,11 @@ class PreparedPlan
     explicit PreparedPlan(const EnginePlan &plan);
 
   private:
+    /** The family half of builtFrom(), called once the shapes match:
+     *  true if the stored data is bit for bit what @p plan gathers
+     *  to. */
+    virtual bool storesDataOf(const EnginePlan &plan) const = 0;
+
     ProblemKind kind_;
     Index w_;
     Index rows_;

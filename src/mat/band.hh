@@ -86,12 +86,21 @@ class Band
 
     /**
      * Storage of row @p r: bandwidth() slots holding columns
-     * r − sub() … r + super() in order. The row's bounds are asserted
-     * here once, not per element. Slots whose column lies outside
-     * the matrix read as T{} and must stay T{}.
+     * r − sub() … r + super() in order. Rows are stored back to back,
+     * so rowPtr(r) + bandwidth() is row r + 1. The row's bounds are
+     * asserted here once, not per element. Slots whose column lies
+     * outside the matrix read as T{} and must stay T{}.
      */
     T *
     rowPtr(Index r)
+    {
+        SAP_ASSERT(r >= 0 && r < rows_, "row ", r, " out of ", rows_);
+        return data_.data() + slot(r, -sub_);
+    }
+
+    /** @copydoc rowPtr(Index) */
+    const T *
+    rowPtr(Index r) const
     {
         SAP_ASSERT(r >= 0 && r < rows_, "row ", r, " out of ", rows_);
         return data_.data() + slot(r, -sub_);

@@ -12,12 +12,43 @@
 #define SAP_MAT_DENSE_HH
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "base/logging.hh"
 #include "base/types.hh"
 
 namespace sap {
+
+/**
+ * True if the @p len elements at @p a and at @p b hold the same bits.
+ * Unlike ==, a NaN matches a NaN of the same bits and +0 differs
+ * from −0: the identity the plan digests hash (serve/fingerprint.hh).
+ */
+template <typename T>
+bool
+sameBits(const T *a, const T *b, Index len)
+{
+    if (len <= 0)
+        return true;
+    // A short run of words (a band row at w <= 8) compares inline:
+    // there a library call costs more than the compare.
+    if constexpr (sizeof(T) == sizeof(std::uint64_t)) {
+        if (len <= 8) {
+            std::uint64_t diff = 0;
+            for (Index j = 0; j < len; ++j) {
+                std::uint64_t x = 0, y = 0;
+                std::memcpy(&x, a + j, sizeof x);
+                std::memcpy(&y, b + j, sizeof y);
+                diff |= x ^ y;
+            }
+            return diff == 0;
+        }
+    }
+    return std::memcmp(a, b, static_cast<std::size_t>(len) * sizeof(T)) ==
+           0;
+}
 
 /**
  * Row-major dense matrix.
@@ -88,6 +119,31 @@ class Dense
         std::fill(out + inside, out + len, T{});
     }
 
+    /**
+     * True if the @p len elements at @p stored hold bit for bit what
+     * gatherRow(r, c0, len) would write there: the gather's compare
+     * twin, which reads the row in place instead of copying it.
+     *
+     * @pre c0 >= 0 and len >= 0.
+     */
+    bool
+    matchesGather(Index r, Index c0, Index len, const T *stored) const
+    {
+        SAP_ASSERT(c0 >= 0 && len >= 0, "bad segment at column ", c0,
+                   " of length ", len);
+        Index inside = 0;
+        if (r >= 0 && r < rows_ && c0 < cols_)
+            inside = std::min(len, cols_ - c0);
+        bool same = inside == 0 ||
+                    sameBits(data_.data() +
+                                 static_cast<std::size_t>(r * cols_ + c0),
+                             stored, inside);
+        const T zero{};
+        for (Index j = inside; j < len; ++j)
+            same &= sameBits(&zero, stored + j, 1);
+        return same;
+    }
+
     /** @return a new matrix that is the transpose of this one. */
     Dense
     transposed() const
@@ -151,6 +207,16 @@ class Dense
     Index cols_ = 0;
     std::vector<T> data_;
 };
+
+/** Same shape, and sameBits() over every element. */
+template <typename T>
+bool
+sameBits(const Dense<T> &a, const Dense<T> &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           sameBits(a.data().data(), b.data().data(),
+                    a.rows() * a.cols());
+}
 
 /** Largest absolute element-wise difference between two matrices. */
 template <typename T>

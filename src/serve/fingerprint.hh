@@ -20,7 +20,8 @@
  * decoding them, and equals fingerprintDense of the decoded matrix.
  *
  * Digests are an index, not a proof — the cache always confirms a
- * digest match with an exact element-wise comparison, so a hash
+ * digest match bit for bit against the cached plan itself
+ * (PreparedPlan::builtFrom(), serve/plan_cache.hh), so a hash
  * collision costs a probe, never a wrong plan.
  */
 

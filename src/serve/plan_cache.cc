@@ -42,15 +42,6 @@ PlanCache::digestOf(const std::string &engine_name,
     return planDigest(engine_name, plan, hash_);
 }
 
-bool
-PlanCache::entryMatches(const Entry &e, const std::string &engine_name,
-                        const EnginePlan &plan) const
-{
-    return e.engine == engine_name && e.kind == plan.kind &&
-           e.w == plan.w && e.a == plan.a &&
-           (plan.kind != ProblemKind::MatMul || e.bmat == plan.bmat);
-}
-
 std::shared_ptr<const PreparedPlan>
 PlanCache::lookupLocked(Digest digest, const std::string &engine_name,
                         const EnginePlan &plan)
@@ -58,7 +49,8 @@ PlanCache::lookupLocked(Digest digest, const std::string &engine_name,
     auto range = index_.equal_range(digest);
     bool probed = false;
     for (auto it = range.first; it != range.second; ++it) {
-        if (entryMatches(*it->second, engine_name, plan)) {
+        const Entry &e = *it->second;
+        if (e.engine == engine_name && e.plan->builtFrom(plan)) {
             // A non-matching probe under the same digest is a hash
             // collision even when a later entry matches.
             if (probed)
@@ -120,16 +112,7 @@ PlanCache::prepareKeyed(const SystolicEngine &engine,
     if (auto cached = lookupLocked(digest, engine_name, plan))
         return {cached, /*hit=*/false};
 
-    Entry e;
-    e.digest = digest;
-    e.engine = engine_name;
-    e.kind = plan.kind;
-    e.w = plan.w;
-    e.a = plan.a;
-    if (plan.kind == ProblemKind::MatMul)
-        e.bmat = plan.bmat;
-    e.plan = built;
-    lru_.push_front(std::move(e));
+    lru_.push_front(Entry{digest, engine_name, built});
     index_.emplace(digest, lru_.begin());
     while (lru_.size() > capacity_)
         evictLocked();

@@ -11,10 +11,14 @@
  * matrices) with LRU eviction.
  *
  * Collision safety: a digest match is only a candidate; the cache
- * confirms every hit with an exact element-wise comparison of the
- * bound matrices, so distinct matrices that collide in the hash
- * never share a plan (counted in stats().collisions). The hash
- * function is injectable for tests to force this path.
+ * confirms every hit bit for bit against the cached plan itself
+ * (PreparedPlan::builtFrom(): the same shape, then the plan's stored
+ * data against the request's matrices where the plan's gather read
+ * them), so distinct matrices that collide in the hash never share a
+ * plan (counted in stats().collisions). Equality is bitwise, as the
+ * digest is: a matrix holding a NaN hits its own plan, and +0 and −0
+ * are distinct matrices. The hash function is injectable for tests
+ * to force this path.
  *
  * Thread-safety: all public members are safe to call concurrently.
  * Plan construction runs outside the lock, so two threads missing on
@@ -89,9 +93,9 @@ Digest combinePlanDigest(const std::string &engine_name,
  *
  * Ownership: entries hold shared_ptr<const PreparedPlan>, so a plan
  * returned by prepare() remains valid after eviction or clear() —
- * eviction only drops the cache's reference. The cache also keeps a
- * copy of the bound matrices as the collision-check ground truth,
- * so its memory footprint is capacity × (plan + operands).
+ * eviction only drops the cache's reference. The plan is its own
+ * collision-check ground truth and no copy of the bound matrices is
+ * kept, so the memory footprint is capacity × plan.
  */
 class PlanCache
 {
@@ -131,11 +135,12 @@ class PlanCache
      *
      * @p digest is a hint, never an answer: it should equal
      * planDigest(engine.name(), plan) with the default hash, but
-     * every match under it is confirmed by an exact comparison of
-     * the bound matrices, so a wrong digest costs cache locality (a
-     * miss, a counted collision, an entry filed under the wrong
-     * key), never a wrong plan. When the cache was built with a
-     * custom hash, the hint is ignored and the digest is recomputed.
+     * every match under it is confirmed bit for bit against the
+     * cached plan (file comment), so a wrong digest costs cache
+     * locality (a miss, a counted collision, an entry filed under
+     * the wrong key), never a wrong plan. When the cache was built
+     * with a custom hash, the hint is ignored and the digest is
+     * recomputed.
      */
     Prepared prepare(const SystolicEngine &engine,
                      const EnginePlan &plan, Digest digest);
@@ -153,16 +158,12 @@ class PlanCache
     void clear();
 
   private:
+    /** One cached plan. A digest match is confirmed against the plan
+     *  itself (PreparedPlan::builtFrom()); no operand is kept. */
     struct Entry
     {
         Digest digest;
         std::string engine;
-        ProblemKind kind;
-        Index w;
-        // Bound operand copies: the ground truth a digest match is
-        // verified against (bmat is empty for MatVec plans).
-        Dense<Scalar> a;
-        Dense<Scalar> bmat;
         std::shared_ptr<const PreparedPlan> plan;
     };
     using Lru = std::list<Entry>;
@@ -172,8 +173,6 @@ class PlanCache
     /** The shared lookup/insert path; trusts @p digest as the key. */
     Prepared prepareKeyed(const SystolicEngine &engine,
                           const EnginePlan &plan, Digest digest);
-    bool entryMatches(const Entry &e, const std::string &engine_name,
-                      const EnginePlan &plan) const;
     /** Lookup under lock_; promotes the entry on hit. */
     std::shared_ptr<const PreparedPlan>
     lookupLocked(Digest digest, const std::string &engine_name,

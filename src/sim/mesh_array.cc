@@ -2,9 +2,33 @@
 
 #include "base/logging.hh"
 #include "base/math_util.hh"
-#include "mat/block.hh"
 
 namespace sap {
+
+namespace {
+
+/** @p m zero-padded to whole w×w blocks (§2.a), row by row. */
+Dense<Scalar>
+padToBlocks(const Dense<Scalar> &m, Index w)
+{
+    Dense<Scalar> p(roundUp(m.rows(), w), roundUp(m.cols(), w));
+    for (Index r = 0; r < p.rows(); ++r)
+        m.gatherRow(r, 0, p.cols(), &p(r, 0));
+    return p;
+}
+
+/** True if @p padded holds bit for bit what padToBlocks() gathers
+ *  from @p m, row by row. */
+bool
+paddedFrom(const Dense<Scalar> &padded, const Dense<Scalar> &m)
+{
+    for (Index r = 0; r < padded.rows(); ++r)
+        if (!m.matchesGather(r, 0, padded.cols(), &padded(r, 0)))
+            return false;
+    return true;
+}
+
+} // namespace
 
 MeshArray::MeshArray(Index w)
     : w_(w), acc_(static_cast<std::size_t>(w * w), 0),
@@ -82,13 +106,22 @@ MeshMatMulPlan::MeshMatMulPlan(const Dense<Scalar> &a,
 {
     SAP_ASSERT(b.rows() == p_, "B rows ", b.rows(), " != A cols ", p_);
     SAP_ASSERT(w >= 1, "mesh side w = ", w, " must be at least 1");
-    BlockPartition<Scalar> pa(a, w);
-    BlockPartition<Scalar> pb(b, w);
-    nbar_ = pa.blockRows();
-    pbar_ = pa.blockCols();
-    mbar_ = pb.blockCols();
-    a_padded_ = pa.padded();
-    b_padded_ = pb.padded();
+    SAP_ASSERT(n_ >= 1 && p_ >= 1 && m_ >= 1,
+               "cannot partition an empty matrix");
+    nbar_ = ceilDiv(n_, w);
+    pbar_ = ceilDiv(p_, w);
+    mbar_ = ceilDiv(m_, w);
+    a_padded_ = padToBlocks(a, w);
+    b_padded_ = padToBlocks(b, w);
+}
+
+bool
+MeshMatMulPlan::builtFrom(const Dense<Scalar> &a,
+                          const Dense<Scalar> &b) const
+{
+    return a.rows() == n_ && a.cols() == p_ && b.rows() == p_ &&
+           b.cols() == m_ && paddedFrom(a_padded_, a) &&
+           paddedFrom(b_padded_, b);
 }
 
 MeshRunResult

@@ -104,9 +104,9 @@ struct MeshRunResult
  * Reusable execution plan for C = A·B + E on the mesh: binds (A, B)
  * like the hexagonal MatMulPlan, streams any number of E's.
  *
- * The matrix-bound artifact is the pair of zero-padded block
- * partitions plus the (trivial, skew-only) feed schedule; the
- * serving layer caches it under the same digest scheme as the other
+ * The matrix-bound artifact is the pair of zero-padded copies of A
+ * and B plus the (trivial, skew-only) feed schedule; the serving
+ * layer caches it under the same digest scheme as the other
  * topologies.
  *
  * Thread-compatibility: const member functions are safe to call
@@ -129,6 +129,13 @@ class MeshMatMulPlan
     Index pbar() const { return pbar_; }
     /** @copydoc nbar() */
     Index mbar() const { return mbar_; }
+
+    /**
+     * True if this is bit for bit the plan of (@p a, @p b, w): the
+     * same shapes, and every row of both padded copies holds the same
+     * bits as the row of @p a or @p b it was gathered from.
+     */
+    bool builtFrom(const Dense<Scalar> &a, const Dense<Scalar> &b) const;
 
     /**
      * Execute C = A·B + E.

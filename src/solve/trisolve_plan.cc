@@ -10,6 +10,35 @@
 
 namespace sap {
 
+namespace {
+
+/**
+ * Row @p i of diagonal block L_{r,r} into @p out (w slots), zero past
+ * L's edges, with a padded diagonal entry patched to 1 so the padded
+ * sub-system stays solvable (its solution is 0).
+ */
+void
+gatherDiagRow(const Dense<Scalar> &l, Index r, Index i, Index w,
+              Scalar *out)
+{
+    l.gatherRow(r * w + i, r * w, w, out);
+    if (r * w + i >= l.rows())
+        out[i] = 1;
+}
+
+/** Block row r's panel [L_{r,0} … L_{r,r−1}] (w × r·w), zero past
+ *  L's last row. */
+Dense<Scalar>
+gatherPanel(const Dense<Scalar> &l, Index r, Index w)
+{
+    Dense<Scalar> panel(w, r * w);
+    for (Index i = 0; i < w; ++i)
+        l.gatherRow(r * w + i, 0, r * w, &panel(i, 0));
+    return panel;
+}
+
+} // namespace
+
 TriSolvePlan::TriSolvePlan(const Dense<Scalar> &l, Index w)
     : n_(l.rows()), w_(w)
 {
@@ -31,23 +60,36 @@ TriSolvePlan::TriSolvePlan(const Dense<Scalar> &l, Index w)
     diag_.reserve(static_cast<std::size_t>(nbar_));
     for (Index r = 0; r < nbar_; ++r) {
         Dense<Scalar> blk(w_, w_);
-        for (Index i = 0; i < w_; ++i) {
-            l.gatherRow(r * w_ + i, r * w_, w_, &blk(i, 0));
-            // Padded diagonal entries are zero; patch them to 1 so the
-            // padded sub-systems stay solvable (their solutions are 0).
-            if (r * w_ + i >= n_)
-                blk(i, i) = 1;
-        }
+        for (Index i = 0; i < w_; ++i)
+            gatherDiagRow(l, r, i, w_, &blk(i, 0));
         diag_.push_back(std::move(blk));
     }
 
     panels_.reserve(static_cast<std::size_t>(nbar_ - 1));
-    for (Index r = 1; r < nbar_; ++r) {
-        Dense<Scalar> panel(w_, r * w_);
-        for (Index i = 0; i < w_; ++i)
-            l.gatherRow(r * w_ + i, 0, r * w_, &panel(i, 0));
-        panels_.emplace_back(panel, w_);
+    for (Index r = 1; r < nbar_; ++r)
+        panels_.emplace_back(gatherPanel(l, r, w_), w_);
+}
+
+bool
+TriSolvePlan::builtFrom(const Dense<Scalar> &l) const
+{
+    if (l.rows() != n_ || l.cols() != n_)
+        return false;
+    std::vector<Scalar> row(static_cast<std::size_t>(w_));
+    for (Index r = 0; r < nbar_; ++r) {
+        const Dense<Scalar> &blk = diag_[static_cast<std::size_t>(r)];
+        for (Index i = 0; i < w_; ++i) {
+            gatherDiagRow(l, r, i, w_, row.data());
+            if (!sameBits(row.data(), &blk(i, 0), w_))
+                return false;
+        }
     }
+    for (Index r = 1; r < nbar_; ++r)
+        if (!panels_[static_cast<std::size_t>(r - 1)]
+                 .transform()
+                 .builtFrom(gatherPanel(l, r, w_)))
+            return false;
+    return true;
 }
 
 const Dense<Scalar> &

@@ -81,6 +81,15 @@ class TriSolvePlan
     const MatVecPlan &panel(Index r) const;
 
     /**
+     * True if this is bit for bit the plan of (@p l, w()): the same
+     * order, every diagonal-block row gathered again from @p l holds
+     * the same bits, and so does every panel's band
+     * (MatVecTransform::builtFrom()). Elements above the diagonal
+     * outside the diagonal blocks are in no part of the plan.
+     */
+    bool builtFrom(const Dense<Scalar> &l) const;
+
+    /**
      * Solve L·y = b on the simulated arrays.
      *
      * @param b Right-hand side (length n).

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <set>
 
 #include "engine/registry.hh"
@@ -306,6 +308,230 @@ TEST(PlanCache, MatMulKeysIncludeBothOperands)
         cache.prepare(*engine, EnginePlan::matMul(a, b2, e, 2)).hit);
     EXPECT_TRUE(
         cache.prepare(*engine, EnginePlan::matMul(a, b1, e, 2)).hit);
+}
+
+TEST(PlanCache, NanBearingMatrixHitsItsOwnPlan)
+{
+    // Identity is bitwise, as the digest is: a NaN equals itself, so
+    // a matrix holding one keeps one plan instead of one per request.
+    auto engine = makeEngine("linear");
+    PlanCache cache(8);
+    Dense<Scalar> a = randomIntDense(8, 8, 171);
+    a(3, 5) = std::numeric_limits<Scalar>::quiet_NaN();
+    EnginePlan plan = EnginePlan::matVec(a, randomIntVec(8, 172),
+                                         randomIntVec(8, 173), 4);
+
+    PlanCache::Prepared first = cache.prepare(*engine, plan);
+    EXPECT_FALSE(first.hit);
+    for (int i = 0; i < 3; ++i) {
+        PlanCache::Prepared again = cache.prepare(*engine, plan);
+        EXPECT_TRUE(again.hit) << i;
+        EXPECT_EQ(again.plan.get(), first.plan.get()) << i;
+    }
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.stats().collisions, 0u);
+}
+
+TEST(PlanCache, SignedZerosAreDistinctMatricesUnderCollisions)
+{
+    // +0 and −0 compare equal as numbers but differ in their bits, so
+    // they digest differently; under a forced collision the cache must
+    // still keep them apart.
+    auto engine = makeEngine("linear");
+    PlanCache cache(8, [](const Dense<Scalar> &) { return Digest{7}; });
+    Dense<Scalar> pos = randomIntDense(6, 6, 181);
+    pos(2, 4) = 0.0;
+    Dense<Scalar> neg = pos;
+    neg(2, 4) = -0.0;
+    ASSERT_TRUE(pos == neg); // numerically equal
+    Vec<Scalar> x = randomIntVec(6, 182), b = randomIntVec(6, 183);
+    EnginePlan p_pos = EnginePlan::matVec(pos, x, b, 4);
+    EnginePlan p_neg = EnginePlan::matVec(neg, x, b, 4);
+
+    PlanCache::Prepared c_pos = cache.prepare(*engine, p_pos);
+    PlanCache::Prepared c_neg = cache.prepare(*engine, p_neg);
+    EXPECT_FALSE(c_neg.hit);
+    EXPECT_NE(c_pos.plan.get(), c_neg.plan.get());
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.prepare(*engine, p_pos).plan.get(), c_pos.plan.get());
+    EXPECT_EQ(cache.prepare(*engine, p_neg).plan.get(), c_neg.plan.get());
+}
+
+/** @p v with its sign bit flipped: a zero becomes −0 (== 0). */
+Scalar
+flipSign(Scalar v)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    bits ^= std::uint64_t(1) << 63;
+    std::memcpy(&v, &bits, sizeof bits);
+    return v;
+}
+
+/** @p m with one more zero row (@p row) or zero column. */
+Dense<Scalar>
+withZeroLine(const Dense<Scalar> &m, bool row)
+{
+    Dense<Scalar> out(m.rows() + (row ? 1 : 0), m.cols() + (row ? 0 : 1));
+    for (Index r = 0; r < m.rows(); ++r)
+        for (Index c = 0; c < m.cols(); ++c)
+            out(r, c) = m(r, c);
+    return out;
+}
+
+/** A plan of @p kind binding @p a (and @p bmat for MatMul), with
+ *  zero streamed operands. */
+EnginePlan
+planOf(ProblemKind kind, const Dense<Scalar> &a, const Dense<Scalar> &bmat,
+       Index w)
+{
+    if (kind == ProblemKind::MatMul)
+        return EnginePlan::matMul(a, bmat, w);
+    if (kind == ProblemKind::TriSolve)
+        return EnginePlan::triSolve(a, Vec<Scalar>(a.rows()), w);
+    return EnginePlan::matVec(a, Vec<Scalar>(a.cols()),
+                              Vec<Scalar>(a.rows()), w);
+}
+
+/**
+ * Under a hash where every digest collides, the cache may hand out
+ * the plan of (@p a, @p bmat) only for those very matrices: the copy
+ * hits, and every single-element perturbation of A (and of B) and
+ * every zero-line extension gets its own plan. The perturbation is
+ * exhaustive, so a compare that skips any stored element fails here.
+ */
+void
+expectOnlyItsOwnMatricesHit(const SystolicEngine &engine,
+                            const Dense<Scalar> &a,
+                            const Dense<Scalar> &bmat, Index w)
+{
+    const ProblemKind kind = engine.kind();
+    // Capacity 2: the base plan, re-promoted after every variant, and
+    // the latest variant; each variant is probed against the base.
+    PlanCache cache(2, [](const Dense<Scalar> &) { return Digest{7}; });
+    const PlanCache::Prepared base =
+        cache.prepare(engine, planOf(kind, a, bmat, w));
+    ASSERT_FALSE(base.hit);
+    const Dense<Scalar> a_copy = a, b_copy = bmat;
+    PlanCache::Prepared copy =
+        cache.prepare(engine, planOf(kind, a_copy, b_copy, w));
+    EXPECT_TRUE(copy.hit);
+    EXPECT_EQ(copy.plan.get(), base.plan.get());
+
+    auto expectOwnPlan = [&](const EnginePlan &variant,
+                             const std::string &what) {
+        PlanCache::Prepared got = cache.prepare(engine, variant);
+        EXPECT_FALSE(got.hit) << what;
+        EXPECT_NE(got.plan.get(), base.plan.get()) << what;
+        PlanCache::Prepared again =
+            cache.prepare(engine, planOf(kind, a, bmat, w));
+        EXPECT_TRUE(again.hit) << what;
+        EXPECT_EQ(again.plan.get(), base.plan.get()) << what;
+    };
+    auto at = [](Index r, Index c) {
+        return "(" + std::to_string(r) + "," + std::to_string(c) + ")";
+    };
+
+    for (Index r = 0; r < a.rows(); ++r) {
+        for (Index c = 0; c < a.cols(); ++c) {
+            // L's elements above the diagonal are not part of the
+            // system (forwardSolve() ignores them).
+            if (kind == ProblemKind::TriSolve && c > r)
+                continue;
+            Dense<Scalar> v = a;
+            v(r, c) = flipSign(v(r, c));
+            expectOwnPlan(planOf(kind, v, bmat, w), "A" + at(r, c));
+        }
+    }
+    if (kind == ProblemKind::MatMul) {
+        for (Index r = 0; r < bmat.rows(); ++r) {
+            for (Index c = 0; c < bmat.cols(); ++c) {
+                Dense<Scalar> v = bmat;
+                v(r, c) = flipSign(v(r, c));
+                expectOwnPlan(planOf(kind, a, v, w), "B" + at(r, c));
+            }
+        }
+    }
+
+    // Zero-line extensions gather to the same stored data as the base
+    // (the zero padding of §2.a); only the shape tells them apart.
+    if (kind == ProblemKind::TriSolve) {
+        // The one extension that stays a valid system: [L 0; 0 1].
+        Dense<Scalar> bordered = withZeroLine(withZeroLine(a, true), false);
+        bordered(a.rows(), a.cols()) = 1;
+        expectOwnPlan(planOf(kind, bordered, bmat, w), "bordered L");
+        return;
+    }
+    expectOwnPlan(planOf(kind, withZeroLine(a, true), bmat, w),
+                  "A + zero row");
+    if (kind == ProblemKind::MatMul) {
+        expectOwnPlan(planOf(kind, withZeroLine(a, false),
+                             withZeroLine(bmat, true), w),
+                      "A + zero column, B + zero row");
+        expectOwnPlan(planOf(kind, a, withZeroLine(bmat, false), w),
+                      "B + zero column");
+    } else {
+        expectOwnPlan(planOf(kind, withZeroLine(a, false), bmat, w),
+                      "A + zero column");
+    }
+}
+
+/** Small edge shapes: A is n×p, B is p×m, and no dimension is a
+ *  multiple of w. */
+struct EdgeShape
+{
+    Index n, p, m, w;
+};
+const EdgeShape kEdgeShapes[] = {{5, 7, 4, 3}, {7, 5, 5, 3}, {3, 5, 7, 2}};
+
+TEST(PlanCache, EveryEngineConfirmsHitsBitForBitUnderCollisions)
+{
+    std::uint64_t seed = 191;
+    for (const std::string &name : engineNames()) {
+        auto engine = makeEngine(name);
+        ASSERT_NE(engine, nullptr);
+        for (const EdgeShape &sh : kEdgeShapes) {
+            SCOPED_TRACE(name + " n=" + std::to_string(sh.n) +
+                         " p=" + std::to_string(sh.p) +
+                         " m=" + std::to_string(sh.m) +
+                         " w=" + std::to_string(sh.w));
+            const ProblemKind kind = engine->kind();
+            Dense<Scalar> a = kind == ProblemKind::TriSolve
+                ? randomUnitLowerTriangular(sh.n, seed)
+                : randomIntDense(sh.n, sh.p, seed);
+            Dense<Scalar> bmat = kind == ProblemKind::MatMul
+                ? randomIntDense(sh.p, sh.m, seed + 1)
+                : Dense<Scalar>();
+            seed += 2;
+            expectOnlyItsOwnMatricesHit(*engine, a, bmat, sh.w);
+        }
+    }
+}
+
+/** An engine that implements run() only: its prepared plans are the
+ *  generic wrap of the whole EnginePlan. */
+class RunOnlyMatMulEngine : public SystolicEngine
+{
+  public:
+    std::string name() const override { return "run-only"; }
+    ProblemKind kind() const override { return ProblemKind::MatMul; }
+    std::string description() const override { return "test engine"; }
+    EngineRunResult
+    run(const EnginePlan &plan) const override
+    {
+        return makeEngine("mesh")->run(plan);
+    }
+};
+
+TEST(PlanCache, GenericPlansConfirmHitsBitForBitUnderCollisions)
+{
+    RunOnlyMatMulEngine engine;
+    for (const EdgeShape &sh : kEdgeShapes) {
+        SCOPED_TRACE("n=" + std::to_string(sh.n));
+        expectOnlyItsOwnMatricesHit(engine,
+                                    randomIntDense(sh.n, sh.p, 201),
+                                    randomIntDense(sh.p, sh.m, 202), sh.w);
+    }
 }
 
 //---------------------------------------------------------------------
