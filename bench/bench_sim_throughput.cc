@@ -8,7 +8,9 @@
  * All topologies run through the unified engine layer, so a newly
  * registered engine is benchmarked here with zero code changes.
  * BM_Prepare times the plan build alone (the plan-cache miss path),
- * with a plan of the shape live and, for hex, without.
+ * with a plan of the shape live and, for hex, without. BM_FastRun
+ * times Fast mode on a live plan (the band kernel and its x̄/b̄/y
+ * plumbing), and BM_WireCodec the wire codec on a 2.1 MB SUBMIT.
  */
 
 #include "bench/bench_common.hh"
@@ -16,6 +18,7 @@
 #include "dbt/matmul_plan.hh"
 #include "dbt/matvec_plan.hh"
 #include "mat/generate.hh"
+#include "net/protocol.hh"
 #include "sim/mesh_array.hh"
 #include "solve/trisolve_plan.hh"
 
@@ -221,6 +224,65 @@ BENCHMARK_CAPTURE(BM_Prepare, linear, "linear", prepareLinear, true);
 BENCHMARK_CAPTURE(BM_Prepare, tri, "tri", prepareTri, true);
 BENCHMARK_CAPTURE(BM_Prepare, hex, "hex", prepareHex, true);
 BENCHMARK_CAPTURE(BM_Prepare, hex_new_shape, "hex", prepareHex, false);
+
+/** mv512_fast_hot's request: linear mat-vec, A 512×512, w=32. */
+EnginePlan
+linear512()
+{
+    return EnginePlan::matVec(randomIntDense(512, 512, 1),
+                              randomIntVec(512, 2), randomIntVec(512, 3),
+                              32);
+}
+
+/**
+ * Fast mode on a live plan: one runPrepared, which builds x̄ and b̄,
+ * replays the band (semantics/band_kernel.hh) and extracts y. The
+ * shapes are mv512_fast_hot's and mixed_cold_open's linear and tri.
+ */
+void
+BM_FastRun(benchmark::State &state, const char *engine,
+           EnginePlan (*make_plan)())
+{
+    auto eng = requireEngine(engine);
+    EnginePlan plan = make_plan();
+    plan.mode = ExecMode::Fast;
+    const std::shared_ptr<const PreparedPlan> prepared = eng->prepare(plan);
+    const EngineInputs in = EngineInputs::of(plan);
+    for (auto _ : state) {
+        EngineRunResult r = eng->runPrepared(*prepared, in);
+        benchmark::DoNotOptimize(r.y.elems());
+    }
+}
+BENCHMARK_CAPTURE(BM_FastRun, linear_512_32, "linear", linear512);
+BENCHMARK_CAPTURE(BM_FastRun, linear_128_8, "linear", prepareLinear);
+BENCHMARK_CAPTURE(BM_FastRun, tri_128_8, "tri", prepareTri);
+
+/** The wire codec on mv512_fast_hot's 2.1 MB SUBMIT payload, one
+ *  encodeSubmit or decodeSubmit per iteration. */
+void
+BM_WireCodec(benchmark::State &state, bool decode)
+{
+    ServeRequest req;
+    req.engine = "linear";
+    req.plan = linear512();
+    const std::vector<std::uint8_t> payload = encodeSubmit(req);
+    for (auto _ : state) {
+        if (decode) {
+            ServeRequest back;
+            std::string err;
+            if (!decodeSubmit(payload, &back, &err))
+                state.SkipWithError(err.c_str());
+            benchmark::DoNotOptimize(back.plan.a.elems());
+        } else {
+            std::vector<std::uint8_t> bytes = encodeSubmit(req);
+            benchmark::DoNotOptimize(bytes.data());
+        }
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK_CAPTURE(BM_WireCodec, encode_submit_512, false);
+BENCHMARK_CAPTURE(BM_WireCodec, decode_submit_512, true);
 
 void
 BM_BlockOracleVsCycleSim(benchmark::State &state)

@@ -37,12 +37,13 @@ runNaiveBand(const Dense<Scalar> &a, const Vec<Scalar> &x,
             xbar[col] = x[j];
     }
 
+    const std::vector<std::uint8_t> external(static_cast<std::size_t>(n),
+                                             1);
     BandMatVecSpec spec;
     spec.abar = &band;
     spec.xbar = xbar;
     spec.externalB = b;
-    spec.bIsExternal.assign(static_cast<std::size_t>(n), 1);
-    spec.yIsFinal.assign(static_cast<std::size_t>(n), 1);
+    spec.bIsExternal = &external;
 
     LinearRunResult r = runBandMatVec(spec);
     cost.steps = r.stats.cycles;

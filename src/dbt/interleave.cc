@@ -1,5 +1,7 @@
 #include "dbt/interleave.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 #include "base/math_util.hh"
 
@@ -18,52 +20,38 @@ SplitProblem::SplitProblem(const MatVecTransform &t, const Vec<Scalar> &x,
     Index half_rows = ceilDiv(d.nbar, 2);
     cut_blocks_ = half_rows * d.mbar;
 
-    buildHalf(0, cut_blocks_, band_first_, spec_first_, x, b);
-    buildHalf(cut_blocks_, d.blockCount(), band_second_, spec_second_,
-              x, b);
+    const Vec<Scalar> xbar_full = t.transformX(x);
+    buildHalf(0, cut_blocks_, half_first_, spec_first_, xbar_full, b);
+    buildHalf(cut_blocks_, d.blockCount(), half_second_, spec_second_,
+              xbar_full, b);
 }
 
 void
-SplitProblem::buildHalf(Index k0, Index k1, Band<Scalar> &band,
-                        BandMatVecSpec &spec, const Vec<Scalar> &x,
+SplitProblem::buildHalf(Index k0, Index k1, Half &half,
+                        BandMatVecSpec &spec, const Vec<Scalar> &xbar_full,
                         const Vec<Scalar> &b)
 {
     const MatVecDims &d = t_.dims();
     const Index w = d.w;
     const Index rows = (k1 - k0) * w;
 
-    band = Band<Scalar>(rows, rows + w - 1, 0, w - 1);
-    for (Index i = 0; i < rows; ++i) {
-        Index gi = k0 * w + i;
-        for (Index off = 0; off <= w - 1; ++off)
-            band.ref(i, i + off) = t_.abar().at(gi, gi + off);
-    }
+    // Both bands store w slots per row, every one inside the matrix,
+    // so the half's rows are a contiguous run of the full band's.
+    half.band = Band<Scalar>(rows, rows + w - 1, 0, w - 1);
+    const Scalar *src = t_.abar().rowPtr(k0 * w);
+    std::copy(src, src + rows * w, half.band.rowPtr(0));
 
-    Vec<Scalar> xbar_full = t_.transformX(x);
-    spec.abar = &band;
+    half.bExternal.assign(static_cast<std::size_t>(rows), 0);
+    spec.abar = &half.band;
     spec.xbar = xbar_full.slice(k0 * w, rows + w - 1);
-    spec.bIsExternal.assign(static_cast<std::size_t>(rows), 0);
-    spec.yIsFinal.assign(static_cast<std::size_t>(rows), 0);
+    spec.bIsExternal = &half.bExternal;
     spec.externalB = Vec<Scalar>(rows);
     for (Index i = 0; i < rows; ++i) {
         Index gi = k0 * w + i;
-        spec.bIsExternal[i] = t_.scalarIsExternalB(gi) ? 1 : 0;
-        spec.yIsFinal[i] = t_.scalarIsFinalY(gi) ? 1 : 0;
-        if (spec.bIsExternal[i])
+        half.bExternal[i] = t_.scalarIsExternalB(gi) ? 1 : 0;
+        if (half.bExternal[i])
             spec.externalB[i] = t_.externalB(b, gi);
     }
-}
-
-BandMatVecSpec
-SplitProblem::first() const
-{
-    return spec_first_;
-}
-
-BandMatVecSpec
-SplitProblem::second() const
-{
-    return spec_second_;
 }
 
 Vec<Scalar>

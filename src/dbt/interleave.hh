@@ -41,9 +41,9 @@ class SplitProblem
     SplitProblem &operator=(const SplitProblem &) = delete;
 
     /** Array-ready spec of the first half (band rows [0, cut)). */
-    BandMatVecSpec first() const;
+    const BandMatVecSpec &first() const { return spec_first_; }
     /** Array-ready spec of the second half. */
-    BandMatVecSpec second() const;
+    const BandMatVecSpec &second() const { return spec_second_; }
 
     /** Block row count of the first half (multiple of m̄). */
     Index cutBlocks() const { return cut_blocks_; }
@@ -56,15 +56,21 @@ class SplitProblem
                          const Vec<Scalar> &ybar_second) const;
 
   private:
-    /** Build the band slice for block rows [k0, k1). */
-    void buildHalf(Index k0, Index k1, Band<Scalar> &band,
-                   BandMatVecSpec &spec, const Vec<Scalar> &x,
-                   const Vec<Scalar> &b);
+    /** One half's storage: its band slice and routing flags. */
+    struct Half
+    {
+        Band<Scalar> band;
+        std::vector<std::uint8_t> bExternal;
+    };
+
+    /** Build the half of block rows [k0, k1) from the full x̄. */
+    void buildHalf(Index k0, Index k1, Half &half, BandMatVecSpec &spec,
+                   const Vec<Scalar> &xbar_full, const Vec<Scalar> &b);
 
     const MatVecTransform &t_;
     Index cut_blocks_;
-    Band<Scalar> band_first_;
-    Band<Scalar> band_second_;
+    Half half_first_;
+    Half half_second_;
     BandMatVecSpec spec_first_;
     BandMatVecSpec spec_second_;
 };

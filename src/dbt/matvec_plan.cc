@@ -14,33 +14,32 @@ MatVecPlan::MatVecPlan(const Dense<Scalar> &a, Index w)
                "DBT structural conditions violated");
 
     // One pass over the block rows: every scalar row of block row k
-    // shares its b̄ source and ȳ sink.
+    // shares its b̄ source.
     const MatVecDims &d = dims();
     b_external_.resize(static_cast<std::size_t>(d.barRows()));
-    y_final_.resize(static_cast<std::size_t>(d.barRows()));
-    for (Index k = 0; k < d.blockCount(); ++k) {
-        const auto at = static_cast<std::ptrdiff_t>(k * d.w);
-        std::fill_n(b_external_.begin() + at, d.w,
-                    transform_.bSourceOf(k) == BSource::External);
-        std::fill_n(y_final_.begin() + at, d.w,
-                    transform_.ySinkOf(k) == YSink::Emit);
-    }
+    for (Index k = 0; k < d.blockCount(); ++k)
+        std::fill_n(b_external_.begin() +
+                        static_cast<std::ptrdiff_t>(k * d.w),
+                    d.w, transform_.bSourceOf(k) == BSource::External);
 }
 
 BandMatVecSpec
 MatVecPlan::makeSpec(const Vec<Scalar> &x, const Vec<Scalar> &b) const
 {
     const MatVecDims &d = dims();
+    SAP_ASSERT(b.size() == d.n, "b has ", b.size(),
+               " elements, expected ", d.n);
     BandMatVecSpec spec;
     spec.abar = &transform_.abar();
     spec.xbar = transform_.transformX(x);
-    spec.bIsExternal = b_external_;
-    spec.yIsFinal = y_final_;
+    spec.bIsExternal = &b_external_;
+    // Band block row r·m̄ opens original block row r: its rows take
+    // b_r (transform_.externalB), zero past b's end. Every other row
+    // is fed back and reads no external value.
     spec.externalB = Vec<Scalar>(d.barRows());
-    for (Index i = 0; i < d.barRows(); ++i) {
-        if (b_external_[i])
-            spec.externalB[i] = transform_.externalB(b, i);
-    }
+    for (Index r = 0; r < d.nbar; ++r)
+        std::copy_n(b.elems() + r * d.w, std::min(d.w, d.n - r * d.w),
+                    spec.externalB.elems() + r * d.mbar * d.w);
     return spec;
 }
 

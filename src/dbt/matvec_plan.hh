@@ -109,19 +109,18 @@ class MatVecPlan
 
     /**
      * Build the array-ready spec (exposed for drivers and tests).
-     * The returned spec points at this plan's band matrix, so the
-     * plan must outlive it.
+     * The returned spec points at this plan's band matrix and
+     * routing flags, so the plan must outlive it; only x̄ and the
+     * external b̄ values are built per call.
      */
     BandMatVecSpec makeSpec(const Vec<Scalar> &x,
                             const Vec<Scalar> &b) const;
 
   private:
     MatVecTransform transform_;
-    /** Per scalar row: b̄ is external (else fed back) / ȳ is final.
-     *  Input-independent, so each run copies them instead of
-     *  re-deriving them. */
+    /** Per scalar row: b̄ is external (else fed back). It depends on
+     *  the shape alone, so every run's spec borrows it. */
     std::vector<std::uint8_t> b_external_;
-    std::vector<std::uint8_t> y_final_;
 };
 
 /**

@@ -1,5 +1,6 @@
 #include "dbt/matvec_transform.hh"
 
+#include <algorithm>
 #include <vector>
 
 #include "base/logging.hh"
@@ -99,21 +100,25 @@ MatVecTransform::transformX(const Vec<Scalar> &x) const
 {
     SAP_ASSERT(x.size() == dims_.m, "x has ", x.size(),
                " elements, expected ", dims_.m);
-    Vec<Scalar> xp = x.paddedTo(dims_.mbar * dims_.w);
-
+    const Index w = dims_.w;
+    // x̄ starts zero: the padding of x past its m elements.
     Vec<Scalar> xbar(dims_.barCols());
-    Index pos = 0;
-    for (Index k = 0; k < dims_.blockCount(); ++k) {
-        Index s = k % dims_.mbar;
-        for (Index t = 0; t < dims_.w; ++t)
-            xbar[pos++] = xp[s * dims_.w + t];
+    Scalar *out = xbar.elems();
+    // The first len elements of sub-vector x_s, clipped to x.
+    auto put = [&](Index s, Index len) {
+        std::copy_n(x.elems() + s * w, std::min(len, dims_.m - s * w),
+                    out);
+        out += len;
+    };
+    for (Index k = 0, s = 0; k < dims_.blockCount(); ++k) {
+        put(s, w); // block k carries x_{k mod m̄}
+        if (++s == dims_.mbar)
+            s = 0;
     }
     // Tail x^∂: the first w-1 elements of the block that follows the
     // last L̄ (for DBT-by-rows this is x_0).
-    Index s_tail = dims_.blockCount() % dims_.mbar; // == 0
-    for (Index t = 0; t < dims_.w - 1; ++t)
-        xbar[pos++] = xp[s_tail * dims_.w + t];
-    SAP_ASSERT(pos == dims_.barCols(), "x̄ fill mismatch");
+    put(dims_.blockCount() % dims_.mbar, w - 1);
+    SAP_ASSERT(out == xbar.elems() + dims_.barCols(), "x̄ fill mismatch");
     return xbar;
 }
 
@@ -162,14 +167,13 @@ MatVecTransform::extractY(const Vec<Scalar> &ybar) const
 {
     SAP_ASSERT(ybar.size() == dims_.barRows(), "ȳ has ", ybar.size(),
                " elements, expected ", dims_.barRows());
+    const Index w = dims_.w;
     Vec<Scalar> y(dims_.n);
-    for (Index i = 0; i < dims_.barRows(); ++i) {
-        if (!scalarIsFinalY(i))
-            continue;
-        Index dst = finalYIndex(i);
-        if (dst < dims_.n)
-            y[dst] = ybar[i];
-    }
+    // Block row r's final sub-vector is the ȳ of its last band block
+    // row, k = r·m̄ + m̄ − 1 (ySinkOf); elements past n are padding.
+    for (Index r = 0; r < dims_.nbar; ++r)
+        std::copy_n(ybar.elems() + (r * dims_.mbar + dims_.mbar - 1) * w,
+                    std::min(w, dims_.n - r * w), y.elems() + r * w);
     return y;
 }
 

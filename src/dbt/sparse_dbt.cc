@@ -159,17 +159,16 @@ SparseDbt::spec(const Vec<Scalar> &x, const Vec<Scalar> &b)
     for (Index e = 0; e < w - 1; ++e)
         xbar_[rows * w + e] = xp[tail_x_block_ * w + e];
 
+    b_external_.assign(static_cast<std::size_t>(rows * w), 0);
     BandMatVecSpec s;
     s.abar = &band_;
     s.xbar = xbar_;
-    s.bIsExternal.assign(static_cast<std::size_t>(rows * w), 0);
-    s.yIsFinal.assign(static_cast<std::size_t>(rows * w), 0);
+    s.bIsExternal = &b_external_;
     s.externalB = Vec<Scalar>(rows * w);
     for (Index t = 0; t < rows; ++t) {
         for (Index e = 0; e < w; ++e) {
             Index i = t * w + e;
-            s.bIsExternal[i] = first_in_row_[t];
-            s.yIsFinal[i] = last_in_row_[t];
+            b_external_[i] = first_in_row_[t];
             if (first_in_row_[t] && row_r_[t] >= 0)
                 s.externalB[i] = b_padded_[row_r_[t] * w + e];
         }

@@ -65,6 +65,7 @@ class SparseDbt
     Index tail_x_block_ = 0;      ///< x sub-vector of the band tail
     Band<Scalar> band_;
     Vec<Scalar> xbar_;            ///< rebuilt per spec() call
+    std::vector<std::uint8_t> b_external_; ///< rebuilt per spec() call
     Vec<Scalar> b_padded_;        ///< retained for extractY()
 };
 

@@ -95,6 +95,12 @@ class Dense
     /** Raw storage access (row-major). */
     const std::vector<T> &data() const { return data_; }
 
+    /** The rows()·cols() elements, row-major and contiguous: for
+     *  loops that check their bounds once, not per element. */
+    T *elems() { return data_.data(); }
+    /** @copydoc elems() */
+    const T *elems() const { return data_.data(); }
+
     /**
      * Copy elements (r, c0) … (r, c0 + len − 1) to @p out, reading
      * T{} past the matrix edges: the zero padding of §2.a, clipped

@@ -91,6 +91,12 @@ class Vec
     /** Underlying storage. */
     const std::vector<T> &data() const { return data_; }
 
+    /** The size() elements, contiguous: for loops that check their
+     *  bounds once, not per element. */
+    T *elems() { return data_.data(); }
+    /** @copydoc elems() */
+    const T *elems() const { return data_.data(); }
+
   private:
     std::vector<T> data_;
 };

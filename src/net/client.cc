@@ -111,31 +111,41 @@ NetClient::roundTrip(std::vector<std::uint8_t> request, std::uint64_t tag,
 NetClient::Result
 NetClient::submit(const ServeRequest &req)
 {
-    std::vector<Result> results = submitBatch({req});
-    return std::move(results.front());
+    const ServeRequest *one = &req;
+    return std::move(submitEach(&one, 1).front());
 }
 
 std::vector<NetClient::Result>
 NetClient::submitBatch(const std::vector<ServeRequest> &reqs)
 {
-    std::vector<Result> results(reqs.size());
-    if (reqs.empty())
+    std::vector<const ServeRequest *> each;
+    each.reserve(reqs.size());
+    for (const ServeRequest &req : reqs)
+        each.push_back(&req);
+    return submitEach(each.data(), each.size());
+}
+
+std::vector<NetClient::Result>
+NetClient::submitEach(const ServeRequest *const *reqs, std::size_t n)
+{
+    std::vector<Result> results(n);
+    if (n == 0)
         return results;
 
     // Pipeline all SUBMITs; nextFrame() interleaves sending the rest
     // with reading responses (file comment).
     std::map<std::uint64_t, std::size_t> slot_of;
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         std::uint64_t tag = next_tag_++;
         slot_of[tag] = i;
-        sock_.queue(buildSubmitFrame(tag, reqs[i]));
+        sock_.queue(buildSubmitFrame(tag, *reqs[i]));
     }
     auto fail_rest = [&] {
         for (const auto &entry : slot_of)
             results[entry.second].transportError = error_;
     };
 
-    for (std::size_t outstanding = reqs.size(); outstanding > 0;) {
+    for (std::size_t outstanding = n; outstanding > 0;) {
         Frame frame;
         std::string err;
         if (!nextFrame(&frame)) {

@@ -139,6 +139,10 @@ class NetClient
                               const WireResponse &resp);
 
   private:
+    /** submitBatch() over @p n borrowed requests, so that submit()
+     *  sends its one request without copying it. */
+    std::vector<Result> submitEach(const ServeRequest *const *reqs,
+                                   std::size_t n);
     /** Send @p request and block for the reply, which must be a
      *  @p type frame on tag @p tag. */
     bool roundTrip(std::vector<std::uint8_t> request, std::uint64_t tag,

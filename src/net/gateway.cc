@@ -515,8 +515,11 @@ Gateway::handleClientFrame(std::uint64_t conn_id, Frame &&frame)
         TraceContext ctx = view.traceContext;
         std::shared_ptr<RequestTrace> trace = admitTrace(&ctx, view);
         const Digest digest = planDigest(view);
-        routeSubmit(conn_id, tag, digest, std::move(frame.payload),
-                    ctx, std::move(trace));
+        std::vector<std::uint8_t> payload = std::move(frame.payload);
+        frame.payload = std::move(spare_payload_);
+        spare_payload_.clear();
+        routeSubmit(conn_id, tag, digest, std::move(payload), ctx,
+                    std::move(trace));
         return;
     }
     case static_cast<std::uint16_t>(FrameType::Forward): {
@@ -593,6 +596,10 @@ Gateway::handleBackendFrame(std::size_t idx, Frame &&frame)
                 std::chrono::steady_clock::now() - fl.start)
                 .count());
         inst_.relayed->add();
+        if (fl.submitPayload.capacity() > spare_payload_.capacity()) {
+            spare_payload_ = std::move(fl.submitPayload);
+            spare_payload_.clear();
+        }
         return;
     }
     case static_cast<std::uint16_t>(FrameType::Ping): {

@@ -341,6 +341,12 @@ class Gateway
 
     std::uint64_t next_tag_ = 1;
     std::map<std::uint64_t, Inflight> inflight_;
+    /** The payload buffer of the last relayed request, emptied. The
+     *  next client SUBMIT hands it to the front door's decoder, which
+     *  receives a later frame into it (FrameDecoder::next), so the
+     *  payloads the gateway keeps for resubmission do not cost each
+     *  request a freshly grown buffer. */
+    std::vector<std::uint8_t> spare_payload_;
     /** One outstanding leg of a scatter-gather: which gather it
      *  belongs to and which backend owes the reply (so a backend
      *  death mid-gather releases the leg instead of hanging it). */

@@ -1,9 +1,11 @@
 #include "net/protocol.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <utility>
 
+#include "base/byte_order.hh"
 #include "base/logging.hh"
 #include "serve/plan_cache.hh"
 
@@ -48,25 +50,80 @@ frameTypeName(std::uint16_t type)
 // WireWriter
 //----------------------------------------------------------------------
 
+namespace {
+
+static_assert(sizeof(Scalar) == sizeof(std::uint64_t),
+              "Scalars travel as 64-bit words");
+
+/** @p n Scalars as LE words at @p out: one store per element. */
+void
+storeScalars(std::uint8_t *out, const Scalar *v, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i, out += 8) {
+        std::uint64_t bits;
+        std::memcpy(&bits, v + i, sizeof(bits));
+        storeLe64(out, bits);
+    }
+}
+
+/** @p n LE words at @p in as Scalars: one load per element. */
+void
+loadScalars(Scalar *v, const std::uint8_t *in, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i, in += 8) {
+        const std::uint64_t bits = loadLe64(in);
+        std::memcpy(v + i, &bits, sizeof(bits));
+    }
+}
+
+/** Encoded size of WireWriter::vec(@p v). */
+std::size_t
+vecBytes(const Vec<Scalar> &v)
+{
+    return 8 + 8 * static_cast<std::size_t>(v.size());
+}
+
+/** Encoded size of WireWriter::dense(@p m). */
+std::size_t
+denseBytes(const Dense<Scalar> &m)
+{
+    return 16 + 8 * static_cast<std::size_t>(m.rows()) *
+                    static_cast<std::size_t>(m.cols());
+}
+
+/** Encoded size of WireWriter::str(@p s). */
+std::size_t
+strBytes(const std::string &s)
+{
+    return 4 + s.size();
+}
+
+} // namespace
+
+std::uint8_t *
+WireWriter::grow(std::size_t n)
+{
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + n);
+    return bytes_.data() + at;
+}
+
 void
 WireWriter::u16(std::uint16_t v)
 {
-    u8(static_cast<std::uint8_t>(v));
-    u8(static_cast<std::uint8_t>(v >> 8));
+    storeLe16(grow(2), v);
 }
 
 void
 WireWriter::u32(std::uint32_t v)
 {
-    u16(static_cast<std::uint16_t>(v));
-    u16(static_cast<std::uint16_t>(v >> 16));
+    storeLe32(grow(4), v);
 }
 
 void
 WireWriter::u64(std::uint64_t v)
 {
-    u32(static_cast<std::uint32_t>(v));
-    u32(static_cast<std::uint32_t>(v >> 32));
+    storeLe64(grow(8), v);
 }
 
 void
@@ -89,8 +146,8 @@ void
 WireWriter::vec(const Vec<Scalar> &v)
 {
     i64(v.size());
-    for (Index i = 0; i < v.size(); ++i)
-        f64(v[i]);
+    const auto n = static_cast<std::size_t>(v.size());
+    storeScalars(grow(8 * n), v.elems(), n);
 }
 
 void
@@ -98,9 +155,9 @@ WireWriter::dense(const Dense<Scalar> &m)
 {
     i64(m.rows());
     i64(m.cols());
-    for (Index r = 0; r < m.rows(); ++r)
-        for (Index c = 0; c < m.cols(); ++c)
-            f64(m(r, c));
+    const auto n = static_cast<std::size_t>(m.rows()) *
+                   static_cast<std::size_t>(m.cols());
+    storeScalars(grow(8 * n), m.elems(), n);
 }
 
 //----------------------------------------------------------------------
@@ -119,31 +176,30 @@ WireReader::u8(std::uint8_t *out)
 bool
 WireReader::u16(std::uint16_t *out)
 {
-    std::uint8_t lo, hi;
-    if (!u8(&lo) || !u8(&hi))
+    if (remaining() < 2)
         return false;
-    *out = static_cast<std::uint16_t>(lo |
-                                      (static_cast<unsigned>(hi) << 8));
+    *out = loadLe16(data_ + pos_);
+    pos_ += 2;
     return true;
 }
 
 bool
 WireReader::u32(std::uint32_t *out)
 {
-    std::uint16_t lo, hi;
-    if (!u16(&lo) || !u16(&hi))
+    if (remaining() < 4)
         return false;
-    *out = lo | (static_cast<std::uint32_t>(hi) << 16);
+    *out = loadLe32(data_ + pos_);
+    pos_ += 4;
     return true;
 }
 
 bool
 WireReader::u64(std::uint64_t *out)
 {
-    std::uint32_t lo, hi;
-    if (!u32(&lo) || !u32(&hi))
+    if (remaining() < 8)
         return false;
-    *out = lo | (static_cast<std::uint64_t>(hi) << 32);
+    *out = loadLe64(data_ + pos_);
+    pos_ += 8;
     return true;
 }
 
@@ -192,9 +248,8 @@ WireReader::vec(Vec<Scalar> *out)
     if (!vecLength(&n))
         return false;
     Vec<Scalar> v(n);
-    for (Index i = 0; i < n; ++i)
-        if (!f64(&v[i]))
-            return false;
+    loadScalars(v.elems(), data_ + pos_, static_cast<std::size_t>(n));
+    pos_ += 8 * static_cast<std::size_t>(n);
     *out = std::move(v);
     return true;
 }
@@ -233,10 +288,10 @@ WireReader::dense(Dense<Scalar> *out)
     if (!denseShape(&rows, &cols))
         return false;
     Dense<Scalar> m(rows, cols);
-    for (Index r = 0; r < rows; ++r)
-        for (Index c = 0; c < cols; ++c)
-            if (!f64(&m(r, c)))
-                return false;
+    const std::size_t n = static_cast<std::size_t>(rows) *
+                          static_cast<std::size_t>(cols);
+    loadScalars(m.elems(), data_ + pos_, n);
+    pos_ += 8 * n;
     *out = std::move(m);
     return true;
 }
@@ -260,37 +315,46 @@ WireReader::denseSpan(WireSpan *out, Index *rows, Index *cols)
 void
 FrameDecoder::feed(const std::uint8_t *data, std::size_t len)
 {
-    if (poisoned_)
-        return; // the stream is dead; don't accumulate garbage
-    // Compact lazily so long sessions don't grow the buffer forever.
-    if (consumed_ > 0 && consumed_ >= buf_.size() / 2) {
-        buf_.erase(buf_.begin(),
-                   buf_.begin() + static_cast<std::ptrdiff_t>(consumed_));
-        consumed_ = 0;
+    while (!poisoned_) {
+        if (head_len_ < kFrameHeaderBytes) {
+            const std::size_t take =
+                std::min(len, kFrameHeaderBytes - head_len_);
+            std::memcpy(head_ + head_len_, data, take);
+            head_len_ += take;
+            data += take;
+            len -= take;
+            if (head_len_ < kFrameHeaderBytes || !openFrame())
+                return;
+        }
+        std::vector<std::uint8_t> &payload = cur_.payload;
+        const std::size_t want = cur_.header.payloadLen;
+        const std::size_t take = std::min(len, want - payload.size());
+        if (payload.size() + take > payload.capacity())
+            // Grow with what has arrived, never past the claim.
+            payload.reserve(std::min(
+                want, kGrowthFactor * (payload.size() + take)));
+        payload.insert(payload.end(), data, data + take);
+        data += take;
+        len -= take;
+        if (payload.size() < want)
+            return; // len is 0: the rest of the payload is owed
+        ready_.push_back(std::move(cur_));
+        cur_ = Frame();
+        head_len_ = 0;
+        if (len == 0)
+            return;
     }
-    buf_.insert(buf_.end(), data, data + len);
 }
 
-FrameDecoder::Result
-FrameDecoder::next(Frame *out, std::string *error)
+bool
+FrameDecoder::openFrame()
 {
-    if (poisoned_) {
-        if (error)
-            *error = poison_reason_;
-        return Result::Malformed;
-    }
-    const std::size_t avail = buf_.size() - consumed_;
-    if (avail < kFrameHeaderBytes)
-        return Result::NeedMore;
-
-    WireReader r(buf_.data() + consumed_, avail);
     FrameHeader h;
-    // Reads cannot fail: avail >= kFrameHeaderBytes.
-    r.u32(&h.magic);
-    r.u16(&h.version);
-    r.u16(&h.type);
-    r.u64(&h.tag);
-    r.u32(&h.payloadLen);
+    h.magic = loadLe32(head_);
+    h.version = loadLe16(head_ + 4);
+    h.type = loadLe16(head_ + 6);
+    h.tag = loadLe64(head_ + 8);
+    h.payloadLen = loadLe32(head_ + 16);
 
     if (h.magic != kWireMagic)
         poison_reason_ = "bad magic 0x" + [&] {
@@ -309,21 +373,35 @@ FrameDecoder::next(Frame *out, std::string *error)
                          std::to_string(max_payload_) + "-byte cap";
     if (!poison_reason_.empty()) {
         poisoned_ = true;
-        buf_.clear();
-        consumed_ = 0;
+        cur_ = Frame();
+        return false;
+    }
+    cur_.header = h;
+    cur_.payload.swap(spare_);
+    cur_.payload.reserve(std::min<std::size_t>(h.payloadLen,
+                                               kFirstPayloadBytes));
+    return true;
+}
+
+FrameDecoder::Result
+FrameDecoder::next(Frame *out, std::string *error)
+{
+    if (out->payload.capacity() > spare_.capacity()) {
+        spare_ = std::move(out->payload);
+        spare_.clear();
+    }
+    out->payload = std::vector<std::uint8_t>();
+    if (!ready_.empty()) {
+        *out = std::move(ready_.front());
+        ready_.pop_front();
+        return Result::Ok;
+    }
+    if (poisoned_) {
         if (error)
             *error = poison_reason_;
         return Result::Malformed;
     }
-
-    if (avail < kFrameHeaderBytes + h.payloadLen)
-        return Result::NeedMore;
-
-    out->header = h;
-    const std::uint8_t *p = buf_.data() + consumed_ + kFrameHeaderBytes;
-    out->payload.assign(p, p + h.payloadLen);
-    consumed_ += kFrameHeaderBytes + h.payloadLen;
-    return Result::Ok;
+    return Result::NeedMore;
 }
 
 //----------------------------------------------------------------------
@@ -362,16 +440,44 @@ buildFrame(FrameType type, std::uint64_t tag,
     return w.take();
 }
 
+namespace {
+
+std::size_t submitBytes(const ServeRequest &req);
+void writeSubmit(WireWriter &w, const ServeRequest &req);
+std::size_t responseBytes(const WireResponse &resp);
+void writeResponse(WireWriter &w, const WireResponse &resp);
+
+/** A frame of @p type whose payload @p write puts straight behind
+ *  the header: the payload is encoded once, into the frame. */
+template <typename Write>
+std::vector<std::uint8_t>
+buildSized(FrameType type, std::uint64_t tag, std::size_t payload_len,
+           Write &&write)
+{
+    WireWriter w = frameWriter(type, tag, payload_len);
+    write(w);
+    SAP_ASSERT(w.bytes().size() == kFrameHeaderBytes + payload_len,
+               frameTypeName(static_cast<std::uint16_t>(type)),
+               " payload encoded to ",
+               w.bytes().size() - kFrameHeaderBytes, " bytes, sized ",
+               payload_len);
+    return w.take();
+}
+
+} // namespace
+
 std::vector<std::uint8_t>
 buildSubmitFrame(std::uint64_t tag, const ServeRequest &req)
 {
-    return buildFrame(FrameType::Submit, tag, encodeSubmit(req));
+    return buildSized(FrameType::Submit, tag, submitBytes(req),
+                      [&](WireWriter &w) { writeSubmit(w, req); });
 }
 
 std::vector<std::uint8_t>
 buildResponseFrame(std::uint64_t tag, const WireResponse &resp)
 {
-    return buildFrame(FrameType::Response, tag, encodeResponse(resp));
+    return buildSized(FrameType::Response, tag, responseBytes(resp),
+                      [&](WireWriter &w) { writeResponse(w, resp); });
 }
 
 std::vector<std::uint8_t>
@@ -474,10 +580,31 @@ decodeTraceContext(WireReader &r, TraceContext *out, const char *what,
 // SUBMIT payload
 //----------------------------------------------------------------------
 
-std::vector<std::uint8_t>
-encodeSubmit(const ServeRequest &req)
+namespace {
+
+/** Encoded size of @p req's SUBMIT payload. */
+std::size_t
+submitBytes(const ServeRequest &req)
 {
-    WireWriter w;
+    std::size_t n = strBytes(req.engine) + 1 + 8 + 1;
+    if (req.traceContext.valid())
+        n += kTraceContextBytes;
+    const EnginePlan &p = req.plan;
+    switch (p.kind) {
+    case ProblemKind::MatVec:
+        return n + denseBytes(p.a) + vecBytes(p.x) + vecBytes(p.b);
+    case ProblemKind::MatMul:
+        return n + denseBytes(p.a) + denseBytes(p.bmat) +
+               denseBytes(p.e);
+    case ProblemKind::TriSolve:
+        return n + denseBytes(p.a) + vecBytes(p.b);
+    }
+    return n;
+}
+
+void
+writeSubmit(WireWriter &w, const ServeRequest &req)
+{
     w.str(req.engine);
     w.u8(static_cast<std::uint8_t>(req.plan.kind));
     w.i64(req.plan.w);
@@ -513,6 +640,16 @@ encodeSubmit(const ServeRequest &req)
         w.vec(req.plan.b);
         break;
     }
+}
+
+} // namespace
+
+std::vector<std::uint8_t>
+encodeSubmit(const ServeRequest &req)
+{
+    WireWriter w;
+    w.reserve(submitBytes(req));
+    writeSubmit(w, req);
     return w.take();
 }
 
@@ -842,10 +979,19 @@ WireResponse::of(ServeResponse resp)
     return wire;
 }
 
-std::vector<std::uint8_t>
-encodeResponse(const WireResponse &resp)
+namespace {
+
+/** Encoded size of @p resp's RESPONSE payload. */
+std::size_t
+responseBytes(const WireResponse &resp)
 {
-    WireWriter w;
+    return 1 + strBytes(resp.error) + 1 + 1 + 8 + 8 + vecBytes(resp.y) +
+           denseBytes(resp.c);
+}
+
+void
+writeResponse(WireWriter &w, const WireResponse &resp)
+{
     w.u8(resp.ok ? 1 : 0);
     w.str(resp.error);
     w.u8(resp.cacheHit ? 1 : 0);
@@ -854,6 +1000,16 @@ encodeResponse(const WireResponse &resp)
     w.i64(resp.simCycles);
     w.vec(resp.y);
     w.dense(resp.c);
+}
+
+} // namespace
+
+std::vector<std::uint8_t>
+encodeResponse(const WireResponse &resp)
+{
+    WireWriter w;
+    w.reserve(responseBytes(resp));
+    writeResponse(w, resp);
     return w.take();
 }
 

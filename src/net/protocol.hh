@@ -81,6 +81,7 @@
 #define SAP_NET_PROTOCOL_HH
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -179,6 +180,12 @@ struct WireSpan
 /**
  * Append-only little-endian byte sink: the encode half of the
  * protocol. Also the tool tests use to craft malformed frames.
+ *
+ * Every integer is one store, and vec()/dense() move a whole Scalar
+ * array with one store per element into bytes claimed at once, so a
+ * writer reserve()d for its payload (as the frame builders and the
+ * SUBMIT and RESPONSE encoders are) allocates once and runs at
+ * memory speed (base/byte_order.hh).
  */
 class WireWriter
 {
@@ -208,6 +215,9 @@ class WireWriter
     std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
   private:
+    /** Extend the buffer by @p n bytes; @return where they start. */
+    std::uint8_t *grow(std::size_t n);
+
     std::vector<std::uint8_t> bytes_;
 };
 
@@ -216,7 +226,9 @@ class WireWriter
  * decode half. Every read reports failure instead of walking out of
  * the buffer; compound reads (str/vec/dense) additionally reject
  * negative or over-cap sizes and lengths that promise more bytes
- * than remain.
+ * than remain. Bounds are checked once per read, so vec() and
+ * dense() load their elements one word each, as WireWriter stores
+ * them.
  */
 class WireReader
 {
@@ -272,13 +284,25 @@ struct Frame
 /**
  * Incremental frame splitter for a TCP byte stream.
  *
- * feed() appends raw bytes; next() yields complete frames in order.
+ * feed() takes raw bytes; next() yields complete frames in order.
+ * Each byte fed is copied once, into its frame's header or payload,
+ * and next() hands the payload over without copying it, so a frame
+ * costs one copy between recv() and its consumer. A payload buffer
+ * grows with the bytes that have arrived (at most kGrowthFactor
+ * times them, and never past the header's length): a peer that
+ * claims megabytes and sends nothing gets nothing allocated. A
+ * payload the caller leaves in the Frame it passes to next() comes
+ * back as the buffer the next frame is received into, so a
+ * connection's stream of large frames reuses memory it has already
+ * filled instead of faulting in fresh pages for each.
+ *
  * A frame-level violation (bad magic/version, payload length over
  * the cap) poisons the decoder permanently — the stream cannot be
- * re-synchronized — and next() keeps returning Malformed with the
- * same message. Unknown frame *types* are NOT a framing error: the
- * length field still delimits them, so they are delivered for the
- * application layer to reject.
+ * re-synchronized: frames completed before it are still delivered,
+ * then next() keeps returning Malformed with the same message.
+ * Unknown frame *types* are NOT a framing error: the length field
+ * still delimits them, so they are delivered for the application
+ * layer to reject.
  */
 class FrameDecoder
 {
@@ -296,22 +320,41 @@ class FrameDecoder
     {
     }
 
-    /** Append @p len raw stream bytes. */
+    /** Take @p len raw stream bytes. */
     void feed(const std::uint8_t *data, std::size_t len);
 
     /**
-     * Extract the next complete frame into @p out.
+     * Move the next complete frame into @p out. Whatever payload
+     * @p out held is taken back first, on every result, as the
+     * buffer later frames are received into.
      * On Malformed, @p error (optional) receives the reason.
      */
     Result next(Frame *out, std::string *error = nullptr);
 
-    /** True once a frame-level violation was seen. */
+    /** True once a frame-level violation was fed. */
     bool poisoned() const { return poisoned_; }
 
   private:
+    /** A payload's capacity stays within this many times the bytes
+     *  of it that have arrived (or kFirstPayloadBytes, one read). */
+    static constexpr std::size_t kGrowthFactor = 4;
+    /** Capacity a payload may take before more of it arrives. */
+    static constexpr std::size_t kFirstPayloadBytes = 64u << 10;
+
+    /** Check the header in head_ and open cur_ on it; poisons the
+     *  decoder and @return false on a frame-level violation. */
+    bool openFrame();
+
     std::uint32_t max_payload_;
-    std::vector<std::uint8_t> buf_;
-    std::size_t consumed_ = 0; ///< bytes of buf_ already handed out
+    /** Header bytes of the frame being received. */
+    std::uint8_t head_[kFrameHeaderBytes] = {};
+    std::size_t head_len_ = 0;
+    /** The frame being received, once head_ is complete. */
+    Frame cur_;
+    /** A consumed payload's buffer, empty and kept for the next. */
+    std::vector<std::uint8_t> spare_;
+    /** Complete frames next() has not handed out yet. */
+    std::deque<Frame> ready_;
     bool poisoned_ = false;
     std::string poison_reason_;
 };

@@ -13,6 +13,12 @@
  * the cycle simulation — which is what lets the fast execution mode
  * (engine/engine.hh, ExecMode::Fast) serve numerics without paying
  * for simulation, and what validate mode diffs against.
+ *
+ * The kernel walks each band row through Band::rowPtr: one plain
+ * load of a and of x̄ per MAC, with the spec's shape checked once
+ * up front. Multiply and add stay separate expressions; no flag may
+ * contract them into a fused multiply-add, which would round once
+ * where the array rounds twice.
  */
 
 #ifndef SAP_SEMANTICS_BAND_KERNEL_HH

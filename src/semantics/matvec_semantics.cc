@@ -43,8 +43,8 @@ MatVecPlan::runOverlappedSemantics(const Vec<Scalar> &x,
                                    const Vec<Scalar> &b) const
 {
     SplitProblem split(transform_, x, b);
-    BandMatVecSpec s1 = split.first();
-    BandMatVecSpec s2 = split.second();
+    const BandMatVecSpec &s1 = split.first();
+    const BandMatVecSpec &s2 = split.second();
     BandMatVecSemantics r1 = runBandMatVecSemantics(s1);
     BandMatVecSemantics r2 = runBandMatVecSemantics(s2);
 

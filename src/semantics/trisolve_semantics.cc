@@ -37,10 +37,8 @@ TriSolvePlan::runSemantics(const Vec<Scalar> &b) const
             res.stats.usefulMacs += pr.stats.usefulMacs;
         }
 
-        // Diagonal block: only the lower triangle of the stored
-        // block is meaningful (the blocks keep whatever the dense
-        // source held above the diagonal, as the array never reads
-        // those positions).
+        // Diagonal block: only its lower triangle is stored (zero
+        // above the diagonal, which the array never reads).
         const Dense<Scalar> &blk =
             diag_[static_cast<std::size_t>(r)];
         for (Index i = 0; i < w_; ++i) {

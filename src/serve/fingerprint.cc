@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "base/byte_order.hh"
+
 namespace sap {
 
 namespace {
@@ -22,17 +24,6 @@ inline std::uint64_t
 absorb(std::uint64_t lane, std::uint64_t word)
 {
     return rotl(lane + word * kPrime2, 31) * kPrime1;
-}
-
-/** A wire word: little-endian on every host (compilers fold the
- *  shifts into one load where the host is little-endian). */
-inline std::uint64_t
-loadLe(const unsigned char *p)
-{
-    return std::uint64_t(p[0]) | std::uint64_t(p[1]) << 8 |
-           std::uint64_t(p[2]) << 16 | std::uint64_t(p[3]) << 24 |
-           std::uint64_t(p[4]) << 32 | std::uint64_t(p[5]) << 40 |
-           std::uint64_t(p[6]) << 48 | std::uint64_t(p[7]) << 56;
 }
 
 /** An in-memory Scalar's bit pattern. */
@@ -135,7 +126,7 @@ Digest
 fingerprintWords(const std::uint8_t *bytes, std::size_t count)
 {
     WordDigest d;
-    d.addWords(bytes, count, loadLe);
+    d.addWords(bytes, count, loadLe64);
     return d.finish();
 }
 
@@ -145,7 +136,7 @@ fingerprintString(const std::string &s)
     const auto *p = reinterpret_cast<const unsigned char *>(s.data());
     const std::size_t words = s.size() / 8;
     WordDigest d;
-    d.addWords(p, words, loadLe);
+    d.addWords(p, words, loadLe64);
     std::uint64_t tail = 0;
     const std::size_t tail_len = s.size() % 8;
     for (std::size_t i = 0; i < tail_len; ++i)

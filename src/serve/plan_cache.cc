@@ -1,5 +1,8 @@
 #include "serve/plan_cache.hh"
 
+#include <algorithm>
+#include <vector>
+
 #include "base/logging.hh"
 
 namespace sap {
@@ -43,25 +46,52 @@ PlanCache::digestOf(const std::string &engine_name,
 }
 
 std::shared_ptr<const PreparedPlan>
-PlanCache::lookupLocked(Digest digest, const std::string &engine_name,
-                        const EnginePlan &plan)
+PlanCache::find(std::unique_lock<std::mutex> &lock, Digest digest,
+                const std::string &engine_name, const EnginePlan &plan)
 {
-    auto range = index_.equal_range(digest);
-    bool probed = false;
-    for (auto it = range.first; it != range.second; ++it) {
-        const Entry &e = *it->second;
-        if (e.engine == engine_name && e.plan->builtFrom(plan)) {
-            // A non-matching probe under the same digest is a hash
-            // collision even when a later entry matches.
-            if (probed)
-                ++stats_.collisions;
-            // Promote to most-recently-used.
-            lru_.splice(lru_.begin(), lru_, it->second);
-            return it->second->plan;
+    // Plans already probed and found to be other matrices.
+    std::vector<std::shared_ptr<const PreparedPlan>> others;
+    for (;;) {
+        // Copy out the candidates not probed yet, in index order...
+        std::vector<std::pair<bool, std::shared_ptr<const PreparedPlan>>>
+            fresh;
+        auto range = index_.equal_range(digest);
+        for (auto it = range.first; it != range.second; ++it) {
+            const Entry &e = *it->second;
+            if (std::find(others.begin(), others.end(), e.plan) ==
+                others.end())
+                fresh.emplace_back(e.engine == engine_name, e.plan);
         }
-        probed = true;
+        if (fresh.empty())
+            break;
+        // ...compare them bit for bit with the lock released...
+        lock.unlock();
+        std::shared_ptr<const PreparedPlan> match;
+        for (auto &[same_engine, c] : fresh) {
+            if (same_engine && c->builtFrom(plan)) {
+                match = std::move(c);
+                break;
+            }
+            others.push_back(std::move(c));
+        }
+        lock.lock();
+        if (!match)
+            continue; // entries filed meanwhile are compared in turn
+        // ...and promote the match, unless it was evicted meanwhile.
+        // A non-matching probe under the same digest is a hash
+        // collision even when a later entry matches.
+        if (!others.empty())
+            ++stats_.collisions;
+        range = index_.equal_range(digest);
+        for (auto it = range.first; it != range.second; ++it) {
+            if (it->second->plan == match) {
+                lru_.splice(lru_.begin(), lru_, it->second);
+                break;
+            }
+        }
+        return match;
     }
-    if (probed)
+    if (!others.empty())
         ++stats_.collisions;
     return nullptr;
 }
@@ -90,8 +120,8 @@ PlanCache::prepareKeyed(const SystolicEngine &engine,
     const std::string engine_name = engine.name();
 
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (auto cached = lookupLocked(digest, engine_name, plan)) {
+        std::unique_lock<std::mutex> lock(mutex_);
+        if (auto cached = find(lock, digest, engine_name, plan)) {
             ++stats_.hits;
             return {cached, /*hit=*/true};
         }
@@ -106,10 +136,10 @@ PlanCache::prepareKeyed(const SystolicEngine &engine,
     if (capacity_ == 0)
         return {built, /*hit=*/false};
 
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     // Another thread may have inserted the same key meanwhile;
     // prefer the incumbent so the cache holds one plan per matrix.
-    if (auto cached = lookupLocked(digest, engine_name, plan))
+    if (auto cached = find(lock, digest, engine_name, plan))
         return {cached, /*hit=*/false};
 
     lru_.push_front(Entry{digest, engine_name, built});

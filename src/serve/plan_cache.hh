@@ -21,9 +21,11 @@
  * to force this path.
  *
  * Thread-safety: all public members are safe to call concurrently.
- * Plan construction runs outside the lock, so two threads missing on
- * the same key may both build; the first insertion wins and the
- * loser's plan serves only its own request.
+ * The lock guards only the index and the counters: a digest match is
+ * confirmed outside it (on candidate plans copied out under it), and
+ * plan construction runs outside it too. Two threads missing on the
+ * same key may both build; the first insertion wins and the loser's
+ * plan serves only its own request.
  */
 
 #ifndef SAP_SERVE_PLAN_CACHE_HH
@@ -89,7 +91,9 @@ Digest combinePlanDigest(const std::string &engine_name,
  * LRU cache of prepared plans keyed by matrix content.
  *
  * Thread-safety: all public members are safe to call concurrently;
- * plan construction runs outside the lock (see file comment).
+ * hit confirmation and plan construction run outside the lock (see
+ * file comment), so a slow confirm of a large plan holds up no other
+ * lookup.
  *
  * Ownership: entries hold shared_ptr<const PreparedPlan>, so a plan
  * returned by prepare() remains valid after eviction or clear() —
@@ -173,10 +177,18 @@ class PlanCache
     /** The shared lookup/insert path; trusts @p digest as the key. */
     Prepared prepareKeyed(const SystolicEngine &engine,
                           const EnginePlan &plan, Digest digest);
-    /** Lookup under lock_; promotes the entry on hit. */
+    /**
+     * The cached plan @p plan would build on @p engine_name, if any.
+     * Called and returning with @p lock held on mutex_, it releases
+     * the lock while it confirms candidates (builtFrom()), and takes
+     * it again to count a collision and promote the match if it is
+     * still resident. Entries filed under @p digest meanwhile are
+     * confirmed in turn, so a null return means no resident entry
+     * matches as long as the lock stays held.
+     */
     std::shared_ptr<const PreparedPlan>
-    lookupLocked(Digest digest, const std::string &engine_name,
-                 const EnginePlan &plan);
+    find(std::unique_lock<std::mutex> &lock, Digest digest,
+         const std::string &engine_name, const EnginePlan &plan);
     void evictLocked();
 
     std::size_t capacity_;

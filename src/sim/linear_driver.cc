@@ -20,14 +20,13 @@ BandMatVecSpec::validate() const
                abar->rows(), "x", abar->cols());
     SAP_ASSERT(xbar.size() == abar->cols(), "x̄ length ", xbar.size(),
                " != band cols ", abar->cols());
-    SAP_ASSERT(static_cast<Index>(bIsExternal.size()) == rows(),
+    SAP_ASSERT(bIsExternal != nullptr &&
+                   static_cast<Index>(bIsExternal->size()) == rows(),
                "bIsExternal size mismatch");
-    SAP_ASSERT(static_cast<Index>(yIsFinal.size()) == rows(),
-               "yIsFinal size mismatch");
     SAP_ASSERT(externalB.size() == rows(), "externalB size mismatch");
     // The first scalar row can never be fed back (nothing precedes it).
     for (Index i = 0; i < std::min(rows(), w_); ++i)
-        SAP_ASSERT(bIsExternal[i],
+        SAP_ASSERT((*bIsExternal)[i],
                    "row ", i, " wants feedback before any output");
 }
 
@@ -80,7 +79,7 @@ runLanes(std::vector<Lane> &lanes, LinearArray &array, DelayLine &fb_line,
             Cycle ty = t - (w - 1);
             if (ty >= 0 && ty % 2 == 0 && ty / 2 < rows) {
                 Index i = ty / 2;
-                if (spec.bIsExternal[i]) {
+                if ((*spec.bIsExternal)[i]) {
                     array.setYIn(Sample::of(spec.externalB[i]));
                     if (lane.record)
                         lane.trace.add(tau, Port::BIn, i,

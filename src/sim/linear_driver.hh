@@ -37,8 +37,13 @@ namespace sap {
  * A band mat-vec problem instance in array-ready form.
  *
  * This is deliberately independent of the DBT layer: a plain band
- * matrix problem is the special case where every b is external and
- * every y is final. The DBT plan fills in the feedback schedule.
+ * matrix problem is the special case where every b is external. The
+ * DBT plan fills in the feedback schedule. Which ȳ are final is the
+ * extractor's business (MatVecTransform::extractY), not the array's.
+ *
+ * The band and the routing flags are borrowed: they depend on the
+ * matrix alone, so a plan builds them once and every run's spec
+ * points at them. Their owner must outlive the spec.
  */
 struct BandMatVecSpec
 {
@@ -46,12 +51,11 @@ struct BandMatVecSpec
     const Band<Scalar> *abar = nullptr;
     /** Transformed input vector x̄ (length abar->cols()). */
     Vec<Scalar> xbar;
-    /** Per scalar row: true = inject externalB[i], false = feedback. */
-    std::vector<std::uint8_t> bIsExternal;
+    /** Per scalar row (rows() entries): 1 = inject externalB[i],
+     *  0 = take the fed-back ȳ_{i−w}. */
+    const std::vector<std::uint8_t> *bIsExternal = nullptr;
     /** External injection values (only read where bIsExternal). */
     Vec<Scalar> externalB;
-    /** Per scalar row: true = ȳ_i is a final result. */
-    std::vector<std::uint8_t> yIsFinal;
 
     /** Array size = bandwidth of abar. */
     Index w() const { return abar->super() + 1; }

@@ -1,5 +1,6 @@
 #include "solve/trisolve_plan.hh"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -13,15 +14,20 @@ namespace sap {
 namespace {
 
 /**
- * Row @p i of diagonal block L_{r,r} into @p out (w slots), zero past
- * L's edges, with a padded diagonal entry patched to 1 so the padded
- * sub-system stays solvable (its solution is 0).
+ * Row @p i of diagonal block L_{r,r} into @p out (w slots): its
+ * lower triangle, zero past L's edges and right of the diagonal, with
+ * a padded diagonal entry patched to 1 so the padded sub-system stays
+ * solvable (its solution is 0). Neither the array nor the semantics
+ * replay reads right of the diagonal, so the plan, and with it the
+ * plan cache's identity check (builtFrom()), depends on the system
+ * alone.
  */
 void
 gatherDiagRow(const Dense<Scalar> &l, Index r, Index i, Index w,
               Scalar *out)
 {
-    l.gatherRow(r * w + i, r * w, w, out);
+    l.gatherRow(r * w + i, r * w, i + 1, out);
+    std::fill(out + i + 1, out + w, Scalar{0});
     if (r * w + i >= l.rows())
         out[i] = 1;
 }

@@ -85,7 +85,8 @@ class TriSolvePlan
      * order, every diagonal-block row gathered again from @p l holds
      * the same bits, and so does every panel's band
      * (MatVecTransform::builtFrom()). Elements above the diagonal
-     * outside the diagonal blocks are in no part of the plan.
+     * are in no part of the plan, so two systems that differ only
+     * there share one.
      */
     bool builtFrom(const Dense<Scalar> &l) const;
 
@@ -113,8 +114,9 @@ class TriSolvePlan
     Index n_;
     Index w_;
     Index nbar_;
-    /** The w×w diagonal blocks L_{r,r}, zero-padded with padded
-     *  diagonal entries patched to 1 (the off-diagonal panels live
+    /** The w×w diagonal blocks L_{r,r}: the lower triangle, zero
+     *  above the diagonal and past L's edges, with padded diagonal
+     *  entries patched to 1 (the off-diagonal panels live
      *  inside panels_; keeping only these bounds the prepared
      *  artifact at panels + n̄·w² scalars). */
     std::vector<Dense<Scalar>> diag_;

@@ -166,7 +166,8 @@ class MatMul
 /** The tri-solve plan's matrix-bound blocks, from L's partition. */
 struct TriSolveBlocks
 {
-    /** L_{r,r}, with the padded diagonal entries patched to 1. */
+    /** L_{r,r}'s lower triangle (zero above the diagonal), with the
+     *  padded diagonal entries patched to 1. */
     std::vector<Dense<Scalar>> diag;
     /** panels[r−1] = [L_{r,0} … L_{r,r−1}] as one w × r·w matrix. */
     std::vector<Dense<Scalar>> panels;
@@ -180,9 +181,13 @@ triSolveBlocks(const Dense<Scalar> &l, Index w)
     TriSolveBlocks out;
     for (Index r = 0; r < part.blockRows(); ++r) {
         out.diag.push_back(part.block(r, r));
-        for (Index i = 0; i < w; ++i)
+        Dense<Scalar> &blk = out.diag.back();
+        for (Index i = 0; i < w; ++i) {
+            for (Index j = i + 1; j < w; ++j)
+                blk(i, j) = 0;
             if (r * w + i >= l.rows())
-                out.diag.back()(i, i) = 1;
+                blk(i, i) = 1;
+        }
     }
     for (Index r = 1; r < part.blockRows(); ++r) {
         Dense<Scalar> panel(w, r * w);

@@ -175,8 +175,8 @@ TEST(SpecDeath, MismatchedSpecIsRejected)
     spec.abar = &band;
     spec.xbar = Vec<Scalar>(3); // wrong: must be 5
     spec.externalB = Vec<Scalar>(4);
-    spec.bIsExternal.assign(4, 1);
-    spec.yIsFinal.assign(4, 1);
+    const std::vector<std::uint8_t> external(4, 1);
+    spec.bIsExternal = &external;
     EXPECT_DEATH(runBandMatVec(spec), "x̄ length");
 }
 
@@ -191,9 +191,9 @@ TEST(SpecDeath, FeedbackBeforeFirstOutputIsRejected)
     spec.abar = &band;
     spec.xbar = Vec<Scalar>(5);
     spec.externalB = Vec<Scalar>(4);
-    spec.bIsExternal.assign(4, 1);
-    spec.bIsExternal[0] = 0; // impossible: nothing precedes row 0
-    spec.yIsFinal.assign(4, 1);
+    std::vector<std::uint8_t> external(4, 1);
+    external[0] = 0; // impossible: nothing precedes row 0
+    spec.bIsExternal = &external;
     EXPECT_DEATH(runBandMatVec(spec), "feedback");
 }
 

@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "base/random.hh"
 #include "mat/generate.hh"
 #include "net/protocol.hh"
 #include "serve/plan_cache.hh"
+#include "wire_oracle.hh"
 
 namespace sap {
 namespace {
@@ -144,6 +146,62 @@ TEST_P(NetRoundTrip, FrameSurvivesAdversarialChunking)
     ServeRequest back;
     ASSERT_TRUE(decodeSubmit(frame.payload, &back, &err)) << err;
     EXPECT_TRUE(back.plan.a == req.plan.a);
+
+    // Two frames in one feed: both come out, in order, and the
+    // decoder then waits for more.
+    std::vector<std::uint8_t> two = buildPingFrame(7);
+    two.insert(two.end(), bytes.begin(), bytes.end());
+    decoder.feed(two.data(), two.size());
+    ASSERT_EQ(decoder.next(&frame, &err), FrameDecoder::Result::Ok);
+    EXPECT_EQ(frame.header.type,
+              static_cast<std::uint16_t>(FrameType::Ping));
+    EXPECT_TRUE(frame.payload.empty());
+    ASSERT_EQ(decoder.next(&frame, &err), FrameDecoder::Result::Ok);
+    EXPECT_EQ(frame.header.tag,
+              99 + static_cast<std::uint64_t>(GetParam()));
+    EXPECT_TRUE(std::equal(frame.payload.begin(), frame.payload.end(),
+                           bytes.begin() + kFrameHeaderBytes,
+                           bytes.end()));
+    EXPECT_EQ(decoder.next(&frame, &err), FrameDecoder::Result::NeedMore);
+
+    // A 2.1 MB frame (mv512's SUBMIT) fed to a fresh decoder in
+    // 64 KiB reads, cut at a random offset: one frame, bit for bit,
+    // its payload buffer no larger than its length field.
+    FrameDecoder fresh;
+    ServeRequest big;
+    big.engine = "linear";
+    big.plan = EnginePlan::matVec(
+        randomIntDense(512, 512, 7700 + GetParam()),
+        randomIntVec(512, 7701), randomIntVec(512, 7702), 32);
+    const std::vector<std::uint8_t> big_bytes = buildSubmitFrame(5, big);
+    ASSERT_GT(big_bytes.size(), std::size_t{2} << 20);
+    std::size_t at = static_cast<std::size_t>(
+        rng.uniformInt(0, (64 << 10) - 1));
+    fresh.feed(big_bytes.data(), at);
+    for (; at < big_bytes.size(); at += 64 << 10) {
+        ASSERT_EQ(fresh.next(&frame, &err), FrameDecoder::Result::NeedMore);
+        fresh.feed(big_bytes.data() + at,
+                   std::min<std::size_t>(64 << 10, big_bytes.size() - at));
+    }
+    ASSERT_EQ(fresh.next(&frame, &err), FrameDecoder::Result::Ok);
+    EXPECT_EQ(frame.header.tag, 5u);
+    EXPECT_EQ(frame.payload.size(), frame.header.payloadLen);
+    EXPECT_LE(frame.payload.capacity(), frame.header.payloadLen);
+    EXPECT_TRUE(std::equal(frame.payload.begin(), frame.payload.end(),
+                           big_bytes.begin() + kFrameHeaderBytes,
+                           big_bytes.end()));
+
+    // Consumed in place, that payload's buffer takes the next frame:
+    // the same 2.1 MB arrives again without a new allocation.
+    const std::uint8_t *const buffer = frame.payload.data();
+    ASSERT_EQ(fresh.next(&frame, &err), FrameDecoder::Result::NeedMore);
+    EXPECT_TRUE(frame.payload.empty());
+    fresh.feed(big_bytes.data(), big_bytes.size());
+    ASSERT_EQ(fresh.next(&frame, &err), FrameDecoder::Result::Ok);
+    EXPECT_EQ(frame.payload.data(), buffer);
+    EXPECT_TRUE(std::equal(frame.payload.begin(), frame.payload.end(),
+                           big_bytes.begin() + kFrameHeaderBytes,
+                           big_bytes.end()));
 }
 
 TEST_P(NetRoundTrip, PlanDigestFromBytesMatchesTheRequest)
@@ -185,7 +243,331 @@ TEST_P(NetRoundTrip, PlanDigestFromBytesMatchesTheRequest)
     }
 }
 
+/** @p req's SUBMIT payload laid out by the byte-wise oracle. */
+std::vector<std::uint8_t>
+oracleSubmit(const ServeRequest &req)
+{
+    wire_oracle::ByteWriter w;
+    w.str(req.engine);
+    w.u8(static_cast<std::uint8_t>(req.plan.kind));
+    w.i64(req.plan.w);
+    std::uint8_t flags = static_cast<std::uint8_t>(
+        static_cast<std::uint8_t>(req.plan.mode) << kSubmitModeShift);
+    if (req.crossCheck)
+        flags |= kSubmitFlagCrossCheck;
+    if (req.traceContext.valid())
+        flags |= kSubmitFlagTraceContext;
+    w.u8(flags);
+    if (req.traceContext.valid()) {
+        const TraceContext &c = req.traceContext;
+        w.u64(c.traceIdHi);
+        w.u64(c.traceIdLo);
+        w.u8(c.sampled ? kTraceCtxFlagSampled : 0);
+        w.u64(c.originNanos);
+        w.u8(c.attempt);
+    }
+    w.dense(req.plan.a);
+    switch (req.plan.kind) {
+    case ProblemKind::MatVec:
+        w.vec(req.plan.x);
+        w.vec(req.plan.b);
+        break;
+    case ProblemKind::MatMul:
+        w.dense(req.plan.bmat);
+        w.dense(req.plan.e);
+        break;
+    case ProblemKind::TriSolve:
+        w.vec(req.plan.b);
+        break;
+    }
+    return w.bytes();
+}
+
+TEST_P(NetRoundTrip, SubmitBytesMatchTheByteWiseOracle)
+{
+    // The bulk encoder lays a SUBMIT out byte for byte as the
+    // byte-at-a-time oracle does, with and without a trace context,
+    // and the sized frame builder wraps exactly that payload.
+    ServeRequest req = drawRequest();
+    if (GetParam() % 2 == 1) {
+        req.traceContext.traceIdHi = 0x0123456789abcdefULL;
+        req.traceContext.traceIdLo = 0xfedcba9876543210ULL + GetParam();
+        req.traceContext.sampled = true;
+        req.traceContext.originNanos = 0x8000000000000001ULL;
+        req.traceContext.attempt = 3;
+    }
+    const std::vector<std::uint8_t> payload = encodeSubmit(req);
+    EXPECT_EQ(payload, oracleSubmit(req));
+    EXPECT_EQ(buildSubmitFrame(42, req),
+              buildFrame(FrameType::Submit, 42, payload));
+}
+
+TEST_P(NetRoundTrip, EveryPrefixOfASubmitFailsCleanly)
+{
+    // Cut anywhere — inside a header integer, a length word or an
+    // operand's elements — a SUBMIT fails with a reason, the scanner
+    // agreeing with the decoder, and never reads past the cut.
+    ServeRequest req = drawRequest();
+    if (GetParam() % 2 == 1) {
+        req.traceContext.traceIdHi = 1;
+        req.traceContext.traceIdLo = 2;
+    }
+    const std::vector<std::uint8_t> payload = encodeSubmit(req);
+    for (std::size_t len = 0; len < payload.size(); ++len) {
+        const std::vector<std::uint8_t> cut(
+            payload.begin(),
+            payload.begin() + static_cast<std::ptrdiff_t>(len));
+        ServeRequest out;
+        SubmitView view;
+        std::string err, scan_err;
+        ASSERT_FALSE(decodeSubmit(cut, &out, &err)) << "len=" << len;
+        ASSERT_FALSE(err.empty()) << "len=" << len;
+        ASSERT_FALSE(scanSubmit(cut, &view, &scan_err)) << "len=" << len;
+        ASSERT_EQ(scan_err, err) << "len=" << len;
+    }
+}
+
+TEST_P(NetRoundTrip, ResponseBytesMatchTheByteWiseOracle)
+{
+    WireResponse resp;
+    resp.ok = GetParam() % 2 == 0;
+    resp.error = resp.ok ? "" : "no such engine";
+    resp.latencyMicros = 12.5 + GetParam();
+    resp.simCycles = 1000 + GetParam();
+    resp.y = randomIntVec(GetParam() % 5, 7800 + GetParam());
+    resp.c = randomIntDense(1 + GetParam() % 3, 1 + GetParam() % 4,
+                            7900 + GetParam());
+    wire_oracle::ByteWriter w;
+    w.u8(resp.ok ? 1 : 0);
+    w.str(resp.error);
+    w.u8(resp.cacheHit ? 1 : 0);
+    w.u8(resp.crossCheckOk ? 1 : 0);
+    w.f64(resp.latencyMicros);
+    w.i64(resp.simCycles);
+    w.vec(resp.y);
+    w.dense(resp.c);
+    EXPECT_EQ(encodeResponse(resp), w.bytes());
+    EXPECT_EQ(buildResponseFrame(9, resp),
+              buildFrame(FrameType::Response, 9, w.bytes()));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, NetRoundTrip, ::testing::Range(0, 18));
+
+//---------------------------------------------------------------------
+// The bulk Scalar codec against the byte-wise oracle
+//---------------------------------------------------------------------
+
+std::uint64_t
+bitsOf(Scalar v)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+Scalar
+fromBits(std::uint64_t bits)
+{
+    Scalar v;
+    std::memcpy(&v, &bits, sizeof(bits));
+    return v;
+}
+
+/** Bit patterns the codec must carry unchanged. */
+const std::uint64_t kSpecialBits[] = {
+    0x7ff8000000000000ULL, // quiet NaN
+    0x7ff8dead0000beefULL, // quiet NaN with a payload
+    0xfffc000000000001ULL, // negative quiet NaN with a payload
+    0x7ff0000000000001ULL, // signalling NaN, payload 1
+    0xfff4000000000abcULL, // negative signalling NaN with a payload
+    0x0000000000000000ULL, // +0
+    0x8000000000000000ULL, // −0
+    0x7ff0000000000000ULL, // +inf
+    0xfff0000000000000ULL, // −inf
+    0x0000000000000001ULL, // smallest subnormal
+    0x800fffffffffffffULL, // largest negative subnormal
+    0x0010000000000000ULL, // smallest normal
+    0x7fefffffffffffffULL, // largest finite
+};
+
+/** The k-th of a sequence of bit patterns: the specials first, then
+ *  random 64-bit words. */
+class BitPatterns
+{
+  public:
+    explicit BitPatterns(std::uint64_t seed) : state_(seed | 1) {}
+    Scalar
+    next()
+    {
+        if (k_ < std::size(kSpecialBits))
+            return fromBits(kSpecialBits[k_++]);
+        // xorshift64*: every bit of the word varies.
+        state_ ^= state_ >> 12;
+        state_ ^= state_ << 25;
+        state_ ^= state_ >> 27;
+        return fromBits(state_ * 0x2545f4914f6cdd1dULL);
+    }
+
+  private:
+    std::size_t k_ = 0;
+    std::uint64_t state_;
+};
+
+Dense<Scalar>
+patternDense(Index rows, Index cols, std::uint64_t seed)
+{
+    BitPatterns bits(seed);
+    Dense<Scalar> m(rows, cols);
+    for (Index r = 0; r < rows; ++r)
+        for (Index c = 0; c < cols; ++c)
+            m(r, c) = bits.next();
+    return m;
+}
+
+Vec<Scalar>
+patternVec(Index n, std::uint64_t seed)
+{
+    BitPatterns bits(seed);
+    Vec<Scalar> v(n);
+    for (Index i = 0; i < n; ++i)
+        v[i] = bits.next();
+    return v;
+}
+
+bool
+sameBitsVec(const Vec<Scalar> &a, const Vec<Scalar> &b)
+{
+    return a.size() == b.size() && sameBits(a.elems(), b.elems(), a.size());
+}
+
+/** The bulk writer emits the oracle's bytes, and each side's reader
+ *  gets the matrix back bit for bit from the other side's bytes. */
+void
+expectDenseMatchesOracle(const Dense<Scalar> &m)
+{
+    SCOPED_TRACE(std::to_string(m.rows()) + "x" + std::to_string(m.cols()));
+    WireWriter bulk;
+    bulk.dense(m);
+    wire_oracle::ByteWriter bytewise;
+    bytewise.dense(m);
+    ASSERT_EQ(bulk.bytes(), bytewise.bytes());
+
+    WireReader r(bytewise.bytes());
+    Dense<Scalar> back;
+    ASSERT_TRUE(r.dense(&back));
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_TRUE(sameBits(back, m));
+
+    const std::vector<std::uint8_t> bulk_bytes = bulk.take();
+    wire_oracle::ByteReader o(bulk_bytes);
+    std::uint64_t rows = 0, cols = 0;
+    ASSERT_TRUE(o.u64(&rows) && o.u64(&cols));
+    ASSERT_EQ(rows, static_cast<std::uint64_t>(m.rows()));
+    ASSERT_EQ(cols, static_cast<std::uint64_t>(m.cols()));
+    Dense<Scalar> oback;
+    ASSERT_TRUE(o.dense(m.rows(), m.cols(), &oback));
+    EXPECT_EQ(o.remaining(), 0u);
+    EXPECT_TRUE(sameBits(oback, m));
+}
+
+/** expectDenseMatchesOracle for vec(). */
+void
+expectVecMatchesOracle(const Vec<Scalar> &v)
+{
+    SCOPED_TRACE("length " + std::to_string(v.size()));
+    WireWriter bulk;
+    bulk.vec(v);
+    wire_oracle::ByteWriter bytewise;
+    bytewise.vec(v);
+    ASSERT_EQ(bulk.bytes(), bytewise.bytes());
+
+    WireReader r(bytewise.bytes());
+    Vec<Scalar> back;
+    ASSERT_TRUE(r.vec(&back));
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_TRUE(sameBitsVec(back, v));
+
+    const std::vector<std::uint8_t> bulk_bytes = bulk.take();
+    wire_oracle::ByteReader o(bulk_bytes);
+    std::uint64_t n = 0;
+    ASSERT_TRUE(o.u64(&n));
+    ASSERT_EQ(n, static_cast<std::uint64_t>(v.size()));
+    Vec<Scalar> oback;
+    ASSERT_TRUE(o.vec(v.size(), &oback));
+    EXPECT_EQ(o.remaining(), 0u);
+    EXPECT_TRUE(sameBitsVec(oback, v));
+}
+
+TEST(NetCodec, SpecialPatternsTravelBitForBit)
+{
+    // NaN payloads, signalling NaNs, the signed zeros, the infinities
+    // and the subnormals are bits to the codec, never numbers.
+    const Vec<Scalar> v = patternVec(std::size(kSpecialBits), 1);
+    for (std::size_t i = 0; i < std::size(kSpecialBits); ++i)
+        ASSERT_EQ(bitsOf(v[static_cast<Index>(i)]), kSpecialBits[i]);
+    expectVecMatchesOracle(v);
+    WireWriter w;
+    w.vec(v);
+    Vec<Scalar> back;
+    WireReader r(w.bytes());
+    ASSERT_TRUE(r.vec(&back));
+    for (std::size_t i = 0; i < std::size(kSpecialBits); ++i)
+        EXPECT_EQ(bitsOf(back[static_cast<Index>(i)]), kSpecialBits[i])
+            << "pattern " << i;
+}
+
+TEST(NetCodec, DenseMatchesTheByteWiseOracle)
+{
+    for (Index k : {1, 2, 3, 7, 13, 64, 513}) {
+        expectDenseMatchesOracle(patternDense(1, k, 10 + k));
+        expectDenseMatchesOracle(patternDense(k, 1, 20 + k));
+    }
+    expectDenseMatchesOracle(patternDense(512, 512, 30));
+    expectDenseMatchesOracle(Dense<Scalar>());
+}
+
+TEST(NetCodec, VecMatchesTheByteWiseOracle)
+{
+    for (Index k : {0, 1, 2, 3, 7, 13, 64, 513})
+        expectVecMatchesOracle(patternVec(k, 40 + k));
+    expectVecMatchesOracle(patternVec(512 * 512, 50));
+}
+
+TEST(NetCodec, HeaderIntegersMatchTheByteWiseOracle)
+{
+    WireWriter bulk;
+    wire_oracle::ByteWriter bytewise;
+    for (std::uint64_t v : {0x0ULL, 0x1ULL, 0x80ULL, 0xffffULL,
+                            0x12345678ULL, 0x8000000000000000ULL,
+                            0xfedcba9876543210ULL, ~0x0ULL}) {
+        bulk.u8(static_cast<std::uint8_t>(v));
+        bytewise.u8(static_cast<std::uint8_t>(v));
+        bulk.u16(static_cast<std::uint16_t>(v));
+        bytewise.u16(static_cast<std::uint16_t>(v));
+        bulk.u32(static_cast<std::uint32_t>(v));
+        bytewise.u32(static_cast<std::uint32_t>(v));
+        bulk.u64(v);
+        bytewise.u64(v);
+    }
+    ASSERT_EQ(bulk.bytes(), bytewise.bytes());
+    WireReader r(bulk.bytes());
+    wire_oracle::ByteReader o(bulk.bytes());
+    while (r.remaining() > 0) {
+        std::uint8_t a8 = 0, b8 = 0;
+        std::uint16_t a16 = 0, b16 = 0;
+        std::uint32_t a32 = 0, b32 = 0;
+        std::uint64_t a64 = 0, b64 = 0;
+        ASSERT_TRUE(r.u8(&a8) && r.u16(&a16) && r.u32(&a32) &&
+                    r.u64(&a64));
+        ASSERT_TRUE(o.u8(&b8) && o.u16(&b16) && o.u32(&b32) &&
+                    o.u64(&b64));
+        EXPECT_EQ(a8, b8);
+        EXPECT_EQ(a16, b16);
+        EXPECT_EQ(a32, b32);
+        EXPECT_EQ(a64, b64);
+    }
+    EXPECT_EQ(o.remaining(), 0u);
+}
 
 TEST(NetProtocol, ErrorEncodeDecodeIsIdentity)
 {

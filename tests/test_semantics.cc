@@ -10,11 +10,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "analysis/sweep.hh"
+#include "band_kernel_oracle.hh"
 #include "base/error.hh"
 #include "base/math_util.hh"
+#include "dbt/matvec_plan.hh"
 #include "engine/registry.hh"
 #include "mat/generate.hh"
+#include "semantics/band_kernel.hh"
 #include "serve/shard.hh"
 #include "solve/trisolve_plan.hh"
 
@@ -75,6 +82,95 @@ comparePoint(const SystolicEngine &engine, EnginePlan plan,
     plan.mode = ExecMode::Fast;
     EngineRunResult fast = engine.run(plan);
     return diff(label, sim, fast);
+}
+
+//---------------------------------------------------------------------
+// The row-pointer band kernel against its oracles
+//---------------------------------------------------------------------
+
+/** Same length and the same bits in every element (NaN payloads and
+ *  the sign of zero included). */
+bool
+sameBitsVec(const Vec<Scalar> &a, const Vec<Scalar> &b)
+{
+    return a.size() == b.size() && sameBits(a.elems(), b.elems(), a.size());
+}
+
+/**
+ * sameBitsVec, except that any NaN matches any NaN. C++ leaves NaN
+ * payloads to the compiler, which may put either operand of an
+ * addition first: where two NaNs of different payloads meet, which
+ * one survives depends on how the expression was compiled, in the
+ * simulator's PE as in the kernel. Zeros and infinities still
+ * compare by their bits.
+ */
+bool
+sameBitsUpToNaNPayload(const Vec<Scalar> &a, const Vec<Scalar> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (Index i = 0; i < a.size(); ++i)
+        if (!(std::isnan(a[i]) && std::isnan(b[i])) &&
+            !sameBits(&a[i], &b[i], 1))
+            return false;
+    return true;
+}
+
+TEST(SemanticsBandKernel, RowPointerKernelMatchesAtOracleAndSimulator)
+{
+    // Edge shapes: n not a multiple of w (w > 1), m̄ >= 2 so feedback
+    // rows run, and NaN (with a payload), ±inf and −0 in A, x and b.
+    // On the whole of ȳ, the kernel must agree bit for bit with the
+    // at()-based kernel it replaced, which evaluates the same
+    // expressions in the same order, and with the cycle simulator up
+    // to NaN payloads (see sameBitsUpToNaNPayload).
+    const Scalar inf = std::numeric_limits<Scalar>::infinity();
+    Scalar nan;
+    const std::uint64_t nan_bits = 0x7ff800000000beefULL;
+    std::memcpy(&nan, &nan_bits, sizeof(nan));
+    for (Index w : {1, 2, 3, 8, 32}) {
+        for (Index n : {w + 1, 3 * w - 1}) {
+            for (Index m : {w + 1, 2 * w + 3}) {
+                SCOPED_TRACE("n=" + std::to_string(n) + " m=" +
+                             std::to_string(m) + " w=" +
+                             std::to_string(w));
+                const std::uint64_t seed =
+                    static_cast<std::uint64_t>(n * 131 + m * 7 + w);
+                Dense<Scalar> a = randomIntDense(n, m, seed);
+                Vec<Scalar> x = randomIntVec(m, seed + 1);
+                Vec<Scalar> b = randomIntVec(n, seed + 2);
+                a(n - 1, 0) = nan;
+                a(0, m - 1) = -0.0;
+                a(n / 2, m / 2) = -inf;
+                x[0] = inf;
+                x[m - 1] = -0.0;
+                b[0] = -0.0;
+                b[n - 1] = nan;
+
+                const MatVecPlan plan(a, w);
+                const BandMatVecSpec spec = plan.makeSpec(x, b);
+                const BandMatVecSemantics fast =
+                    runBandMatVecSemantics(spec);
+                const BandMatVecSemantics at = oracle::bandMatVecAt(spec);
+                const LinearRunResult sim = runBandMatVec(spec);
+                EXPECT_TRUE(sameBitsVec(fast.ybar, at.ybar));
+                EXPECT_TRUE(sameBitsUpToNaNPayload(fast.ybar, sim.ybar));
+                EXPECT_EQ(fast.usedFeedback, at.usedFeedback);
+                EXPECT_TRUE(fast.usedFeedback);
+                EXPECT_TRUE(sameBitsVec(plan.runSemantics(x, b).y,
+                                        plan.transform().extractY(
+                                            fast.ybar)));
+
+                // Every MAC against a padding zero happens: ȳ's last
+                // row is padding when w does not divide n, and its L̄
+                // part meets x_0's +inf, so 0·inf makes it NaN.
+                if (w > 1) {
+                    EXPECT_TRUE(std::isnan(
+                        fast.ybar[plan.dims().barRows() - 1]));
+                }
+            }
+        }
+    }
 }
 
 //---------------------------------------------------------------------

@@ -508,6 +508,48 @@ TEST(PlanCache, EveryEngineConfirmsHitsBitForBitUnderCollisions)
     }
 }
 
+TEST(PlanCache, TriPlansDependOnTheSystemAlone)
+{
+    // L's elements above the diagonal are no part of the system, so
+    // they are no part of its plan either. Under a forced collision
+    // (n = 8, w = 4), an L changed at (0, 1), inside diagonal block 0,
+    // hits the first plan and solves bit-identically on it, while an
+    // L changed at (1, 0), inside the system, still misses.
+    auto engine = makeEngine("tri");
+    PlanCache cache(8, [](const Dense<Scalar> &) { return Digest{7}; });
+    const Dense<Scalar> l = randomUnitLowerTriangular(8, 211);
+    const Vec<Scalar> b = randomIntVec(8, 212);
+    const PlanCache::Prepared base =
+        cache.prepare(*engine, EnginePlan::triSolve(l, b, 4));
+    ASSERT_FALSE(base.hit);
+
+    Dense<Scalar> upper = l;
+    upper(0, 1) = 5;
+    const EnginePlan upper_plan = EnginePlan::triSolve(upper, b, 4);
+    const PlanCache::Prepared shared = cache.prepare(*engine, upper_plan);
+    EXPECT_TRUE(shared.hit);
+    EXPECT_EQ(shared.plan.get(), base.plan.get());
+    EXPECT_EQ(cache.stats().collisions, 0u);
+    for (ExecMode mode : {ExecMode::Simulate, ExecMode::Fast}) {
+        EngineInputs in = EngineInputs::triSolve(b);
+        in.mode = mode;
+        const EngineRunResult own =
+            engine->runPrepared(*engine->prepare(upper_plan), in);
+        const EngineRunResult hit = engine->runPrepared(*shared.plan, in);
+        ASSERT_EQ(own.y.size(), hit.y.size());
+        EXPECT_TRUE(sameBits(own.y.elems(), hit.y.elems(), own.y.size()))
+            << "mode " << static_cast<int>(mode);
+    }
+
+    Dense<Scalar> lower = l;
+    lower(1, 0) += 1;
+    const PlanCache::Prepared own =
+        cache.prepare(*engine, EnginePlan::triSolve(lower, b, 4));
+    EXPECT_FALSE(own.hit);
+    EXPECT_NE(own.plan.get(), base.plan.get());
+    EXPECT_GE(cache.stats().collisions, 1u);
+}
+
 /** An engine that implements run() only: its prepared plans are the
  *  generic wrap of the whole EnginePlan. */
 class RunOnlyMatMulEngine : public SystolicEngine

@@ -12,7 +12,9 @@
  *    engine (all three problem kinds);
  *  - direct concurrent runPrepared() calls on one shared prepared
  *    plan, bypassing the shard, to pin the engine-level
- *    thread-safety contract.
+ *    thread-safety contract;
+ *  - hits on one large plan, confirmed outside the cache lock,
+ *    racing misses on small plans through the same cache.
  *
  * Every result is asserted against the host golden model.
  */
@@ -196,6 +198,83 @@ TEST(ServeConcurrency, PlanCacheSurvivesConcurrentMixedKeys)
         t.join();
     EXPECT_EQ(mismatches.load(), 0);
     EXPECT_LE(cache.size(), 3u);
+}
+
+TEST(ServeConcurrency, LargeHitsAndSmallMissesCountAndComputeExactly)
+{
+    // PlanCache confirms a digest match outside its lock: threads
+    // hitting one 512², w=32 plan (each confirm reads all of A)
+    // race threads whose distinct small matrices all miss and
+    // insert. Every count must add up, and every result must be bit
+    // for bit what a plan of its own computes. The cache holds every
+    // plan, so the large one is never evicted between its hits.
+    auto engine = makeEngine("linear");
+    const Index big = 512, w_big = 32, small = 12, w_small = 4;
+    const int kHitThreads = 2, kHits = 6;
+    const int kMissThreads = 2, kMisses = 24;
+    PlanCache cache(64);
+
+    const Dense<Scalar> a = randomIntDense(big, big, 501);
+    const Vec<Scalar> b = randomIntVec(big, 502);
+    ASSERT_FALSE(cache.prepare(*engine, EnginePlan::matVec(
+                                            a, Vec<Scalar>(big), b, w_big))
+                     .hit);
+    const std::shared_ptr<const PreparedPlan> own =
+        engine->prepare(EnginePlan::matVec(a, Vec<Scalar>(big), b, w_big));
+
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kHitThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kHits; ++i) {
+                const Vec<Scalar> x = randomIntVec(
+                    big, 600 + static_cast<std::uint64_t>(t * kHits + i));
+                const EnginePlan plan =
+                    EnginePlan::matVec(a, x, b, w_big);
+                PlanCache::Prepared got = cache.prepare(*engine, plan);
+                EngineInputs in = EngineInputs::matVec(x, b);
+                in.mode = ExecMode::Fast;
+                const EngineRunResult hit =
+                    engine->runPrepared(*got.plan, in);
+                const EngineRunResult ref = engine->runPrepared(*own, in);
+                if (!got.hit || hit.y.size() != big ||
+                    !sameBits(hit.y.elems(), ref.y.elems(), big))
+                    ++wrong;
+            }
+        });
+    }
+    for (int t = 0; t < kMissThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kMisses; ++i) {
+                const std::uint64_t seed =
+                    1000 + static_cast<std::uint64_t>(t * kMisses + i);
+                const Dense<Scalar> m = randomIntDense(small, small, seed);
+                const Vec<Scalar> x = randomIntVec(small, seed + 1);
+                const Vec<Scalar> c = randomIntVec(small, seed + 2);
+                PlanCache::Prepared got = cache.prepare(
+                    *engine, EnginePlan::matVec(m, x, c, w_small));
+                EngineInputs in = EngineInputs::matVec(x, c);
+                in.mode = ExecMode::Fast;
+                const EngineRunResult r =
+                    engine->runPrepared(*got.plan, in);
+                const Vec<Scalar> expect = matVec(m, x, c);
+                if (got.hit || r.y.size() != small ||
+                    !sameBits(r.y.elems(), expect.elems(), small))
+                    ++wrong;
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    EXPECT_EQ(wrong.load(), 0);
+    const PlanCacheStats st = cache.stats();
+    EXPECT_EQ(st.hits, static_cast<std::uint64_t>(kHitThreads * kHits));
+    EXPECT_EQ(st.misses,
+              static_cast<std::uint64_t>(1 + kMissThreads * kMisses));
+    EXPECT_EQ(st.collisions, 0u);
+    EXPECT_EQ(st.evictions, 0u);
+    EXPECT_EQ(cache.size(), st.misses);
 }
 
 } // namespace

@@ -87,6 +87,7 @@ TEST(LinearArray, ContraflowTransit)
 struct PlainBand
 {
     Band<Scalar> band;
+    std::vector<std::uint8_t> external;
     BandMatVecSpec spec;
 
     PlainBand(Index rows, Index w, std::uint64_t seed)
@@ -100,8 +101,8 @@ struct PlainBand
         spec.abar = &band;
         spec.xbar = randomIntVec(rows + w - 1, seed + 1);
         spec.externalB = randomIntVec(rows, seed + 2);
-        spec.bIsExternal.assign(static_cast<std::size_t>(rows), 1);
-        spec.yIsFinal.assign(static_cast<std::size_t>(rows), 1);
+        external.assign(static_cast<std::size_t>(rows), 1);
+        spec.bIsExternal = &external;
     }
 };
 

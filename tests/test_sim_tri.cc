@@ -157,7 +157,7 @@ TEST(TriSolvePlan, MatchesHostDiagonalGoldenModelBitExactly)
 TEST(TriSolvePlan, BlocksAndPanelBandsEqualBlockCopyOracle)
 {
     // A full random L (nonzero diagonal, nonzero above it too, which
-    // the diagonal blocks copy and the array ignores) on every
+    // the array ignores and the diagonal blocks leave out) on every
     // padding case of the edge sweep.
     for (Index w : oracle::sweepArraySizes()) {
         for (Index n : oracle::sweepEdgeSizes(w)) {
