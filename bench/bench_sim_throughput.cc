@@ -10,14 +10,24 @@
  * BM_Prepare times the plan build alone (the plan-cache miss path),
  * with a plan of the shape live and, for hex, without. BM_FastRun
  * times Fast mode on a live plan (the band kernel and its x̄/b̄/y
- * plumbing), and BM_WireCodec the wire codec on a 2.1 MB SUBMIT.
+ * plumbing), and BM_WireCodec the wire codec and the receive path
+ * on a 2.1 MB SUBMIT, beside a memcpy of the frame for reference.
  */
 
 #include "bench/bench_common.hh"
 
+#include <cstring>
+#include <thread>
+
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include "base/socket_util.hh"
 #include "dbt/matmul_plan.hh"
 #include "dbt/matvec_plan.hh"
 #include "mat/generate.hh"
+#include "net/framed_socket.hh"
 #include "net/protocol.hh"
 #include "sim/mesh_array.hh"
 #include "solve/trisolve_plan.hh"
@@ -257,14 +267,22 @@ BENCHMARK_CAPTURE(BM_FastRun, linear_512_32, "linear", linear512);
 BENCHMARK_CAPTURE(BM_FastRun, linear_128_8, "linear", prepareLinear);
 BENCHMARK_CAPTURE(BM_FastRun, tri_128_8, "tri", prepareTri);
 
-/** The wire codec on mv512_fast_hot's 2.1 MB SUBMIT payload, one
- *  encodeSubmit or decodeSubmit per iteration. */
-void
-BM_WireCodec(benchmark::State &state, bool decode)
+/** mv512_fast_hot's request: a 2.1 MB SUBMIT. */
+ServeRequest
+submit512()
 {
     ServeRequest req;
     req.engine = "linear";
     req.plan = linear512();
+    return req;
+}
+
+/** One encodeSubmit or decodeSubmit per iteration, each into a
+ *  freshly allocated output. */
+void
+wireEncodeDecode(benchmark::State &state, bool decode)
+{
+    const ServeRequest req = submit512();
     const std::vector<std::uint8_t> payload = encodeSubmit(req);
     for (auto _ : state) {
         if (decode) {
@@ -281,8 +299,124 @@ BM_WireCodec(benchmark::State &state, bool decode)
     state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(payload.size()));
 }
-BENCHMARK_CAPTURE(BM_WireCodec, encode_submit_512, false);
-BENCHMARK_CAPTURE(BM_WireCodec, decode_submit_512, true);
+
+/** The SUBMIT frame encoded into one buffer kept across iterations,
+ *  as NetClient encodes it: no allocation and no zero-fill. */
+void
+wireEncodeReused(benchmark::State &state)
+{
+    const ServeRequest req = submit512();
+    std::vector<std::uint8_t> frame;
+    std::uint64_t tag = 0;
+    for (auto _ : state) {
+        buildSubmitFrame(++tag, req, &frame);
+        benchmark::DoNotOptimize(frame.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(frame.size()));
+}
+
+/** The reference both timers above and below are read against: a
+ *  memcpy of the SUBMIT frame into a buffer kept across iterations. */
+void
+wireCopy(benchmark::State &state)
+{
+    const std::vector<std::uint8_t> frame = buildSubmitFrame(1, submit512());
+    std::vector<std::uint8_t> copy(frame.size());
+    for (auto _ : state) {
+        std::memcpy(copy.data(), frame.data(), frame.size());
+        benchmark::DoNotOptimize(copy.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(frame.size()));
+}
+
+/**
+ * The SUBMIT frame received through FramedSocket::next over an
+ * AF_UNIX socketpair, one frame per iteration, as a serving tier
+ * receives it: the payload is read in place, into the buffer the
+ * previous frame was consumed from. A second thread keeps the pair
+ * full, sending the frame over and over; CPU time is the receiving
+ * thread's alone.
+ */
+void
+wireReceive(benchmark::State &state)
+{
+    const std::vector<std::uint8_t> frame = buildSubmitFrame(1, submit512());
+    int sv[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+        state.SkipWithError("socketpair failed");
+        return;
+    }
+    setNonBlocking(sv[1]);
+    std::thread writer([&frame, fd = sv[0]] {
+        for (;;)
+            for (std::size_t off = 0; off < frame.size();) {
+                const ssize_t n = ::send(fd, frame.data() + off,
+                                         frame.size() - off, MSG_NOSIGNAL);
+                if (n <= 0)
+                    return; // the reader shut its end
+                off += static_cast<std::size_t>(n);
+            }
+    });
+    FramedSocket reader(sv[1]);
+    Frame received;
+    std::string err;
+    std::uint64_t bytes = 0;
+    for (auto _ : state) {
+        FramedSocket::Read r;
+        while ((r = reader.next(&received, &err, &bytes)) ==
+               FramedSocket::Read::Drained) {
+            pollfd pfd = {sv[1], POLLIN, 0};
+            ::poll(&pfd, 1, 1000);
+        }
+        if (r != FramedSocket::Read::Frame) {
+            state.SkipWithError("receive failed");
+            break;
+        }
+        benchmark::DoNotOptimize(received.payload.data());
+    }
+    ::shutdown(sv[1], SHUT_RDWR);
+    writer.join();
+    ::close(sv[0]);
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(frame.size()));
+}
+
+/** The wire codec and receive path on mv512_fast_hot's 2.1 MB
+ *  SUBMIT (see the functions above). */
+enum class Wire
+{
+    Encode,
+    Decode,
+    EncodeReused,
+    Receive,
+    Copy,
+};
+
+void
+BM_WireCodec(benchmark::State &state, Wire what)
+{
+    switch (what) {
+    case Wire::Encode:
+    case Wire::Decode:
+        return wireEncodeDecode(state, what == Wire::Decode);
+    case Wire::EncodeReused:
+        return wireEncodeReused(state);
+    case Wire::Receive:
+        return wireReceive(state);
+    case Wire::Copy:
+        return wireCopy(state);
+    }
+}
+BENCHMARK_CAPTURE(BM_WireCodec, encode_submit_512, Wire::Encode);
+BENCHMARK_CAPTURE(BM_WireCodec, decode_submit_512, Wire::Decode);
+BENCHMARK_CAPTURE(BM_WireCodec, encode_submit_512_reused,
+                  Wire::EncodeReused);
+BENCHMARK_CAPTURE(BM_WireCodec, receive_submit_512, Wire::Receive);
+BENCHMARK_CAPTURE(BM_WireCodec, memcpy_submit_512, Wire::Copy);
 
 void
 BM_BlockOracleVsCycleSim(benchmark::State &state)

@@ -1,5 +1,7 @@
 #include "engine/engine.hh"
 
+#include <cmath>
+
 #include "analysis/formulas.hh"
 #include "base/error.hh"
 #include "base/logging.hh"
@@ -380,45 +382,16 @@ preparedAs(const PreparedPlan &prepared, const char *engine)
     return *p;
 }
 
-/**
- * Validate-mode diff: every field an engine reports must agree
- * between the simulated and the fast execution — results bit-exactly
- * (the semantics path replays the array's accumulation order, so
- * even floating-point workloads must match to the last bit), stats
- * because the fast path derives them from the closed-form step
- * counts the sims are asserted against. Traces are exempt (fast mode
- * never produces one) and so is the feedback measurement object.
- */
-void
-diffOrThrow(const std::string &engine, const EngineRunResult &sim,
-            const EngineRunResult &fast)
+/** True if @p a and @p b hold the same @p n elements bit for bit, any
+ *  NaN matching any NaN (see diffOrThrow). */
+bool
+sameResultBits(const Scalar *a, const Scalar *b, Index n)
 {
-    auto fail = [&](const char *field) {
-        throw EngineError("validate mode: " + engine +
-                          " fast path diverged from the simulator in "
-                          "field '" + field + "'");
-    };
-    if (fast.y.size() != sim.y.size() || !(fast.y == sim.y))
-        fail("y");
-    if (fast.c.rows() != sim.c.rows() ||
-        fast.c.cols() != sim.c.cols() || !(fast.c == sim.c))
-        fail("c");
-    if (fast.stats.cycles != sim.stats.cycles)
-        fail("stats.cycles");
-    if (fast.stats.peCount != sim.stats.peCount)
-        fail("stats.peCount");
-    if (fast.stats.usefulMacs != sim.stats.usefulMacs)
-        fail("stats.usefulMacs");
-    if (fast.totalCycles != sim.totalCycles)
-        fail("totalCycles");
-    if (fast.feedbackDelay != sim.feedbackDelay)
-        fail("feedbackDelay");
-    if (fast.feedbackRegisters != sim.feedbackRegisters)
-        fail("feedbackRegisters");
-    if (fast.conflictFree != sim.conflictFree)
-        fail("conflictFree");
-    if (fast.topologyRespected != sim.topologyRespected)
-        fail("topologyRespected");
+    for (Index i = 0; i < n; ++i)
+        if (!(std::isnan(a[i]) && std::isnan(b[i])) &&
+            !sameBits(a + i, b + i, 1))
+            return false;
+    return true;
 }
 
 /**
@@ -452,6 +425,41 @@ dispatchMode(ExecMode mode, const std::string &engine,
 }
 
 } // namespace
+
+void
+diffOrThrow(const std::string &engine, const EngineRunResult &sim,
+            const EngineRunResult &fast)
+{
+    auto fail = [&](const char *field) {
+        throw EngineError("validate mode: " + engine +
+                          " fast path diverged from the simulator in "
+                          "field '" + field + "'");
+    };
+    if (fast.y.size() != sim.y.size() ||
+        !sameResultBits(fast.y.elems(), sim.y.elems(), sim.y.size()))
+        fail("y");
+    if (fast.c.rows() != sim.c.rows() ||
+        fast.c.cols() != sim.c.cols() ||
+        !sameResultBits(fast.c.elems(), sim.c.elems(),
+                        sim.c.rows() * sim.c.cols()))
+        fail("c");
+    if (fast.stats.cycles != sim.stats.cycles)
+        fail("stats.cycles");
+    if (fast.stats.peCount != sim.stats.peCount)
+        fail("stats.peCount");
+    if (fast.stats.usefulMacs != sim.stats.usefulMacs)
+        fail("stats.usefulMacs");
+    if (fast.totalCycles != sim.totalCycles)
+        fail("totalCycles");
+    if (fast.feedbackDelay != sim.feedbackDelay)
+        fail("feedbackDelay");
+    if (fast.feedbackRegisters != sim.feedbackRegisters)
+        fail("feedbackRegisters");
+    if (fast.conflictFree != sim.conflictFree)
+        fail("conflictFree");
+    if (fast.topologyRespected != sim.topologyRespected)
+        fail("topologyRespected");
+}
 
 std::shared_ptr<const PreparedPlan>
 SystolicEngine::prepare(const EnginePlan &plan) const

@@ -185,6 +185,22 @@ struct EngineRunResult
 };
 
 /**
+ * Validate mode's check: throw EngineError naming the first field in
+ * which @p fast differs from @p sim. Every field an engine reports
+ * must agree — results bit for bit (the semantics path replays the
+ * array's accumulation order, so even floating-point workloads match
+ * to the last bit), stats because the fast path derives them from
+ * the closed-form step counts the sims are asserted against. The one
+ * exception: any NaN matches any NaN, because where two NaNs of
+ * different payloads meet in one addition the compiler picks which
+ * survives, and the two paths may pick differently. Traces are
+ * exempt (fast mode never produces one) and so is the feedback
+ * measurement object.
+ */
+void diffOrThrow(const std::string &engine, const EngineRunResult &sim,
+                 const EngineRunResult &fast);
+
+/**
  * The per-request operands streamed through a prepared plan: the
  * data that varies between requests against the same matrix.
  *

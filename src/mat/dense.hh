@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "base/logging.hh"
@@ -68,6 +69,19 @@ class Dense
           data_(static_cast<std::size_t>(rows * cols), T{})
     {
         SAP_ASSERT(rows >= 0 && cols >= 0, "negative dimension");
+    }
+
+    /** @param rows,cols Shape; @p elems the rows·cols elements,
+     *  row-major, adopted as the storage (no copy, and no
+     *  value-initialization pass). */
+    Dense(Index rows, Index cols, std::vector<T> elems)
+        : rows_(rows), cols_(cols), data_(std::move(elems))
+    {
+        SAP_ASSERT(rows >= 0 && cols >= 0 &&
+                       data_.size() ==
+                           static_cast<std::size_t>(rows * cols),
+                   rows, "x", cols, " matrix over ", data_.size(),
+                   " elements");
     }
 
     /** Shape accessors. */

@@ -7,6 +7,7 @@
 #ifndef SAP_MAT_VECTOR_HH
 #define SAP_MAT_VECTOR_HH
 
+#include <utility>
 #include <vector>
 
 #include "base/logging.hh"
@@ -32,6 +33,10 @@ class Vec
     {
         SAP_ASSERT(n >= 0, "negative vector length");
     }
+
+    /** Adopt @p elems as the storage (no copy, and no
+     *  value-initialization pass). */
+    explicit Vec(std::vector<T> elems) : data_(std::move(elems)) {}
 
     /** Construct from an initializer list. */
     Vec(std::initializer_list<T> init) : data_(init) {}

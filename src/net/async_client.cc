@@ -53,6 +53,13 @@ AsyncClient::send(std::vector<std::uint8_t> bytes)
 }
 
 void
+AsyncClient::send(SharedBytes bytes)
+{
+    if (state_ == State::Connecting || state_ == State::Connected)
+        sock_.queue(std::move(bytes));
+}
+
+void
 AsyncClient::transportClosed(const std::string &reason)
 {
     error_ = reason;

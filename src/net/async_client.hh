@@ -14,8 +14,9 @@
  *  - connectStart() issues a non-blocking connect and returns
  *    immediately; the owner watches fd() with desiredInterest() and
  *    learns the outcome through onConnected / onClosed;
- *  - send() only appends to an internal output buffer; bytes move
- *    when the loop reports the socket writable;
+ *  - send() only appends to the output queue, owned or shared
+ *    bytes, without copying them; bytes move when the loop reports
+ *    the socket writable;
  *  - handleReady() drives the connection from one EventLoop::Ready
  *    record: it finishes the connect handshake, flushes pending
  *    output, reads until EAGAIN, and delivers every complete frame
@@ -110,6 +111,12 @@ class AsyncClient
      *  on writability). Silently dropped unless Connecting or
      *  Connected — the owner decides how to handle a dead backend. */
     void send(std::vector<std::uint8_t> bytes);
+
+    /** As send(), for bytes the owner keeps and shares with the
+     *  output queue (FramedSocket::queue): they are not copied, and
+     *  the queue's reference is dropped once they are sent or the
+     *  connection closes. */
+    void send(SharedBytes bytes);
 
     /** Bytes buffered but not yet accepted by the kernel. */
     std::size_t queuedBytes() const { return sock_.queuedBytes(); }

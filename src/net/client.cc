@@ -138,7 +138,12 @@ NetClient::submitEach(const ServeRequest *const *reqs, std::size_t n)
     for (std::size_t i = 0; i < n; ++i) {
         std::uint64_t tag = next_tag_++;
         slot_of[tag] = i;
-        sock_.queue(buildSubmitFrame(tag, *reqs[i]));
+        if (submit_frame_.use_count() == 1) {
+            buildSubmitFrame(tag, *reqs[i], submit_frame_.get());
+            sock_.queue(SharedBytes(submit_frame_));
+        } else {
+            sock_.queue(buildSubmitFrame(tag, *reqs[i]));
+        }
     }
     auto fail_rest = [&] {
         for (const auto &entry : slot_of)

@@ -24,6 +24,11 @@
  * the pipeline trickles out (see test_net_server.cc's tiny-SO_SNDBUF
  * regression test).
  *
+ * A SUBMIT is encoded into a frame buffer the connection keeps and
+ * queued without a copy (FramedSocket's shared segments), so a
+ * client sending one large request after another writes each frame
+ * once, into memory it has already touched.
+ *
  * Transport failures (connection refused, mid-stream close, a
  * malformed byte stream from the server) are reported per call via
  * Result::transportOk / lastError(); application-level failures
@@ -39,6 +44,7 @@
 #define SAP_NET_CLIENT_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -156,6 +162,13 @@ class NetClient
     bool drop(const std::string &message);
 
     FramedSocket sock_;
+    /** The buffer SUBMITs are encoded into, reused from request to
+     *  request: queued as a shared segment, it is free again once the
+     *  socket has sent it (use_count() == 1). A SUBMIT encoded while
+     *  it is still queued (a pipelined batch) gets a buffer of its
+     *  own. */
+    std::shared_ptr<std::vector<std::uint8_t>> submit_frame_ =
+        std::make_shared<std::vector<std::uint8_t>>();
     int sndbuf_bytes_ = 0;
     std::uint64_t next_tag_ = 1;
     std::string error_;

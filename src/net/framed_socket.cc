@@ -3,11 +3,19 @@
 #include <cerrno>
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "base/socket_util.hh"
 
 namespace sap {
+
+namespace {
+
+/** Segments one sendmsg() takes at most (well under IOV_MAX). */
+constexpr std::size_t kMaxIov = 64;
+
+} // namespace
 
 void
 FramedSocket::close()
@@ -16,29 +24,64 @@ FramedSocket::close()
         ::close(fd);
     fd = -1;
     decoder = FrameDecoder();
-    outbuf.clear();
+    output.clear();
     outoff = 0;
+    unsent_ = 0;
 }
 
 void
 FramedSocket::queue(std::vector<std::uint8_t> bytes)
 {
-    if (outbuf.empty()) {
-        outbuf = std::move(bytes);
+    if (bytes.empty())
+        return;
+    unsent_ += bytes.size();
+    output.push_back(Segment{std::move(bytes), nullptr});
+}
+
+void
+FramedSocket::queue(SharedBytes bytes)
+{
+    if (!bytes || bytes->empty())
+        return;
+    unsent_ += bytes->size();
+    output.push_back(Segment{{}, std::move(bytes)});
+}
+
+void
+FramedSocket::consume(std::size_t n)
+{
+    unsent_ -= n;
+    while (n > 0) {
+        const std::size_t rest = output.front().size() - outoff;
+        if (n < rest) {
+            outoff += n;
+            return;
+        }
+        n -= rest;
+        output.pop_front(); // a shared segment is released here
         outoff = 0;
-    } else {
-        outbuf.insert(outbuf.end(), bytes.begin(), bytes.end());
     }
 }
 
 bool
 FramedSocket::flush(std::uint64_t *sent)
 {
-    while (outoff < outbuf.size()) {
-        ssize_t n = ::send(fd, outbuf.data() + outoff,
-                           outbuf.size() - outoff, MSG_NOSIGNAL);
+    while (!output.empty()) {
+        iovec iov[kMaxIov];
+        std::size_t count = 0;
+        std::size_t skip = outoff;
+        for (auto it = output.begin(); it != output.end() && count < kMaxIov;
+             ++it, ++count, skip = 0) {
+            iov[count].iov_base =
+                const_cast<std::uint8_t *>(it->data()) + skip;
+            iov[count].iov_len = it->size() - skip;
+        }
+        msghdr msg{};
+        msg.msg_iov = iov;
+        msg.msg_iovlen = count;
+        const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
         if (n > 0) {
-            outoff += static_cast<std::size_t>(n);
+            consume(static_cast<std::size_t>(n));
             *sent += static_cast<std::uint64_t>(n);
             continue;
         }
@@ -47,18 +90,6 @@ FramedSocket::flush(std::uint64_t *sent)
         if (n < 0 && errno == EINTR)
             continue;
         return false; // peer is gone
-    }
-    // Fully flushed: free the buffer, since the next queue() adopts
-    // the caller's. Otherwise compact the sent prefix once it
-    // dominates, so a long-lived connection does not accumulate dead
-    // bytes.
-    if (outoff == outbuf.size()) {
-        outbuf = std::vector<std::uint8_t>();
-        outoff = 0;
-    } else if (outoff > (64u << 10) && outoff * 2 > outbuf.size()) {
-        outbuf.erase(outbuf.begin(),
-                     outbuf.begin() + static_cast<std::ptrdiff_t>(outoff));
-        outoff = 0;
     }
     return true;
 }
@@ -76,10 +107,19 @@ FramedSocket::next(Frame *out, std::string *err, std::uint64_t *received)
         case FrameDecoder::Result::NeedMore:
             break;
         }
-        ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        // A payload that still owes a buffer's worth is received in
+        // place; headers and small frames go through buf.
+        std::size_t room = sizeof(buf);
+        std::uint8_t *const into = decoder.payloadOwed() >= sizeof(buf)
+                                       ? decoder.payloadRoom(&room)
+                                       : buf;
+        const ssize_t n = ::recv(fd, into, room, 0);
         if (n > 0) {
             *received += static_cast<std::uint64_t>(n);
-            decoder.feed(buf, static_cast<std::size_t>(n));
+            if (into == buf)
+                decoder.feed(buf, static_cast<std::size_t>(n));
+            else
+                decoder.commitPayload(static_cast<std::size_t>(n));
             continue;
         }
         if (n == 0)

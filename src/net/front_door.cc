@@ -116,6 +116,22 @@ bool
 FrontDoor::send(std::uint64_t conn, std::vector<std::uint8_t> bytes,
                 Counter *queued)
 {
+    return enqueue(conn, std::move(bytes), {}, queued);
+}
+
+bool
+FrontDoor::sendFrame(std::uint64_t conn, FrameType type, std::uint64_t tag,
+                     std::vector<std::uint8_t> payload)
+{
+    std::vector<std::uint8_t> head =
+        buildFrameHeader(type, tag, payload.size());
+    return enqueue(conn, std::move(head), std::move(payload), nullptr);
+}
+
+bool
+FrontDoor::enqueue(std::uint64_t conn, std::vector<std::uint8_t> head,
+                   std::vector<std::uint8_t> body, Counter *queued)
+{
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto it = conns_.find(conn);
@@ -125,7 +141,8 @@ FrontDoor::send(std::uint64_t conn, std::vector<std::uint8_t> bytes,
         // before the first byte is written.
         if (queued)
             queued->add();
-        it->second->sock.queue(std::move(bytes));
+        it->second->sock.queue(std::move(head));
+        it->second->sock.queue(std::move(body));
         if (tls_io_door == this) {
             updateInterestLocked(conn, *it->second);
             return true;
@@ -270,8 +287,8 @@ FrontDoor::readReady(std::uint64_t id, Conn &conn)
             if (frame.header.type ==
                 static_cast<std::uint16_t>(FrameType::Ping))
                 // Echoed verbatim, payload included (protocol.hh).
-                send(id, buildFrame(FrameType::Ping, frame.header.tag,
-                                    frame.payload));
+                sendFrame(id, FrameType::Ping, frame.header.tag,
+                          std::move(frame.payload));
             else
                 hooks_.onFrame(id, std::move(frame));
             continue;

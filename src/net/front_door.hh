@@ -165,6 +165,10 @@ class FrontDoor
      */
     bool send(std::uint64_t conn, std::vector<std::uint8_t> bytes,
               Counter *queued = nullptr);
+    /** send() a @p type frame as a header and @p payload, which is
+     *  queued as it is (a relayed payload moves through uncopied). */
+    bool sendFrame(std::uint64_t conn, FrameType type, std::uint64_t tag,
+                   std::vector<std::uint8_t> payload);
     /** send() an ERROR frame and count it in Counts::errorsSent. */
     bool sendError(std::uint64_t conn, std::uint64_t tag,
                    const std::string &message);
@@ -187,6 +191,9 @@ class FrontDoor
         explicit Conn(int fd) : sock(fd) {}
     };
 
+    /** send() of @p head then @p body (either may be empty). */
+    bool enqueue(std::uint64_t conn, std::vector<std::uint8_t> head,
+                 std::vector<std::uint8_t> body, Counter *queued);
     void ioLoop();
     void acknowledgeQuiesce();
     void acceptReady();

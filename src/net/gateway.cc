@@ -310,13 +310,7 @@ Gateway::backendDown(std::size_t idx, const std::string &reason)
                 fl.trace->addEvent("resubmit attempt " +
                                    std::to_string(fl.resubmits));
             fl.backendIdx = ring_map_[ring_->shardFor(fl.digest)];
-            Backend &nb = *backends_[fl.backendIdx];
-            nb.conn.send(buildForwardFrame(
-                gwtag, fl.digest, fl.submitPayload,
-                fl.ctx.valid() ? &fl.ctx : nullptr));
-            ++nb.inflight;
-            nb.inflightGauge->set(static_cast<double>(nb.inflight));
-            updateBackendInterest(fl.backendIdx);
+            sendForward(gwtag, fl);
             SAP_LOG_WARN("gateway: resubmitting request to backend ",
                          fl.backendIdx, " attempt ", fl.resubmits,
                          traceSuffix(fl.ctx));
@@ -408,26 +402,34 @@ Gateway::routeSubmit(std::uint64_t conn_id, std::uint64_t client_tag,
         }
         return;
     }
-    const std::size_t idx = ring_map_[ring_->shardFor(digest)];
     traceStamp(trace, TraceStage::Route);
     const std::uint64_t gwtag = next_tag_++;
-    Backend &b = *backends_[idx];
-    b.conn.send(buildForwardFrame(gwtag, digest, submit_payload,
-                                  ctx.valid() ? &ctx : nullptr));
-    traceStamp(trace, TraceStage::Dequeue); // "gw_forward"
-    ++b.inflight;
-    b.inflightGauge->set(static_cast<double>(b.inflight));
-    updateBackendInterest(idx);
     Inflight fl;
     fl.clientConnId = conn_id;
     fl.clientTag = client_tag;
-    fl.backendIdx = idx;
+    fl.backendIdx = ring_map_[ring_->shardFor(digest)];
     fl.digest = digest;
-    fl.submitPayload = std::move(submit_payload);
+    fl.submitPayload = std::make_shared<std::vector<std::uint8_t>>(
+        std::move(submit_payload));
     fl.start = std::chrono::steady_clock::now();
     fl.ctx = ctx;
+    sendForward(gwtag, fl);
+    traceStamp(trace, TraceStage::Dequeue); // "gw_forward"
     fl.trace = std::move(trace);
     inflight_.emplace(gwtag, std::move(fl));
+}
+
+void
+Gateway::sendForward(std::uint64_t gwtag, const Inflight &fl)
+{
+    Backend &b = *backends_[fl.backendIdx];
+    b.conn.send(buildForwardHead(gwtag, fl.digest,
+                                 fl.submitPayload->size(),
+                                 fl.ctx.valid() ? &fl.ctx : nullptr));
+    b.conn.send(fl.submitPayload);
+    ++b.inflight;
+    b.inflightGauge->set(static_cast<double>(b.inflight));
+    updateBackendInterest(fl.backendIdx);
 }
 
 void
@@ -516,8 +518,7 @@ Gateway::handleClientFrame(std::uint64_t conn_id, Frame &&frame)
         std::shared_ptr<RequestTrace> trace = admitTrace(&ctx, view);
         const Digest digest = planDigest(view);
         std::vector<std::uint8_t> payload = std::move(frame.payload);
-        frame.payload = std::move(spare_payload_);
-        spare_payload_.clear();
+        frame.payload = std::exchange(spare_payload_, {});
         routeSubmit(conn_id, tag, digest, std::move(payload), ctx,
                     std::move(trace));
         return;
@@ -583,10 +584,9 @@ Gateway::handleBackendFrame(std::size_t idx, Frame &&frame)
                 static_cast<std::uint16_t>(FrameType::Response);
         }
         // Relay the payload bytes verbatim under the client's tag.
-        door_.send(
-            fl.clientConnId,
-            buildFrame(static_cast<FrameType>(frame.header.type),
-                       fl.clientTag, frame.payload));
+        door_.sendFrame(fl.clientConnId,
+                        static_cast<FrameType>(frame.header.type),
+                        fl.clientTag, std::move(frame.payload));
         if (fl.trace) {
             fl.trace->stamp(TraceStage::Flush); // "gw_flush"
             collector_.finish(fl.trace);
@@ -596,10 +596,11 @@ Gateway::handleBackendFrame(std::size_t idx, Frame &&frame)
                 std::chrono::steady_clock::now() - fl.start)
                 .count());
         inst_.relayed->add();
-        if (fl.submitPayload.capacity() > spare_payload_.capacity()) {
-            spare_payload_ = std::move(fl.submitPayload);
-            spare_payload_.clear();
-        }
+        // The backend answered, so it has every payload byte: no
+        // output queue should still share the buffer.
+        if (fl.submitPayload.use_count() == 1 &&
+            fl.submitPayload->capacity() > spare_payload_.capacity())
+            spare_payload_ = std::move(*fl.submitPayload);
         return;
     }
     case static_cast<std::uint16_t>(FrameType::Ping): {

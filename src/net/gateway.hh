@@ -17,7 +17,11 @@
  * the already-encoded payload relays to the owning backend inside a
  * FORWARD frame — so the digest is computed once at the edge and
  * reused by the backend's shard router and plan cache, and nothing
- * a backend would reject ever reaches one.
+ * a backend would reject ever reaches one. The payload is not copied
+ * into the FORWARD either: the gateway queues a small head (header
+ * and envelope, buildForwardHead) and then the payload bytes it keeps
+ * for resubmission, shared with the backend's output queue, and it
+ * relays a RESPONSE as a new header and the payload it received.
  *
  *        clients ──▶ gateway IO thread ──FORWARD──▶ backend 0
  *                        │ ring over               backend 1
@@ -242,8 +246,10 @@ class Gateway
         std::uint64_t clientTag = 0;
         std::size_t backendIdx = 0;
         Digest digest = 0;
-        /** The SUBMIT payload bytes, kept for resubmission. */
-        std::vector<std::uint8_t> submitPayload;
+        /** The SUBMIT payload bytes: sent behind each FORWARD head
+         *  (to the first backend and on every resubmission) as a
+         *  shared segment of the backend's output queue. */
+        std::shared_ptr<std::vector<std::uint8_t>> submitPayload;
         std::size_t resubmits = 0;
         std::chrono::steady_clock::time_point start;
         /** The context FORWARDed with this request (!valid() = the
@@ -284,6 +290,9 @@ class Gateway
                      std::vector<std::uint8_t> submit_payload,
                      const TraceContext &ctx,
                      std::shared_ptr<RequestTrace> trace);
+    /** Queue @p fl's FORWARD (head, then the shared SUBMIT payload)
+     *  on backend fl.backendIdx under @p gwtag. */
+    void sendForward(std::uint64_t gwtag, const Inflight &fl);
     /** Fan a METRICS/TRACES request out to every routable backend. */
     void startGather(std::uint64_t conn_id, std::uint64_t client_tag,
                      FrameType kind);
@@ -341,11 +350,12 @@ class Gateway
 
     std::uint64_t next_tag_ = 1;
     std::map<std::uint64_t, Inflight> inflight_;
-    /** The payload buffer of the last relayed request, emptied. The
-     *  next client SUBMIT hands it to the front door's decoder, which
-     *  receives a later frame into it (FrameDecoder::next), so the
-     *  payloads the gateway keeps for resubmission do not cost each
-     *  request a freshly grown buffer. */
+    /** The payload buffer of the last relayed request, once no
+     *  output queue shares it. The next client SUBMIT hands it to the
+     *  front door's decoder, which receives a later frame into it
+     *  (FrameDecoder::next), so the payloads the gateway keeps for
+     *  resubmission do not cost each request a freshly grown and
+     *  zero-filled buffer. */
     std::vector<std::uint8_t> spare_payload_;
     /** One outstanding leg of a scatter-gather: which gather it
      *  belongs to and which backend owes the reply (so a backend

@@ -178,26 +178,36 @@ struct WireSpan
 };
 
 /**
- * Append-only little-endian byte sink: the encode half of the
- * protocol. Also the tool tests use to craft malformed frames.
+ * Little-endian byte sink: the encode half of the protocol. Also the
+ * tool tests use to craft malformed frames.
  *
  * Every integer is one store, and vec()/dense() move a whole Scalar
  * array with one store per element into bytes claimed at once, so a
  * writer reserve()d for its payload (as the frame builders and the
  * SUBMIT and RESPONSE encoders are) allocates once and runs at
- * memory speed (base/byte_order.hh).
+ * memory speed (base/byte_order.hh). A sized writer fills a buffer
+ * it was handed instead of appending, so a buffer reused from frame
+ * to frame is written once per frame and never value-initialized
+ * again (buildSubmitFrame into a buffer).
  */
 class WireWriter
 {
   public:
+    /** An appending writer over an empty buffer. */
+    WireWriter() = default;
+    /**
+     * A sized writer: @p buffer, resized to @p n bytes, is filled
+     * from its start. Bytes it already holds are overwritten, not
+     * value-initialized first; only bytes past its old length (or,
+     * when it must reallocate, all @p n) are.
+     */
+    WireWriter(std::vector<std::uint8_t> buffer, std::size_t n);
+
     /** Size the buffer for @p n bytes up front (one allocation). */
     void reserve(std::size_t n) { bytes_.reserve(n); }
     /** Append @p n already-encoded bytes verbatim. */
-    void raw(const std::uint8_t *data, std::size_t n)
-    {
-        bytes_.insert(bytes_.end(), data, data + n);
-    }
-    void u8(std::uint8_t v) { bytes_.push_back(v); }
+    void raw(const std::uint8_t *data, std::size_t n);
+    void u8(std::uint8_t v) { *grow(1) = v; }
     void u16(std::uint16_t v);
     void u32(std::uint32_t v);
     void u64(std::uint64_t v);
@@ -211,14 +221,25 @@ class WireWriter
     /** i64 rows, i64 cols, then row-major elements as f64. */
     void dense(const Dense<Scalar> &m);
 
+    /** Bytes written so far. */
+    std::size_t size() const { return end_; }
+    /** The buffer: the bytes written (for a sized writer, once all
+     *  of them are). */
     const std::vector<std::uint8_t> &bytes() const { return bytes_; }
-    std::vector<std::uint8_t> take() { return std::move(bytes_); }
+    /** The bytes written, handed over. */
+    std::vector<std::uint8_t> take()
+    {
+        bytes_.resize(end_);
+        return std::move(bytes_);
+    }
 
   private:
-    /** Extend the buffer by @p n bytes; @return where they start. */
+    /** Claim the next @p n bytes; @return where they start. */
     std::uint8_t *grow(std::size_t n);
 
     std::vector<std::uint8_t> bytes_;
+    /** Bytes written: bytes_.size() unless the writer is sized. */
+    std::size_t end_ = 0;
 };
 
 /**
@@ -228,7 +249,8 @@ class WireWriter
  * negative or over-cap sizes and lengths that promise more bytes
  * than remain. Bounds are checked once per read, so vec() and
  * dense() load their elements one word each, as WireWriter stores
- * them.
+ * them, straight into storage the result adopts: one pass, with no
+ * value-initialization before it.
  */
 class WireReader
 {
@@ -284,17 +306,24 @@ struct Frame
 /**
  * Incremental frame splitter for a TCP byte stream.
  *
- * feed() takes raw bytes; next() yields complete frames in order.
- * Each byte fed is copied once, into its frame's header or payload,
- * and next() hands the payload over without copying it, so a frame
- * costs one copy between recv() and its consumer. A payload buffer
+ * Bytes reach a frame one of two ways: feed() copies them from the
+ * caller's buffer, and a caller that receives straight into the open
+ * frame (FramedSocket does, for large payloads) asks payloadRoom()
+ * where they go and reports them with commitPayload(). Either way
+ * each byte lands once, in its frame's header or payload, and next()
+ * hands the payload over without copying it, so a frame costs at
+ * most one copy between recv() and its consumer. A payload buffer
  * grows with the bytes that have arrived (at most kGrowthFactor
  * times them, and never past the header's length): a peer that
- * claims megabytes and sends nothing gets nothing allocated. A
- * payload the caller leaves in the Frame it passes to next() comes
- * back as the buffer the next frame is received into, so a
- * connection's stream of large frames reuses memory it has already
- * filled instead of faulting in fresh pages for each.
+ * claims megabytes and sends nothing gets nothing allocated.
+ *
+ * A payload the caller leaves in the Frame it passes to next() is
+ * kept, length and all (only the largest such buffer is kept), and
+ * the next frame that claims at least half its capacity is received
+ * into it. So a connection's stream of large frames reuses memory it
+ * has already filled, with no fresh allocation and no zero-fill per
+ * frame; a buffer the decoder grows never passes its header's
+ * length, and one it reuses stays under twice that.
  *
  * A frame-level violation (bad magic/version, payload length over
  * the cap) poisons the decoder permanently — the stream cannot be
@@ -323,6 +352,23 @@ class FrameDecoder
     /** Take @p len raw stream bytes. */
     void feed(const std::uint8_t *data, std::size_t len);
 
+    /** Payload bytes the open frame still needs (0 while no frame
+     *  is open: between frames, mid-header, or poisoned). */
+    std::size_t payloadOwed() const;
+
+    /**
+     * Where the open frame's next payload bytes go, for a caller
+     * that receives into the payload itself: at least one byte of
+     * room is made (growing the buffer as feed() would for bytes
+     * that have arrived) and *@p room gets its size, never more than
+     * payloadOwed(). @pre payloadOwed() > 0.
+     */
+    std::uint8_t *payloadRoom(std::size_t *room);
+
+    /** @p n bytes were written at payloadRoom(): they have arrived.
+     *  @pre n is at most the room payloadRoom() reported. */
+    void commitPayload(std::size_t n);
+
     /**
      * Move the next complete frame into @p out. Whatever payload
      * @p out held is taken back first, on every result, as the
@@ -344,14 +390,23 @@ class FrameDecoder
     /** Check the header in head_ and open cur_ on it; poisons the
      *  decoder and @return false on a frame-level violation. */
     bool openFrame();
+    /** Grow cur_'s payload capacity to what @p arrived bytes allow
+     *  (kGrowthFactor times them, at least kFirstPayloadBytes, never
+     *  past the claim), moving only the bytes that have arrived.
+     *  @return that capacity. */
+    std::size_t reservePayload(std::size_t arrived);
 
     std::uint32_t max_payload_;
     /** Header bytes of the frame being received. */
     std::uint8_t head_[kFrameHeaderBytes] = {};
     std::size_t head_len_ = 0;
-    /** The frame being received, once head_ is complete. */
+    /** The frame being received, once head_ is complete. Its
+     *  payload may be longer than the bytes that have arrived: the
+     *  rest is room, overwritten as bytes arrive. */
     Frame cur_;
-    /** A consumed payload's buffer, empty and kept for the next. */
+    /** Payload bytes of cur_ that have arrived. */
+    std::size_t filled_ = 0;
+    /** A consumed payload's buffer, kept for a later frame. */
     std::vector<std::uint8_t> spare_;
     /** Complete frames next() has not handed out yet. */
     std::deque<Frame> ready_;
@@ -393,11 +448,24 @@ std::vector<std::uint8_t> buildFrame(FrameType type, std::uint64_t tag,
                                      const std::vector<std::uint8_t>
                                          &payload);
 
+/** The header of a @p type frame whose @p payload_len payload bytes
+ *  are sent after it, from wherever they already are. */
+std::vector<std::uint8_t> buildFrameHeader(FrameType type,
+                                           std::uint64_t tag,
+                                           std::size_t payload_len);
+
 /** SUBMIT carrying @p req (engine, kind, w, flags, operands); the
  *  flags byte packs crossCheck, the execution mode, and recordTrace
  *  (see kSubmitFlag*). */
 std::vector<std::uint8_t> buildSubmitFrame(std::uint64_t tag,
                                            const ServeRequest &req);
+
+/** As buildSubmitFrame(tag, req), encoded into *@p frame's buffer
+ *  (a sized WireWriter): a client that reuses one buffer per
+ *  connection writes each SUBMIT once, with no allocation and no
+ *  zero-fill once the buffer has reached the frame's size. */
+void buildSubmitFrame(std::uint64_t tag, const ServeRequest &req,
+                      std::vector<std::uint8_t> *frame);
 
 /** RESPONSE carrying @p resp. */
 std::vector<std::uint8_t> buildResponseFrame(std::uint64_t tag,
@@ -412,13 +480,14 @@ std::vector<std::uint8_t> buildMetricsFrame(std::uint64_t tag,
                                                 &snap);
 
 /**
- * FORWARD wrapping an already-encoded SUBMIT payload together with
- * its precomputed plan digest (the gateway relays the payload bytes
- * it scanned for routing — no re-encode). @p digest MUST equal
- * planDigest() of the embedded request; it is a cache/routing hint,
- * and correctness never depends on it (the plan cache confirms every
- * digest hit with an exact matrix comparison). The frame is built in
- * one pre-sized buffer, so the SUBMIT bytes are copied once.
+ * The head of a FORWARD frame: its header, whose length covers the
+ * @p submit_len bytes of SUBMIT payload that follow, and the
+ * envelope — the gateway sends these bytes and then the SUBMIT
+ * payload it already holds, so the payload is never copied into a
+ * FORWARD. @p digest MUST equal planDigest() of the embedded
+ * request; it is a cache/routing hint, and correctness never depends
+ * on it (the plan cache confirms every digest hit with an exact
+ * matrix comparison).
  *
  * Layout: u64 digest | u8 ctx-present (0 or 1) | [trace-context
  * block when 1] | embedded SUBMIT payload. @p ctx (optional) is the
@@ -428,9 +497,8 @@ std::vector<std::uint8_t> buildMetricsFrame(std::uint64_t tag,
  * re-encoding the client's bytes.
  */
 std::vector<std::uint8_t>
-buildForwardFrame(std::uint64_t tag, Digest digest,
-                  const std::vector<std::uint8_t> &submit_payload,
-                  const TraceContext *ctx = nullptr);
+buildForwardHead(std::uint64_t tag, Digest digest, std::size_t submit_len,
+                 const TraceContext *ctx = nullptr);
 
 /** Empty-payload TRACES: "send me your committed trace rings". */
 std::vector<std::uint8_t> buildTracesRequestFrame(std::uint64_t tag);

@@ -38,14 +38,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "base/byte_order.hh"
 #include "mat/generate.hh"
 #include "net/client.hh"
 #include "net/gateway.hh"
 #include "net/server.hh"
+#include "serve/plan_cache.hh"
 
 #include "flaky_backend.hh"
 #include "tests/front_door_cases.hh"
 #include "tests/fuzz_corpus.hh"
+#include "tests/wire_oracle.hh"
 
 namespace sap {
 namespace {
@@ -406,7 +409,7 @@ TEST(Gateway, MalformedSubmitNeverReachesABackend)
     {
         // A tier-up FORWARD whose embedded SUBMIT is truncated.
         std::vector<std::uint8_t> frame =
-            buildForwardFrame(tag++, 42, truncated);
+            wire_oracle::buildForwardFrame(tag++, 42, truncated);
         std::vector<std::uint8_t> forward(
             frame.begin() + kFrameHeaderBytes, frame.end());
         Digest digest = 0;
@@ -618,6 +621,95 @@ TEST(Gateway, LastBackendDyingFailsInflightCleanly)
     EXPECT_TRUE(flaky.dead());
     EXPECT_GE(gatewayCounter(gw, "gateway_failovers_total"), 1u);
     EXPECT_GE(gatewayCounter(gw, "gateway_errors_total"), reqs.size());
+}
+
+//----------------------------------------------------------------------
+// What the gateway puts on the wire.
+//----------------------------------------------------------------------
+
+/** The FORWARD of @p req the gateway must have sent as @p sent (its
+ *  tag is the gateway's own): the byte-wise oracle's one-buffer
+ *  frame, trace context included when @p ctx is set. */
+bool
+isForwardOf(const std::vector<std::uint8_t> &sent, const ServeRequest &req,
+            const TraceContext *ctx)
+{
+    return sent.size() >= kFrameHeaderBytes &&
+           sent == wire_oracle::buildForwardFrame(
+                       loadLe64(sent.data() + 8),
+                       planDigest(req.engine, req.plan), encodeSubmit(req),
+                       ctx);
+}
+
+TEST(Gateway, ForwardBytesOnTheWireMatchTheOracle)
+{
+    // The gateway sends a FORWARD as a head and then the client's
+    // SUBMIT payload, shared with the backend's output queue. On the
+    // wire that must be exactly the oracle's frame, with and without
+    // a trace context, whatever size the client's reused SUBMIT
+    // buffer had before.
+    RecordingBackend backend(RecordingBackend::OnForward::Record);
+    Gateway gw(gatewayOptions({{"127.0.0.1", backend.port(), 0}}));
+    ASSERT_TRUE(gw.start()) << gw.error();
+    ASSERT_TRUE(waitUntil([&] { return gw.routableBackends() == 1; }));
+    NetClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", gw.port()));
+
+    std::size_t sent = 0;
+    for (bool traced : {false, true, false}) {
+        SCOPED_TRACE(traced ? "traced" : "untraced");
+        ServeRequest req = matVecRequest(30000 + 100 * sent, 64, 8);
+        if (traced) {
+            req.traceContext.traceIdHi = 0x0123456789abcdefULL;
+            req.traceContext.traceIdLo = 0x1122334455667788ULL;
+            req.traceContext.sampled = true;
+            req.traceContext.originNanos = 12345;
+        }
+        NetClient::Result r = client.submit(req);
+        ASSERT_TRUE(r.transportOk) << r.transportError;
+        EXPECT_EQ(r.response.error, "recorded");
+        const std::vector<std::vector<std::uint8_t>> forwards =
+            backend.forwards();
+        ASSERT_EQ(forwards.size(), ++sent);
+        EXPECT_TRUE(isForwardOf(forwards.back(), req,
+                                traced ? &req.traceContext : nullptr));
+    }
+}
+
+TEST(Gateway, ResubmitAfterADeathMidFrameSendsTheSameBytes)
+{
+    // Backend 0 reads only the head of a 2.1 MB FORWARD and dies, so
+    // the payload — shared by the in-flight entry and backend 0's
+    // output queue — is mostly still queued when the connection
+    // drops. The resubmission to backend 1 must carry the same bytes,
+    // and the shared buffer must outlive neither owner (ASan).
+    RecordingBackend dying(RecordingBackend::OnForward::DieMidFrame);
+    RecordingBackend recorder(RecordingBackend::OnForward::Record);
+    Gateway gw(gatewayOptions({{"127.0.0.1", dying.port(), 0},
+                               {"127.0.0.1", recorder.port(), 0}}));
+    ASSERT_TRUE(gw.start()) << gw.error();
+    ASSERT_TRUE(waitUntil([&] { return gw.routableBackends() == 2; }));
+
+    // A 512² request that backend 0 owns while both are routable.
+    const ConsistentHashRouter ring(2);
+    ServeRequest req;
+    for (std::uint64_t seed = 40000;; seed += 100) {
+        req = matVecRequest(seed, 512, 32);
+        if (ring.shardFor(planDigest(req.engine, req.plan)) == 0)
+            break;
+    }
+    NetClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", gw.port()));
+    NetClient::Result r = client.submit(req);
+    ASSERT_TRUE(r.transportOk) << r.transportError;
+    EXPECT_EQ(r.response.error, "recorded");
+    EXPECT_TRUE(dying.dead());
+    EXPECT_EQ(gatewayCounter(gw, "gateway_resubmits_total"), 1u);
+    const std::vector<std::vector<std::uint8_t>> forwards =
+        recorder.forwards();
+    ASSERT_EQ(forwards.size(), 1u);
+    EXPECT_GT(forwards[0].size(), std::size_t{2} << 20);
+    EXPECT_TRUE(isForwardOf(forwards[0], req, nullptr));
 }
 
 TEST(Gateway, DeadBackendRejoinsTheRingOnRecovery)

@@ -2,18 +2,26 @@
  * @file
  * Wire-protocol unit and property tests: encode/decode round-trips
  * over randomized requests for all three problem kinds, incremental
- * frame decoding under adversarial chunking, and the malformed-
- * payload catalogue — every bad input must fail cleanly with a
- * reason, never crash or over-read.
+ * frame decoding under adversarial chunking, the malformed-payload
+ * catalogue — every bad input must fail cleanly with a reason, never
+ * crash or over-read — and FramedSocket's segment output and
+ * in-place receive over real sockets.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstring>
+#include <thread>
+
+#include <poll.h>
+#include <sys/socket.h>
 
 #include "base/random.hh"
 #include "mat/generate.hh"
+#include "net/framed_socket.hh"
 #include "net/protocol.hh"
 #include "serve/plan_cache.hh"
 #include "wire_oracle.hh"
@@ -192,16 +200,25 @@ TEST_P(NetRoundTrip, FrameSurvivesAdversarialChunking)
                            big_bytes.end()));
 
     // Consumed in place, that payload's buffer takes the next frame:
-    // the same 2.1 MB arrives again without a new allocation.
+    // the same 2.1 MB arrives again without a new allocation, and
+    // then a smaller frame (511x512, over half the buffer) arrives in
+    // it with its own length, none of the larger frame's tail.
     const std::uint8_t *const buffer = frame.payload.data();
-    ASSERT_EQ(fresh.next(&frame, &err), FrameDecoder::Result::NeedMore);
-    EXPECT_TRUE(frame.payload.empty());
-    fresh.feed(big_bytes.data(), big_bytes.size());
-    ASSERT_EQ(fresh.next(&frame, &err), FrameDecoder::Result::Ok);
-    EXPECT_EQ(frame.payload.data(), buffer);
-    EXPECT_TRUE(std::equal(frame.payload.begin(), frame.payload.end(),
-                           big_bytes.begin() + kFrameHeaderBytes,
-                           big_bytes.end()));
+    big.plan.a = randomIntDense(511, 512, 7703 + GetParam());
+    big.plan.b = randomIntVec(511, 7704);
+    const std::vector<std::uint8_t> smaller_bytes = buildSubmitFrame(6, big);
+    for (const std::vector<std::uint8_t> *bytes :
+         {&big_bytes, &smaller_bytes}) {
+        ASSERT_EQ(fresh.next(&frame, &err), FrameDecoder::Result::NeedMore);
+        EXPECT_TRUE(frame.payload.empty());
+        fresh.feed(bytes->data(), bytes->size());
+        ASSERT_EQ(fresh.next(&frame, &err), FrameDecoder::Result::Ok);
+        EXPECT_EQ(frame.payload.data(), buffer);
+        EXPECT_EQ(frame.payload.size(), frame.header.payloadLen);
+        EXPECT_TRUE(std::equal(frame.payload.begin(), frame.payload.end(),
+                               bytes->begin() + kFrameHeaderBytes,
+                               bytes->end()));
+    }
 }
 
 TEST_P(NetRoundTrip, PlanDigestFromBytesMatchesTheRequest)
@@ -231,7 +248,7 @@ TEST_P(NetRoundTrip, PlanDigestFromBytesMatchesTheRequest)
         EXPECT_EQ(view.payload.size, payload.size());
 
         const std::vector<std::uint8_t> frame =
-            buildForwardFrame(1, expected, payload);
+            wire_oracle::buildForwardFrame(1, expected, payload);
         const std::vector<std::uint8_t> forward(
             frame.begin() + kFrameHeaderBytes, frame.end());
         Digest carried = 0;
@@ -1125,8 +1142,8 @@ std::vector<std::uint8_t>
 forwardPayload(const TraceContext *ctx)
 {
     std::vector<std::uint8_t> frame =
-        buildForwardFrame(1, 0x1122334455667788ull,
-                          goodSubmitPayload(), ctx);
+        wire_oracle::buildForwardFrame(1, 0x1122334455667788ull,
+                                       goodSubmitPayload(), ctx);
     return std::vector<std::uint8_t>(frame.begin() + 20, frame.end());
 }
 
@@ -1152,8 +1169,9 @@ TEST(NetProtocol, ForwardRoundTripsWithAndWithoutContext)
 
 TEST(NetProtocol, ForwardFrameIsHeaderThenEnvelopeThenSubmit)
 {
-    // buildForwardFrame writes everything into one buffer; the bytes
-    // must be exactly the generic frame around envelope + payload.
+    // The gateway sends buildForwardHead and then the SUBMIT payload;
+    // together they must be exactly the byte-wise oracle's frame,
+    // which is the generic frame around envelope + payload.
     const std::vector<std::uint8_t> submit = goodSubmitPayload();
     TraceContext ctx = sampleContext();
     for (const TraceContext *c : {static_cast<TraceContext *>(nullptr),
@@ -1165,8 +1183,13 @@ TEST(NetProtocol, ForwardFrameIsHeaderThenEnvelopeThenSubmit)
             encodeTraceContext(w, *c);
         std::vector<std::uint8_t> payload = w.take();
         payload.insert(payload.end(), submit.begin(), submit.end());
-        EXPECT_EQ(buildForwardFrame(5, 0xabcdef, submit, c),
-                  buildFrame(FrameType::Forward, 5, payload));
+        const std::vector<std::uint8_t> oracle =
+            wire_oracle::buildForwardFrame(5, 0xabcdef, submit, c);
+        EXPECT_EQ(oracle, buildFrame(FrameType::Forward, 5, payload));
+        std::vector<std::uint8_t> sent =
+            buildForwardHead(5, 0xabcdef, submit.size(), c);
+        sent.insert(sent.end(), submit.begin(), submit.end());
+        EXPECT_EQ(sent, oracle);
     }
 }
 
@@ -1184,7 +1207,7 @@ TEST(NetProtocol, ForwardContextOverridesEmbeddedSubmitContext)
     req.traceContext.attempt = 0;
     TraceContext fwd_ctx = sampleContext();
     fwd_ctx.attempt = 2;
-    std::vector<std::uint8_t> frame = buildForwardFrame(
+    std::vector<std::uint8_t> frame = wire_oracle::buildForwardFrame(
         1, 42, encodeSubmit(req), &fwd_ctx);
     std::vector<std::uint8_t> payload(frame.begin() + 20,
                                       frame.end());
@@ -1356,6 +1379,235 @@ TEST(NetProtocol, TracesBadTierAndCountRejected)
         EXPECT_NE(err.find("exceeds payload"), std::string::npos)
             << err;
     }
+}
+
+//---------------------------------------------------------------------
+// FramedSocket: segment output and in-place receive
+//---------------------------------------------------------------------
+
+/** A non-blocking AF_UNIX stream pair; the first end's send buffer
+ *  is capped at @p sndbuf bytes when nonzero. */
+void
+socketPair(int sv[2], int sndbuf)
+{
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, sv),
+              0);
+    if (sndbuf > 0)
+        ::setsockopt(sv[0], SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                     sizeof(sndbuf));
+}
+
+/** mv512_fast_hot's request: a 512x512 mat-vec, 2.1 MB on the wire. */
+ServeRequest
+mv512Request(std::uint64_t seed)
+{
+    ServeRequest req;
+    req.engine = "linear";
+    req.plan = EnginePlan::matVec(randomIntDense(512, 512, seed),
+                                  randomIntVec(512, seed + 1),
+                                  randomIntVec(512, seed + 2), 32);
+    return req;
+}
+
+TEST(NetFramedSocket, OwnedAndSharedSegmentsArriveInOrder)
+{
+    // Owned and shared segments, interleaved, through a send buffer
+    // far smaller than the output: read at random chunk sizes, the
+    // peer gets exactly their concatenation.
+    int sv[2];
+    socketPair(sv, 4096);
+    FramedSocket writer(sv[0]), reader(sv[1]);
+    Rng rng(8100);
+    std::vector<std::uint8_t> expected;
+    for (int i = 0; i < 24; ++i) {
+        std::vector<std::uint8_t> bytes(
+            static_cast<std::size_t>(rng.uniformInt(1, 100000)));
+        for (std::uint8_t &b : bytes)
+            b = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+        expected.insert(expected.end(), bytes.begin(), bytes.end());
+        if (i % 3 == 0)
+            writer.queue(std::make_shared<const std::vector<std::uint8_t>>(
+                std::move(bytes)));
+        else
+            writer.queue(std::move(bytes));
+        writer.queue(std::vector<std::uint8_t>()); // queues nothing
+    }
+    ASSERT_EQ(writer.queuedBytes(), expected.size());
+    ASSERT_EQ(writer.output.size(), 24u);
+
+    std::vector<std::uint8_t> got;
+    std::uint64_t sent = 0;
+    std::uint8_t buf[8192];
+    while (got.size() < expected.size()) {
+        ASSERT_TRUE(writer.flush(&sent));
+        ASSERT_EQ(writer.queuedBytes() + sent, expected.size());
+        const ssize_t n = ::recv(
+            sv[1], buf, static_cast<std::size_t>(rng.uniformInt(1, 8192)),
+            0);
+        if (n > 0)
+            got.insert(got.end(), buf, buf + n);
+        else
+            ASSERT_TRUE(n < 0 && errno == EAGAIN) << n;
+    }
+    EXPECT_EQ(sent, expected.size());
+    EXPECT_EQ(writer.queuedBytes(), 0u);
+    EXPECT_TRUE(writer.output.empty());
+    EXPECT_TRUE(got == expected);
+}
+
+TEST(NetFramedSocket, SharedSegmentIsReleasedOnlyOnceSent)
+{
+    int sv[2];
+    socketPair(sv, 4096);
+    FramedSocket writer(sv[0]), reader(sv[1]);
+    auto payload =
+        std::make_shared<std::vector<std::uint8_t>>(1u << 20, 0x5a);
+    const std::weak_ptr<std::vector<std::uint8_t>> watch = payload;
+    writer.queue(std::vector<std::uint8_t>(100, 0x01));
+    writer.queue(SharedBytes(payload));
+    payload.reset(); // the queue holds the last reference now
+
+    std::uint64_t sent = 0;
+    ASSERT_TRUE(writer.flush(&sent));
+    ASSERT_LT(sent, 100u + (1u << 20)) << "the send buffer took it all";
+    std::uint8_t buf[65536];
+    std::size_t got = 0;
+    while (writer.queuedBytes() > 0) {
+        EXPECT_FALSE(watch.expired())
+            << "released with " << writer.queuedBytes() << " bytes unsent";
+        const ssize_t n = ::recv(sv[1], buf, sizeof(buf), 0);
+        if (n > 0)
+            got += static_cast<std::size_t>(n);
+        ASSERT_TRUE(writer.flush(&sent));
+    }
+    EXPECT_TRUE(watch.expired());
+    EXPECT_EQ(sent, 100u + (1u << 20));
+
+    // Closing drops what is still queued, shared bytes included.
+    auto more = std::make_shared<std::vector<std::uint8_t>>(1u << 20, 1);
+    const std::weak_ptr<std::vector<std::uint8_t>> watch_more = more;
+    writer.queue(SharedBytes(std::move(more)));
+    EXPECT_FALSE(watch_more.expired());
+    writer.close();
+    EXPECT_TRUE(watch_more.expired());
+    EXPECT_EQ(writer.queuedBytes(), 0u);
+}
+
+TEST(NetFramedSocket, PipelinedSubmitsQueueWithoutACopy)
+{
+    // Eight mv512 SUBMITs queued back to back, as submitBatch
+    // pipelines them: each frame stays in the buffer it was encoded
+    // into, however much output is pending ahead of it.
+    const ServeRequest req = mv512Request(8200);
+    FramedSocket sock;
+    std::vector<const std::uint8_t *> buffers;
+    std::size_t total = 0;
+    for (std::uint64_t tag = 1; tag <= 8; ++tag) {
+        std::vector<std::uint8_t> frame = buildSubmitFrame(tag, req);
+        ASSERT_GT(frame.size(), std::size_t{2} << 20);
+        buffers.push_back(frame.data());
+        total += frame.size();
+        sock.queue(std::move(frame));
+    }
+    ASSERT_EQ(sock.output.size(), 8u);
+    for (std::size_t i = 0; i < 8; ++i)
+        EXPECT_EQ(sock.output[i].data(), buffers[i]) << "frame " << i;
+    EXPECT_EQ(sock.queuedBytes(), total);
+}
+
+TEST(NetFramedSocket, LargeSmallAndEmptyFramesArriveIntact)
+{
+    // A 2.1 MB SUBMIT, a small RESPONSE and an empty PING back to
+    // back through FramedSocket::next: each arrives bit for bit, with
+    // no payload's capacity past its length field. A second 2.1 MB
+    // SUBMIT, sent once the first three are in, is received in place
+    // into the first one's buffer.
+    const std::vector<std::uint8_t> big =
+        buildSubmitFrame(1, mv512Request(8300));
+    WireResponse resp;
+    resp.ok = true;
+    resp.y = randomIntVec(10, 8301);
+    const std::vector<std::uint8_t> small = buildResponseFrame(2, resp);
+    const std::vector<std::uint8_t> ping = buildPingFrame(3);
+    const std::vector<std::uint8_t> again =
+        buildSubmitFrame(4, mv512Request(8302));
+
+    int sv[2];
+    socketPair(sv, 0);
+    FramedSocket reader(sv[1]);
+    std::atomic<bool> first_three_in{false};
+    // However the test ends, the writer is released and joined.
+    struct Join
+    {
+        std::thread thread;
+        std::atomic<bool> *go;
+        int fd;
+        ~Join()
+        {
+            go->store(true);
+            ::shutdown(fd, SHUT_RDWR);
+            thread.join();
+            ::close(fd);
+        }
+    } writer{{}, &first_three_in, sv[0]};
+    writer.thread = std::thread([&] {
+        auto sendAll = [&](const std::vector<std::uint8_t> &bytes) {
+            for (std::size_t off = 0; off < bytes.size();) {
+                const ssize_t n = ::send(sv[0], bytes.data() + off,
+                                         bytes.size() - off, MSG_NOSIGNAL);
+                if (n > 0) {
+                    off += static_cast<std::size_t>(n);
+                } else if (n < 0 && errno == EAGAIN) {
+                    pollfd pfd = {sv[0], POLLOUT, 0};
+                    ::poll(&pfd, 1, 100);
+                } else {
+                    return;
+                }
+            }
+        };
+        sendAll(big);
+        sendAll(small);
+        sendAll(ping);
+        while (!first_three_in.load())
+            std::this_thread::yield();
+        sendAll(again);
+    });
+
+    Frame frame;
+    std::string err;
+    std::uint64_t received = 0;
+    auto nextFrame = [&] {
+        for (;;) {
+            const FramedSocket::Read r =
+                reader.next(&frame, &err, &received);
+            if (r == FramedSocket::Read::Frame)
+                return true;
+            if (r != FramedSocket::Read::Drained)
+                return false;
+            pollfd pfd = {sv[1], POLLIN, 0};
+            ::poll(&pfd, 1, 1000);
+        }
+    };
+    const std::vector<std::uint8_t> *const want[] = {&big, &small, &ping,
+                                                     &again};
+    const std::uint8_t *big_buffer = nullptr;
+    for (std::size_t i = 0; i < 4; ++i) {
+        SCOPED_TRACE("frame " + std::to_string(i));
+        if (i == 3)
+            first_three_in.store(true);
+        ASSERT_TRUE(nextFrame()) << err;
+        EXPECT_EQ(frame.header.tag, i + 1);
+        ASSERT_EQ(frame.payload.size(), frame.header.payloadLen);
+        EXPECT_LE(frame.payload.capacity(), frame.header.payloadLen);
+        EXPECT_TRUE(std::equal(frame.payload.begin(), frame.payload.end(),
+                               want[i]->begin() + kFrameHeaderBytes,
+                               want[i]->end()));
+        if (i == 0)
+            big_buffer = frame.payload.data();
+    }
+    EXPECT_EQ(frame.payload.data(), big_buffer);
+    EXPECT_EQ(received,
+              big.size() + small.size() + ping.size() + again.size());
 }
 
 } // namespace

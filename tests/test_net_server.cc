@@ -23,6 +23,7 @@
 #include "net/server.hh"
 #include "tests/front_door_cases.hh"
 #include "tests/fuzz_corpus.hh"
+#include "tests/wire_oracle.hh"
 
 namespace sap {
 namespace {
@@ -137,7 +138,8 @@ TEST(NetServer, ForwardDigestIsAHintNeverAnAnswer)
     for (std::uint64_t tag = 1; tag <= 2; ++tag) {
         SCOPED_TRACE("forward " + std::to_string(tag));
         const ServeRequest &req = reqs[tag - 1];
-        conn.send(buildForwardFrame(tag, made_up, encodeSubmit(req)));
+        conn.send(wire_oracle::buildForwardFrame(tag, made_up,
+                                                 encodeSubmit(req)));
         Frame frame;
         ASSERT_TRUE(conn.readFrame(&frame));
         ASSERT_EQ(frame.header.type,

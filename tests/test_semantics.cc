@@ -323,6 +323,59 @@ TEST(SemanticsValidateMode, FastModeWithRecordTraceThrows)
     EXPECT_FALSE(r.trace.events().empty());
 }
 
+/** A NaN with payload @p payload and sign @p negative. */
+Scalar
+nanWithPayload(std::uint64_t payload, bool negative)
+{
+    const std::uint64_t bits = (negative ? 0xfff8000000000000ULL
+                                         : 0x7ff8000000000000ULL) |
+                               payload;
+    Scalar v;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+}
+
+TEST(SemanticsValidateMode, NaNResultsValidateAndEveryOtherBitCounts)
+{
+    // One quiet NaN in A: Simulate and Fast serve it, so Validate
+    // must too.
+    std::unique_ptr<SystolicEngine> engine = makeEngine("linear");
+    ASSERT_TRUE(engine);
+    EnginePlan plan = EnginePlan::matVec(randomIntDense(4, 4, 94),
+                                         randomIntVec(4, 95),
+                                         randomIntVec(4, 96), 2);
+    plan.a(1, 2) = std::numeric_limits<Scalar>::quiet_NaN();
+    for (ExecMode mode :
+         {ExecMode::Simulate, ExecMode::Fast, ExecMode::Validate}) {
+        plan.mode = mode;
+        EngineRunResult r;
+        ASSERT_NO_THROW(r = engine->run(plan)) << execModeName(mode);
+        EXPECT_TRUE(std::isnan(r.y[1])) << execModeName(mode);
+    }
+
+    // The diff itself: NaN payloads aside, every bit of y and C counts.
+    EngineRunResult sim, fast;
+    sim.y = Vec<Scalar>{1.0, nanWithPayload(0xbeef, false), 0.0};
+    fast.y = Vec<Scalar>{1.0, nanWithPayload(0, true), 0.0};
+    sim.c = Dense<Scalar>(1, 2);
+    sim.c(0, 0) = nanWithPayload(1, true);
+    sim.c(0, 1) = 3.0;
+    fast.c = sim.c;
+    fast.c(0, 0) = nanWithPayload(2, false);
+    EXPECT_NO_THROW(diffOrThrow("linear", sim, fast));
+
+    EngineRunResult one_bit = fast;
+    one_bit.y[0] = std::nextafter(1.0, 2.0);
+    EXPECT_THROW(diffOrThrow("linear", sim, one_bit), EngineError);
+    one_bit = fast;
+    one_bit.c(0, 1) = std::nextafter(3.0, 0.0);
+    EXPECT_THROW(diffOrThrow("linear", sim, one_bit), EngineError);
+
+    EngineRunResult signed_zero = fast;
+    signed_zero.y[2] = -0.0;
+    EXPECT_THROW(diffOrThrow("linear", sim, signed_zero), EngineError);
+}
+
 //---------------------------------------------------------------------
 // Recoverable validation (satellites 1 and 2)
 //---------------------------------------------------------------------

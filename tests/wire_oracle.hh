@@ -5,7 +5,9 @@
  * with push_back (and read back the same way). It spells out the
  * little-endian layout of net/protocol.hh with no word loads or
  * stores, which makes it the oracle of the bulk codec's round-trip
- * tests.
+ * tests. buildForwardFrame lays out a whole FORWARD frame in one
+ * buffer, the bytes the gateway sends as a head and a shared SUBMIT
+ * payload.
  */
 
 #ifndef SAP_TESTS_WIRE_ORACLE_HH
@@ -18,6 +20,7 @@
 
 #include "mat/dense.hh"
 #include "mat/vector.hh"
+#include "net/protocol.hh"
 
 namespace sap {
 namespace wire_oracle {
@@ -168,6 +171,39 @@ class ByteReader
     const std::vector<std::uint8_t> &bytes_;
     std::size_t pos_ = 0;
 };
+
+/**
+ * A FORWARD frame in one buffer, byte by byte: header, u64 digest,
+ * u8 ctx-present, the trace-context block when @p ctx is valid, then
+ * @p submit_payload.
+ */
+inline std::vector<std::uint8_t>
+buildForwardFrame(std::uint64_t tag, Digest digest,
+                  const std::vector<std::uint8_t> &submit_payload,
+                  const TraceContext *ctx = nullptr)
+{
+    const bool with_ctx = ctx && ctx->valid();
+    ByteWriter w;
+    w.u32(kWireMagic);
+    w.u16(kWireVersion);
+    w.u16(static_cast<std::uint16_t>(FrameType::Forward));
+    w.u64(tag);
+    w.u32(static_cast<std::uint32_t>(
+        9 + (with_ctx ? kTraceContextBytes : 0) + submit_payload.size()));
+    w.u64(digest);
+    w.u8(with_ctx ? 1 : 0);
+    if (with_ctx) {
+        w.u64(ctx->traceIdHi);
+        w.u64(ctx->traceIdLo);
+        w.u8(ctx->sampled ? kTraceCtxFlagSampled : 0);
+        w.u64(ctx->originNanos);
+        w.u8(ctx->attempt);
+    }
+    std::vector<std::uint8_t> frame = w.bytes();
+    frame.insert(frame.end(), submit_payload.begin(),
+                 submit_payload.end());
+    return frame;
+}
 
 } // namespace wire_oracle
 } // namespace sap
