@@ -247,7 +247,8 @@ linear512()
 /**
  * Fast mode on a live plan: one runPrepared, which builds x̄ and b̄,
  * replays the band (semantics/band_kernel.hh) and extracts y. The
- * shapes are mv512_fast_hot's and mixed_cold_open's linear and tri.
+ * shapes are mv512_fast_hot's and mixed_cold_open's linear and tri;
+ * overlapped runs mv512's band as two halves of the same plan.
  */
 void
 BM_FastRun(benchmark::State &state, const char *engine,
@@ -264,6 +265,7 @@ BM_FastRun(benchmark::State &state, const char *engine,
     }
 }
 BENCHMARK_CAPTURE(BM_FastRun, linear_512_32, "linear", linear512);
+BENCHMARK_CAPTURE(BM_FastRun, overlapped_512_32, "overlapped", linear512);
 BENCHMARK_CAPTURE(BM_FastRun, linear_128_8, "linear", prepareLinear);
 BENCHMARK_CAPTURE(BM_FastRun, tri_128_8, "tri", prepareTri);
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "dbt/interleave.hh"
+#include "base/math_util.hh"
 
 namespace sap {
 
@@ -43,6 +43,27 @@ MatVecPlan::makeSpec(const Vec<Scalar> &x, const Vec<Scalar> &b) const
     return spec;
 }
 
+std::array<BandMatVecSpec, 2>
+MatVecPlan::makeSplitSpecs(const Vec<Scalar> &x, const Vec<Scalar> &b) const
+{
+    const MatVecDims &d = dims();
+    SAP_ASSERT(d.nbar >= 2,
+               "cannot split a problem with a single block row");
+    const BandMatVecSpec whole = makeSpec(x, b);
+    auto range = [&](Index first, Index rows) {
+        BandMatVecSpec half;
+        half.abar = whole.abar;
+        half.bIsExternal = whole.bIsExternal;
+        half.firstRow = first;
+        half.rowCount = rows;
+        half.xbar = whole.xbar.slice(first, rows + d.w - 1);
+        half.externalB = whole.externalB.slice(first, rows);
+        return half;
+    };
+    const Index cut = ceilDiv(d.nbar, 2) * d.mbar * d.w;
+    return {range(0, cut), range(cut, d.barRows() - cut)};
+}
+
 MatVecPlanResult
 MatVecPlan::run(const Vec<Scalar> &x, const Vec<Scalar> &b,
                 bool record_trace) const
@@ -62,12 +83,12 @@ MatVecPlan::run(const Vec<Scalar> &x, const Vec<Scalar> &b,
 MatVecPlanResult
 MatVecPlan::runOverlapped(const Vec<Scalar> &x, const Vec<Scalar> &b) const
 {
-    SplitProblem split(transform_, x, b);
-    InterleavedRunResult r = runInterleaved(split.first(),
-                                            split.second());
+    const std::array<BandMatVecSpec, 2> halves = makeSplitSpecs(x, b);
+    InterleavedRunResult r = runInterleaved(halves[0], halves[1]);
 
     MatVecPlanResult out;
-    out.y = split.extractY(r.first.ybar, r.second.ybar);
+    r.first.ybar.append(r.second.ybar);
+    out.y = transform_.extractY(r.first.ybar);
     out.stats = r.combined;
     out.observedFeedbackDelay = r.first.observedFeedbackDelay;
     out.feedbackRegisters = r.first.feedbackRegisters;

@@ -11,6 +11,7 @@
 #ifndef SAP_DBT_MATVEC_PLAN_HH
 #define SAP_DBT_MATVEC_PLAN_HH
 
+#include <array>
 #include <memory>
 
 #include "dbt/matvec_transform.hh"
@@ -115,6 +116,18 @@ class MatVecPlan
      */
     BandMatVecSpec makeSpec(const Vec<Scalar> &x,
                             const Vec<Scalar> &b) const;
+
+    /**
+     * The two halves of makeSpec(x, b) that runOverlapped()
+     * interleaves: band rows [0, cut) and [cut, end), cut after
+     * ⌈n̄/2⌉ original block rows (the paper's balanced cut). The cut
+     * is a multiple of m̄ band block rows, so no feedback chain
+     * crosses it. Both specs point at this plan's band and flags.
+     *
+     * @pre dims().nbar >= 2.
+     */
+    std::array<BandMatVecSpec, 2> makeSplitSpecs(const Vec<Scalar> &x,
+                                                 const Vec<Scalar> &b) const;
 
   private:
     MatVecTransform transform_;

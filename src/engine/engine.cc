@@ -1,11 +1,10 @@
 #include "engine/engine.hh"
 
 #include <cmath>
+#include <type_traits>
 
-#include "analysis/formulas.hh"
 #include "base/error.hh"
 #include "base/logging.hh"
-#include "base/math_util.hh"
 #include "baseline/block_no_feedback.hh"
 #include "dbt/matmul_plan.hh"
 #include "dbt/matvec_plan.hh"
@@ -245,143 +244,6 @@ PreparedPlan::builtFrom(const EnginePlan &plan) const
 
 namespace {
 
-/**
- * Fallback prepared representation: the whole EnginePlan, so that
- * engines which only implement run() still speak the prepared
- * protocol (they re-transform per request, but behave identically).
- */
-class GenericPrepared : public PreparedPlan
-{
-  public:
-    explicit GenericPrepared(const EnginePlan &p)
-        : PreparedPlan(p), plan(p)
-    {
-    }
-
-    EnginePlan plan;
-
-  private:
-    // The bound matrices; the streamed operands are replaced per
-    // request (runPrepared), so they are not part of the plan.
-    bool
-    storesDataOf(const EnginePlan &p) const override
-    {
-        return sameBits(plan.a, p.a) &&
-               (p.kind != ProblemKind::MatMul ||
-                sameBits(plan.bmat, p.bmat));
-    }
-};
-
-/** The linear family's prepared artifact: the DBT mat-vec plan. */
-class MatVecPrepared : public PreparedPlan
-{
-  public:
-    explicit MatVecPrepared(const EnginePlan &p)
-        : PreparedPlan(p), plan(p.a, p.w)
-    {
-    }
-
-    MatVecPlan plan;
-
-  private:
-    bool
-    storesDataOf(const EnginePlan &p) const override
-    {
-        return plan.transform().builtFrom(p.a);
-    }
-};
-
-/** The hex family's prepared artifact: the DBT mat-mul plan. */
-class MatMulPrepared : public PreparedPlan
-{
-  public:
-    explicit MatMulPrepared(const EnginePlan &p)
-        : PreparedPlan(p), plan(p.a, p.bmat, p.w)
-    {
-    }
-
-    bool reusedSkeleton() const override { return plan.reusedSkeleton(); }
-
-    MatMulPlan plan;
-
-  private:
-    // The skeleton is a function of the shape, already compared.
-    bool
-    storesDataOf(const EnginePlan &p) const override
-    {
-        return plan.transform().builtFrom(p.a, p.bmat,
-                                          plan.skeleton()->copies());
-    }
-};
-
-/** The mesh engine's prepared artifact: padded block partitions. */
-class MeshPrepared : public PreparedPlan
-{
-  public:
-    explicit MeshPrepared(const EnginePlan &p)
-        : PreparedPlan(p), plan(p.a, p.bmat, p.w)
-    {
-    }
-
-    MeshMatMulPlan plan;
-
-  private:
-    bool
-    storesDataOf(const EnginePlan &p) const override
-    {
-        return plan.builtFrom(p.a, p.bmat);
-    }
-};
-
-/** The tri engine's prepared artifact: panels + diagonal blocks. */
-class TriSolvePrepared : public PreparedPlan
-{
-  public:
-    explicit TriSolvePrepared(const EnginePlan &p)
-        : PreparedPlan(p), plan(p.a, p.w)
-    {
-    }
-
-    TriSolvePlan plan;
-
-  private:
-    bool
-    storesDataOf(const EnginePlan &p) const override
-    {
-        return plan.builtFrom(p.a);
-    }
-};
-
-/** The no-feedback baseline's prepared artifact: per-block plans. */
-class NoFeedbackPrepared : public PreparedPlan
-{
-  public:
-    explicit NoFeedbackPrepared(const EnginePlan &p)
-        : PreparedPlan(p), plan(p.a, p.w)
-    {
-    }
-
-    BlockNoFeedbackPlan plan;
-
-  private:
-    bool
-    storesDataOf(const EnginePlan &p) const override
-    {
-        return plan.builtFrom(p.a);
-    }
-};
-
-/** Checked downcast of a prepared plan to an engine's own type. */
-template <typename T>
-const T &
-preparedAs(const PreparedPlan &prepared, const char *engine)
-{
-    const T *p = dynamic_cast<const T *>(&prepared);
-    SAP_ASSERT(p != nullptr, engine,
-               " engine got a foreign prepared plan");
-    return *p;
-}
-
 /** True if @p a and @p b hold the same @p n elements bit for bit, any
  *  NaN matching any NaN (see diffOrThrow). */
 bool
@@ -461,431 +323,315 @@ diffOrThrow(const std::string &engine, const EngineRunResult &sim,
         fail("topologyRespected");
 }
 
-std::shared_ptr<const PreparedPlan>
-SystolicEngine::prepare(const EnginePlan &plan) const
-{
-    SAP_ASSERT(plan.kind == kind(), name(), " engine needs a ",
-               problemKindName(kind()), " plan");
-    return std::make_shared<GenericPrepared>(plan);
-}
-
 EngineRunResult
-SystolicEngine::runPrepared(const PreparedPlan &prepared,
-                            const EngineInputs &in) const
+SystolicEngine::run(const EnginePlan &plan) const
 {
-    const GenericPrepared &g =
-        preparedAs<GenericPrepared>(prepared, name().c_str());
-    prepared.validateInputs(in);
-    EnginePlan request = g.plan;
-    if (request.kind == ProblemKind::MatVec) {
-        request.x = in.x;
-        request.b = in.b;
-    } else if (request.kind == ProblemKind::MatMul) {
-        request.e = in.e;
-    } else {
-        request.b = in.b;
-    }
-    request.recordTrace = in.recordTrace;
-    request.mode = in.mode;
-    return run(request);
+    return runPrepared(*prepare(plan), EngineInputs::of(plan));
 }
 
 namespace {
 
-/** y = A·x + b on the plain contraflow array. */
-class LinearEngine : public SystolicEngine
+// The family half of PreparedPlan::builtFrom(), one per plan family:
+// the plan's stored data against the request's bound matrices.
+
+bool
+storesDataOf(const MatVecPlan &plan, const EnginePlan &p)
+{
+    return plan.transform().builtFrom(p.a);
+}
+
+// The skeleton is a function of the shape, already compared.
+bool
+storesDataOf(const MatMulPlan &plan, const EnginePlan &p)
+{
+    return plan.transform().builtFrom(p.a, p.bmat,
+                                      plan.skeleton()->copies());
+}
+
+bool
+storesDataOf(const MeshMatMulPlan &plan, const EnginePlan &p)
+{
+    return plan.builtFrom(p.a, p.bmat);
+}
+
+bool
+storesDataOf(const TriSolvePlan &plan, const EnginePlan &p)
+{
+    return plan.builtFrom(p.a);
+}
+
+bool
+storesDataOf(const BlockNoFeedbackPlan &plan, const EnginePlan &p)
+{
+    return plan.builtFrom(p.a);
+}
+
+/** A prepared artifact of plan family @p Plan: the DBT plan of the
+ *  bound matrices, A and B for the mat-mul families, A alone for the
+ *  others. Every engine of the family runs it. */
+template <typename Plan>
+class Prepared : public PreparedPlan
 {
   public:
-    std::string name() const override { return "linear"; }
-    ProblemKind kind() const override { return ProblemKind::MatVec; }
-    std::string
-    description() const override
+    explicit Prepared(const EnginePlan &p) : PreparedPlan(p), plan(build(p))
     {
-        return "contraflow linear array with w-register feedback";
     }
 
-    std::shared_ptr<const PreparedPlan>
-    prepare(const EnginePlan &plan) const override
+    bool
+    reusedSkeleton() const override
     {
-        SAP_ASSERT(plan.kind == kind(), "linear engine needs a "
-                   "matvec plan");
-        return std::make_shared<MatVecPrepared>(plan);
+        if constexpr (std::is_same_v<Plan, MatMulPlan>)
+            return plan.reusedSkeleton();
+        else
+            return false;
     }
 
-    EngineRunResult
-    runPrepared(const PreparedPlan &prepared,
-                const EngineInputs &in) const override
+    Plan plan;
+
+  private:
+    static Plan
+    build(const EnginePlan &p)
     {
-        const MatVecPrepared &p =
-            preparedAs<MatVecPrepared>(prepared, "linear");
-        prepared.validateInputs(in);
-        auto fill = [](MatVecPlanResult r) {
-            EngineRunResult out;
-            out.y = std::move(r.y);
-            out.stats = r.stats;
-            out.totalCycles = r.stats.cycles;
-            out.trace = std::move(r.trace);
-            out.feedbackDelay = r.observedFeedbackDelay;
-            out.feedbackRegisters = r.feedbackRegisters;
-            return out;
-        };
-        return dispatchMode(
-            in.mode, "linear", in.recordTrace,
-            [&] { return fill(p.plan.run(in.x, in.b, in.recordTrace)); },
-            [&] { return fill(p.plan.runSemantics(in.x, in.b)); });
+        if constexpr (std::is_constructible_v<Plan, const Dense<Scalar> &,
+                                              const Dense<Scalar> &, Index>)
+            return Plan(p.a, p.bmat, p.w);
+        else
+            return Plan(p.a, p.w);
     }
 
-    EngineRunResult
-    run(const EnginePlan &plan) const override
+    bool
+    storesDataOf(const EnginePlan &p) const override
     {
-        return runPrepared(*prepare(plan), EngineInputs::of(plan));
+        return sap::storesDataOf(plan, p);
     }
 };
 
-/** Linear engine with 2:1 PE grouping (A = ⌈w/2⌉ physical PEs). */
-class GroupedEngine : public SystolicEngine
+// The result converters, one per plan result type.
+
+EngineRunResult
+toResult(MatVecPlanResult r)
 {
-  public:
-    std::string name() const override { return "grouped"; }
-    ProblemKind kind() const override { return ProblemKind::MatVec; }
-    std::string
-    description() const override
-    {
-        return "linear array with 2:1 PE grouping";
-    }
+    EngineRunResult out;
+    out.y = std::move(r.y);
+    out.stats = r.stats;
+    out.totalCycles = r.stats.cycles;
+    out.trace = std::move(r.trace);
+    out.feedbackDelay = r.observedFeedbackDelay;
+    out.feedbackRegisters = r.feedbackRegisters;
+    return out;
+}
 
-    std::shared_ptr<const PreparedPlan>
-    prepare(const EnginePlan &plan) const override
-    {
-        SAP_ASSERT(plan.kind == kind(), "grouped engine needs a "
-                   "matvec plan");
-        return std::make_shared<MatVecPrepared>(plan);
-    }
-
-    EngineRunResult
-    runPrepared(const PreparedPlan &prepared,
-                const EngineInputs &in) const override
-    {
-        const MatVecPrepared &p =
-            preparedAs<MatVecPrepared>(prepared, "grouped");
-        prepared.validateInputs(in);
-        auto fill = [&p](GroupedRunResult r) {
-            EngineRunResult out;
-            out.y = p.plan.transform().extractY(r.logical.ybar);
-            out.stats = r.grouped;
-            out.totalCycles = r.grouped.cycles;
-            out.trace = std::move(r.logical.trace);
-            out.feedbackDelay = r.logical.observedFeedbackDelay;
-            out.feedbackRegisters = r.logical.feedbackRegisters;
-            out.conflictFree = r.conflictFree;
-            return out;
-        };
-        return dispatchMode(
-            in.mode, "grouped", in.recordTrace,
-            [&] { return fill(p.plan.runGroupedPlan(in.x, in.b)); },
-            [&] { return fill(p.plan.runGroupedSemantics(in.x, in.b)); });
-    }
-
-    EngineRunResult
-    run(const EnginePlan &plan) const override
-    {
-        return runPrepared(*prepare(plan), EngineInputs::of(plan));
-    }
-};
-
-/** Linear engine with the split-problem interleaving booster. */
-class OverlappedEngine : public SystolicEngine
+/** A grouped run reports ȳ; its y is extracted through @p plan. */
+EngineRunResult
+toResult(const MatVecPlan &plan, GroupedRunResult r)
 {
-  public:
-    std::string name() const override { return "overlapped"; }
-    ProblemKind kind() const override { return ProblemKind::MatVec; }
-    std::string
-    description() const override
-    {
-        return "linear array, split problem interleaved on "
-               "alternate cycles";
-    }
+    EngineRunResult out;
+    out.y = plan.transform().extractY(r.logical.ybar);
+    out.stats = r.grouped;
+    out.totalCycles = r.grouped.cycles;
+    out.trace = std::move(r.logical.trace);
+    out.feedbackDelay = r.logical.observedFeedbackDelay;
+    out.feedbackRegisters = r.logical.feedbackRegisters;
+    out.conflictFree = r.conflictFree;
+    return out;
+}
 
-    std::shared_ptr<const PreparedPlan>
-    prepare(const EnginePlan &plan) const override
-    {
-        SAP_ASSERT(plan.kind == kind(), "overlapped engine needs a "
-                   "matvec plan");
-        return std::make_shared<MatVecPrepared>(plan);
-    }
+EngineRunResult
+toResult(MatMulPlanResult r)
+{
+    EngineRunResult out;
+    out.c = std::move(r.c);
+    out.stats = r.stats;
+    out.totalCycles = r.totalCycles;
+    out.feedback = r.feedback;
+    out.topologyRespected = !r.feedback || r.feedback->topologyRespected();
+    return out;
+}
 
-    EngineRunResult
-    runPrepared(const PreparedPlan &prepared,
-                const EngineInputs &in) const override
-    {
-        const MatVecPrepared &p =
-            preparedAs<MatVecPrepared>(prepared, "overlapped");
-        prepared.validateInputs(in);
-        auto fill = [](MatVecPlanResult r) {
-            EngineRunResult out;
-            out.y = std::move(r.y);
-            out.stats = r.stats;
-            out.totalCycles = r.stats.cycles;
-            out.feedbackDelay = r.observedFeedbackDelay;
-            out.feedbackRegisters = r.feedbackRegisters;
-            return out;
-        };
-        return dispatchMode(
-            in.mode, "overlapped", in.recordTrace,
-            [&] { return fill(p.plan.runOverlapped(in.x, in.b)); },
-            [&] {
-                return fill(p.plan.runOverlappedSemantics(in.x, in.b));
-            });
-    }
+EngineRunResult
+toResult(MeshRunResult r)
+{
+    EngineRunResult out;
+    out.c = std::move(r.c);
+    out.stats = r.stats;
+    out.totalCycles = r.stats.cycles;
+    out.trace = std::move(r.trace);
+    return out;
+}
 
-    EngineRunResult
-    run(const EnginePlan &plan) const override
-    {
-        return runPrepared(*prepare(plan), EngineInputs::of(plan));
-    }
-};
+EngineRunResult
+toResult(TriSolvePlanResult r)
+{
+    EngineRunResult out;
+    out.y = std::move(r.y);
+    out.stats = r.stats;
+    out.totalCycles = r.stats.cycles;
+    out.trace = std::move(r.trace);
+    return out;
+}
+
+/** No feedback loop exists; the defaults (delay −1, zero registers)
+ *  are the honest report. */
+EngineRunResult
+toResult(BlockNoFeedbackResult r)
+{
+    EngineRunResult out;
+    out.y = std::move(r.y);
+    out.stats = r.stats;
+    out.totalCycles = r.stats.cycles;
+    return out;
+}
+
+/** The spiral engine's audit: a topology violation is a hard
+ *  failure instead of a reported flag. */
+EngineRunResult
+audited(EngineRunResult r)
+{
+    SAP_ASSERT(r.topologyRespected, "spiral feedback topology violated");
+    return r;
+}
 
 /**
- * C = A·B + E on the hexagonal array with spiral feedback. The
- * "spiral" variant additionally treats a topology violation as a
- * hard failure instead of a reported flag.
+ * Every built-in topology: one plan family's prepared plan, run by a
+ * simulate path and a fast path behind dispatchMode. Engines of one
+ * family (linear, grouped and overlapped; hex and spiral) share their
+ * prepared plans; any other family's is refused.
  */
-class HexEngine : public SystolicEngine
+template <typename Plan>
+class PlanEngine : public SystolicEngine
 {
   public:
-    explicit HexEngine(bool strict) : strict_(strict) {}
+    /** One way to run a request through the plan. */
+    using Path = EngineRunResult (*)(const Plan &, const EngineInputs &);
 
-    std::string name() const override { return strict_ ? "spiral" : "hex"; }
-    ProblemKind kind() const override { return ProblemKind::MatMul; }
-    std::string
-    description() const override
+    PlanEngine(const char *name, ProblemKind kind, const char *description,
+               Path sim, Path fast)
+        : name_(name), kind_(kind), description_(description), sim_(sim),
+          fast_(fast)
     {
-        return strict_
-            ? "hexagonal array, spiral feedback topology audited"
-            : "hexagonal array with spiral feedback";
     }
+
+    std::string name() const override { return name_; }
+    ProblemKind kind() const override { return kind_; }
+    std::string description() const override { return description_; }
 
     std::shared_ptr<const PreparedPlan>
     prepare(const EnginePlan &plan) const override
     {
-        SAP_ASSERT(plan.kind == kind(), name(), " engine needs a "
-                   "matmul plan");
-        return std::make_shared<MatMulPrepared>(plan);
+        SAP_ASSERT(plan.kind == kind_, name_, " engine needs a ",
+                   problemKindName(kind_), " plan");
+        return std::make_shared<Prepared<Plan>>(plan);
     }
 
     EngineRunResult
     runPrepared(const PreparedPlan &prepared,
                 const EngineInputs &in) const override
     {
-        const MatMulPrepared &p =
-            preparedAs<MatMulPrepared>(prepared, name().c_str());
+        const auto *p = dynamic_cast<const Prepared<Plan> *>(&prepared);
+        SAP_ASSERT(p != nullptr, name_,
+                   " engine got a foreign prepared plan");
         prepared.validateInputs(in);
-        auto fill = [this](MatMulPlanResult r) {
-            EngineRunResult out;
-            out.c = std::move(r.c);
-            out.stats = r.stats;
-            out.totalCycles = r.totalCycles;
-            out.feedback = r.feedback;
-            out.topologyRespected =
-                !r.feedback || r.feedback->topologyRespected();
-            if (strict_)
-                SAP_ASSERT(out.topologyRespected,
-                           "spiral feedback topology violated");
-            return out;
-        };
         return dispatchMode(
-            in.mode, name(), in.recordTrace,
-            [&] { return fill(p.plan.run(in.e)); },
-            [&] { return fill(p.plan.runSemantics(in.e)); });
-    }
-
-    EngineRunResult
-    run(const EnginePlan &plan) const override
-    {
-        return runPrepared(*prepare(plan), EngineInputs::of(plan));
+            in.mode, name_, in.recordTrace,
+            [&] { return sim_(p->plan, in); },
+            [&] { return fast_(p->plan, in); });
     }
 
   private:
-    bool strict_;
+    std::string name_;
+    ProblemKind kind_;
+    std::string description_;
+    Path sim_;
+    Path fast_;
 };
 
-/** C = A·B + E on the 2D output-stationary mesh. */
-class MeshEngine : public SystolicEngine
+/** Register one row of the engine table. */
+template <typename Plan>
+void
+addEngine(const char *name, ProblemKind kind, const char *description,
+          typename PlanEngine<Plan>::Path sim,
+          typename PlanEngine<Plan>::Path fast)
 {
-  public:
-    std::string name() const override { return "mesh"; }
-    ProblemKind kind() const override { return ProblemKind::MatMul; }
-    std::string
-    description() const override
-    {
-        return "output-stationary w×w mesh, C resident in the PEs";
-    }
-
-    std::shared_ptr<const PreparedPlan>
-    prepare(const EnginePlan &plan) const override
-    {
-        SAP_ASSERT(plan.kind == kind(), "mesh engine needs a "
-                   "matmul plan");
-        return std::make_shared<MeshPrepared>(plan);
-    }
-
-    EngineRunResult
-    runPrepared(const PreparedPlan &prepared,
-                const EngineInputs &in) const override
-    {
-        const MeshPrepared &p =
-            preparedAs<MeshPrepared>(prepared, "mesh");
-        prepared.validateInputs(in);
-        auto fill = [](MeshRunResult r) {
-            EngineRunResult out;
-            out.c = std::move(r.c);
-            out.stats = r.stats;
-            out.totalCycles = r.stats.cycles;
-            out.trace = std::move(r.trace);
-            return out;
-        };
-        return dispatchMode(
-            in.mode, "mesh", in.recordTrace,
-            [&] { return fill(p.plan.run(in.e, in.recordTrace)); },
-            [&] { return fill(p.plan.runSemantics(in.e)); });
-    }
-
-    EngineRunResult
-    run(const EnginePlan &plan) const override
-    {
-        return runPrepared(*prepare(plan), EngineInputs::of(plan));
-    }
-};
-
-/** L·y = b via blocked forward substitution on the array pair. */
-class TriEngine : public SystolicEngine
-{
-  public:
-    std::string name() const override { return "tri"; }
-    ProblemKind kind() const override { return ProblemKind::TriSolve; }
-    std::string
-    description() const override
-    {
-        return "blocked forward substitution: panels on the linear "
-               "array, diagonal blocks on the back-substitution "
-               "array";
-    }
-
-    std::shared_ptr<const PreparedPlan>
-    prepare(const EnginePlan &plan) const override
-    {
-        SAP_ASSERT(plan.kind == kind(), "tri engine needs a "
-                   "trisolve plan");
-        return std::make_shared<TriSolvePrepared>(plan);
-    }
-
-    EngineRunResult
-    runPrepared(const PreparedPlan &prepared,
-                const EngineInputs &in) const override
-    {
-        const TriSolvePrepared &p =
-            preparedAs<TriSolvePrepared>(prepared, "tri");
-        prepared.validateInputs(in);
-        auto fill = [](TriSolvePlanResult r) {
-            EngineRunResult out;
-            out.y = std::move(r.y);
-            out.stats = r.stats;
-            out.totalCycles = r.stats.cycles;
-            out.trace = std::move(r.trace);
-            return out;
-        };
-        return dispatchMode(
-            in.mode, "tri", in.recordTrace,
-            [&] { return fill(p.plan.run(in.b, in.recordTrace)); },
-            [&] { return fill(p.plan.runSemantics(in.b)); });
-    }
-
-    EngineRunResult
-    run(const EnginePlan &plan) const override
-    {
-        return runPrepared(*prepare(plan), EngineInputs::of(plan));
-    }
-};
-
-/** The paper's straw man: per-block runs, host accumulation. */
-class NoFeedbackEngine : public SystolicEngine
-{
-  public:
-    std::string name() const override { return "no-feedback"; }
-    ProblemKind kind() const override { return ProblemKind::MatVec; }
-    std::string
-    description() const override
-    {
-        return "baseline: isolated per-block array runs, partial "
-               "results accumulated on the host (no feedback)";
-    }
-
-    std::shared_ptr<const PreparedPlan>
-    prepare(const EnginePlan &plan) const override
-    {
-        SAP_ASSERT(plan.kind == kind(), "no-feedback engine needs a "
-                   "matvec plan");
-        return std::make_shared<NoFeedbackPrepared>(plan);
-    }
-
-    EngineRunResult
-    runPrepared(const PreparedPlan &prepared,
-                const EngineInputs &in) const override
-    {
-        const NoFeedbackPrepared &p =
-            preparedAs<NoFeedbackPrepared>(prepared, "no-feedback");
-        prepared.validateInputs(in);
-        auto fill = [](BlockNoFeedbackResult r) {
-            EngineRunResult out;
-            out.y = std::move(r.y);
-            out.stats = r.stats;
-            out.totalCycles = r.stats.cycles;
-            // No feedback loop exists; the defaults (delay −1, zero
-            // registers) are the honest report.
-            return out;
-        };
-        return dispatchMode(
-            in.mode, "no-feedback", in.recordTrace,
-            [&] { return fill(p.plan.run(in.x, in.b)); },
-            [&] { return fill(p.plan.runSemantics(in.x, in.b)); });
-    }
-
-    EngineRunResult
-    run(const EnginePlan &plan) const override
-    {
-        return runPrepared(*prepare(plan), EngineInputs::of(plan));
-    }
-};
+    registerEngine(name, [=] {
+        return std::make_unique<PlanEngine<Plan>>(name, kind, description,
+                                                  sim, fast);
+    });
+}
 
 } // namespace
 
 void
 registerBuiltinEngines()
 {
-    registerEngine("linear", [] {
-        return std::make_unique<LinearEngine>();
-    });
-    registerEngine("grouped", [] {
-        return std::make_unique<GroupedEngine>();
-    });
-    registerEngine("overlapped", [] {
-        return std::make_unique<OverlappedEngine>();
-    });
-    registerEngine("no-feedback", [] {
-        return std::make_unique<NoFeedbackEngine>();
-    });
-    registerEngine("hex", [] {
-        return std::make_unique<HexEngine>(/*strict=*/false);
-    });
-    registerEngine("spiral", [] {
-        return std::make_unique<HexEngine>(/*strict=*/true);
-    });
-    registerEngine("mesh", [] {
-        return std::make_unique<MeshEngine>();
-    });
-    registerEngine("tri", [] {
-        return std::make_unique<TriEngine>();
-    });
+    using In = const EngineInputs &;
+    const ProblemKind mv = ProblemKind::MatVec, mm = ProblemKind::MatMul;
+    addEngine<MatVecPlan>(
+        "linear", mv, "contraflow linear array with w-register feedback",
+        [](const MatVecPlan &p, In in) {
+            return toResult(p.run(in.x, in.b, in.recordTrace));
+        },
+        [](const MatVecPlan &p, In in) {
+            return toResult(p.runSemantics(in.x, in.b));
+        });
+    addEngine<MatVecPlan>(
+        "grouped", mv, "linear array with 2:1 PE grouping",
+        [](const MatVecPlan &p, In in) {
+            return toResult(p, p.runGroupedPlan(in.x, in.b));
+        },
+        [](const MatVecPlan &p, In in) {
+            return toResult(p, p.runGroupedSemantics(in.x, in.b));
+        });
+    addEngine<MatVecPlan>(
+        "overlapped", mv,
+        "linear array, split problem interleaved on alternate cycles",
+        [](const MatVecPlan &p, In in) {
+            return toResult(p.runOverlapped(in.x, in.b));
+        },
+        [](const MatVecPlan &p, In in) {
+            return toResult(p.runOverlappedSemantics(in.x, in.b));
+        });
+    addEngine<BlockNoFeedbackPlan>(
+        "no-feedback", mv,
+        "baseline: isolated per-block array runs, partial results "
+        "accumulated on the host (no feedback)",
+        [](const BlockNoFeedbackPlan &p, In in) {
+            return toResult(p.run(in.x, in.b));
+        },
+        [](const BlockNoFeedbackPlan &p, In in) {
+            return toResult(p.runSemantics(in.x, in.b));
+        });
+    addEngine<MatMulPlan>(
+        "hex", mm, "hexagonal array with spiral feedback",
+        [](const MatMulPlan &p, In in) { return toResult(p.run(in.e)); },
+        [](const MatMulPlan &p, In in) {
+            return toResult(p.runSemantics(in.e));
+        });
+    addEngine<MatMulPlan>(
+        "spiral", mm, "hexagonal array, spiral feedback topology audited",
+        [](const MatMulPlan &p, In in) {
+            return audited(toResult(p.run(in.e)));
+        },
+        [](const MatMulPlan &p, In in) {
+            return audited(toResult(p.runSemantics(in.e)));
+        });
+    addEngine<MeshMatMulPlan>(
+        "mesh", mm, "output-stationary w×w mesh, C resident in the PEs",
+        [](const MeshMatMulPlan &p, In in) {
+            return toResult(p.run(in.e, in.recordTrace));
+        },
+        [](const MeshMatMulPlan &p, In in) {
+            return toResult(p.runSemantics(in.e));
+        });
+    addEngine<TriSolvePlan>(
+        "tri", ProblemKind::TriSolve,
+        "blocked forward substitution: panels on the linear array, "
+        "diagonal blocks on the back-substitution array",
+        [](const TriSolvePlan &p, In in) {
+            return toResult(p.run(in.b, in.recordTrace));
+        },
+        [](const TriSolvePlan &p, In in) {
+            return toResult(p.runSemantics(in.b));
+        });
 }
 
 } // namespace sap

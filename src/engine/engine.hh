@@ -325,42 +325,39 @@ class SystolicEngine
     virtual std::string description() const = 0;
 
     /**
-     * Execute @p plan on this topology, honoring plan.mode: Simulate
-     * runs the cycle-accurate array, Fast replays the same operation
-     * order as blocked host arithmetic (bit-identical results,
-     * formula-derived cycle stats, never a trace), Validate runs
-     * both and throws EngineError on any reported-field mismatch.
-     *
-     * @pre plan.kind == kind() (asserted).
-     * @throws EngineError for Fast mode combined with recordTrace,
-     *         or a Validate-mode diff failure.
-     */
-    virtual EngineRunResult run(const EnginePlan &plan) const = 0;
-
-    /**
      * Build the reusable matrix-bound artifact for @p plan: the DBT
-     * transform plus all routing, without executing anything. The
-     * built-in topologies override this to return their transformed
-     * plan; the default wraps the EnginePlan itself so that any
-     * engine (including externally registered ones that only
-     * implement run()) supports the prepared-execution protocol.
+     * transform plus all routing, without executing anything.
      *
      * @pre plan.kind == kind() (asserted).
      */
     virtual std::shared_ptr<const PreparedPlan>
-    prepare(const EnginePlan &plan) const;
+    prepare(const EnginePlan &plan) const = 0;
 
     /**
-     * Execute one request through a previously prepared plan.
+     * Execute one request through a previously prepared plan,
+     * honoring in.mode: Simulate runs the cycle-accurate array, Fast
+     * replays the same operation order as blocked host arithmetic
+     * (bit-identical results, formula-derived cycle stats, never a
+     * trace), Validate runs both and throws EngineError on any
+     * reported-field mismatch.
      *
-     * @pre @p prepared came from this engine's prepare() (or, for
-     *      the linear family, any engine sharing its prepared
-     *      representation); asserted via a checked downcast.
+     * @pre @p prepared came from prepare() on any engine of the same
+     *      plan family; asserted via a checked downcast.
      * @pre @p in matches the prepared plan's shape contract.
+     * @throws EngineError for Fast mode combined with recordTrace,
+     *         or a Validate-mode diff failure.
      */
     virtual EngineRunResult
     runPrepared(const PreparedPlan &prepared,
-                const EngineInputs &in) const;
+                const EngineInputs &in) const = 0;
+
+    /**
+     * Execute @p plan on this topology: prepare() it, then
+     * runPrepared() its operands in plan.mode.
+     *
+     * @pre plan.kind == kind() (asserted).
+     */
+    EngineRunResult run(const EnginePlan &plan) const;
 };
 
 } // namespace sap

@@ -10,7 +10,8 @@ runBandMatVecSemantics(const BandMatVecSpec &spec)
     spec.validate();
     const Index w = spec.w();
     const Index rows = spec.rows();
-    const std::uint8_t *external = spec.bIsExternal->data();
+    const std::uint8_t *external =
+        spec.bIsExternal->data() + spec.firstRow;
     const Scalar *xbar = spec.xbar.elems();
     const Scalar *b = spec.externalB.elems();
 
@@ -31,7 +32,7 @@ runBandMatVecSemantics(const BandMatVecSpec &spec)
         // x̄_i … x̄_{i+w−1}. ȳ_i enters at PE w−1 and sheds one
         // diagonal per cell on its way to PE 0: ascending d is the
         // array's MAC order, padding zeros included.
-        const Scalar *a = spec.abar->rowPtr(i);
+        const Scalar *a = spec.aRow(i);
         const Scalar *x = xbar + i;
         for (Index d = 0; d < w; ++d)
             acc = acc + a[d] * x[d];

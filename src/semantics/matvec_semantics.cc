@@ -12,7 +12,6 @@
 
 #include "analysis/formulas.hh"
 #include "base/math_util.hh"
-#include "dbt/interleave.hh"
 #include "dbt/matvec_plan.hh"
 #include "semantics/band_kernel.hh"
 
@@ -42,9 +41,9 @@ MatVecPlanResult
 MatVecPlan::runOverlappedSemantics(const Vec<Scalar> &x,
                                    const Vec<Scalar> &b) const
 {
-    SplitProblem split(transform_, x, b);
-    const BandMatVecSpec &s1 = split.first();
-    const BandMatVecSpec &s2 = split.second();
+    const std::array<BandMatVecSpec, 2> halves = makeSplitSpecs(x, b);
+    const BandMatVecSpec &s1 = halves[0];
+    const BandMatVecSpec &s2 = halves[1];
     BandMatVecSemantics r1 = runBandMatVecSemantics(s1);
     BandMatVecSemantics r2 = runBandMatVecSemantics(s2);
 
@@ -56,7 +55,8 @@ MatVecPlan::runOverlappedSemantics(const Vec<Scalar> &x,
     const Cycle last2 = 2 * (s2.rows() - 1) + 2 * w - 2 + 1;
 
     MatVecPlanResult out;
-    out.y = split.extractY(r1.ybar, r2.ybar);
+    r1.ybar.append(r2.ybar);
+    out.y = transform_.extractY(r1.ybar);
     out.stats.cycles = std::max(last1, last2) + 1;
     out.stats.peCount = w;
     out.stats.usefulMacs = (s1.rows() + s2.rows()) * w;

@@ -38,13 +38,6 @@ PlanCache::PlanCache(std::size_t capacity, DenseHashFn hash)
 {
 }
 
-Digest
-PlanCache::digestOf(const std::string &engine_name,
-                    const EnginePlan &plan) const
-{
-    return planDigest(engine_name, plan, hash_);
-}
-
 std::shared_ptr<const PreparedPlan>
 PlanCache::find(std::unique_lock<std::mutex> &lock, Digest digest,
                 const std::string &engine_name, const EnginePlan &plan)
@@ -97,31 +90,19 @@ PlanCache::find(std::unique_lock<std::mutex> &lock, Digest digest,
 }
 
 PlanCache::Prepared
-PlanCache::prepare(const SystolicEngine &engine, const EnginePlan &plan)
-{
-    return prepareKeyed(engine, plan, digestOf(engine.name(), plan));
-}
-
-PlanCache::Prepared
 PlanCache::prepare(const SystolicEngine &engine, const EnginePlan &plan,
-                   Digest digest)
-{
-    // A caller's hint was computed with the default hash; recompute
-    // when this cache hashes differently.
-    if (!default_hash_)
-        digest = digestOf(engine.name(), plan);
-    return prepareKeyed(engine, plan, digest);
-}
-
-PlanCache::Prepared
-PlanCache::prepareKeyed(const SystolicEngine &engine,
-                        const EnginePlan &plan, Digest digest)
+                   std::optional<Digest> digest)
 {
     const std::string engine_name = engine.name();
+    // A caller's hint was computed with the default hash; recompute
+    // when this cache hashes differently.
+    const Digest key = digest && default_hash_
+        ? *digest
+        : planDigest(engine_name, plan, hash_);
 
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        if (auto cached = find(lock, digest, engine_name, plan)) {
+        if (auto cached = find(lock, key, engine_name, plan)) {
             ++stats_.hits;
             return {cached, /*hit=*/true};
         }
@@ -139,11 +120,11 @@ PlanCache::prepareKeyed(const SystolicEngine &engine,
     std::unique_lock<std::mutex> lock(mutex_);
     // Another thread may have inserted the same key meanwhile;
     // prefer the incumbent so the cache holds one plan per matrix.
-    if (auto cached = find(lock, digest, engine_name, plan))
+    if (auto cached = find(lock, key, engine_name, plan))
         return {cached, /*hit=*/false};
 
-    lru_.push_front(Entry{digest, engine_name, built});
-    index_.emplace(digest, lru_.begin());
+    lru_.push_front(Entry{key, engine_name, built});
+    index_.emplace(key, lru_.begin());
     while (lru_.size() > capacity_)
         evictLocked();
     return {built, /*hit=*/false};

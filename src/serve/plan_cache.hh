@@ -35,6 +35,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "engine/engine.hh"
@@ -127,27 +128,20 @@ class PlanCache
      * Return the cached prepared plan for @p plan's bound matrices
      * on @p engine, building and inserting it on a miss.
      *
+     * @p digest is a hint, never an answer. Callers that hashed the
+     * matrices for routing (cluster/cluster.hh, or the gateway one
+     * tier up) pass planDigest(engine.name(), plan) so they are not
+     * hashed again here. Every match under it is confirmed bit for bit
+     * against the cached plan (file comment), so a wrong digest costs
+     * cache locality (a miss, a counted collision, an entry filed
+     * under the wrong key), never a wrong plan. When the cache was
+     * built with a custom hash, the hint is ignored and the digest is
+     * recomputed.
+     *
      * @pre plan.kind == engine.kind() (asserted by the engine).
      */
-    Prepared prepare(const SystolicEngine &engine,
-                     const EnginePlan &plan);
-
-    /**
-     * As prepare(), with the key digest already computed — callers
-     * that hashed the matrices for routing (cluster/cluster.hh, or
-     * the gateway one tier up) skip rehashing them here.
-     *
-     * @p digest is a hint, never an answer: it should equal
-     * planDigest(engine.name(), plan) with the default hash, but
-     * every match under it is confirmed bit for bit against the
-     * cached plan (file comment), so a wrong digest costs cache
-     * locality (a miss, a counted collision, an entry filed under
-     * the wrong key), never a wrong plan. When the cache was built
-     * with a custom hash, the hint is ignored and the digest is
-     * recomputed.
-     */
-    Prepared prepare(const SystolicEngine &engine,
-                     const EnginePlan &plan, Digest digest);
+    Prepared prepare(const SystolicEngine &engine, const EnginePlan &plan,
+                     std::optional<Digest> digest = {});
 
     /** Counter snapshot. */
     PlanCacheStats stats() const;
@@ -172,11 +166,6 @@ class PlanCache
     };
     using Lru = std::list<Entry>;
 
-    Digest digestOf(const std::string &engine_name,
-                    const EnginePlan &plan) const;
-    /** The shared lookup/insert path; trusts @p digest as the key. */
-    Prepared prepareKeyed(const SystolicEngine &engine,
-                          const EnginePlan &plan, Digest digest);
     /**
      * The cached plan @p plan would build on @p engine_name, if any.
      * Called and returning with @p lock held on mutex_, it releases
@@ -193,7 +182,7 @@ class PlanCache
 
     std::size_t capacity_;
     /** True when hash_ is fingerprintDense: only then may callers'
-     *  precomputed planDigest() hints substitute for digestOf().
+     *  precomputed planDigest() hints stand for the digest.
      *  Declared before hash_ so it is initialized from the ctor
      *  argument before that argument is moved into hash_. */
     bool default_hash_;

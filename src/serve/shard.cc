@@ -204,8 +204,7 @@ Shard::handle(const ServeRequest &req)
     // response, not a dead shard.
     try {
         PlanCache::Prepared cached =
-            req.digest ? cache_.prepare(*engine, req.plan, *req.digest)
-                       : cache_.prepare(*engine, req.plan);
+            cache_.prepare(*engine, req.plan, req.digest);
         if (req.trace) {
             req.trace->stamp(TraceStage::Prepare);
             req.trace->cacheHit = cached.hit;

@@ -18,15 +18,19 @@ BandMatVecSpec::validate() const
     SAP_ASSERT(abar->cols() == abar->rows() + w_ - 1,
                "band shape must be rows x (rows + w - 1), got ",
                abar->rows(), "x", abar->cols());
-    SAP_ASSERT(xbar.size() == abar->cols(), "x̄ length ", xbar.size(),
-               " != band cols ", abar->cols());
+    SAP_ASSERT(firstRow >= 0 && rows() >= 0 &&
+                   firstRow + rows() <= abar->rows(),
+               "rows [", firstRow, ", ", firstRow + rows(),
+               ") out of the band's ", abar->rows());
+    SAP_ASSERT(xbar.size() == rows() + w_ - 1, "x̄ length ", xbar.size(),
+               " != range cols ", rows() + w_ - 1);
     SAP_ASSERT(bIsExternal != nullptr &&
-                   static_cast<Index>(bIsExternal->size()) == rows(),
+                   static_cast<Index>(bIsExternal->size()) == abar->rows(),
                "bIsExternal size mismatch");
     SAP_ASSERT(externalB.size() == rows(), "externalB size mismatch");
     // The first scalar row can never be fed back (nothing precedes it).
     for (Index i = 0; i < std::min(rows(), w_); ++i)
-        SAP_ASSERT((*bIsExternal)[i],
+        SAP_ASSERT(external(i),
                    "row ", i, " wants feedback before any output");
 }
 
@@ -64,7 +68,7 @@ runLanes(std::vector<Lane> &lanes, LinearArray &array, DelayLine &fb_line,
         for (Lane &lane : lanes) {
             const BandMatVecSpec &spec = *lane.spec;
             const Index rows = spec.rows();
-            const Index cols = spec.abar->cols();
+            const Index cols = spec.xbar.size();
             const Cycle t = tau - lane.offset;
 
             // x stream: x_j enters PE 0 at t = 2j.
@@ -79,7 +83,7 @@ runLanes(std::vector<Lane> &lanes, LinearArray &array, DelayLine &fb_line,
             Cycle ty = t - (w - 1);
             if (ty >= 0 && ty % 2 == 0 && ty / 2 < rows) {
                 Index i = ty / 2;
-                if ((*spec.bIsExternal)[i]) {
+                if (spec.external(i)) {
                     array.setYIn(Sample::of(spec.externalB[i]));
                     if (lane.record)
                         lane.trace.add(tau, Port::BIn, i,
@@ -111,8 +115,8 @@ runLanes(std::vector<Lane> &lanes, LinearArray &array, DelayLine &fb_line,
             p += (p + t) & 1;
             const Index pend = std::min(w, 2 * rows + 2 * w - 2 - t);
             for (; p < pend; p += 2) {
-                const Index i = (t - (2 * w - 2 - p)) / 2;
-                array.setAIn(p, Sample::of(spec.abar->at(i, i + w - 1 - p)));
+                const Index r = spec.firstRow + (t - (2 * w - 2 - p)) / 2;
+                array.setAIn(p, Sample::of(spec.abar->at(r, r + w - 1 - p)));
             }
         }
 

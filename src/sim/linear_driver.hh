@@ -43,24 +43,42 @@ namespace sap {
  *
  * The band and the routing flags are borrowed: they depend on the
  * matrix alone, so a plan builds them once and every run's spec
- * points at them. Their owner must outlive the spec.
+ * points at them. Their owner must outlive the spec. A spec may run
+ * a range of the band's rows, so the two halves of a split problem
+ * are two ranges of one band; its x̄ and b̄ are the range's own.
  */
 struct BandMatVecSpec
 {
     /** Upper-band matrix (sub() == 0, super() == w-1). */
     const Band<Scalar> *abar = nullptr;
-    /** Transformed input vector x̄ (length abar->cols()). */
+    /** Transformed input vector x̄ (length rows() + w − 1). */
     Vec<Scalar> xbar;
-    /** Per scalar row (rows() entries): 1 = inject externalB[i],
+    /** Per band row (abar->rows() entries): 1 = inject externalB,
      *  0 = take the fed-back ȳ_{i−w}. */
     const std::vector<std::uint8_t> *bIsExternal = nullptr;
-    /** External injection values (only read where bIsExternal). */
+    /** External injection values, one per row of the range (only
+     *  read where bIsExternal). */
     Vec<Scalar> externalB;
+    /** The range: band rows [firstRow, firstRow + rows()); row i of
+     *  the spec is band row firstRow + i. */
+    Index firstRow = 0;
+    /** Rows in the range; −1 = through the band's last row. */
+    Index rowCount = -1;
 
     /** Array size = bandwidth of abar. */
     Index w() const { return abar->super() + 1; }
     /** Scalar rows. */
-    Index rows() const { return abar->rows(); }
+    Index rows() const
+    {
+        return rowCount < 0 ? abar->rows() - firstRow : rowCount;
+    }
+    /** Row i's w coefficients a(i, i) … a(i, i+w−1). */
+    const Scalar *aRow(Index i) const { return abar->rowPtr(firstRow + i); }
+    /** True if row i injects externalB[i]. */
+    bool external(Index i) const
+    {
+        return (*bIsExternal)[static_cast<std::size_t>(firstRow + i)] != 0;
+    }
 
     /** Basic shape consistency checks (asserts on failure). */
     void validate() const;

@@ -3,7 +3,6 @@
 #include "base/logging.hh"
 #include "base/math_util.hh"
 #include "dbt/matvec_plan.hh"
-#include "mat/block.hh"
 
 namespace sap {
 
@@ -14,14 +13,14 @@ triSolve(const Dense<Scalar> &l, const Vec<Scalar> &b, Index w)
     SAP_ASSERT(l.cols() == n, "L must be square");
     SAP_ASSERT(b.size() == n, "shape mismatch");
 
-    BlockPartition<Scalar> part(l, w);
-    const Index nbar = part.blockRows();
+    // L and b read zero past their edges, up to n̄·w (§2.a), except
+    // that a padded diagonal entry reads 1, so the padded sub-systems
+    // stay solvable (their solutions are 0).
+    const Index nbar = ceilDiv(n, w);
     Vec<Scalar> bp = b.paddedTo(nbar * w);
-    // Padded diagonal entries are zero; patch them to 1 so the
-    // padded sub-systems stay solvable (their solutions are 0).
-    Dense<Scalar> lp = part.padded();
-    for (Index i = n; i < nbar * w; ++i)
-        lp(i, i) = 1;
+    auto lp = [&l, n](Index i, Index j) {
+        return i < n && j < n ? l(i, j) : Scalar(i == j ? 1 : 0);
+    };
 
     TriSolveResult res;
     res.arrayStats.peCount = w;
@@ -32,10 +31,11 @@ triSolve(const Dense<Scalar> &l, const Vec<Scalar> &b, Index w)
         // computed on the array as one DBT mat-vec over the panel.
         Vec<Scalar> rhs = bp.slice(r * w, w);
         if (r > 0) {
+            // The panel, gathered row by row from L (zero past its
+            // last row), as TriSolvePlan gathers it.
             Dense<Scalar> panel(w, r * w);
             for (Index i = 0; i < w; ++i)
-                for (Index j = 0; j < r * w; ++j)
-                    panel(i, j) = lp(r * w + i, j);
+                l.gatherRow(r * w + i, 0, r * w, &panel(i, 0));
             MatVecPlan plan(panel, w);
             MatVecPlanResult pr = plan.run(y.slice(0, r * w),
                                            Vec<Scalar>(w));

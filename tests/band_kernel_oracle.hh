@@ -22,19 +22,20 @@ bandMatVecAt(const BandMatVecSpec &spec)
     const Index w = spec.w();
     const Index rows = spec.rows();
     const Band<Scalar> &abar = *spec.abar;
+    const Index first = spec.firstRow;
 
     BandMatVecSemantics res;
     res.ybar = Vec<Scalar>(rows);
     for (Index i = 0; i < rows; ++i) {
         Scalar acc;
-        if ((*spec.bIsExternal)[static_cast<std::size_t>(i)]) {
+        if ((*spec.bIsExternal)[static_cast<std::size_t>(first + i)]) {
             acc = spec.externalB[i];
         } else {
             acc = res.ybar[i - w];
             res.usedFeedback = true;
         }
         for (Index d = 0; d < w; ++d)
-            acc = acc + abar.at(i, i + d) * spec.xbar[i + d];
+            acc = acc + abar.at(first + i, first + i + d) * spec.xbar[i + d];
         res.ybar[i] = acc;
     }
     return res;

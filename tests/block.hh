@@ -2,11 +2,13 @@
  * @file
  * Block partitioning of dense matrices (§2.a of the paper): split
  * A(n, m) into n̄·m̄ submatrices of w-by-w, padding with zero rows
- * and/or columns when n or m is not an integer multiple of w.
+ * and/or columns when n or m is not an integer multiple of w. The
+ * library gathers its bands straight from A's rows; the test oracles
+ * (dbt_oracle.hh) build theirs from these padded block copies.
  */
 
-#ifndef SAP_MAT_BLOCK_HH
-#define SAP_MAT_BLOCK_HH
+#ifndef SAP_TESTS_BLOCK_HH
+#define SAP_TESTS_BLOCK_HH
 
 #include "base/logging.hh"
 #include "base/math_util.hh"
@@ -91,4 +93,4 @@ class BlockPartition
 
 } // namespace sap
 
-#endif // SAP_MAT_BLOCK_HH
+#endif // SAP_TESTS_BLOCK_HH

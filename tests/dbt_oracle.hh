@@ -14,8 +14,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "block.hh"
 #include "mat/band.hh"
-#include "mat/block.hh"
 #include "mat/dense.hh"
 #include "mat/triangular.hh"
 

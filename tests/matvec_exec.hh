@@ -1,10 +1,38 @@
-#include "dbt/matvec_exec.hh"
+/**
+ * @file
+ * Block-level algebraic executor for the transformed mat-vec
+ * problem.
+ *
+ * Computes ȳ = Ā·x̄ + b̄ sequentially, honoring the feedback
+ * semantics (b̄ of a fed-back block row *is* the previous block
+ * row's ȳ). The tests cross-check the cycle-accurate simulator
+ * against it.
+ */
+
+#ifndef SAP_TESTS_MATVEC_EXEC_HH
+#define SAP_TESTS_MATVEC_EXEC_HH
 
 #include "base/logging.hh"
+#include "dbt/matvec_transform.hh"
+#include "mat/vector.hh"
 
 namespace sap {
 
-MatVecExecResult
+/** Result of an algebraic transformed-problem execution. */
+struct MatVecExecResult
+{
+    Vec<Scalar> ybar; ///< full transformed result vector
+    Vec<Scalar> y;    ///< extracted original result (length n)
+};
+
+/**
+ * Execute the transformed problem ȳ = Ā·x̄ + b̄ with feedback.
+ *
+ * @param t The DBT transform of A.
+ * @param x Original x (length m).
+ * @param b Original b (length n).
+ */
+inline MatVecExecResult
 execTransformed(const MatVecTransform &t, const Vec<Scalar> &x,
                 const Vec<Scalar> &b)
 {
@@ -35,3 +63,5 @@ execTransformed(const MatVecTransform &t, const Vec<Scalar> &x,
 }
 
 } // namespace sap
+
+#endif // SAP_TESTS_MATVEC_EXEC_HH

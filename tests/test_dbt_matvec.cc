@@ -10,11 +10,11 @@
 #include <tuple>
 #include <vector>
 
-#include "dbt/matvec_exec.hh"
 #include "dbt/matvec_transform.hh"
 #include "dbt_oracle.hh"
 #include "mat/generate.hh"
 #include "mat/ops.hh"
+#include "matvec_exec.hh"
 
 namespace sap {
 namespace {

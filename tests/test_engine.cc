@@ -81,22 +81,36 @@ TEST(EngineRegistry, EveryProblemKindHasAnEngine)
 
 TEST(EngineRegistry, CustomEngineCanBeRegisteredAndReplaced)
 {
+    // An external engine implements the prepared protocol; this one
+    // runs the linear family's plans, and run() comes with the base.
     class Fake : public SystolicEngine
     {
       public:
         std::string name() const override { return "fake"; }
         ProblemKind kind() const override { return ProblemKind::MatVec; }
         std::string description() const override { return "fake"; }
-        EngineRunResult
-        run(const EnginePlan &) const override
+        std::shared_ptr<const PreparedPlan>
+        prepare(const EnginePlan &plan) const override
         {
-            return {};
+            return linear_->prepare(plan);
         }
+        EngineRunResult
+        runPrepared(const PreparedPlan &prepared,
+                    const EngineInputs &in) const override
+        {
+            return linear_->runPrepared(prepared, in);
+        }
+
+      private:
+        std::unique_ptr<SystolicEngine> linear_ = makeEngine("linear");
     };
     registerEngine("fake", [] { return std::make_unique<Fake>(); });
     auto engine = makeEngine("fake");
     ASSERT_NE(engine, nullptr);
     EXPECT_EQ(engine->name(), "fake");
+    const EnginePlan plan = EnginePlan::matVec(
+        randomIntDense(5, 4, 1), randomIntVec(4, 2), randomIntVec(5, 3), 2);
+    EXPECT_TRUE(plan.matchesOracle(engine->run(plan).y, {}));
 }
 
 /**

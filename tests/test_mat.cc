@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "block.hh"
 #include "mat/band.hh"
-#include "mat/block.hh"
 #include "mat/dense.hh"
 #include "mat/generate.hh"
 #include "mat/io.hh"

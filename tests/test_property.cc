@@ -11,16 +11,15 @@
 #include "analysis/sweep.hh"
 #include "base/math_util.hh"
 #include "base/random.hh"
-#include "dbt/interleave.hh"
 #include "engine/registry.hh"
 #include "dbt/matmul_plan.hh"
-#include "dbt/matvec_exec.hh"
 #include "dbt/matvec_plan.hh"
 #include "dbt/sparse_dbt.hh"
 #include "dbt_oracle.hh"
 #include "mat/generate.hh"
 #include "mat/ops.hh"
 #include "mat/triangular.hh"
+#include "matvec_exec.hh"
 #include "serve/fingerprint.hh"
 
 namespace sap {

@@ -161,6 +161,22 @@ TEST(SemanticsBandKernel, RowPointerKernelMatchesAtOracleAndSimulator)
                                         plan.transform().extractY(
                                             fast.ybar)));
 
+                // An overlapped run's halves are row ranges of the
+                // plan's own band (n̄ = 3 cuts unevenly): each agrees
+                // with both oracles, and together they are the whole
+                // band's ȳ, since no feedback chain crosses the cut.
+                Vec<Scalar> joined;
+                for (const BandMatVecSpec &half : plan.makeSplitSpecs(x, b)) {
+                    EXPECT_EQ(half.abar, spec.abar);
+                    const BandMatVecSemantics h = runBandMatVecSemantics(half);
+                    EXPECT_TRUE(
+                        sameBitsVec(h.ybar, oracle::bandMatVecAt(half).ybar));
+                    EXPECT_TRUE(sameBitsUpToNaNPayload(
+                        h.ybar, runBandMatVec(half).ybar));
+                    joined.append(h.ybar);
+                }
+                EXPECT_TRUE(sameBitsVec(joined, fast.ybar));
+
                 // Every MAC against a padding zero happens: ȳ's last
                 // row is padding when w does not divide n, and its L̄
                 // part meets x_0's +inf, so 0·inf makes it NaN.

@@ -550,30 +550,46 @@ TEST(PlanCache, TriPlansDependOnTheSystemAlone)
     EXPECT_GE(cache.stats().collisions, 1u);
 }
 
-/** An engine that implements run() only: its prepared plans are the
- *  generic wrap of the whole EnginePlan. */
-class RunOnlyMatMulEngine : public SystolicEngine
+TEST(PlanCache, DigestHintIsOnlyAHint)
 {
-  public:
-    std::string name() const override { return "run-only"; }
-    ProblemKind kind() const override { return ProblemKind::MatMul; }
-    std::string description() const override { return "test engine"; }
-    EngineRunResult
-    run(const EnginePlan &plan) const override
-    {
-        return makeEngine("mesh")->run(plan);
-    }
-};
+    // A caller's digest only says where to look. A wrong one costs a
+    // miss, never a wrong plan, and a cache with its own hash ignores
+    // it.
+    auto engine = makeEngine("linear");
+    const Vec<Scalar> x = randomIntVec(8, 223), b = randomIntVec(8, 224);
+    const EnginePlan p1 =
+        EnginePlan::matVec(randomIntDense(8, 8, 221), x, b, 4);
+    const EnginePlan p2 =
+        EnginePlan::matVec(randomIntDense(8, 8, 222), x, b, 4);
+    const Digest d1 = planDigest("linear", p1);
 
-TEST(PlanCache, GenericPlansConfirmHitsBitForBitUnderCollisions)
-{
-    RunOnlyMatMulEngine engine;
-    for (const EdgeShape &sh : kEdgeShapes) {
-        SCOPED_TRACE("n=" + std::to_string(sh.n));
-        expectOnlyItsOwnMatricesHit(engine,
-                                    randomIntDense(sh.n, sh.p, 201),
-                                    randomIntDense(sh.p, sh.m, 202), sh.w);
-    }
+    PlanCache cache(8);
+    const PlanCache::Prepared first = cache.prepare(*engine, p1, d1);
+    ASSERT_FALSE(first.hit);
+    EXPECT_EQ(cache.prepare(*engine, p1).plan.get(), first.plan.get());
+
+    // p2 under p1's digest: p1's plan is probed and refused, and p2
+    // gets a plan of its own, filed under the wrong key.
+    const PlanCache::Prepared wrong = cache.prepare(*engine, p2, d1);
+    EXPECT_FALSE(wrong.hit);
+    EXPECT_NE(wrong.plan.get(), first.plan.get());
+    EXPECT_GE(cache.stats().collisions, 1u);
+    const EngineRunResult served =
+        engine->runPrepared(*wrong.plan, EngineInputs::of(p2));
+    const EngineRunResult own = engine->run(p2);
+    ASSERT_EQ(served.y.size(), own.y.size());
+    EXPECT_TRUE(sameBits(served.y.elems(), own.y.elems(), own.y.size()));
+    EXPECT_TRUE(p2.matchesOracle(served.y, {}));
+    EXPECT_FALSE(cache.prepare(*engine, p2).hit);
+
+    // A custom hash: the plan is filed under the cache's own digest,
+    // so lookups with no hint or another wrong one hit it.
+    PlanCache custom(8, [](const Dense<Scalar> &) { return Digest{7}; });
+    const PlanCache::Prepared built = custom.prepare(*engine, p1, Digest{1});
+    EXPECT_FALSE(built.hit);
+    EXPECT_TRUE(custom.prepare(*engine, p1).hit);
+    EXPECT_TRUE(custom.prepare(*engine, p1, Digest{2}).hit);
+    EXPECT_EQ(custom.stats().collisions, 0u);
 }
 
 //---------------------------------------------------------------------
@@ -618,6 +634,48 @@ TEST(PreparedPlan, EveryEngineMatchesItsOwnRunPath)
         }
         EXPECT_EQ(via_prepared.stats.cycles, via_run.stats.cycles);
     }
+}
+
+TEST(PreparedPlan, EngineFamiliesShareOnlyTheirOwnPlans)
+{
+    // Engines of one plan family run each other's prepared plans:
+    // a linear plan serves grouped and overlapped with the y of their
+    // own plans, and a hex plan serves spiral. Another family's plan
+    // is refused.
+    const Index n = 9, m = 7, p = 5, w = 3;
+    const Dense<Scalar> a = randomIntDense(n, m, 71);
+    const EnginePlan mv =
+        EnginePlan::matVec(a, randomIntVec(m, 72), randomIntVec(n, 73), w);
+    const auto linear = makeEngine("linear")->prepare(mv);
+    for (const char *name : {"grouped", "overlapped"}) {
+        auto engine = makeEngine(name);
+        for (ExecMode mode : {ExecMode::Simulate, ExecMode::Fast}) {
+            SCOPED_TRACE(std::string(name) + " " + execModeName(mode));
+            EngineInputs in = EngineInputs::of(mv);
+            in.mode = mode;
+            const EngineRunResult shared = engine->runPrepared(*linear, in);
+            const EngineRunResult own =
+                engine->runPrepared(*engine->prepare(mv), in);
+            ASSERT_EQ(shared.y.size(), own.y.size());
+            EXPECT_TRUE(
+                sameBits(shared.y.elems(), own.y.elems(), own.y.size()));
+            EXPECT_EQ(shared.stats.cycles, own.stats.cycles);
+        }
+    }
+
+    const EnginePlan mm = EnginePlan::matMul(a, randomIntDense(m, p, 74),
+                                             randomIntDense(n, p, 75), w);
+    auto spiral = makeEngine("spiral");
+    const EngineRunResult via_hex = spiral->runPrepared(
+        *makeEngine("hex")->prepare(mm), EngineInputs::of(mm));
+    EXPECT_TRUE(sameBits(via_hex.c, spiral->run(mm).c));
+    EXPECT_TRUE(mm.matchesOracle({}, via_hex.c));
+
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const auto mesh = makeEngine("mesh")->prepare(mm);
+    auto hex = makeEngine("hex");
+    EXPECT_DEATH(hex->runPrepared(*mesh, EngineInputs::of(mm)),
+                 "foreign prepared plan");
 }
 
 //---------------------------------------------------------------------
