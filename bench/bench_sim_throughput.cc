@@ -10,8 +10,9 @@
  * BM_Prepare times the plan build alone (the plan-cache miss path),
  * with a plan of the shape live and, for hex, without. BM_FastRun
  * times Fast mode on a live plan (the band kernel and its x̄/b̄/y
- * plumbing), and BM_WireCodec the wire codec and the receive path
- * on a 2.1 MB SUBMIT, beside a memcpy of the frame for reference.
+ * plumbing), BM_HitConfirm the bit-for-bit confirm of a plan-cache
+ * hit, and BM_WireCodec the wire codec and the receive path on a
+ * 2.1 MB SUBMIT, beside a memcpy of the frame for reference.
  */
 
 #include "bench/bench_common.hh"
@@ -244,11 +245,20 @@ linear512()
                               32);
 }
 
+/** mm48_sim_hot's request: hex mat-mul, A and B 48×48, w=4. */
+EnginePlan
+hex48()
+{
+    return EnginePlan::matMul(randomIntDense(48, 48, 1),
+                              randomIntDense(48, 48, 2), 4);
+}
+
 /**
  * Fast mode on a live plan: one runPrepared, which builds x̄ and b̄,
- * replays the band (semantics/band_kernel.hh) and extracts y. The
- * shapes are mv512_fast_hot's and mixed_cold_open's linear and tri;
- * overlapped runs mv512's band as two halves of the same plan.
+ * replays the band (semantics/band_kernel.hh) and extracts y, or for
+ * hex replays every O value (dbt/matmul_plan.hh) and extracts C. The
+ * shapes are mv512_fast_hot's and mixed_cold_open's linear, tri and
+ * hex; overlapped runs mv512's band as two halves of the same plan.
  */
 void
 BM_FastRun(benchmark::State &state, const char *engine,
@@ -262,12 +272,39 @@ BM_FastRun(benchmark::State &state, const char *engine,
     for (auto _ : state) {
         EngineRunResult r = eng->runPrepared(*prepared, in);
         benchmark::DoNotOptimize(r.y.elems());
+        benchmark::DoNotOptimize(r.c.elems());
     }
 }
 BENCHMARK_CAPTURE(BM_FastRun, linear_512_32, "linear", linear512);
 BENCHMARK_CAPTURE(BM_FastRun, overlapped_512_32, "overlapped", linear512);
 BENCHMARK_CAPTURE(BM_FastRun, linear_128_8, "linear", prepareLinear);
 BENCHMARK_CAPTURE(BM_FastRun, tri_128_8, "tri", prepareTri);
+BENCHMARK_CAPTURE(BM_FastRun, hex_32_4, "hex", prepareHex);
+
+/**
+ * The plan-cache hit path after the digest: PreparedPlan::builtFrom
+ * on a live plan of the request's own matrices, which compares the
+ * shape and then the plan's stored data bit for bit. The shapes are
+ * mm48_sim_hot's and mixed_cold_open's hex, and mv512_fast_hot's
+ * linear.
+ */
+void
+BM_HitConfirm(benchmark::State &state, const char *engine,
+              EnginePlan (*make_plan)())
+{
+    auto eng = requireEngine(engine);
+    const EnginePlan plan = make_plan();
+    const std::shared_ptr<const PreparedPlan> live = eng->prepare(plan);
+    if (!live->builtFrom(plan))
+        state.SkipWithError("a plan does not confirm its own matrices");
+    for (auto _ : state) {
+        bool same = live->builtFrom(plan);
+        benchmark::DoNotOptimize(same);
+    }
+}
+BENCHMARK_CAPTURE(BM_HitConfirm, hex_48_4, "hex", hex48);
+BENCHMARK_CAPTURE(BM_HitConfirm, hex_32_4, "hex", prepareHex);
+BENCHMARK_CAPTURE(BM_HitConfirm, linear_512_32, "linear", linear512);
 
 /** mv512_fast_hot's request: a 2.1 MB SUBMIT. */
 ServeRequest

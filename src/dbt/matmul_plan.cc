@@ -68,7 +68,8 @@ MatMulSkeleton::bandIdx(Index i, Index j) const
 }
 
 MatMulSkeleton::MatMulSkeleton(const MatMulDims &dims)
-    : dims_(dims), composer_(dims), copies_(dims)
+    : dims_(dims), map_(std::make_shared<const MatMulBandMap>(dims)),
+      composer_(dims)
 {
     SAP_ASSERT(dims_.coverageHolds(), "mat-mul transform is malformed");
     SAP_ASSERT(composer_.validate(), "I/O composition is inconsistent");
@@ -212,9 +213,9 @@ MatMulSkeleton::intern(const MatMulDims &dims, bool *reused)
 
 MatMulPlan::MatMulPlan(const Dense<Scalar> &a, const Dense<Scalar> &b,
                        Index w)
-    : transform_(a, b, w),
-      skeleton_(MatMulSkeleton::intern(transform_.dims(),
-                                       &reused_skeleton_))
+    : skeleton_(MatMulSkeleton::intern(MatMulDims::of(a, b, w),
+                                       &reused_skeleton_)),
+      transform_(a, b, skeleton_->map())
 {
 }
 

@@ -3,8 +3,9 @@
  * End-to-end mat-mul execution plan: DBT transformation, cycle-
  * accurate hexagonal execution with spiral feedback, and result
  * extraction. The user-facing API for C = A·B + E on a fixed w×w
- * hexagonal array. A plan is its per-matrix bands plus a per-shape
- * skeleton of routing tables that every plan of one shape shares.
+ * hexagonal array. A plan is its per-matrix A and B plus a per-shape
+ * skeleton, the band layout and routing tables that every plan of
+ * one shape shares.
  *
  * The spiral-feedback records are per shape too. Each transfer is a
  * FromO route plus two cycles: the closed-form entry cycle of its
@@ -46,17 +47,17 @@ struct MatMulPlanResult
 /**
  * The shape-only half of a MatMulPlan: everything it needs that
  * depends on (n, p, m, w) and never on the matrix values. That is
- * the Appendix I/O composer, the scalar routing tables (where every
- * I-band input comes from, where every O-band output goes), the
- * spiral-feedback records of a run (file comment), and the
- * MatMulCopyMap through which a cached plan is compared with a
- * request's matrices.
+ * the MatMulBandMap through which a plan reads Ā and B̄ out of its A
+ * and B, the Appendix I/O composer, the scalar routing tables (where
+ * every I-band input comes from, where every O-band output goes),
+ * and the spiral-feedback records of a run (file comment).
  *
  * Immutable once built, so every plan of one shape shares one
  * skeleton through intern(). Building one runs the shape-only
- * checks: IoComposer::validate(), the block-schedule coverage, the
- * range assert of every feedback route, and the feedback audit
- * (no value re-enters before it leaves, none leaves its loop).
+ * checks: the map's placement assert, IoComposer::validate(), the
+ * block-schedule coverage, the range assert of every feedback route,
+ * and the feedback audit (no value re-enters before it leaves, none
+ * leaves its loop).
  */
 class MatMulSkeleton
 {
@@ -86,6 +87,8 @@ class MatMulSkeleton
     static std::shared_ptr<const MatMulSkeleton>
     intern(const MatMulDims &dims, bool *reused);
 
+    /** Where the bands of this shape read A and B. */
+    const std::shared_ptr<const MatMulBandMap> &map() const { return map_; }
     /** The Appendix I/O composer. */
     const IoComposer &composer() const { return composer_; }
 
@@ -112,14 +115,10 @@ class MatMulSkeleton
         return feedback_;
     }
 
-    /** Where this shape's bands keep one copy of each element of A
-     *  and B: what a plan-cache hit is confirmed through. */
-    const MatMulCopyMap &copies() const { return copies_; }
-
   private:
     MatMulDims dims_;
+    std::shared_ptr<const MatMulBandMap> map_;
     IoComposer composer_;
-    MatMulCopyMap copies_;
     // Routing tables keyed by bandIdx().
     std::vector<InputRoute> routes_;
     std::vector<Index> extract_row_;
@@ -131,15 +130,14 @@ class MatMulSkeleton
  * Reusable execution plan for one (A, B) pair on one array size.
  *
  * Construction does all plan work, in two parts. The per-matrix part
- * is the DBT transform: both bands, gathered straight from A and B.
- * The per-shape part is the MatMulSkeleton, built once per
- * (n, p, m, w) and shared by every live plan of that shape. run(e)
- * only streams data through the array, so a plan cached by the
- * serving layer amortizes the dense→band build across requests, and
- * a plan-cache miss on a shape already live pays only for its bands.
- * The plan stores nothing per cycle: the hex driver derives every
- * port event from the bands' shape (sim/hex_driver.hh), and a run
- * records no feedback; it shares its skeleton's records.
+ * is one copy of A and of B. The per-shape part is the MatMulSkeleton,
+ * built once per (n, p, m, w) and shared by every live plan of that
+ * shape, whose band map reads Ā and B̄ out of A and B. run(e) only
+ * streams data through the array, so a plan-cache miss on a shape
+ * already live pays only for copying A and B. The plan stores nothing
+ * per cycle: the hex driver derives every port event from the bands'
+ * shape (sim/hex_driver.hh), and a run records no feedback; it shares
+ * its skeleton's records.
  *
  * Thread-compatibility: const member functions are safe to call
  * concurrently (each run owns its transient state); construction is
@@ -194,9 +192,9 @@ class MatMulPlan
     MatMulPlanResult runSemantics(const Dense<Scalar> &e) const;
 
   private:
-    MatMulTransform transform_;
     bool reused_skeleton_ = false;
     std::shared_ptr<const MatMulSkeleton> skeleton_;
+    MatMulTransform transform_;
 };
 
 } // namespace sap

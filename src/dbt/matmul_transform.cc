@@ -1,7 +1,6 @@
 #include "dbt/matmul_transform.hh"
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "base/logging.hh"
@@ -18,7 +17,7 @@ namespace {
  * and column).
  */
 Dense<Scalar>
-bandBlock(const Band<Scalar> &band, Index w, Index kr, Index kc,
+bandBlock(const MappedBand &band, Index w, Index kr, Index kc,
           TriPart part)
 {
     Dense<Scalar> blk(w, w);
@@ -34,26 +33,28 @@ bandBlock(const Band<Scalar> &band, Index w, Index kr, Index kc,
 }
 
 /**
- * Placement: every Ā diagonal block (the tail's U' included) holds
- * U^A of its provenance block, read here element by element from A's
- * coordinates rather than through the row gather.
+ * Placement: every Ā diagonal block (the tail's U' included) of
+ * @p map maps U^A of its provenance block, worked out here element by
+ * element from A's coordinates rather than through the runs.
  */
 bool
-diagBlocksMatchA(const Band<Scalar> &abar, const MatMulDims &d,
-                 const Dense<Scalar> &a)
+diagBlocksMapA(const MatMulBandMap &map)
 {
+    const MatMulDims &d = map.dims();
     const Index w = d.w;
     for (Index k = 0; k <= d.blockCount(); ++k) {
         const Index r = d.rOf(k), s = d.sOf(k); // (0, 0) at the tail
         for (Index i = 0; i < w; ++i) {
             for (Index j = i; j < w; ++j) {
-                const Index col = k * w + j;
-                if (col >= d.order())
+                if (k * w + j >= d.order())
                     continue;
                 const Index ar = r * w + i, ac = s * w + j;
-                const Scalar expect =
-                    ar < a.rows() && ac < a.cols() ? a(ar, ac) : 0;
-                if (abar.at(k * w + i, col) != expect)
+                const std::uint32_t expect =
+                    ar < d.n && ac < d.p
+                        ? static_cast<std::uint32_t>(ar * d.p + ac)
+                        : MatMulBandMap::kPad;
+                if (map.a()[static_cast<std::size_t>((k * w + i) * w +
+                                                     j - i)] != expect)
                     return false;
             }
         }
@@ -62,21 +63,20 @@ diagBlocksMatchA(const Band<Scalar> &abar, const MatMulDims &d,
 }
 
 /**
- * The layout of Ā's block rows [k0, k1), k1 <= blockCount() + 1 (the
- * tail), which the constructor gathers by and MatMulCopyMap maps by:
- * calls seg(row, col, len, slot) for each run of A's row @p row,
- * columns col … col+len−1, that Ā holds from storage slot @p slot on.
- * Slots count from Ā's first, its rows back to back, w slots each (as
- * Band stores them); slots no run covers are zero.
+ * The layout of Ā, tail included, which MatMulBandMap maps by: calls
+ * seg(row, col, len, slot) for each run of A's row @p row, columns
+ * col … col+len−1, that Ā holds from storage slot @p slot on. Slots
+ * count from Ā's first, its rows back to back, w slots each; slots
+ * no run covers hold padding zeros.
  */
 template <typename Seg>
 void
-forEachASegment(const MatMulDims &d, Index k0, Index k1, Seg &&seg)
+forEachASegment(const MatMulDims &d, Seg &&seg)
 {
     const Index w = d.w, K = d.blockCount();
     // r and s of block row k, stepped along with k.
-    Index r = d.rOf(k0), s = d.sOf(k0);
-    for (Index k = k0; k < k1; ++k) {
+    Index r = 0, s = 0;
+    for (Index k = 0; k <= K; ++k) {
         const Index first = k * w * w;
         if (k == K) {
             // Tail U': leading (w−1)×(w−1) corner of U^A_{0,0}; the
@@ -110,13 +110,13 @@ forEachASegment(const MatMulDims &d, Index k0, Index k1, Seg &&seg)
 /** As forEachASegment(), for B̄ and B. */
 template <typename Seg>
 void
-forEachBSegment(const MatMulDims &d, Index k0, Index k1, Seg &&seg)
+forEachBSegment(const MatMulDims &d, Seg &&seg)
 {
     const Index w = d.w, K = d.blockCount();
     // r, s and c of block row k, stepped along with k; at the tail
     // k = K they read (0, 0, m̄).
-    Index r = d.rOf(k0), s = d.sOf(k0), c = d.cOf(k0);
-    for (Index k = k0; k < k1; ++k) {
+    Index r = 0, s = 0, c = 0;
+    for (Index k = 0; k <= K; ++k) {
         // Row k·w+i stores columns k·w+i−w+1 … k·w+i: row i of U⁻_k
         // (B block (s, c(k−1)), local columns i+1 … w−1; none at
         // k = 0, whose slots lie left of column 0), then row i of
@@ -163,144 +163,96 @@ MatMulDims::coverageHolds() const
     return true;
 }
 
-MatMulTransform::MatMulTransform(const Dense<Scalar> &a,
-                                 const Dense<Scalar> &b, Index w)
-    : dims_{a.rows(), a.cols(), b.cols(), w,
-            ceilDiv(a.rows(), w), ceilDiv(a.cols(), w),
-            ceilDiv(b.cols(), w)},
-      abar_(dims_.order(), dims_.order(), 0, w - 1),
-      bbar_(dims_.order(), dims_.order(), w - 1, 0)
+MatMulDims
+MatMulDims::of(const Dense<Scalar> &a, const Dense<Scalar> &b, Index w)
 {
     SAP_ASSERT(w >= 1, "block size must be >= 1");
     SAP_ASSERT(a.rows() >= 1 && a.cols() >= 1 && b.cols() >= 1,
                "cannot partition an empty matrix");
     SAP_ASSERT(a.cols() == b.rows(), "A cols ", a.cols(),
                " != B rows ", b.rows());
-    Scalar *abar = abar_.rowPtr(0);
-    forEachASegment(dims_, 0, dims_.blockCount() + 1,
-                    [&](Index row, Index col, Index len, Index slot) {
-                        a.gatherRow(row, col, len, abar + slot);
-                    });
-    Scalar *bbar = bbar_.rowPtr(0);
-    forEachBSegment(dims_, 0, dims_.blockCount() + 1,
-                    [&](Index row, Index col, Index len, Index slot) {
-                        b.gatherRow(row, col, len, bbar + slot);
-                    });
-
-    SAP_ASSERT(diagBlocksMatchA(abar_, dims_, a),
-               "Ā diagonal blocks differ from A's provenance blocks");
+    return {a.rows(), a.cols(), b.cols(), w, ceilDiv(a.rows(), w),
+            ceilDiv(a.cols(), w), ceilDiv(b.cols(), w)};
 }
 
-MatMulCopyMap::MatMulCopyMap(const MatMulDims &dims) : dims_(dims)
+MatMulBandMap::MatMulBandMap(const MatMulDims &dims)
+    : dims_(dims),
+      a_(static_cast<std::size_t>(dims.order() * dims.w), kPad),
+      b_(a_.size(), kPad)
 {
-    // One copy of each element of A and of B, not all its m̄ (n̄):
-    // every plan of this shape gathers its bands by the same layout,
-    // so once one copy of every element matches, every copy does. By
-    // the single-copy coverage (dims.coverageHolds()), Ā's first
-    // period, block rows k < n̄·p̄ (c = 0), holds U^A and L^A of every
-    // A block once. B̄'s block rows with r = 0 hold L⁺ of every B
-    // block and U⁻ of all but the last block of B's first block row,
-    // whose U⁻ is in the tail. Slots past A's and B's edges are zero
-    // in every plan of the shape and are not mapped.
     const MatMulDims &d = dims_;
-    const Index limit = Index{UINT32_MAX};
-    SAP_ASSERT(d.order() * d.w <= limit && d.n * d.p <= limit &&
-                   d.p * d.m <= limit,
-               "bands too large to map");
-    auto mapper = [](Index rows, Index cols, std::vector<Copy> *out) {
-        return [=](Index row, Index col, Index len, Index slot) {
+    SAP_ASSERT(d.n * d.p < Index{kPad} && d.p * d.m < Index{kPad},
+               "operands too large to map");
+    // Each run, clipped at the source's edges; the slots it leaves
+    // stay kPad.
+    auto mapper = [](Index rows, Index cols,
+                     std::vector<std::uint32_t> &out) {
+        return [&out, rows, cols](Index row, Index col, Index len,
+                                  Index slot) {
             if (row >= rows)
                 return;
             for (Index j = 0; j < len && col + j < cols; ++j)
-                out->push_back(
-                    {static_cast<std::uint32_t>(slot + j),
-                     static_cast<std::uint32_t>(row * cols + col + j)});
+                out[static_cast<std::size_t>(slot + j)] =
+                    static_cast<std::uint32_t>(row * cols + col + j);
         };
     };
-    const Index period = d.nbar * d.pbar;
-    a_.reserve(static_cast<std::size_t>(d.n * d.p));
-    forEachASegment(d, 0, period, mapper(d.n, d.p, &a_));
-    b_.reserve(static_cast<std::size_t>(d.p * d.m));
-    for (Index c = 0; c < d.mbar; ++c)
-        forEachBSegment(d, c * period, c * period + d.pbar,
-                        mapper(d.p, d.m, &b_));
-    forEachBSegment(d, d.blockCount(), d.blockCount() + 1,
-                    mapper(d.p, d.m, &b_));
+    forEachASegment(d, mapper(d.n, d.p, a_));
+    forEachBSegment(d, mapper(d.p, d.m, b_));
+    SAP_ASSERT(diagBlocksMapA(*this),
+               "Ā diagonal blocks differ from A's provenance blocks");
 }
 
-namespace {
-
-/** True if @p band holds at every mapped slot the bits of the
- *  element of @p m it maps to. */
-bool
-copiesMatch(const std::vector<MatMulCopyMap::Copy> &copies,
-            const Band<Scalar> &band, const Dense<Scalar> &m)
+MatMulTransform::MatMulTransform(const Dense<Scalar> &a,
+                                 const Dense<Scalar> &b,
+                                 std::shared_ptr<const MatMulBandMap> map)
+    : a_(a), b_(b), map_(std::move(map))
 {
-    const Scalar *stored = band.rowPtr(0);
-    const Scalar *src = m.data().data();
-    std::uint64_t diff = 0;
-    for (const MatMulCopyMap::Copy &c : copies) {
-        std::uint64_t x = 0, y = 0;
-        std::memcpy(&x, stored + c.slot, sizeof x);
-        std::memcpy(&y, src + c.offset, sizeof y);
-        diff |= x ^ y;
-    }
-    return diff == 0;
+    const MatMulDims &d = map_->dims();
+    SAP_ASSERT(a.rows() == d.n && a.cols() == d.p && b.rows() == d.p &&
+                   b.cols() == d.m,
+               "band map of another shape");
 }
 
-} // namespace
-
-bool
-MatMulTransform::builtFrom(const Dense<Scalar> &a, const Dense<Scalar> &b,
-                           const MatMulCopyMap &copies) const
+MatMulTransform::MatMulTransform(const Dense<Scalar> &a,
+                                 const Dense<Scalar> &b, Index w)
+    : MatMulTransform(a, b,
+                      std::make_shared<const MatMulBandMap>(
+                          MatMulDims::of(a, b, w)))
 {
-    const MatMulDims &d = copies.dims();
-    SAP_ASSERT(d.n == dims_.n && d.p == dims_.p && d.m == dims_.m &&
-                   d.w == dims_.w,
-               "copy map of another shape");
-    return a.rows() == d.n && a.cols() == d.p && b.rows() == d.p &&
-           b.cols() == d.m && copiesMatch(copies.a(), abar_, a) &&
-           copiesMatch(copies.b(), bbar_, b);
 }
 
 Dense<Scalar>
 MatMulTransform::aDiagBlock(Index k) const
 {
-    SAP_ASSERT(k >= 0 && k <= dims_.blockCount(), "block row ", k,
+    SAP_ASSERT(k >= 0 && k <= dims().blockCount(), "block row ", k,
                " out of range");
-    return bandBlock(abar_, dims_.w, k, k, TriPart::UpperWithDiag);
+    return bandBlock(abar(), dims().w, k, k, TriPart::UpperWithDiag);
 }
 
 Dense<Scalar>
 MatMulTransform::aSuperBlock(Index k) const
 {
-    const Index K = dims_.blockCount();
+    const Index K = dims().blockCount();
     SAP_ASSERT(k >= 0 && k <= K, "block row ", k, " out of range");
     if (k == K)
-        return Dense<Scalar>(dims_.w, dims_.w); // no super block at tail
-    return bandBlock(abar_, dims_.w, k, k + 1, TriPart::LowerStrict);
+        return Dense<Scalar>(dims().w, dims().w); // no super block at tail
+    return bandBlock(abar(), dims().w, k, k + 1, TriPart::LowerStrict);
 }
 
 Dense<Scalar>
 MatMulTransform::bDiagBlock(Index k) const
 {
-    SAP_ASSERT(k >= 0 && k <= dims_.blockCount(), "block row ", k,
+    SAP_ASSERT(k >= 0 && k <= dims().blockCount(), "block row ", k,
                " out of range");
-    return bandBlock(bbar_, dims_.w, k, k, TriPart::LowerWithDiag);
+    return bandBlock(bbar(), dims().w, k, k, TriPart::LowerWithDiag);
 }
 
 Dense<Scalar>
 MatMulTransform::bSubBlock(Index k) const
 {
-    SAP_ASSERT(k >= 1 && k <= dims_.blockCount(), "sub block row ", k,
+    SAP_ASSERT(k >= 1 && k <= dims().blockCount(), "sub block row ", k,
                " out of range");
-    return bandBlock(bbar_, dims_.w, k, k - 1, TriPart::UpperStrict);
-}
-
-bool
-MatMulTransform::validate() const
-{
-    return dims_.coverageHolds();
+    return bandBlock(bbar(), dims().w, k, k - 1, TriPart::UpperStrict);
 }
 
 } // namespace sap

@@ -24,20 +24,23 @@
  * where U^A/L^A split A-blocks with the diagonal in U, and
  * L⁺/U⁻ split B-blocks with the diagonal in L.
  *
- * Both bands are gathered straight from A's and B's rows: each band
- * row is at most two contiguous segments of one source row, zero past
- * the source's edges. No padded copy of A or B is kept, and the
- * provenance blocks above are read back out of the bands.
+ * Both bands are a re-addressing of A and B that depends on the shape
+ * alone: each band row is at most two contiguous segments of one row
+ * of A (B), zero past its edges. So a transform keeps one copy of A
+ * and of B and reads Ā and B̄ through its shape's MatMulBandMap, which
+ * every plan of the shape shares; the provenance blocks above are
+ * read the same way.
  */
 
 #ifndef SAP_DBT_MATMUL_TRANSFORM_HH
 #define SAP_DBT_MATMUL_TRANSFORM_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/types.hh"
-#include "mat/band.hh"
 #include "mat/dense.hh"
 
 namespace sap {
@@ -58,6 +61,11 @@ struct MatMulDims
     /** Scalar order of Ā and B̄: N = w·K + w − 1. */
     Index order() const { return blockCount() * w + w - 1; }
 
+    /** The dims of A (n×p) times B (p×m) on a w×w array; asserts
+     *  that the pair is one. */
+    static MatMulDims of(const Dense<Scalar> &a, const Dense<Scalar> &b,
+                         Index w);
+
     /** Original A block-row index r of band block row k. */
     Index rOf(Index k) const { return (k % (nbar * pbar)) / pbar; }
     /** Original A block-column (= B block-row) index s of row k. */
@@ -74,63 +82,117 @@ struct MatMulDims
 };
 
 /**
- * Where the bands of one shape keep one copy of every element of A
- * and of B: for each element, its storage slot in Ā (B̄) and its
- * row-major offset in A (B). The map is a function of the shape, so
- * MatMulSkeleton builds it once per shape, and a plan-cache hit is
- * confirmed through it in two flat loops (MatMulTransform::
- * builtFrom()). Walking the bands' own runs instead, about 1,780 runs
- * of 1–4 words at 48², w = 4, took three to four times as long.
+ * The band layout of one shape: for every storage slot of Ā and B̄,
+ * the row-major offset in A (B) of the element it holds, or kPad for
+ * a padding zero. Each band stores N rows of w slots back to back:
+ * Ā's row i holds columns i … i+w−1, B̄'s row i columns i−w+1 … i.
+ *
+ * A function of the shape alone, so MatMulSkeleton builds it once per
+ * shape and every plan of the shape reads its A and B through it.
+ * Building one asserts the placement: every Ā diagonal block (the
+ * tail's U' included) maps U^A of its provenance block, worked out
+ * from A's coordinates rather than through the runs.
  */
-class MatMulCopyMap
+class MatMulBandMap
 {
   public:
-    /** One mapped element: Ā (B̄) storage slot, A (B) offset. */
-    struct Copy
-    {
-        std::uint32_t slot;
-        std::uint32_t offset;
-    };
+    /** The offset of a slot that holds a padding zero. */
+    static constexpr std::uint32_t kPad = UINT32_MAX;
 
-    /** Map the shape @p dims by the bands' gather layout. */
-    explicit MatMulCopyMap(const MatMulDims &dims);
+    explicit MatMulBandMap(const MatMulDims &dims);
 
-    /** The shape mapped. */
     const MatMulDims &dims() const { return dims_; }
-    /** One copy of each element of A, in Ā's storage order. */
-    const std::vector<Copy> &a() const { return a_; }
-    /** One copy of each element of B. */
-    const std::vector<Copy> &b() const { return b_; }
+    /** Ā's slots: ā(i, k) is slot i·(w − 1) + k. */
+    const std::vector<std::uint32_t> &a() const { return a_; }
+    /** B̄'s slots: b̄(k, j) is slot k·(w − 1) + j + w − 1. */
+    const std::vector<std::uint32_t> &b() const { return b_; }
+
+    /** What a slot mapped to @p from reads out of @p src. */
+    static Scalar
+    read(const Scalar *src, std::uint32_t from)
+    {
+        return from == kPad ? 0 : src[from];
+    }
 
   private:
     MatMulDims dims_;
-    std::vector<Copy> a_;
-    std::vector<Copy> b_;
+    std::vector<std::uint32_t> a_;
+    std::vector<std::uint32_t> b_;
 };
 
 /**
- * The transformed pair (Ā, B̄) plus provenance accessors.
+ * Ā or B̄ read out of A or B through a MatMulBandMap's slots, neither
+ * of them owned: reads as the square Band<Scalar> of @p sub sub- and
+ * @p super super-diagonals it maps does, zero outside the band.
+ */
+class MappedBand
+{
+  public:
+    MappedBand(const Scalar *src, const std::uint32_t *slots,
+               Index order, Index sub, Index super)
+        : src_(src), slots_(slots), order_(order), sub_(sub),
+          super_(super)
+    {
+    }
+
+    Index rows() const { return order_; }
+    Index cols() const { return order_; }
+    Index sub() const { return sub_; }
+    Index super() const { return super_; }
+
+    /** Element (r, c); zero outside the band. */
+    Scalar
+    at(Index r, Index c) const
+    {
+        SAP_ASSERT(r >= 0 && r < order_ && c >= 0 && c < order_,
+                   "index (", r, ",", c, ") out of order ", order_);
+        const Index off = c - r;
+        if (off < -sub_ || off > super_)
+            return 0;
+        return MatMulBandMap::read(
+            src_, slots_[r * (sub_ + super_ + 1) + off + sub_]);
+    }
+
+  private:
+    const Scalar *src_;
+    const std::uint32_t *slots_;
+    Index order_, sub_, super_;
+};
+
+/**
+ * The transformed pair (Ā, B̄): one copy of A and of B, read through
+ * their shape's MatMulBandMap, plus provenance accessors.
  */
 class MatMulTransform
 {
   public:
-    /**
-     * Gather both bands and assert the placement: every Ā diagonal
-     * block equals its provenance block of A, read by coordinates.
-     *
-     * @param a Dense A (n×p).
-     * @param b Dense B (p×m).
-     * @param w Hexagonal array size.
-     */
+    /** Keep @p a (n×p) and @p b (p×m), read through @p map, which
+     *  must map their shape (asserted). */
+    MatMulTransform(const Dense<Scalar> &a, const Dense<Scalar> &b,
+                    std::shared_ptr<const MatMulBandMap> map);
+    /** As above, with a map of its own for array size @p w. */
     MatMulTransform(const Dense<Scalar> &a, const Dense<Scalar> &b,
                     Index w);
 
-    const MatMulDims &dims() const { return dims_; }
+    const MatMulDims &dims() const { return map_->dims(); }
+    const MatMulBandMap &map() const { return *map_; }
+    const Dense<Scalar> &a() const { return a_; }
+    const Dense<Scalar> &b() const { return b_; }
 
-    /** Ā: square upper band, bandwidth w. */
-    const Band<Scalar> &abar() const { return abar_; }
-    /** B̄: square lower band, bandwidth w. */
-    const Band<Scalar> &bbar() const { return bbar_; }
+    /** Ā: square upper band, bandwidth w; valid while this lives. */
+    MappedBand
+    abar() const
+    {
+        return {a_.elems(), map_->a().data(), dims().order(), 0,
+                dims().w - 1};
+    }
+    /** B̄: square lower band, bandwidth w; valid while this lives. */
+    MappedBand
+    bbar() const
+    {
+        return {b_.elems(), map_->b().data(), dims().order(),
+                dims().w - 1, 0};
+    }
 
     //-----------------------------------------------------------------
     // Block-level provenance (k in [0, blockCount()], where
@@ -147,28 +209,10 @@ class MatMulTransform
     /** B̄(k,k−1): the U⁻ block (k in [1, blockCount()]). */
     Dense<Scalar> bSubBlock(Index k) const;
 
-    /**
-     * True if these are bit for bit the bands of (@p a, @p b): the
-     * same shape, and the stored copy of every element of A and of B
-     * that @p copies maps holds that element's bits. This confirms a
-     * plan-cache hit without a copy of A or B.
-     *
-     * @pre @p copies maps this transform's shape (asserted).
-     */
-    bool builtFrom(const Dense<Scalar> &a, const Dense<Scalar> &b,
-                   const MatMulCopyMap &copies) const;
-
-    /**
-     * Structural validation of the block schedule: single-copy
-     * coverage (dims().coverageHolds()). The placement of values is
-     * asserted once, at construction, while A is at hand.
-     */
-    bool validate() const;
-
   private:
-    MatMulDims dims_;
-    Band<Scalar> abar_;
-    Band<Scalar> bbar_;
+    Dense<Scalar> a_;
+    Dense<Scalar> b_;
+    std::shared_ptr<const MatMulBandMap> map_;
 };
 
 } // namespace sap

@@ -340,12 +340,11 @@ storesDataOf(const MatVecPlan &plan, const EnginePlan &p)
     return plan.transform().builtFrom(p.a);
 }
 
-// The skeleton is a function of the shape, already compared.
 bool
 storesDataOf(const MatMulPlan &plan, const EnginePlan &p)
 {
-    return plan.transform().builtFrom(p.a, p.bmat,
-                                      plan.skeleton()->copies());
+    return sameBits(plan.transform().a(), p.a) &&
+           sameBits(plan.transform().b(), p.bmat);
 }
 
 bool

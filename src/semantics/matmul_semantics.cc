@@ -10,6 +10,7 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "analysis/formulas.hh"
@@ -33,6 +34,10 @@ MatMulPlan::runSemantics(const Dense<Scalar> &e) const
     // Captured O values, keyed by bandIdx of the scalar position.
     std::vector<Scalar> captured(sk.slots(), 0);
     Dense<Scalar> c_pad(d.nbar * w, d.mbar * w);
+    // ā(i, k) and b̄(k, j) read through the shape's band map.
+    const Scalar *a = transform_.a().elems(), *b = transform_.b().elems();
+    const std::uint32_t *amap = transform_.map().a().data();
+    const std::uint32_t *bmap = transform_.map().b().data();
     Index macs = 0;
 
     const Cycle last = hexLastCycle(N, w);
@@ -58,11 +63,12 @@ MatMulPlan::runSemantics(const Dense<Scalar> &e) const
             // (k−i, k−j) for ascending k — the array's MAC order.
             const Index klo = std::max(i, j);
             const Index khi = std::min(std::min(i, j) + w - 1, N - 1);
-            for (Index k = klo; k <= khi; ++k) {
-                acc = acc + transform_.abar().at(i, k) *
-                                transform_.bbar().at(k, j);
-                ++macs;
-            }
+            const std::uint32_t *ak = amap + i * (w - 1) + klo;
+            const std::uint32_t *bk = bmap + klo * (w - 1) + j + w - 1;
+            for (Index k = klo; k <= khi; ++k, ++ak, bk += w - 1)
+                acc = acc + MatMulBandMap::read(a, *ak) *
+                                MatMulBandMap::read(b, *bk);
+            macs += khi - klo + 1;
 
             captured[slot] = acc;
             if (sk.extractRow(slot) >= 0)

@@ -40,10 +40,9 @@ PlanCache::PlanCache(std::size_t capacity, DenseHashFn hash)
 
 std::shared_ptr<const PreparedPlan>
 PlanCache::find(std::unique_lock<std::mutex> &lock, Digest digest,
-                const std::string &engine_name, const EnginePlan &plan)
+                const std::string &engine_name, const EnginePlan &plan,
+                std::vector<std::shared_ptr<const PreparedPlan>> &others)
 {
-    // Plans already probed and found to be other matrices.
-    std::vector<std::shared_ptr<const PreparedPlan>> others;
     for (;;) {
         // Copy out the candidates not probed yet, in index order...
         std::vector<std::pair<bool, std::shared_ptr<const PreparedPlan>>>
@@ -71,10 +70,6 @@ PlanCache::find(std::unique_lock<std::mutex> &lock, Digest digest,
         if (!match)
             continue; // entries filed meanwhile are compared in turn
         // ...and promote the match, unless it was evicted meanwhile.
-        // A non-matching probe under the same digest is a hash
-        // collision even when a later entry matches.
-        if (!others.empty())
-            ++stats_.collisions;
         range = index_.equal_range(digest);
         for (auto it = range.first; it != range.second; ++it) {
             if (it->second->plan == match) {
@@ -84,8 +79,6 @@ PlanCache::find(std::unique_lock<std::mutex> &lock, Digest digest,
         }
         return match;
     }
-    if (!others.empty())
-        ++stats_.collisions;
     return nullptr;
 }
 
@@ -100,10 +93,16 @@ PlanCache::prepare(const SystolicEngine &engine, const EnginePlan &plan,
         ? *digest
         : planDigest(engine_name, plan, hash_);
 
+    // Plans of other matrices met under this digest. A non-matching
+    // probe is a hash collision even when a later entry matches, and
+    // a request counts one however many it meets.
+    std::vector<std::shared_ptr<const PreparedPlan>> others;
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        if (auto cached = find(lock, key, engine_name, plan)) {
+        if (auto cached = find(lock, key, engine_name, plan, others)) {
             ++stats_.hits;
+            if (!others.empty())
+                ++stats_.collisions;
             return {cached, /*hit=*/true};
         }
         ++stats_.misses;
@@ -113,14 +112,18 @@ PlanCache::prepare(const SystolicEngine &engine, const EnginePlan &plan,
     // and must not serialize unrelated requests.
     std::shared_ptr<const PreparedPlan> built = engine.prepare(plan);
 
-    // Capacity 0 = caching disabled: serve the build, keep nothing.
+    // Capacity 0 = caching disabled: serve the build, keep nothing
+    // (and with nothing resident, nothing collided).
     if (capacity_ == 0)
         return {built, /*hit=*/false};
 
     std::unique_lock<std::mutex> lock(mutex_);
     // Another thread may have inserted the same key meanwhile;
     // prefer the incumbent so the cache holds one plan per matrix.
-    if (auto cached = find(lock, key, engine_name, plan))
+    auto cached = find(lock, key, engine_name, plan, others);
+    if (!others.empty())
+        ++stats_.collisions;
+    if (cached)
         return {cached, /*hit=*/false};
 
     lru_.push_front(Entry{key, engine_name, built});

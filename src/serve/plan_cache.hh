@@ -37,6 +37,7 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "engine/engine.hh"
 #include "serve/fingerprint.hh"
@@ -49,7 +50,8 @@ struct PlanCacheStats
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
-    /** Digest matches that were distinct matrices (hash collisions). */
+    /** Requests whose digest matched a plan of another matrix (hash
+     *  collisions), counted once per request. */
     std::uint64_t collisions = 0;
 
     /** Hit fraction in [0, 1] (0 when no lookups yet). */
@@ -170,14 +172,17 @@ class PlanCache
      * The cached plan @p plan would build on @p engine_name, if any.
      * Called and returning with @p lock held on mutex_, it releases
      * the lock while it confirms candidates (builtFrom()), and takes
-     * it again to count a collision and promote the match if it is
-     * still resident. Entries filed under @p digest meanwhile are
-     * confirmed in turn, so a null return means no resident entry
-     * matches as long as the lock stays held.
+     * it again to promote the match if it is still resident. Entries
+     * filed under @p digest meanwhile are confirmed in turn, so a
+     * null return means no resident entry matches as long as the
+     * lock stays held. Candidates refused, here or by an earlier call
+     * for the same request, are in @p others, and are not confirmed
+     * again.
      */
     std::shared_ptr<const PreparedPlan>
     find(std::unique_lock<std::mutex> &lock, Digest digest,
-         const std::string &engine_name, const EnginePlan &plan);
+         const std::string &engine_name, const EnginePlan &plan,
+         std::vector<std::shared_ptr<const PreparedPlan>> &others);
     void evictLocked();
 
     std::size_t capacity_;

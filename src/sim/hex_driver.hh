@@ -22,9 +22,10 @@
  * mod 3), so on each cycle a driver visits only the ports that are
  * due, stepping through them three apart.
  *
- * runHexBandMatMul() is a template on its I and O callables, so a
- * caller's routing compiles into the cycle loop instead of going
- * through a type-erased call per port event; there is one driver.
+ * runHexBandMatMul() is a template on its bands and its I and O
+ * callables, so a caller's band layout and routing compile into the
+ * cycle loop instead of going through a type-erased call per port
+ * event; there is one driver.
  *
  * The paper's step count T = 3w·p̄n̄m̄ + 4w − 5 counts from the first
  * useful MAC to the last exit (inclusive); the driver measures both
@@ -39,7 +40,6 @@
 #include "analysis/metrics.hh"
 #include "base/logging.hh"
 #include "base/types.hh"
-#include "mat/band.hh"
 #include "sim/hex_array.hh"
 
 namespace sap {
@@ -120,30 +120,30 @@ forEachHexEntry(Index n, Index w, Cycle tau, F &&f)
 }
 
 /**
- * Shape checks of a driver's bands (asserts on failure): Ā an upper
- * and B̄ a lower band, square, of one order and one bandwidth.
- */
-void validateHexBands(const Band<Scalar> &abar, const Band<Scalar> &bbar);
-
-/**
  * Execute one band mat-mul problem O = band(Ā·B̄) + I on the
  * hexagonal array. The input band I and output band O are 2w−1
  * wide, where w = Ā.super() + 1 is the array size.
  *
- * @param abar Upper band Ā (square, sub()==0, super()==w−1).
- * @param bbar Lower band B̄ (square, sub()==w−1, super()==0).
+ * @param abar Upper band Ā (square, sub()==0, super()==w−1): a
+ *        Band<Scalar>, or a MappedBand that reads it out of A.
+ * @param bbar Lower band B̄ (square, sub()==w−1, super()==0), as Ā.
  * @param input_value Scalar(Index i, Index j): the I value of
  *        in-band position (i, j); called exactly once per position,
  *        in nondecreasing injection-time order.
  * @param on_output void(Index i, Index j, Scalar v, Cycle exit):
  *        the O value at (i, j) left the array after cycle exit.
  */
-template <class In, class Out>
+template <class ABand, class BBand, class In, class Out>
 HexRunResult
-runHexBandMatMul(const Band<Scalar> &abar, const Band<Scalar> &bbar,
-                 In &&input_value, Out &&on_output)
+runHexBandMatMul(const ABand &abar, const BBand &bbar, In &&input_value,
+                 Out &&on_output)
 {
-    validateHexBands(abar, bbar);
+    SAP_ASSERT(abar.sub() == 0 && bbar.super() == 0 &&
+                   abar.super() == bbar.sub(),
+               "Ā and B̄ must be upper and lower bands of one bandwidth");
+    SAP_ASSERT(abar.rows() == abar.cols() && bbar.rows() == bbar.cols() &&
+                   abar.rows() == bbar.rows(),
+               "Ā and B̄ must be square of equal order");
     const Index w = abar.super() + 1;
     const Index N = abar.rows();
     HexArray array(w);

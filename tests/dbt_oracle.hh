@@ -1,7 +1,8 @@
 /**
  * @file
  * The block-copy construction of the DBT bands, kept as the oracle
- * for the row gathers in src/dbt/ and src/solve/. It partitions the
+ * for the row gathers in src/dbt/ and src/solve/ and for the mat-mul
+ * band map (sameBand()). It partitions the
  * matrix into zero-padded w×w blocks (BlockPartition), copies each
  * block out, splits it with triPartOf and places it element by
  * element, exactly as §2–§3 of the paper describe. Slow, and
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "block.hh"
+#include "dbt/matmul_transform.hh"
 #include "mat/band.hh"
 #include "mat/dense.hh"
 #include "mat/triangular.hh"
@@ -162,6 +164,28 @@ class MatMul
     Band<Scalar> abar_;
     Band<Scalar> bbar_;
 };
+
+/**
+ * True if @p got, a band read through its map, has @p want's shape
+ * and reads at every position of the band the bits @p want stores
+ * there (sameBits: +0 and −0 differ).
+ */
+inline bool
+sameBand(const MappedBand &got, const Band<Scalar> &want)
+{
+    if (got.rows() != want.rows() || got.cols() != want.cols() ||
+        got.sub() != want.sub() || got.super() != want.super())
+        return false;
+    for (Index r = 0; r < want.rows(); ++r) {
+        for (Index c = std::max(Index{0}, r - want.sub());
+             c <= std::min(want.cols() - 1, r + want.super()); ++c) {
+            const Scalar g = got.at(r, c), e = want.at(r, c);
+            if (!sameBits(&g, &e, 1))
+                return false;
+        }
+    }
+    return true;
+}
 
 /** The tri-solve plan's matrix-bound blocks, from L's partition. */
 struct TriSolveBlocks

@@ -226,7 +226,9 @@ TEST(PlanCache, FingerprintCollisionsResolveToDistinctPlans)
     PlanCache::Prepared c2 = cache.prepare(*engine, p2);
     EXPECT_FALSE(c2.hit);
     EXPECT_NE(c1.plan.get(), c2.plan.get());
-    EXPECT_GE(cache.stats().collisions, 1u);
+    // p2's miss met p1's plan before and after its build: one
+    // colliding request, one collision.
+    EXPECT_EQ(cache.stats().collisions, 1u);
 
     // And the colliding entries still hit individually — with
     // correct results through the engine.

@@ -14,6 +14,7 @@
 
 #include "analysis/formulas.hh"
 #include "dbt/matmul_plan.hh"
+#include "mat/band.hh"
 #include "hex_feedback_oracle.hh"
 #include "mat/generate.hh"
 #include "mat/ops.hh"
