@@ -1,12 +1,13 @@
 /**
  * @file
  * Cluster demo: a multi-array installation serving a bursty
- * multi-client workload through the async completion-queue API.
+ * multi-client workload through the async completion-callback API.
  *
  * Four shards sit behind consistent-hash routing; each client
- * thread fires tagged requests with submitToQueue() and a pool of
- * poller threads drains the completion queue — no client ever
- * blocks on a future. Clients reuse matrices across requests (the
+ * thread fires requests with submitAsync(), and each request's
+ * callback checks and counts its response on the shard worker that
+ * served it — no client ever blocks on a future, and main only
+ * waits for the last count. Clients reuse matrices across requests (the
  * realistic serving pattern), so each matrix's plan is built once,
  * on the one shard that owns it, and every repeat streams through
  * that shard's cache.
@@ -21,9 +22,11 @@
  * smoke target).
  */
 
-#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -39,15 +42,17 @@ main()
     const bool tiny = std::getenv("SAP_EXAMPLE_TINY") != nullptr;
 
     const int kClients = tiny ? 2 : 4;
-    const int kPollers = 2;
     const int kRequestsPerClient = tiny ? 12 : 40;
     const int kMatrices = tiny ? 4 : 10; // shared matrix pool
     const Index s = tiny ? 8 : 16;       // problem size
     const Index w = 4;                   // array size
 
-    // Queue declared before the cluster, so the cluster (whose
-    // workers push completions) is destroyed first.
-    CompletionQueue queue;
+    // Declared before the cluster, so they outlive every callback
+    // (the cluster's destructor drains its shards).
+    std::mutex mu;
+    std::condition_variable all_done;
+    std::uint64_t received = 0;
+    std::uint64_t bad = 0;
 
     Cluster::Options opts;
     opts.shards = 4;
@@ -68,23 +73,16 @@ main()
     for (int m = 0; m < kMatrices; ++m)
         mats.push_back(randomIntDense(s, s, 1 + m));
 
-    // Pollers drain completions while producers are still
-    // submitting: the event-loop client shape.
-    std::atomic<std::uint64_t> received{0};
-    std::atomic<std::uint64_t> bad{0};
-    std::vector<std::thread> pollers;
-    for (int p = 0; p < kPollers; ++p) {
-        pollers.emplace_back([&] {
-            Completion c;
-            while (queue.next(&c)) {
-                if (!c.response.ok || !c.response.crossCheckOk)
-                    bad.fetch_add(1, std::memory_order_relaxed);
-                if (received.fetch_add(
-                        1, std::memory_order_acq_rel) + 1 == total)
-                    queue.shutdown();
-            }
-        });
-    }
+    // Runs on the shard worker that served the request. Notified
+    // under the lock, so main cannot wake and return while the
+    // last callback still holds the condition variable.
+    auto onDone = [&](ServeResponse resp) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!resp.ok || !resp.crossCheckOk)
+            ++bad;
+        if (++received == total)
+            all_done.notify_one();
+    };
 
     std::vector<std::thread> clients;
     for (int c = 0; c < kClients; ++c) {
@@ -99,17 +97,21 @@ main()
                 req.plan = EnginePlan::matVec(
                     a, randomIntVec(s, seed),
                     randomIntVec(s, seed + 1), w);
-                cluster.submitToQueue(
-                    std::move(req), &queue,
-                    static_cast<std::uint64_t>(
-                        c * kRequestsPerClient + i));
+                cluster.submitAsync(std::move(req), onDone);
             }
         });
     }
     for (std::thread &t : clients)
         t.join();
-    for (std::thread &t : pollers)
-        t.join();
+    std::uint64_t served = 0, served_bad = 0;
+    {
+        // A lost completion fails the demo instead of hanging it.
+        std::unique_lock<std::mutex> lock(mu);
+        all_done.wait_for(lock, std::chrono::seconds(60),
+                          [&] { return received == total; });
+        served = received;
+        served_bad = bad;
+    }
 
     std::printf("\nper-shard serving metrics:\n");
     std::printf("%-6s %8s %8s %8s %10s %10s\n", "shard", "reqs",
@@ -135,7 +137,7 @@ main()
     const std::uint64_t misses = snap.counters["plan_cache_misses_total"];
     std::printf("\ntotal: %llu async requests, %llu failures, %llu "
                 "cross-check failures\n",
-                (unsigned long long)received.load(),
+                (unsigned long long)served,
                 (unsigned long long)failures,
                 (unsigned long long)cross_check_failures);
     std::printf("aggregate plan cache: %llu hits / %llu misses "
@@ -143,8 +145,8 @@ main()
                 (unsigned long long)hits, (unsigned long long)misses,
                 hits + misses ? 100.0 * hits / (hits + misses) : 0.0);
 
-    bool ok = received.load() == total && bad.load() == 0 &&
-              failures == 0 && cross_check_failures == 0 && hits > 0;
+    bool ok = served == total && served_bad == 0 && failures == 0 &&
+              cross_check_failures == 0 && hits > 0;
     std::printf("%s\n", ok ? "all requests served and verified"
                            : "FAILURES detected");
     return ok ? 0 : 1;

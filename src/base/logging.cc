@@ -201,7 +201,7 @@ logImpl(LogLevel level, const std::string &msg)
 {
     // Wall clock for "when did this happen", monotonic seconds for
     // lining up with trace/metric timestamps, thread id for sorting
-    // out the IO/writer/worker interleaving.
+    // out the IO/worker interleaving.
     const auto now = std::chrono::system_clock::now();
     const std::time_t secs = std::chrono::system_clock::to_time_t(now);
     const auto micros =

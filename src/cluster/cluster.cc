@@ -70,17 +70,6 @@ Cluster::submitAsync(ServeRequest req, CompletionFn done)
     shard.submitAsync(std::move(req), std::move(done));
 }
 
-void
-Cluster::submitToQueue(ServeRequest req, CompletionQueue *queue,
-                       std::uint64_t tag)
-{
-    SAP_ASSERT(queue != nullptr, "submitToQueue() needs a queue");
-    submitAsync(std::move(req), [queue, tag](ServeResponse resp) {
-        traceStamp(resp.trace, TraceStage::CqPush);
-        queue->push({tag, std::move(resp)});
-    });
-}
-
 MetricsSnapshot
 Cluster::metricsSnapshot() const
 {

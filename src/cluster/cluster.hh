@@ -18,9 +18,9 @@
  *  - growing the installation re-homes only ~1/N of the matrices
  *    (cluster/router.hh).
  *
- * IO surfaces: future-based submit(), completion-callback
- * submitAsync(), and completion-queue submitToQueue() for clients
- * that cannot block on futures (cluster/completion_queue.hh). Each
+ * IO surfaces: future-based submit(), and completion-callback
+ * submitAsync() for clients that cannot block on futures (the
+ * network server answers each connection from the callback). Each
  * hashes a request at most once: the routing key is stored on the
  * request (ServeRequest::digest) before the shard sees it, and a
  * request that arrives with a digest is not hashed again.
@@ -34,7 +34,6 @@
 #include <memory>
 #include <vector>
 
-#include "cluster/completion_queue.hh"
 #include "cluster/router.hh"
 #include "serve/shard.hh"
 
@@ -50,13 +49,11 @@ namespace sap {
  * run on the serving shard's worker thread.
  *
  * Ownership: the cluster owns its shards (and through them all
- * worker threads and plan caches); it does NOT own CompletionQueues
- * passed to submitToQueue() — keep a queue alive until its
- * completions arrive, which destroying the cluster first guarantees
- * (destruction drains every shard, so returned futures become
- * ready, accepted callbacks fire, and queued completions are
- * pushed). References returned by shard() stay valid for the
- * cluster's lifetime.
+ * worker threads and plan caches). Destruction drains every shard,
+ * so returned futures become ready and every accepted callback
+ * fires before the destructor returns: whatever a callback
+ * touches must outlive the cluster. References returned by shard()
+ * stay valid for the cluster's lifetime.
  */
 class Cluster
 {
@@ -105,15 +102,6 @@ class Cluster
      * that served it.
      */
     void submitAsync(ServeRequest req, CompletionFn done);
-
-    /**
-     * Route @p req to its shard; on completion, push
-     * {@p tag, response} onto @p queue. @p queue must stay alive
-     * until the completion arrives (destroying the Cluster first
-     * guarantees that).
-     */
-    void submitToQueue(ServeRequest req, CompletionQueue *queue,
-                       std::uint64_t tag);
 
     /**
      * Whole-installation obs/ metrics: every shard's registry

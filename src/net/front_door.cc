@@ -212,8 +212,6 @@ FrontDoor::closeLocked(std::uint64_t id)
     conns_.erase(it); // the FramedSocket closes the fd
     live_.fetch_sub(1, std::memory_order_relaxed);
     SAP_LOG_DEBUG(name_, ": conn ", id, " closed");
-    if (hooks_.onClosed)
-        hooks_.onClosed(id);
 }
 
 void

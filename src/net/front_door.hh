@@ -18,9 +18,10 @@
  * the owner's sendError() and keeps the connection serving.
  *
  * Threads: one IO thread runs the loop and every hook. send() is
- * safe from any thread: on the IO thread it installs the new
- * interest mask directly; other threads (NetServer's writer) mark
- * the connection dirty and wake the IO thread through the pipe.
+ * safe from any thread and never blocks on the peer: on the IO
+ * thread it installs the new interest mask directly; other threads
+ * (NetServer's shard workers, answering their requests) mark the
+ * connection dirty and wake the IO thread through the pipe.
  *
  * Event-loop keys: 0 = wake pipe, 1 = listen socket, then one key
  * per owner fd (watch()), then connection ids.
@@ -101,8 +102,6 @@ class FrontDoor
         /** True while @p conn is still owed replies: a closing
          *  connection stays open until this turns false. */
         std::function<bool(std::uint64_t conn)> owesWork;
-        /** Optional: connection @p conn is gone. */
-        std::function<void(std::uint64_t conn)> onClosed;
         /** Number of owner fd keys watch() may use. */
         std::size_t ownerFds = 0;
         /** Readiness of the owner fd watched under @p index. */

@@ -434,8 +434,9 @@ struct WireResponse
     Dense<Scalar> c; ///< MatMul result
 
     /** Project the wire-visible fields out of a served response.
-     *  Pass by value: callers that own the response (the server's
-     *  writer loop) move it in, so result matrices are not copied. */
+     *  Pass by value: callers that own the response (the shard
+     *  worker answering a SUBMIT) move it in, so result matrices are
+     *  not copied. */
     static WireResponse of(ServeResponse resp);
 };
 
@@ -611,7 +612,9 @@ bool decodeTraceContext(WireReader &r, TraceContext *out,
  * trace: u64 requestId, str label, str kind, u8 ok, u8 cacheHit,
  * u8 tier (TraceTier; >1 rejected), u8 ctx-present, optional
  * trace-context block, kTraceStages × u64 stage nanos, u32 event
- * count, then (str name, u64 nanos) per event.
+ * count, then (str name, u64 nanos) per event. A snapshot carries
+ * every ring of the answering tier: a backend keeps one per shard
+ * worker, so up to workers × TraceConfig::ringCapacity traces.
  */
 std::vector<std::uint8_t>
 encodeTraces(const std::vector<RequestTrace> &traces,

@@ -18,9 +18,8 @@ NetServer::NetServer(const Options &opts)
               handleFrame(conn, std::move(frame));
           };
           hooks.owesWork = [this](std::uint64_t conn) {
-              return hasPendingTags(conn);
+              return owesResponses(conn);
           };
-          hooks.onClosed = [this](std::uint64_t conn) { forgetTags(conn); };
           return hooks;
       }())
 {
@@ -41,9 +40,9 @@ NetServer::start()
         return false;
     }
     if (stopped_) {
-        // stop() permanently shuts the completion queue down (its
-        // writer may have late completions to drain); a stopped
-        // server cannot be revived.
+        // The front door is one-shot (its IO thread's exit and
+        // quiesce flags never reset); a stopped server cannot be
+        // revived.
         error_ = "NetServer cannot be restarted after stop(); "
                  "construct a new instance";
         return false;
@@ -73,7 +72,6 @@ NetServer::start()
     cluster_ = std::make_unique<Cluster>(opts_.cluster);
     running_.store(true);
     door_.start();
-    writer_thread_ = std::thread([this] { writerLoop(); });
     SAP_LOG_INFO("net server listening on 127.0.0.1:", port(), " (",
                  opts_.cluster.shards, " shards, tracing ",
                  collector_.enabled() ? "on" : "off", ")");
@@ -90,29 +88,24 @@ NetServer::stop()
     stopped_ = true;
 
     // 0. Admin plane first: its threads call back into the cluster
-    //    and queue surfaces torn down below. The objects stay alive
-    //    (adminPort() remains answerable), only their threads stop.
+    //    torn down below. The objects stay alive (adminPort()
+    //    remains answerable), only their threads stop.
     admin_.stop();
 
     // 1. Stop accepting and reading; wait for the IO thread to
-    //    acknowledge, so no submitToQueue() races the cluster drain.
+    //    acknowledge, so no submitAsync() races the cluster drain.
     door_.quiesce();
 
-    // 2. Drain the cluster: every accepted request completes and its
-    //    completion lands in queue_ (shards drain on destruction).
-    //    Under cluster_mutex_, so a METRICS snapshot the writer is
-    //    taking right now finishes first.
+    // 2. Drain the cluster: every accepted request completes, and
+    //    its shard worker queues the RESPONSE on the door (shards
+    //    drain on destruction). Under cluster_mutex_, so a METRICS
+    //    snapshot the admin plane was taking finishes first.
     {
         std::lock_guard<std::mutex> lock(cluster_mutex_);
         cluster_.reset();
     }
 
-    // 3. The writer converts the remaining completions to output
-    //    buffers, then exits on the shutdown signal.
-    queue_.shutdown();
-    writer_thread_.join();
-
-    // 4. Let the IO thread flush what clients will accept (bounded),
+    // 3. Let the IO thread flush what clients will accept (bounded),
     //    then close everything.
     door_.stop(/*flush=*/true);
     SAP_LOG_INFO("net server on port ", port(), " stopped");
@@ -141,42 +134,20 @@ NetServer::healthInputs() const
 {
     HealthInputs in;
     in.serving = door_.serving();
-    in.queueDepth = static_cast<double>(queue_.size());
     {
         std::lock_guard<std::mutex> lock(cluster_mutex_);
         if (cluster_)
-            in.queueDepth += cluster_->queueDepth();
+            in.queueDepth = cluster_->queueDepth();
     }
     in.protocolErrors = door_.counts().errorsSent;
     return in;
 }
 
-void
-NetServer::forgetTags(std::uint64_t conn_id)
-{
-    std::lock_guard<std::mutex> lock(tags_mutex_);
-    for (auto it = tags_.begin(); it != tags_.end();) {
-        if (it->second.connId == conn_id)
-            it = tags_.erase(it);
-        else
-            ++it;
-    }
-}
-
 bool
-NetServer::hasPendingTags(std::uint64_t conn_id)
+NetServer::owesResponses(std::uint64_t conn_id)
 {
-    {
-        std::lock_guard<std::mutex> lock(tags_mutex_);
-        for (const auto &entry : tags_)
-            if (entry.second.connId == conn_id)
-                return true;
-    }
-    std::lock_guard<std::mutex> lock(snapshot_requests_mutex_);
-    for (const PendingTag &req : snapshot_requests_)
-        if (req.connId == conn_id)
-            return true;
-    return false;
+    std::lock_guard<std::mutex> lock(owed_mutex_);
+    return owed_.count(conn_id) != 0;
 }
 
 void
@@ -211,32 +182,33 @@ NetServer::handleFrame(std::uint64_t conn_id, Frame &&frame)
                         ? collector_.adopt(req.traceContext)
                         : collector_.begin();
         traceStamp(req.trace, TraceStage::Decode);
-        std::uint64_t server_tag;
         {
-            std::lock_guard<std::mutex> lock(tags_mutex_);
-            server_tag = next_tag_++;
-            tags_[server_tag] = {conn_id, tag};
+            std::lock_guard<std::mutex> lock(owed_mutex_);
+            ++owed_[conn_id];
         }
-        cluster_->submitToQueue(std::move(req), &queue_, server_tag);
+        cluster_->submitAsync(std::move(req),
+                              [this, conn_id, tag](ServeResponse resp) {
+                                  respond(conn_id, tag, std::move(resp));
+                              });
         return;
     }
+    // Empty payload = request (a snapshot in either direction is
+    // harmless to serve again, so no payload check). Answered here on
+    // the IO thread, as the door answers PING: these frames are the
+    // tools' path, and one snapshot and encode takes tens of µs for
+    // METRICS and about 2 ms for TRACES with every worker's ring
+    // full. TRACES is the scatter leg of the gateway's stitched
+    // /tracez.
     case static_cast<std::uint16_t>(FrameType::Metrics):
-    case static_cast<std::uint16_t>(FrameType::Traces): {
-        // Empty payload = request (a snapshot in either direction is
-        // harmless to serve again, so no payload check). The merged
-        // snapshot + encode work is milliseconds on a loaded
-        // installation, so it runs on the writer thread — the IO
-        // thread only hands the request over via the tag-0 marker.
-        // TRACES is the scatter leg of the gateway's stitched
-        // /tracez.
-        {
-            std::lock_guard<std::mutex> lock(snapshot_requests_mutex_);
-            snapshot_requests_.push_back(
-                {conn_id, tag, static_cast<FrameType>(frame.header.type)});
-        }
-        queue_.push({0, {}});
+        // metricsSnapshot() degrades to the wire-level half once the
+        // cluster is gone — still a well-formed frame.
+        door_.send(conn_id, buildMetricsFrame(tag, metricsSnapshot()));
         return;
-    }
+    case static_cast<std::uint16_t>(FrameType::Traces):
+        door_.send(conn_id,
+                   buildTracesFrame(tag, collector_.snapshot(),
+                                    collector_.totalCommitted()));
+        return;
     case static_cast<std::uint16_t>(FrameType::Response):
     case static_cast<std::uint16_t>(FrameType::Error):
         door_.sendError(conn_id, tag,
@@ -251,78 +223,36 @@ NetServer::handleFrame(std::uint64_t conn_id, Frame &&frame)
 }
 
 void
-NetServer::writerLoop()
+NetServer::respond(std::uint64_t conn_id, std::uint64_t client_tag,
+                   ServeResponse resp)
 {
-    Completion c;
-    while (queue_.next(&c)) {
-        if (c.tag == 0) {
-            // METRICS/TRACES marker from the IO thread: snapshot,
-            // encode, and deliver here so the event loop never stalls
-            // on it. The request is peeked, not popped, until the
-            // frame is buffered — its deque entry is what keeps a
-            // half-closed requester open (hasPendingTags).
-            PendingTag snap_req;
-            {
-                std::lock_guard<std::mutex> lock(
-                    snapshot_requests_mutex_);
-                if (snapshot_requests_.empty())
-                    continue;
-                snap_req = snapshot_requests_.front();
-            }
-            if (snap_req.kind == FrameType::Metrics) {
-                // metricsSnapshot() takes cluster_mutex_ itself and
-                // degrades to the wire-level half during shutdown —
-                // still a well-formed frame, so always deliver.
-                door_.send(snap_req.connId,
-                           buildMetricsFrame(snap_req.clientTag,
-                                             metricsSnapshot()));
-            } else {
-                door_.send(
-                    snap_req.connId,
-                    buildTracesFrame(snap_req.clientTag,
-                                     collector_.snapshot(),
-                                     collector_.totalCommitted()));
-            }
-            std::lock_guard<std::mutex> lock(snapshot_requests_mutex_);
-            snapshot_requests_.pop_front();
-            continue;
-        }
-        PendingTag pending;
-        {
-            std::lock_guard<std::mutex> lock(tags_mutex_);
-            auto it = tags_.find(c.tag);
-            if (it == tags_.end())
-                continue; // connection died; drop the response
-            pending = it->second;
-            // NOT erased yet: the tag entry is what keeps the IO
-            // thread from closing a half-closed (EOF'd) connection
-            // that is still owed this response. Erase only after
-            // the frame is in the connection's output buffer.
-        }
-        // WireResponse::of moves the response, so detach the trace
-        // (and its outcome) first.
-        std::shared_ptr<RequestTrace> trace = c.response.trace;
-        if (trace) {
-            trace->ok = c.response.ok;
-            trace->stamp(TraceStage::WriterPop);
-        }
-        // Counted as the frame is queued, before its bytes can reach
-        // the client, so a client holding every response never
-        // scrapes a count that lags.
-        door_.send(pending.connId,
-                   buildResponseFrame(
-                       pending.clientTag,
-                       WireResponse::of(std::move(c.response))),
-                   responses_sent_);
-        {
-            std::lock_guard<std::mutex> lock(tags_mutex_);
-            tags_.erase(c.tag);
-        }
-        // Flush = response bytes handed to the socket layer; the
-        // commit decides sampled-or-slow and records stage spans.
-        traceStamp(trace, TraceStage::Flush);
-        collector_.finish(trace);
+    // WireResponse::of moves the response, so detach the trace (and
+    // its outcome) first.
+    std::shared_ptr<RequestTrace> trace = std::move(resp.trace);
+    if (trace)
+        trace->ok = resp.ok;
+    // Counted as the frame is queued, before its bytes can reach the
+    // client, so a client holding every response never scrapes a
+    // count that lags. A connection that died meanwhile drops it.
+    door_.send(conn_id,
+               buildResponseFrame(client_tag,
+                                  WireResponse::of(std::move(resp))),
+               responses_sent_);
+    // Settled only now that the frame is queued: until then the
+    // count keeps a half-closed connection open. The door closes it
+    // on a later wakeup once this reaches zero and the frame has
+    // flushed.
+    {
+        std::lock_guard<std::mutex> lock(owed_mutex_);
+        auto it = owed_.find(conn_id);
+        if (--it->second == 0)
+            owed_.erase(it);
     }
+    // Flush = RESPONSE queued on the connection; the commit decides
+    // sampled-or-slow and records stage spans into this worker's
+    // ring.
+    traceStamp(trace, TraceStage::Flush);
+    collector_.finish(trace);
 }
 
 } // namespace sap

@@ -9,15 +9,17 @@
  * client connection, with interest masks updated where connection
  * state changes, so ten thousand mostly-idle connections cost
  * nothing per event. NetServer adds what is its own: decoded SUBMIT
- * frames go straight into Cluster::submitToQueue(), and a writer
- * thread drains the shared CompletionQueue into per-connection
- * output buffers through FrontDoor::send(). The shards therefore
- * never block on a client: a slow reader only grows its own buffer
- * while every other connection keeps streaming.
+ * frames go straight into Cluster::submitAsync(), and the shard
+ * worker that served a request encodes its RESPONSE and queues it
+ * on the connection through FrontDoor::send() — a queue append and
+ * a wake, never a socket write. The shards therefore never block on
+ * a client: a slow reader only grows its own buffer while every
+ * other connection keeps streaming. METRICS and TRACES requests are
+ * answered on the IO thread, as the door answers PING.
  *
- *          clients ──TCP──▶ IO thread ──submitToQueue──▶ Cluster
- *             ▲                 │ flush                      │
- *             └── output bufs ◀─┴── writer thread ◀── CompletionQueue
+ *          clients ──TCP──▶ IO thread ──submitAsync──▶ Cluster
+ *             ▲                │ flush                    │ shard
+ *             └─ output bufs ◀─┴──── send(RESPONSE) ──────┘ worker
  *
  * Error policy (the front door's, net/front_door.hh): payload-level
  * garbage (unknown problem kind, zero dimensions, truncated payload)
@@ -43,12 +45,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/cluster.hh"
@@ -72,7 +72,7 @@ class NetServer
     /**
      * The shared front-door options (net/front_door.hh) plus the
      * cluster. With trace enabled, every SUBMIT gets stage
-     * timestamps from frame decode through writer flush;
+     * timestamps from frame decode until its RESPONSE is queued;
      * sampled-or-slow traces land in the collector, exportable via
      * traceSnapshot().
      */
@@ -92,9 +92,9 @@ class NetServer
     NetServer &operator=(const NetServer &) = delete;
 
     /**
-     * Bind, listen on 127.0.0.1, and spawn the IO and writer
-     * threads. @return false (with error() set) if the socket setup
-     * failed; calling start() twice is an error.
+     * Bind, listen on 127.0.0.1, build the cluster and spawn the
+     * door's IO thread. @return false (with error() set) if the
+     * socket setup failed; calling start() twice is an error.
      */
     bool start();
 
@@ -153,24 +153,17 @@ class NetServer
     }
 
   private:
-    /** Where a completion must be delivered. */
-    struct PendingTag
-    {
-        std::uint64_t connId;
-        std::uint64_t clientTag;
-        /** Snapshot requests only: METRICS or TRACES. */
-        FrameType kind = FrameType::Metrics;
-    };
-
-    void writerLoop();
     /** FrontDoor::Hooks::onFrame: SUBMIT/FORWARD into the cluster,
-     *  METRICS/TRACES to the writer. IO thread. */
+     *  METRICS/TRACES answered here. IO thread. */
     void handleFrame(std::uint64_t conn_id, Frame &&frame);
-    /** Drop completions addressed to a dead connection. */
-    void forgetTags(std::uint64_t conn_id);
-    /** True while responses for this connection are still in flight
-     *  (the door must not close it yet). */
-    bool hasPendingTags(std::uint64_t conn_id);
+    /** The completion of a SUBMIT/FORWARD from @p conn_id: queue its
+     *  RESPONSE, settle the owed count, finish the trace. Shard
+     *  worker thread. */
+    void respond(std::uint64_t conn_id, std::uint64_t client_tag,
+                 ServeResponse resp);
+    /** FrontDoor::Hooks::owesWork: SUBMITs from @p conn_id whose
+     *  RESPONSE is not queued yet. */
+    bool owesResponses(std::uint64_t conn_id);
     /** The admin plane's health inputs. */
     HealthInputs healthInputs() const;
 
@@ -180,44 +173,34 @@ class NetServer
     /** Serializes start()/stop() against each other. */
     std::mutex lifecycle_mutex_;
 
-    /**
-     * Destruction order contract: queue_ outlives cluster_ (declared
-     * before it), because shard workers push completions into the
-     * queue while the cluster drains.
-     */
-    CompletionQueue queue_;
     /** Serializes cluster snapshots (const metricsSnapshot(), from
-     *  the writer thread or the admin plane) against stop()'s
-     *  cluster teardown. The IO thread needs no lock: its cluster
-     *  calls stop at the quiesce handshake, before stop() resets the
-     *  pointer. */
+     *  the IO thread or the admin plane) against stop()'s cluster
+     *  teardown. The IO thread's submits need no lock: the door
+     *  stops calling onFrame at the quiesce handshake, before stop()
+     *  resets the pointer. */
     mutable std::mutex cluster_mutex_;
     std::unique_ptr<Cluster> cluster_;
 
     std::atomic<bool> running_{false};
     /** One-shot lifecycle: set by stop(); start() then refuses (the
-     *  completion queue cannot be un-shut-down). */
+     *  front door is one-shot: its exit and quiesce flags never
+     *  reset). */
     bool stopped_ = false;
 
-    std::thread writer_thread_;
-
-    std::mutex tags_mutex_;
-    /** Starts at 1: server tag 0 is the snapshot marker (see
-     *  writerLoop()). */
-    std::uint64_t next_tag_ = 1;
-    std::map<std::uint64_t, PendingTag> tags_;
-
-    /** METRICS/TRACES requests handed from the IO thread to the
-     *  writer, so the snapshot+encode work never stalls the event
-     *  loop. */
-    std::mutex snapshot_requests_mutex_;
-    std::deque<PendingTag> snapshot_requests_;
+    /** Guards owed_. */
+    std::mutex owed_mutex_;
+    /** Per connection, the SUBMITs in flight: counted up on the IO
+     *  thread as a SUBMIT goes into the cluster, down on the shard
+     *  worker once its RESPONSE is queued (so a half-closed
+     *  connection is never closed before its last reply). Entries
+     *  at zero are erased. */
+    std::map<std::uint64_t, std::size_t> owed_;
 
     /** Wire-level obs/ registry; also receives the collector's
      *  trace stage histograms. The door's counts are injected into
      *  metricsSnapshot() under their net_* names. */
     MetricsRegistry net_metrics_;
-    /** net_responses_sent_total, cached for the writer. */
+    /** net_responses_sent_total, cached for the shard workers. */
     Counter *responses_sent_ = nullptr;
     /** Declared after net_metrics_: its stage-metrics pointer must
      *  outlive it. */
@@ -225,9 +208,10 @@ class NetServer
 
     /**
      * Declared last: the admin plane's threads call back into
-     * everything above (metricsSnapshot, queue_, collector_), and
-     * the writer sends through the door — so both go first, and
-     * stop() shuts them down before the cluster teardown.
+     * everything above (metricsSnapshot, collector_), and the shard
+     * workers send through the door — so both outlive the cluster
+     * drain in stop(), which shuts the admin plane down first and
+     * the door last.
      */
     AdminPlane admin_;
     FrontDoor door_;

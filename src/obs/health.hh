@@ -82,8 +82,8 @@ struct HealthInputs
 {
     /** Lifecycle: accepting and serving requests right now. */
     bool serving = false;
-    /** Requests accepted but not yet answered: shard work queues
-     *  plus the completion queue awaiting the writer. */
+    /** Requests accepted but not yet picked up by a worker: a
+     *  backend's shard work queues. */
     double queueDepth = 0;
     /** Cumulative protocol-error count (rate derives across calls). */
     std::uint64_t protocolErrors = 0;

@@ -1,25 +1,28 @@
 /**
  * @file
  * End-to-end request tracing: stage timestamps carried with each
- * request through the net → cluster → shard → writer pipeline, with
- * sampled commits into bounded per-thread ring buffers.
+ * request through the net → cluster → shard pipeline, with sampled
+ * commits into bounded per-thread ring buffers.
  *
- * A served request crosses four thread domains (the server IO thread,
- * the shard worker that executes it, the completion-queue writer
- * thread, plus routing in between); per-(engine,shape) latency totals
- * cannot say *which* domain a slow request spent its time in. Tracing
- * answers that: each traced request carries a RequestTrace — a
- * request id plus one monotonic timestamp per TraceStage — stamped as
- * it passes each boundary. Stages map to the wire/cluster pipeline:
+ * A served request crosses two thread domains (the server IO thread
+ * decodes and routes it; the shard worker executes it, then encodes
+ * and queues its response) and waits in the shard's queue between
+ * them; per-(engine,shape) latency totals cannot say *where* a slow
+ * request spent its time. Tracing answers that: each traced request
+ * carries a RequestTrace — a request id plus one monotonic timestamp
+ * per TraceStage — stamped as it passes each boundary. Stages map to
+ * the wire/cluster pipeline:
  *
  *   Decode    SUBMIT frame decoded on the IO thread
  *   Route     consistent-hash shard selection in the cluster
  *   Dequeue   shard worker picked the request off the pool queue
  *   Prepare   plan-cache lookup done (hit or rebuilt)
  *   Execute   engine runPrepared returned
- *   CqPush    completion pushed onto the CompletionQueue
- *   WriterPop writer thread popped the completion
- *   Flush     response bytes handed to the socket layer
+ *   CqPush    stamped by no tier; the slot stays so that TRACES
+ *             frames and CSV rows keep eight stages (an older peer
+ *             still decodes them)
+ *   WriterPop gateway only (gw_relay_pop, below)
+ *   Flush     RESPONSE encoded and queued on the client connection
  *
  * Cost model: when tracing is enabled every request gets a
  * RequestTrace (one small allocation plus one steady_clock read per
@@ -31,10 +34,11 @@
  *
  * Commits go to small per-thread ring buffers (TraceConfig::
  * ringCapacity each) so threads never contend on a shared ring in the
- * hot path;
- * snapshot() collects all rings under the registration lock. All
- * cross-thread trace handoffs ride the same mutex-protected queues as
- * the request itself, so stamps need no atomics of their own.
+ * hot path: a backend commits on each shard worker, so it keeps up to
+ * workers × ringCapacity traces. snapshot() collects all rings under
+ * the registration lock. All cross-thread trace handoffs ride the
+ * same mutex-protected queues as the request itself, so stamps need
+ * no atomics of their own.
  */
 
 #ifndef SAP_OBS_TRACE_RING_HH
@@ -70,12 +74,13 @@ enum class TraceStage : std::uint8_t
 constexpr std::size_t kTraceStages = 8;
 
 /**
- * Which tier of the serving stack stamped a trace. Backends reuse the
- * eight TraceStage slots with their pipeline meaning; the gateway
- * reuses a monotone subset of the same slots for its own stages
- * (Decode=gw_decode, Route=gw_route, Dequeue=gw_forward,
- * WriterPop=gw_relay_pop, Flush=gw_flush) so span math works
- * unchanged while names and export lanes stay distinct.
+ * Which tier of the serving stack stamped a trace. Backends stamp
+ * six of the eight TraceStage slots with their pipeline meaning
+ * (not CqPush or WriterPop); the gateway reuses a monotone subset of
+ * the same slots for its own stages (Decode=gw_decode,
+ * Route=gw_route, Dequeue=gw_forward, WriterPop=gw_relay_pop,
+ * Flush=gw_flush) so span math works unchanged while names and
+ * export lanes stay distinct.
  */
 enum class TraceTier : std::uint8_t
 {
@@ -205,7 +210,9 @@ struct TraceConfig
     /** Requests at or above this total latency always commit and are
      *  logged at Warn level. 0 disables the slow path. */
     double slowMicros = 0;
-    /** Capacity of each per-thread ring. */
+    /** Capacity of each per-thread ring. A tier keeps up to
+     *  (committing threads × ringCapacity) traces: a backend commits
+     *  on every shard worker, a gateway on its IO thread. */
     std::size_t ringCapacity = 1024;
 };
 

@@ -88,7 +88,7 @@ struct ServeResponse
     /** Wall-clock service time of this request in microseconds. */
     double latencyMicros = 0;
     /** The request's trace, handed through for downstream stamps
-     *  (completion-queue push, writer pop, flush). */
+     *  (the network server's flush). */
     std::shared_ptr<RequestTrace> trace;
 };
 
@@ -136,8 +136,7 @@ class Shard
     /**
      * Enqueue @p req; @p done runs on the worker thread that served
      * it, with the response. For clients that cannot block on
-     * futures — the cluster layer builds its completion queue on
-     * this.
+     * futures — the network server answers the connection from it.
      */
     void submitAsync(ServeRequest req, CompletionFn done);
 

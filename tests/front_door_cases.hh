@@ -23,6 +23,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <netinet/in.h>
@@ -286,30 +287,55 @@ halfClosedClientStillGetsEveryResponse(Door &door)
     // A standards-following client may pipeline its SUBMITs,
     // shutdown its write side, and then read to EOF: the door must
     // deliver every owed response before closing, not drop the
-    // in-flight ones with the read side.
+    // in-flight ones with the read side. A METRICS and a TRACES
+    // request ride among the SUBMITs and are owed a reply too.
     ASSERT_TRUE(door.start()) << door.error();
 
     RawConn conn(door.port());
     ASSERT_TRUE(conn.ok());
     const int kRequests = 6;
+    const std::uint64_t kMetricsTag = 100, kTracesTag = 101;
     std::vector<ServeRequest> reqs;
     for (int i = 0; i < kRequests; ++i) {
         reqs.push_back(matVecRequest(7000 + i));
         conn.send(buildSubmitFrame(static_cast<std::uint64_t>(i),
                                    reqs.back()));
+        if (i == 2)
+            conn.send(buildMetricsRequestFrame(kMetricsTag));
+        if (i == 4)
+            conn.send(buildTracesRequestFrame(kTracesTag));
     }
     conn.shutdownWrite();
 
     std::vector<bool> got(kRequests, false);
-    for (int i = 0; i < kRequests; ++i) {
+    bool got_metrics = false, got_traces = false;
+    for (int i = 0; i < kRequests + 2; ++i) {
         Frame frame;
-        ASSERT_TRUE(conn.readFrame(&frame)) << "response " << i;
+        ASSERT_TRUE(conn.readFrame(&frame)) << "reply " << i;
+        std::string err;
+        if (frame.header.tag == kMetricsTag) {
+            ASSERT_EQ(frame.header.type,
+                      static_cast<std::uint16_t>(FrameType::Metrics));
+            MetricsSnapshot snap;
+            EXPECT_TRUE(decodeMetrics(frame.payload, &snap, &err)) << err;
+            EXPECT_FALSE(std::exchange(got_metrics, true));
+            continue;
+        }
+        if (frame.header.tag == kTracesTag) {
+            ASSERT_EQ(frame.header.type,
+                      static_cast<std::uint16_t>(FrameType::Traces));
+            std::vector<RequestTrace> traces;
+            std::uint64_t total = 0;
+            EXPECT_TRUE(decodeTraces(frame.payload, &traces, &total, &err))
+                << err;
+            EXPECT_FALSE(std::exchange(got_traces, true));
+            continue;
+        }
         ASSERT_EQ(frame.header.type,
                   static_cast<std::uint16_t>(FrameType::Response));
         ASSERT_LT(frame.header.tag,
                   static_cast<std::uint64_t>(kRequests));
         WireResponse resp;
-        std::string err;
         ASSERT_TRUE(decodeResponse(frame.payload, &resp, &err)) << err;
         EXPECT_TRUE(resp.ok) << resp.error;
         EXPECT_TRUE(NetClient::matchesOracle(
@@ -318,7 +344,9 @@ halfClosedClientStillGetsEveryResponse(Door &door)
     }
     for (int i = 0; i < kRequests; ++i)
         EXPECT_TRUE(got[static_cast<std::size_t>(i)]) << i;
-    // After the last owed response the door closes the connection.
+    EXPECT_TRUE(got_metrics);
+    EXPECT_TRUE(got_traces);
+    // After the last owed reply the door closes the connection.
     EXPECT_TRUE(conn.awaitClose());
 }
 

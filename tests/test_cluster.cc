@@ -2,7 +2,7 @@
  * @file
  * Tests of the cluster layer: consistent-hash routing (determinism,
  * coverage, rebalance behavior), shard pinning of plan caches, the
- * async completion-queue and callback surfaces, malformed-request
+ * async completion-callback surface, malformed-request
  * error paths exercised through the cluster router, and the exact
  * merge of the shards' labelled per-engine metrics.
  */
@@ -11,8 +11,11 @@
 
 #include <future>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster.hh"
 #include "cluster/router.hh"
@@ -231,7 +234,7 @@ TEST(Cluster, TriSolveRequestsRouteBatchAndCrossCheck)
 }
 
 //---------------------------------------------------------------------
-// Async IO: completion callbacks and the completion queue.
+// Async IO: completion callbacks.
 //---------------------------------------------------------------------
 
 TEST(Cluster, SubmitAsyncFiresCompletionCallback)
@@ -256,8 +259,12 @@ TEST(Cluster, SubmitAsyncFiresCompletionCallback)
 
 TEST(Cluster, CompletionQueueDeliversEveryTag)
 {
+    // A caller-side completion queue on submitAsync: each callback
+    // pushes {tag, response}, and the queue is read once the cluster
+    // has drained.
     const int kRequests = 20;
-    CompletionQueue queue;
+    std::mutex mu;
+    std::vector<std::pair<std::uint64_t, ServeResponse>> queue;
     std::vector<Vec<Scalar>> gold(kRequests);
     {
         Cluster::Options opts;
@@ -268,49 +275,28 @@ TEST(Cluster, CompletionQueueDeliversEveryTag)
             ServeRequest req =
                 matVecRequest("linear", a, 1200 + 2 * i, 3);
             gold[i] = matVec(req.plan.a, req.plan.x, req.plan.b);
-            cluster.submitToQueue(std::move(req), &queue,
-                                  static_cast<std::uint64_t>(i));
+            const auto tag = static_cast<std::uint64_t>(i);
+            cluster.submitAsync(std::move(req),
+                                [&mu, &queue, tag](ServeResponse resp) {
+                                    std::lock_guard<std::mutex> lock(mu);
+                                    queue.emplace_back(tag,
+                                                       std::move(resp));
+                                });
         }
-        // Cluster destruction drains the shards: every completion
-        // is pushed before the queue is polled.
+        // Cluster destruction drains the shards: every callback has
+        // run before the queue is read.
     }
-    queue.shutdown();
 
     std::set<std::uint64_t> tags;
-    Completion c;
-    while (queue.next(&c)) {
-        ASSERT_TRUE(c.response.ok) << c.response.error;
-        ASSERT_LT(c.tag, static_cast<std::uint64_t>(kRequests));
-        EXPECT_EQ(maxAbsDiff(c.response.result.y, gold[c.tag]), 0.0)
-            << "tag " << c.tag;
-        EXPECT_TRUE(tags.insert(c.tag).second)
-            << "duplicate tag " << c.tag;
+    for (const auto &[tag, response] : queue) {
+        ASSERT_TRUE(response.ok) << response.error;
+        ASSERT_LT(tag, static_cast<std::uint64_t>(kRequests));
+        EXPECT_EQ(maxAbsDiff(response.result.y, gold[tag]), 0.0)
+            << "tag " << tag;
+        EXPECT_TRUE(tags.insert(tag).second) << "duplicate tag " << tag;
     }
     EXPECT_EQ(tags.size(), static_cast<std::size_t>(kRequests));
-    EXPECT_FALSE(queue.next(&c)); // drained + shut down
-}
-
-TEST(CompletionQueue, TryNextDoesNotBlock)
-{
-    CompletionQueue queue;
-    Completion c;
-    EXPECT_FALSE(queue.tryNext(&c));
-    queue.push({7, ServeResponse{}});
-    EXPECT_EQ(queue.size(), 1u);
-    ASSERT_TRUE(queue.tryNext(&c));
-    EXPECT_EQ(c.tag, 7u);
-    EXPECT_FALSE(queue.tryNext(&c));
-}
-
-TEST(CompletionQueue, PushAfterShutdownStillDelivered)
-{
-    CompletionQueue queue;
-    queue.shutdown();
-    queue.push({3, ServeResponse{}});
-    Completion c;
-    ASSERT_TRUE(queue.next(&c));
-    EXPECT_EQ(c.tag, 3u);
-    EXPECT_FALSE(queue.next(&c));
+    EXPECT_EQ(queue.size(), static_cast<std::size_t>(kRequests));
 }
 
 //---------------------------------------------------------------------
